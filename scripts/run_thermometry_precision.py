@@ -45,15 +45,11 @@ print(f"{'N_shot':>7} {'N_win':>6} {'mu_T (mK)':>10} {'sigma_T (mK)':>13} "
 
 bound4 = th.qcrb_bound(T_TRUE, ladder, 4)
 for n_shot, n_win in ((1000, 400), (2000, 400), (5000, 300), (10000, 200)):
-    windows = synth.gen_window_series(cfg, T_TRUE, n_win, n_shot)
-    temps = []
-    for xy in windows:
-        labels, _ = cl.classify_batch(cfg.cluster_model, xy)
-        counts = {lab: int(np.count_nonzero(labels == lab))
-                  for lab in cfg.cluster_model.labels}
-        temps.append(th.fit_temperature(
-            cl.exclude_overflow_and_renormalize(counts), ladder).t_eff)
-    series = th.WindowSeries(np.array(temps), n_shot, T_SHOT)
+    xy = np.vstack(synth.gen_window_series(cfg, T_TRUE, n_win, n_shot))
+    model = cfg.cluster_model
+    counts = cl.window_counts(cl.assign_indices(model, xy), len(model.labels), n_shot)
+    fit = th.fit_temperature_batch(cl.level_populations(counts, model.labels), ladder)
+    series = th.WindowSeries(fit.t_eff, n_shot, T_SHOT)
     mu, sigma, sigma_mu = th.window_statistics(series)
     net = th.net(sigma, series.t_meas)
     precision = sigma / mu * math.sqrt(n_shot)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .dynamics import PopulationVector
+from .dynamics import LEVELS, PopulationVector
 from .errors import (
     AllOverflow,
     EmptyRow,
@@ -55,15 +55,6 @@ class IqShot:
     def __post_init__(self):
         if not (math.isfinite(self.i) and math.isfinite(self.q)):
             raise ValueError("IQ values must be finite")
-
-
-def shots_to_arrays(shots) -> tuple[np.ndarray, np.ndarray | None]:
-    """Convert a sequence of IqShot to (n, 2) points and labels (or None)."""
-    xy = np.array([[s.i, s.q] for s in shots], dtype=float)
-    labels = [s.prep_label for s in shots]
-    if all(lab is None for lab in labels):
-        return xy, None
-    return xy, np.array(["" if lab is None else lab for lab in labels])
 
 
 @dataclass(frozen=True)
@@ -216,6 +207,28 @@ def log_likelihood(model: GmmModel, xy: np.ndarray) -> float:
     return float((shift[:, 0] + np.log(np.exp(log_dens - shift).sum(axis=1))).sum())
 
 
+def assign_indices(model: GmmModel, xy: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood component of each shot as an index into ``model.labels``.
+
+    Ties go to the earlier label in canonical order.  No posteriors are
+    computed.
+    """
+    _, log_dens = _log_densities(model, np.asarray(xy, dtype=float))
+    return np.argmax(log_dens, axis=1)
+
+
+def window_counts(indices: np.ndarray, n_labels: int, window: int) -> np.ndarray:
+    """(W, n_labels) counts of each label index in consecutive windows.
+
+    W = len(indices) // window; trailing shots that fill no window are
+    ignored.
+    """
+    n_win = indices.shape[0] // window
+    keyed = (indices[:n_win * window].reshape(n_win, window)
+             + (np.arange(n_win) * n_labels)[:, None])
+    return np.bincount(keyed.ravel(), minlength=n_win * n_labels).reshape(n_win, n_labels)
+
+
 def classify_batch(model: GmmModel, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximum-likelihood labels and posterior matrix for many shots.
 
@@ -305,14 +318,13 @@ def assignment_matrix(model: GmmModel, xy: np.ndarray, prep_labels,
     rows = (sorted(set(prep_labels.tolist()), key=_label_sort_key)
             if row_labels is None else list(row_labels))
     cols = model.labels
-    assigned, _ = classify_batch(model, xy)
+    assigned = assign_indices(model, xy)
     matrix = np.zeros((len(rows), len(cols)))
     for r, prep in enumerate(rows):
         sel = assigned[prep_labels == prep]
         if sel.size == 0:
             raise EmptyRow(f"no shots prepared as {prep!r}")
-        for c, lab in enumerate(cols):
-            matrix[r, c] = np.count_nonzero(sel == lab) / sel.size
+        matrix[r] = np.bincount(sel, minlength=len(cols)) / sel.size
     return AssignmentMatrix(rows, cols, matrix)
 
 
@@ -355,10 +367,10 @@ def truncate_to_sigma(model: GmmModel, xy: np.ndarray, n_sigma: float = 3.0) -> 
     separate readout SNR limits from relaxation effects.
     """
     xy = np.asarray(xy, dtype=float)
-    assigned, _ = classify_batch(model, xy)
+    assigned = assign_indices(model, xy)
     mask = np.zeros(xy.shape[0], dtype=bool)
-    for lab in model.labels:
-        sel = assigned == lab
+    for j, lab in enumerate(model.labels):
+        sel = assigned == j
         if not sel.any():
             continue
         comp = model.components[lab]
@@ -368,18 +380,31 @@ def truncate_to_sigma(model: GmmModel, xy: np.ndarray, n_sigma: float = 3.0) -> 
     return mask
 
 
-def exclude_overflow_and_renormalize(counts: dict[str, float]) -> PopulationVector:
-    """Drop the overflow cluster and renormalize the four-level counts."""
-    missing = [lab for lab in ("g", "e", "f", "h") if lab not in counts]
+def level_populations(counts: np.ndarray, labels) -> np.ndarray:
+    """(W, 4) g, e, f, h populations from (W, k) counts, overflow dropped.
+
+    Columns of ``counts`` follow ``labels``; labels other than the four
+    levels (the ``k+`` overflow cluster) are excluded and each row is
+    renormalized over the rest.
+    """
+    labels = list(labels)
+    missing = [lab for lab in LEVELS if lab not in labels]
     if missing:
         raise ValueError(f"counts missing labels {missing}")
-    four = np.array([counts["g"], counts["e"], counts["f"], counts["h"]], dtype=float)
+    four = np.asarray(counts, dtype=float)[:, [labels.index(lab) for lab in LEVELS]]
     if np.any(four < 0):
         raise ValueError("counts must be >= 0")
-    total = four.sum()
-    if total == 0:
-        raise AllOverflow("all shots fell in the overflow cluster")
-    return PopulationVector.from_array(four / total)
+    total = four.sum(axis=1, keepdims=True)
+    if np.any(total == 0):
+        window = int(np.flatnonzero(total[:, 0] == 0)[0])
+        raise AllOverflow(f"all shots of window {window} fell in the overflow cluster")
+    return four / total
+
+
+def exclude_overflow_and_renormalize(counts: dict[str, float]) -> PopulationVector:
+    """Drop the overflow cluster and renormalize the four-level counts."""
+    row = level_populations(np.array([list(counts.values())], dtype=float), counts)
+    return PopulationVector.from_array(row[0])
 
 
 def apply_confusion_correction(counts: dict[str, float],

@@ -47,7 +47,7 @@ def _flux_grid(cfg: dict) -> np.ndarray:
     return grid
 
 
-def cmd_filter_sweep(cfg: dict, out: str, seed, fmt: str) -> int:
+def cmd_filter_sweep(cfg: dict, out: str, seed) -> int:
     geom = fio.geometry_from_config(_require(cfg, "geometry"))
     arr = fio.squid_array_from_config(_require(cfg, "squid_array"))
     qubit = fio.qubit_from_config(_require(cfg, "qubit"))
@@ -66,7 +66,7 @@ def cmd_filter_sweep(cfg: dict, out: str, seed, fmt: str) -> int:
     return 0
 
 
-def cmd_fit_reset(cfg: dict, out: str, seed, fmt: str) -> int:
+def cmd_fit_reset(cfg: dict, out: str, seed) -> int:
     data = fio.read_reset_csv(_require(cfg, "reset_csv"))
     fit = dyn.fit_decay_rates(data, fit_floor=bool(cfg.get("fit_floor", False)))
     names = ("gamma_ge", "gamma_ef", "gamma_fh")
@@ -97,7 +97,7 @@ def _fit_result_doc(res: fits.FitResult) -> dict:
     }
 
 
-def cmd_fit_rb(cfg: dict, out: str, seed, fmt: str) -> int:
+def cmd_fit_rb(cfg: dict, out: str, seed) -> int:
     x, y, _ = fio.read_curve_csv(_require(cfg, "curve_csv"))
     res = fits.rb_fit(x, y)
     k = float(cfg.get("pulses_per_clifford", 45.0 / 24.0))
@@ -111,7 +111,7 @@ def cmd_fit_rb(cfg: dict, out: str, seed, fmt: str) -> int:
     return 0
 
 
-def cmd_fit_curve(cfg: dict, out: str, seed, fmt: str) -> int:
+def cmd_fit_curve(cfg: dict, out: str, seed) -> int:
     x, y, _ = fio.read_curve_csv(_require(cfg, "curve_csv"))
     model = _require(cfg, "model")
     fitters = {
@@ -127,11 +127,13 @@ def cmd_fit_curve(cfg: dict, out: str, seed, fmt: str) -> int:
     return 0
 
 
-def cmd_fit_temp(cfg: dict, out: str, seed, fmt: str) -> int:
+def cmd_fit_temp(cfg: dict, out: str, seed) -> int:
     xy, _ = fio.read_shots_csv(_require(cfg, "shots_csv"))
     model = fio.model_from_dict(fio.load_json(_require(cfg, "model_json")))
     ladder = fio.ladder_from_config(_require(cfg, "ladder"))
     window = int(_require(cfg, "window"))
+    if window < 1:
+        raise ConfigError(f"window must be >= 1 shot, got {window}")
     t_shot = float(_require(cfg, "t_shot_us")) * fio.US
     bounds = (float(cfg.get("t_min_mk", 1.0)) * fio.MK,
               float(cfg.get("t_max_mk", 20000.0)) * fio.MK)
@@ -139,22 +141,18 @@ def cmd_fit_temp(cfg: dict, out: str, seed, fmt: str) -> int:
     if n_win < 1:
         raise ConfigError(f"fewer shots ({xy.shape[0]}) than one window ({window})")
 
-    labels, _post = cl.classify_batch(model, xy)
-    per_window = []
-    temps = []
-    for w in range(n_win):
-        sel = labels[w * window:(w + 1) * window]
-        counts = {lab: int(np.count_nonzero(sel == lab)) for lab in model.labels}
-        counts.setdefault("k+", 0)
-        pv = cl.exclude_overflow_and_renormalize(counts)
-        est = th.fit_temperature(pv, ladder, bounds=bounds)
-        temps.append(est.t_eff)
-        per_window.append({"t_eff_K": est.t_eff, "r2": est.r_squared,
-                           "chi2": est.chi2_min})
+    indices = cl.assign_indices(model, xy[:n_win * window])
+    counts = cl.window_counts(indices, len(model.labels), window)
+    fit = th.fit_temperature_batch(cl.level_populations(counts, model.labels),
+                                   ladder, bounds=bounds)
+    per_window = [{"t_eff_K": t, "r2": r2, "chi2": chi2, "at_boundary": at_bound}
+                  for t, r2, chi2, at_bound in zip(
+                      fit.t_eff.tolist(), fit.r_squared.tolist(),
+                      fit.chi2_min.tolist(), fit.at_boundary.tolist())]
     doc = {"n_win": n_win, "n_shot": window, "t_shot_s": t_shot,
-           "per_window": per_window}
+           "n_at_bound": int(fit.at_boundary.sum()), "per_window": per_window}
     if n_win >= 2:
-        series = th.WindowSeries(np.array(temps), window, t_shot)
+        series = th.WindowSeries(fit.t_eff, window, t_shot)
         mu, sigma, sigma_mu = th.window_statistics(series)
         doc.update({
             "mu_T_K": mu,
@@ -166,7 +164,7 @@ def cmd_fit_temp(cfg: dict, out: str, seed, fmt: str) -> int:
     return 0
 
 
-def cmd_classify(cfg: dict, out: str, seed, fmt: str) -> int:
+def cmd_classify(cfg: dict, out: str, seed) -> int:
     xy, prep = fio.read_shots_csv(_require(cfg, "shots_csv"))
     if "model_json" in cfg:
         model = fio.model_from_dict(fio.load_json(cfg["model_json"]))
@@ -184,15 +182,15 @@ def cmd_classify(cfg: dict, out: str, seed, fmt: str) -> int:
         doc["min_pairwise_separation"] = cl.min_pairwise_separation(model)
         fio.dump_json(doc, out)
     else:
-        labels, post = cl.classify_batch(model, xy)
-        counts = {lab: int(np.count_nonzero(labels == lab)) for lab in model.labels}
+        per_label = np.bincount(cl.assign_indices(model, xy), minlength=len(model.labels))
+        counts = dict(zip(model.labels, per_label.tolist()))
         fio.dump_json({"counts": counts,
                        "min_pairwise_separation": cl.min_pairwise_separation(model)},
                       out)
     return 0
 
 
-def cmd_generate(cfg: dict, out: str, seed, fmt: str) -> int:
+def cmd_generate(cfg: dict, out: str, seed) -> int:
     kind = _require(cfg, "generator")
     seed = int(cfg.get("seed", 0) if seed is None else seed)
     if kind == "thermal" or kind == "windows":
@@ -257,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (defaults to the command's native one)")
     return parser
 
 
@@ -271,7 +267,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](cfg, args.out, args.seed, args.format)
+        return _COMMANDS[args.command](cfg, args.out, args.seed)
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

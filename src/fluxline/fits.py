@@ -281,7 +281,7 @@ def interleaved_fidelity(p_ref: float, p_int: float) -> float:
     statistical fluctuations when p_int > p_ref.
     """
     if p_ref == 0:
-        raise ZeroDivisionError("p_ref must be nonzero")
+        raise ValueError("p_ref must be nonzero")
     return 1.0 - 0.5 * (1.0 - p_int / p_ref)
 
 

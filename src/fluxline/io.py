@@ -21,6 +21,7 @@ Formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -33,7 +34,6 @@ from .network import FilterGeometry, FluxSweepRow, QubitLoad, SquidArray
 from .thermometry import KB_OVER_H_CODATA, KB_OVER_H_ROUNDED, LevelLadder
 
 GHZ = 1e9
-MHZ = 1e6
 NS = 1e-9
 US = 1e-6
 MS = 1e-3
@@ -181,20 +181,54 @@ def write_shots_csv(path, xy: np.ndarray, prep_labels=None) -> None:
 
 
 def read_shots_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    xy, labels = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["prep", "i", "q"]:
-            raise ValueError(f"unexpected shot CSV header: {reader.fieldnames}")
-        for rec in reader:
-            xy.append([float(rec["i"]), float(rec["q"])])
-            labels.append(rec["prep"])
-    if not xy:
+    """(n, 2) IQ points and prep labels, or None when every prep is empty.
+
+    The body is parsed in one ``np.loadtxt`` call.  Every data row must
+    hold exactly the three fields ``prep,i,q`` with finite IQ values; the
+    first row that does not is named in the ``ValueError``.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode().rstrip("\r\n")
+        body = fh.read()
+    if header != "prep,i,q":
+        raise ValueError(f"unexpected shot CSV header: {header!r}")
+    if not body.strip():
         raise ValueError("shot CSV holds no data rows")
-    xy = np.array(xy)
-    if all(lab == "" for lab in labels):
+    try:
+        xy = np.loadtxt(io.BytesIO(body), delimiter=",", usecols=(1, 2),
+                        ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValueError(_bad_shot_row(body, f"shot CSV: {exc}")) from None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    # loadtxt rejects rows with fewer than three fields and ignores extra
+    # ones, so with it passing, two commas per row means exactly three.
+    if np.count_nonzero(raw == ord(",")) != 2 * xy.shape[0] or not np.isfinite(xy).all():
+        raise ValueError(_bad_shot_row(body, "shot CSV: malformed rows"))
+    line_starts = np.flatnonzero(raw[:-1] == ord("\n")) + 1
+    empty_preps = (raw[0] == ord(",")) + np.count_nonzero(raw[line_starts] == ord(","))
+    if empty_preps == xy.shape[0]:
         return xy, None
+    labels = [line.partition(",")[0]
+              for line in body.decode().split("\n") if line not in ("", "\r")]
     return xy, np.array(labels, dtype=object)
+
+
+def _bad_shot_row(body: bytes, fallback: str) -> str:
+    """Message naming the first malformed data line of a shot CSV body."""
+    for line_no, line in enumerate(body.decode().split("\n"), start=2):
+        if line in ("", "\r"):
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            return (f"shot CSV line {line_no}: expected 3 fields (prep,i,q), "
+                    f"got {len(fields)}")
+        try:
+            iq = (float(fields[1]), float(fields[2]))
+        except ValueError:
+            return f"shot CSV line {line_no}: IQ values are not numbers"
+        if not all(math.isfinite(v) for v in iq):
+            return f"shot CSV line {line_no}: IQ values must be finite"
+    return fallback
 
 
 def write_curve_csv(path, x, y, sigma=None) -> None:

@@ -115,62 +115,96 @@ def _chi2(meas: np.ndarray, temps: np.ndarray, ladder: LevelLadder) -> np.ndarra
     return (((meas - p_th) ** 2) / np.maximum(p_th, _P_TH_FLOOR)).sum(axis=1)
 
 
+@dataclass(frozen=True)
+class TemperatureFits:
+    """Best-fit temperatures and quality metrics of many windows, one per row."""
+
+    t_eff: np.ndarray
+    r_squared: np.ndarray
+    chi2_min: np.ndarray
+    at_boundary: np.ndarray
+
+
+def fit_temperature_batch(
+    populations: np.ndarray,
+    ladder: LevelLadder,
+    bounds: tuple[float, float] = (1e-3, 20.0),
+) -> TemperatureFits:
+    """Effective temperature of each row of (W, 4) g, e, f, h populations.
+
+    Each row's temperature minimizes the chi-square-like population cost.
+    The minimum is seeded on a 256-point log grid over ``bounds`` and
+    refined by golden-section search (Kiefer 1953) in log T to a width of
+    1e-10, all rows at once; an optimum within 1e-6 (relative) of either
+    bound is flagged ``at_boundary``.  Fitting exact thermal populations
+    returns the generating temperature to better than 1e-8 relative.
+    """
+    t_min, t_max = bounds
+    if not 0 < t_min < t_max:
+        raise ValueError("bounds must satisfy 0 < t_min < t_max")
+    p = np.asarray(populations, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 4:
+        raise ValueError(f"populations must have shape (W, 4), got {p.shape}")
+    valid = np.all(p >= 0, axis=1) & (np.abs(p.sum(axis=1) - 1.0) <= 1e-6)
+    if not valid.all():
+        row = int(np.argmin(valid))
+        raise InvalidPopulations(f"populations of row {row} invalid: {p[row]}")
+
+    # Seed: cost on the grid accumulated level by level, so memory stays
+    # O(W * 256); the bracket is the best grid point's neighbours.
+    grid = np.geomspace(t_min, t_max, 256)
+    p_grid = _boltzmann_array(grid, ladder)
+    den = np.maximum(p_grid, _P_TH_FLOOR)
+    cost = np.zeros((p.shape[0], grid.size))
+    for j in range(4):
+        term = p[:, j, None] - p_grid[:, j]
+        term **= 2
+        term /= den[:, j]
+        cost += term
+    best = np.argmin(cost, axis=1)
+    del cost, term
+    a = np.log(grid[np.maximum(best - 1, 0)])
+    b = np.log(grid[np.minimum(best + 1, grid.size - 1)])
+
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = _chi2(p, np.exp(c), ladder), _chi2(p, np.exp(d), ladder)
+    while (active := b - a > 1e-10).any():
+        left = active & (fc < fd)  # the minimum lies in [a, d]
+        right = active & ~left
+        b, a = np.where(left, d, b), np.where(right, c, a)
+        d, c = np.where(left, c, d), np.where(right, d, c)
+        fd, fc = np.where(left, fc, fd), np.where(right, fd, fc)
+        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_probe = _chi2(p, np.exp(probe), ladder)
+        c, fc = np.where(left, probe, c), np.where(left, f_probe, fc)
+        d, fd = np.where(right, probe, d), np.where(right, f_probe, fd)
+    t_eff = np.clip(np.exp(0.5 * (a + b)), t_min, t_max)
+
+    at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) | (t_eff >= t_max * (1.0 - 1e-6))
+    chi2_min = _chi2(p, t_eff, ladder)
+    ss_res = ((p - _boltzmann_array(t_eff, ladder)) ** 2).sum(axis=1)
+    ss_tot = ((p - p.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_squared = np.where(ss_tot > 0.0, 1.0 - ss_res / ss_tot,
+                             np.where(ss_res <= 1e-24, 1.0, -np.inf))
+    return TemperatureFits(t_eff, r_squared, chi2_min, at_boundary)
+
+
 def fit_temperature(
     meas: PopulationVector,
     ladder: LevelLadder,
     bounds: tuple[float, float] = (1e-3, 20.0),
 ) -> TemperatureEstimate:
-    """Effective temperature minimizing the chi-square-like population cost.
+    """Effective temperature of one population vector; see ``fit_temperature_batch``.
 
-    The minimum is located by seeding on a 256-point log grid over
-    ``bounds`` and refining with a golden-section search to a relative
-    width of 1e-10; an optimum within 1e-6 (relative) of either bound is
-    flagged ``at_boundary``.  Fitting exact thermal populations returns the
-    generating temperature to better than 1e-8 relative.
+    Per-ratio temperatures are attached when P_g > 0.
     """
-    t_min, t_max = bounds
-    if not 0 < t_min < t_max:
-        raise ValueError("bounds must satisfy 0 < t_min < t_max")
     p = meas.as_array()
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-6:
-        raise InvalidPopulations(f"populations invalid: {p}")
-
-    grid = np.geomspace(t_min, t_max, 256)
-    chi2 = _chi2(p, grid, ladder)
-    best = int(np.argmin(chi2))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-
-    def cost(log_t: float) -> float:
-        return float(_chi2(p, np.array([math.exp(log_t)]), ladder)[0])
-
-    a, b = math.log(lo), math.log(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = cost(c), cost(d)
-    while b - a > 1e-10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = cost(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = cost(d)
-    t_eff = math.exp(0.5 * (a + b))
-    t_eff = min(max(t_eff, t_min), t_max)
-
-    at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) or (t_eff >= t_max * (1.0 - 1e-6))
-    p_fit = _boltzmann_array(np.array([t_eff]), ladder)[0]
-    chi2_min = float(_chi2(p, np.array([t_eff]), ladder)[0])
-    ss_res = float(((p - p_fit) ** 2).sum())
-    ss_tot = float(((p - p.mean()) ** 2).sum())
-    if ss_tot > 0.0:
-        r_squared = 1.0 - ss_res / ss_tot
-    else:
-        r_squared = 1.0 if ss_res <= 1e-24 else -math.inf
+    fit = fit_temperature_batch(p[None, :], ladder, bounds)
     ratios = ratio_temperatures(meas, ladder) if p[0] > 0 else {}
-    return TemperatureEstimate(t_eff, r_squared, chi2_min, at_boundary, ratios)
+    return TemperatureEstimate(float(fit.t_eff[0]), float(fit.r_squared[0]),
+                               float(fit.chi2_min[0]), bool(fit.at_boundary[0]), ratios)
 
 
 def ratio_temperatures(meas: PopulationVector, ladder: LevelLadder) -> dict[str, float]:

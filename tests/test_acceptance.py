@@ -170,6 +170,17 @@ def test_criterion_06_thermal_floor_cross_check():
     report(6, "thermal floor cross-check", ok, f"P_g(45 mK) = {p_g:.5f}")
 
 
+def multinomial_windows(seed: int, n_win: int, n_shot: int, probs) -> np.ndarray:
+    """(n_win, 4) g, e, f, h populations of exactly classified windows.
+
+    Each window draws multinomial level counts from its own substream;
+    levels above h are excluded and the rest renormalized.
+    """
+    counts = np.array([synth.window_rng(seed, w).multinomial(n_shot, probs)[:4]
+                       for w in range(n_win)])
+    return counts / counts.sum(axis=1, keepdims=True)
+
+
 def test_criterion_07_thermometry_round_trip_and_precision():
     ladder = th.LevelLadder(**LADDER_A)
 
@@ -186,11 +197,8 @@ def test_criterion_07_thermometry_round_trip_and_precision():
     cfg = synth.ShotGenConfig(ladder=ladder, cluster_model=make_ring_model(),
                               seed=21)
     probs = synth.thermal_level_probabilities(cfg, t_true)
-    temps = np.empty(n_win)
-    for w in range(n_win):
-        counts = synth.window_rng(21, w).multinomial(n_shot, probs)
-        pv = dyn.PopulationVector.from_array(counts[:4] / counts[:4].sum())
-        temps[w] = th.fit_temperature(pv, ladder).t_eff
+    temps = th.fit_temperature_batch(
+        multinomial_windows(21, n_win, n_shot, probs), ladder).t_eff
     series = th.WindowSeries(temps, n_shot, 34.2e-6)
     mu, sigma, sigma_mu = th.window_statistics(series)
     mean_ok = abs(mu - t_true) <= 3 * sigma_mu
@@ -207,11 +215,8 @@ def test_criterion_07_thermometry_round_trip_and_precision():
     sizes = (1000, 2000, 4000, 8000)
     sigmas = []
     for j, n in enumerate(sizes):
-        tt = np.empty(300)
-        for w in range(300):
-            counts = synth.window_rng(100 + j, w).multinomial(n, probs)
-            pv = dyn.PopulationVector.from_array(counts[:4] / counts[:4].sum())
-            tt[w] = th.fit_temperature(pv, ladder).t_eff
+        tt = th.fit_temperature_batch(
+            multinomial_windows(100 + j, 300, n, probs), ladder).t_eff
         sigmas.append(tt.std(ddof=1))
     slope = np.polyfit(np.log([n * 34.2e-6 for n in sizes]), np.log(sigmas), 1)[0]
     slope_ok = abs(slope + 0.5) <= 0.05
@@ -245,11 +250,8 @@ def test_criterion_08_qcrb_identity_and_efficiency():
     ratios = {}
     for t_true in (0.100, 0.200, 0.400):
         p4 = th.boltzmann_populations(t_true, ladder).as_array()
-        temps = np.empty(2000)
-        for w in range(2000):
-            counts = synth.window_rng(77, w).multinomial(1000, p4)
-            pv = dyn.PopulationVector.from_array(counts / counts.sum())
-            temps[w] = th.fit_temperature(pv, ladder).t_eff
+        temps = th.fit_temperature_batch(
+            multinomial_windows(77, 2000, 1000, p4), ladder).t_eff
         precision = temps.std(ddof=1) / temps.mean() * math.sqrt(1000)
         ratios[t_true] = precision / th.qcrb_bound(t_true, ladder, 4)
     elapsed = time.perf_counter() - start

@@ -106,6 +106,46 @@ class TestClassifyShot:
         assert abs(conf.entry("e", "g") - eps) < tol
 
 
+class TestIndexPath:
+    def test_indices_match_batch_labels(self, ring_model):
+        xy, _ = cl.sample_from_model(ring_model, 500, seed=4)
+        labels, _ = cl.classify_batch(ring_model, xy)
+        idx = cl.assign_indices(ring_model, xy)
+        assert np.array_equal(np.array(ring_model.labels, dtype=object)[idx], labels)
+
+    def test_tie_breaks_to_lower_canonical_order(self):
+        two = cl.GmmModel({
+            "e": cl.GmmComponent([2.0, 0.0], np.eye(2), 0.5),
+            "g": cl.GmmComponent([0.0, 0.0], np.eye(2), 0.5),
+        })
+        assert cl.assign_indices(two, np.array([[1.0, 0.0]]))[0] == two.labels.index("g")
+
+    @pytest.mark.parametrize("n_shots, window", [(6000, 1000), (6999, 1000), (17, 1)])
+    def test_window_counts_match_label_comparison(self, n_shots, window):
+        labels = ["g", "e", "f", "h", "k+"]
+        idx = np.random.default_rng(n_shots).integers(0, len(labels), n_shots)
+        named = np.array(labels, dtype=object)[idx]
+        counts = cl.window_counts(idx, len(labels), window)
+        assert counts.shape == (n_shots // window, len(labels))
+        for w in range(counts.shape[0]):
+            sel = named[w * window:(w + 1) * window]
+            assert counts[w].tolist() == [int(np.count_nonzero(sel == lab))
+                                          for lab in labels]
+
+    def test_level_populations_renormalize_each_row(self):
+        labels = ["k+", "h", "g", "f", "e"]
+        counts = np.random.default_rng(3).integers(0, 50, (20, len(labels)))
+        pops = cl.level_populations(counts, labels)
+        for w, row in enumerate(counts):
+            four = np.array([row[2], row[4], row[3], row[1]], dtype=float)
+            assert np.array_equal(pops[w], four / four.sum())
+
+    def test_level_populations_names_all_overflow_window(self):
+        counts = np.array([[5, 1, 0, 0, 0], [0, 0, 0, 0, 7]])
+        with pytest.raises(AllOverflow, match="window 1"):
+            cl.level_populations(counts, ["g", "e", "f", "h", "k+"])
+
+
 class TestSeparation:
     def test_identical_means_zero(self):
         m = cl.GmmModel({

@@ -1,10 +1,13 @@
 """Tests of the command-line front end: schemas, exit codes, determinism."""
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fluxline import classify as cl
 from fluxline import io as fio
@@ -133,6 +136,18 @@ class TestRbPipeline:
         assert doc["clifford_fidelity"] == pytest.approx(0.9987, abs=5e-4)
         assert "interleaved_fidelity" in doc
 
+    def test_zero_reference_exit_1(self, tmp_path, capsys):
+        from fluxline import synth
+        m, y = synth.gen_rb_decay(0.995, 0.5, 0.5, np.arange(0.0, 400.0, 10.0),
+                                  10000, seed=3)
+        fio.write_curve_csv(tmp_path / "rb.csv", m, y)
+        cfg = write_cfg(tmp_path, "fit.json", {"curve_csv": str(tmp_path / "rb.csv"),
+                                               "p_ref": 0})
+        assert main(["fit-rb", "--config", cfg,
+                     "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "p_ref" in err
+
 
 class TestFitCurve:
     def test_exponential_model(self, tmp_path):
@@ -174,7 +189,84 @@ class TestThermometryPipeline:
         assert doc["net_K_per_sqrtHz"] == pytest.approx(
             doc["sigma_T_K"] * math.sqrt(2000 * 34.2e-6), rel=1e-12)
         assert len(doc["per_window"]) == 25
-        assert {"t_eff_K", "r2", "chi2"} <= set(doc["per_window"][0])
+        assert {"t_eff_K", "r2", "chi2", "at_boundary"} <= set(doc["per_window"][0])
+        assert doc["n_at_bound"] == 0
+
+    def test_windows_at_bound_reported_not_dropped(self, tmp_path):
+        model = model_dict()
+        gen_cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "windows", "ladder": LADDER_CFG, "cluster_model": model,
+            "temperature_mk": 181.072, "n_win": 4, "n_shot": 2000, "seed": 5})
+        shots = tmp_path / "shots.csv"
+        assert main(["generate", "--config", gen_cfg, "--out", str(shots)]) == 0
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        fit_cfg = write_cfg(tmp_path, "fit.json", {
+            "shots_csv": str(shots), "model_json": str(tmp_path / "model.json"),
+            "ladder": LADDER_CFG, "window": 2000, "t_shot_us": 34.2,
+            "t_max_mk": 100.0})
+        out = tmp_path / "temps.json"
+        assert main(["fit-temp", "--config", fit_cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["n_at_bound"] == 4
+        assert all(w["at_boundary"] for w in doc["per_window"])
+        assert doc["mu_T_K"] == pytest.approx(0.1, rel=1e-5)
+
+
+def fit_temp_cfg(tmp_path, shots_csv, window=2):
+    (tmp_path / "model.json").write_text(json.dumps(model_dict()))
+    return write_cfg(tmp_path, "fit.json", {
+        "shots_csv": str(shots_csv), "model_json": str(tmp_path / "model.json"),
+        "ladder": LADDER_CFG, "window": window, "t_shot_us": 34.2})
+
+
+class TestShotCsvBoundary:
+    GOOD = "prep,i,q\n,0.5,1.5\n,2.0,-1.0\n"
+
+    @pytest.mark.parametrize("bad_row, reason", [
+        (",nan,1.0", "finite"),
+        (",1.0,-inf", "finite"),
+        (",1.0", "3 fields"),
+        (",1.0,2.0,3.0", "3 fields"),
+        ("g,1.0,2.0,", "3 fields"),
+        (",abc,2.0", "not numbers"),
+        (",,2.0", "not numbers"),
+    ])
+    def test_malformed_row_exit_1_naming_line(self, tmp_path, capsys, bad_row, reason):
+        shots = tmp_path / "shots.csv"
+        shots.write_text(self.GOOD + bad_row + "\n,0.0,0.0\n")
+        cfg = fit_temp_cfg(tmp_path, shots)
+        assert main(["fit-temp", "--config", cfg,
+                     "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "line 4" in err and reason in err
+
+    def test_bad_header_exit_1(self, tmp_path, capsys):
+        shots = tmp_path / "shots.csv"
+        shots.write_text("prep,x,q\n,0.5,1.5\n")
+        cfg = fit_temp_cfg(tmp_path, shots, window=1)
+        assert main(["fit-temp", "--config", cfg,
+                     "--out", str(tmp_path / "x.json")]) == 1
+        assert "header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_no_rows_exit_1(self, tmp_path, body):
+        shots = tmp_path / "shots.csv"
+        shots.write_text("prep,i,q\n" + body)
+        cfg = fit_temp_cfg(tmp_path, shots, window=1)
+        assert main(["fit-temp", "--config", cfg,
+                     "--out", str(tmp_path / "x.json")]) == 1
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_exit_1(self, tmp_path, capsys, window):
+        shots = tmp_path / "shots.csv"
+        shots.write_text(self.GOOD)
+        cfg = fit_temp_cfg(tmp_path, shots, window=window)
+        assert main(["fit-temp", "--config", cfg,
+                     "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "window" in err
+
 
 
 class TestClassifyCommand:
@@ -226,6 +318,30 @@ class TestRoundTripFormats:
         back, labs = fio.read_shots_csv(tmp_path / "s.csv")
         assert np.array_equal(back, xy)
         assert list(labs) == ["g", "e"]
+
+    @given(xy=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=30),
+           labelled=st.booleans(), data=st.data())
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_shots_csv_matches_dictreader(self, tmp_path, xy, labelled, data):
+        xy = np.array(xy, dtype=float)
+        preps = None
+        if labelled:
+            preps = data.draw(st.lists(st.sampled_from(["g", "e", "f", "h", "k+", ""]),
+                                       min_size=len(xy), max_size=len(xy)))
+        path = tmp_path / "s.csv"
+        fio.write_shots_csv(path, xy, preps)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        ref_xy = np.array([[float(r["i"]), float(r["q"])] for r in rows])
+        ref_preps = [r["prep"] for r in rows]
+        back, labs = fio.read_shots_csv(path)
+        assert np.array_equal(back, ref_xy) and np.array_equal(back, xy)
+        if all(p == "" for p in ref_preps):
+            assert labs is None
+        else:
+            assert labs.tolist() == ref_preps
 
     def test_model_json_round_trip(self, tmp_path):
         model = make_ring_model()

@@ -186,7 +186,7 @@ class TestFidelities:
         assert fits.interleaved_fidelity(0.995, 0.996) > 1.0
 
     def test_interleaved_zero_reference(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError):
             fits.interleaved_fidelity(0.0, 0.5)
 
     @given(p_int=st.floats(0, 1), dp=st.floats(1e-6, 0.1))

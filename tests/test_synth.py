@@ -195,13 +195,10 @@ class TestWindowSeries:
         probs = synth.thermal_level_probabilities(gen_config, 0.181072)
         sigmas = []
         for j, n_shot in enumerate(sizes):
-            temps = []
-            for w in range(300):
-                rng = synth.window_rng(100 + j, w)
-                counts = rng.multinomial(n_shot, probs)
-                pv = dyn.PopulationVector.from_array(
-                    counts[:4] / counts[:4].sum())
-                temps.append(th.fit_temperature(pv, ladder_a).t_eff)
+            counts = np.array([synth.window_rng(100 + j, w).multinomial(n_shot, probs)[:4]
+                               for w in range(300)])
+            pops = counts / counts.sum(axis=1, keepdims=True)
+            temps = th.fit_temperature_batch(pops, ladder_a).t_eff
             sigmas.append(np.std(temps, ddof=1))
         slope = np.polyfit(np.log(sizes), np.log(sigmas), 1)[0]
         assert abs(slope + 0.5) < 0.05

@@ -104,6 +104,95 @@ class TestFitTemperature:
         assert est.t_eff == pytest.approx(0.05, rel=1e-5)
 
 
+def scalar_fit_reference(p, ladder, bounds=(1e-3, 20.0)):
+    """Per-window golden-section fit as the batch kernel's reference.
+
+    This is the scalar loop ``fit_temperature`` ran before the batched
+    kernel replaced it, with exp and log taken from numpy as in the kernel
+    so that the two must agree exactly.  (The loop used ``math.exp``,
+    which differs from numpy's in the last bit for about 5% of arguments;
+    on a flat chi-square minimum that moves the golden-section bracket and
+    the fitted temperature by ~1e-8 relative.)  Returns (t_eff,
+    r_squared, chi2_min, at_boundary).
+    """
+    t_min, t_max = bounds
+    grid = np.geomspace(t_min, t_max, 256)
+    best = int(np.argmin(th._chi2(p, grid, ladder)))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+
+    def cost(log_t):
+        return float(th._chi2(p, np.array([np.exp(log_t)]), ladder)[0])
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(np.log(lo)), float(np.log(hi))
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = cost(c), cost(d)
+    while b - a > 1e-10:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = cost(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = cost(d)
+    t_eff = min(max(float(np.exp(0.5 * (a + b))), t_min), t_max)
+    at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) or (t_eff >= t_max * (1.0 - 1e-6))
+    p_fit = th._boltzmann_array(np.array([t_eff]), ladder)[0]
+    chi2_min = float(th._chi2(p, np.array([t_eff]), ladder)[0])
+    ss_res = float(((p - p_fit) ** 2).sum())
+    ss_tot = float(((p - p.mean()) ** 2).sum())
+    if ss_tot > 0.0:
+        r_squared = 1.0 - ss_res / ss_tot
+    else:
+        r_squared = 1.0 if ss_res <= 1e-24 else -math.inf
+    return t_eff, r_squared, chi2_min, at_boundary
+
+
+class TestFitTemperatureBatch:
+    @pytest.mark.parametrize("bounds", [(1e-3, 20.0), (0.05, 0.3)])
+    def test_equals_scalar_reference(self, ladder_a, bounds):
+        rng = np.random.default_rng(5)
+        rows = []
+        for t in np.geomspace(0.02, 2.0, 100):
+            p4 = th.boltzmann_populations(t, ladder_a).as_array()
+            for n_shot in (50, 1000, 20000):
+                counts = rng.multinomial(n_shot, p4)
+                rows.append(counts / counts.sum())
+        # rows pinned at either bound: uniform (hot) and pure ground (cold)
+        rows += [np.full(4, 0.25), np.array([1.0, 0.0, 0.0, 0.0]),
+                 np.array([0.5, 0.5, 0.0, 0.0])]
+        pops = np.array(rows)
+        fit = th.fit_temperature_batch(pops, ladder_a, bounds=bounds)
+        ref = [scalar_fit_reference(p, ladder_a, bounds) for p in pops]
+        t_eff, r_squared, chi2_min, at_boundary = map(np.array, zip(*ref))
+        assert fit.at_boundary.any() and not fit.at_boundary.all()
+        assert np.array_equal(fit.at_boundary, at_boundary)
+        assert np.array_equal(fit.t_eff, t_eff)
+        assert np.array_equal(fit.chi2_min, chi2_min)
+        assert np.array_equal(fit.r_squared, r_squared)
+
+    def test_scalar_is_one_row_call(self, ladder_a):
+        pv = th.boltzmann_populations(0.181072, ladder_a)
+        est = th.fit_temperature(pv, ladder_a)
+        fit = th.fit_temperature_batch(pv.as_array()[None, :], ladder_a)
+        assert est.t_eff == fit.t_eff[0]
+        assert est.chi2_min == fit.chi2_min[0]
+
+    def test_rejects_bad_row(self, ladder_a):
+        pops = np.tile(th.boltzmann_populations(0.2, ladder_a).as_array(), (3, 1))
+        pops[1, 0] -= 0.1
+        with pytest.raises(InvalidPopulations, match="row 1"):
+            th.fit_temperature_batch(pops, ladder_a)
+
+    def test_rejects_nan_row(self, ladder_a):
+        pops = np.array([[np.nan, 0.5, 0.25, 0.25]])
+        with pytest.raises(InvalidPopulations):
+            th.fit_temperature_batch(pops, ladder_a)
+
+
 class TestRatioTemperatures:
     def test_consistency_on_exact_populations(self, ladder_a):
         p = th.boltzmann_populations(0.15, ladder_a)
