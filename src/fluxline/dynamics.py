@@ -160,7 +160,6 @@ class ResetDataset:
     """Reset curves keyed by preparation label ('e', 'f' or 'h')."""
 
     curves: dict[str, ResetCurve]
-    floor_p_g: float | None = None
 
     def __post_init__(self):
         for label in self.curves:
@@ -172,38 +171,41 @@ class ResetDataset:
 #
 # The cascade solution is built from divided differences of exp(-x t),
 # which are bounded for nonnegative rates and reduce the removable
-# 1/(Gamma_i - Gamma_j) poles to well-conditioned limits.
+# 1/(Gamma_i - Gamma_j) poles to well-conditioned limits.  Rates are
+# scalars and t is an array; every branch is evaluated on the whole grid
+# and the same cuts pick the value per time point, so the branch that is
+# not taken may divide by zero (the kernel silences those warnings).
 
-def _phi(x: float, t: float) -> float:
+def _phi(x: float, t: np.ndarray) -> np.ndarray:
     """(1 - exp(-x t)) / x for x >= 0, the integral of exp(-x s) on [0, t]."""
     if x == 0.0:
         return t
-    return -math.expm1(-x * t) / x
+    return -np.expm1(-x * t) / x
 
 
-def _m1(z: float) -> float:
+def _m1(z: np.ndarray) -> np.ndarray:
     """Derivative of M(z) = (1 - exp(-z)) / z."""
-    if abs(z) < 0.1:
-        return (-1.0 / 2.0 + z * (1.0 / 3.0 + z * (-1.0 / 8.0 + z * (1.0 / 30.0
-                + z * (-1.0 / 144.0 + z * (1.0 / 840.0 + z * (-1.0 / 5760.0
-                + z / 45360.0)))))))
-    return (math.exp(-z) * (z + 1.0) - 1.0) / (z * z)
+    series = (-1.0 / 2.0 + z * (1.0 / 3.0 + z * (-1.0 / 8.0 + z * (1.0 / 30.0
+              + z * (-1.0 / 144.0 + z * (1.0 / 840.0 + z * (-1.0 / 5760.0
+              + z / 45360.0)))))))
+    direct = (np.exp(-z) * (z + 1.0) - 1.0) / (z * z)
+    return np.where(np.abs(z) < 0.1, series, direct)
 
 
-def _m3(z: float) -> float:
+def _m3(z: np.ndarray) -> np.ndarray:
     """Third derivative of M(z)."""
-    if abs(z) < 0.1:
-        return -1.0 / 4.0 + z * (1.0 / 5.0 + z * (-1.0 / 12.0 + z / 42.0))
-    return (math.exp(-z) * (z**3 + 3.0 * z**2 + 6.0 * z + 6.0) - 6.0) / z**4
+    series = -1.0 / 4.0 + z * (1.0 / 5.0 + z * (-1.0 / 12.0 + z / 42.0))
+    direct = (np.exp(-z) * (z**3 + 3.0 * z**2 + 6.0 * z + 6.0) - 6.0) / z**4
+    return np.where(np.abs(z) < 0.1, series, direct)
 
 
-def _dd1(u: float, v: float, t: float) -> float:
+def _dd1(u: float, v: float, t: np.ndarray) -> np.ndarray:
     """First divided difference (exp(-u t) - exp(-v t)) / (v - u), symmetric."""
     lo = min(u, v)
-    return math.exp(-lo * t) * _phi(abs(v - u), t)
+    return np.exp(-lo * t) * _phi(abs(v - u), t)
 
 
-def _psi(a: float, b: float, t: float) -> float:
+def _psi(a: float, b: float, t: np.ndarray) -> np.ndarray:
     """(phi(a, t) - phi(b, t)) / (b - a) for 0 <= a <= b.
 
     Branches keep the evaluation well conditioned over the whole range:
@@ -212,44 +214,41 @@ def _psi(a: float, b: float, t: float) -> float:
     difference in the small-a t regime where it is benign.
     """
     d = (b - a) * t
-    if d < _SERIES_CUT:
-        m = 0.5 * (a + b) * t
-        return t * t * (-_m1(m) - d * d / 24.0 * _m3(m))
-    if a * t >= 0.1:
-        return (_phi(b, t) - _dd1(a, b, t)) / a
-    return (_phi(a, t) - _phi(b, t)) / (b - a)
+    m = 0.5 * (a + b) * t
+    series = t * t * (-_m1(m) - d * d / 24.0 * _m3(m))
+    rearranged = (_phi(b, t) - _dd1(a, b, t)) / a
+    direct = (_phi(a, t) - _phi(b, t)) / (b - a)
+    return np.where(d < _SERIES_CUT, series,
+                    np.where(a * t >= 0.1, rearranged, direct))
 
 
-def _dd2(x: float, y: float, z: float, t: float) -> float:
+def _dd2(x: float, y: float, z: float, t: np.ndarray) -> np.ndarray:
     """Second divided difference of exp(-s t) over {x, y, z}, symmetric."""
     x0, x1, x2 = sorted((x, y, z))
-    return math.exp(-x0 * t) * _psi(x1 - x0, x2 - x0, t)
+    return np.exp(-x0 * t) * _psi(x1 - x0, x2 - x0, t)
 
 
-def _populations_closed(t: float, rates: DecayRates, init: np.ndarray) -> np.ndarray:
-    """Analytic solution of the rate equations at time t for any init."""
+def _populations_closed(t: np.ndarray, rates: DecayRates, init: np.ndarray) -> np.ndarray:
+    """Analytic solution of the rate equations on the 1-D grid t, shape (n, 4)."""
     g = rates.gamma_ge
     af = rates.a_f
     ah = rates.a_h
     e0, f0, h0 = init[1], init[2], init[3]
 
-    p_h = h0 * math.exp(-ah * t)
-    p_f = f0 * math.exp(-af * t) + h0 * rates.gamma_fh * _dd1(af, ah, t)
-    p_e = (e0 * math.exp(-g * t)
-           + rates.gamma_ef * f0 * _dd1(g, af, t)
-           + h0 * (rates.gamma_ef * rates.gamma_fh * _dd2(g, af, ah, t)
-                   + rates.gamma_eh * _dd1(g, ah, t)))
-    p_g = 1.0 - p_e - p_f - p_h
-    return np.array([p_g, p_e, p_f, p_h])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_h = h0 * np.exp(-ah * t)
+        p_f = f0 * np.exp(-af * t) + h0 * rates.gamma_fh * _dd1(af, ah, t)
+        p_e = (e0 * np.exp(-g * t)
+               + rates.gamma_ef * f0 * _dd1(g, af, t)
+               + h0 * (rates.gamma_ef * rates.gamma_fh * _dd2(g, af, ah, t)
+                       + rates.gamma_eh * _dd1(g, ah, t)))
+    return np.column_stack([1.0 - p_e - p_f - p_h, p_e, p_f, p_h])
 
 
 def populations_closed_form(t_grid, rates: DecayRates, init: PopulationVector) -> np.ndarray:
     """Analytic populations on a time grid; rows ordered (g, e, f, h)."""
-    init_arr = init.as_array()
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    out = np.empty((t_grid.size, 4))
-    for k, t in enumerate(t_grid):
-        out[k] = _populations_closed(float(t), rates, init_arr)
+    out = _populations_closed(t_grid, rates, init.as_array())
     if not np.all(np.isfinite(out)):
         raise DegenerateUnhandled("closed-form evaluation produced non-finite values")
     return out
@@ -276,11 +275,8 @@ def ground_population_closed_form(
             raise ValueError("sequential mode requires the non-sequential rates to be 0")
     elif mode != "general":
         raise ValueError(f"mode must be 'sequential' or 'general', got {mode!r}")
-    init = PopulationVector.pure(prep).as_array()
-    p_g = _populations_closed(t, rates, init)[0]
-    if not math.isfinite(p_g):
-        raise DegenerateUnhandled(f"P_g({t}) is not finite for rates {rates}")
-    return min(max(p_g, 0.0), 1.0)
+    p_g = populations_closed_form(t, rates, PopulationVector.pure(prep))[0, 0]
+    return min(max(float(p_g), 0.0), 1.0)
 
 
 def populations_ode(
@@ -440,17 +436,6 @@ class DecayRatesFit:
     n_points: int = 0
 
 
-def _model_curves(theta, preps, t_grids, fit_floor):
-    rates = DecayRates(theta[0], theta[1], theta[2])
-    out = []
-    for prep, t_grid in zip(preps, t_grids):
-        p = populations_closed_form(t_grid, rates, PopulationVector.pure(prep))
-        if fit_floor:
-            p = apply_thermal_floor(p, theta[3])
-        out.append(p)
-    return out
-
-
 def _seed_gamma(times: np.ndarray, p_g: np.ndarray) -> float:
     """Crude rate estimate from the ground-population rise of one curve.
 
@@ -474,11 +459,14 @@ def fit_decay_rates(
 ) -> DecayRatesFit:
     """Global nonlinear least squares of the sequential cascade to reset data.
 
-    All four populations of every preparation enter one residual vector
-    (unweighted).  Uncertainties are the square roots of the diagonal of
-    (J^T J)^-1 scaled by the residual variance at the optimum.  With
+    All four populations of every preparation enter one unweighted
+    residual vector, minimised by Levenberg-Marquardt.  Uncertainties come
+    from the cluster-robust (sandwich) covariance
+    (J^T J)^-1 (sum_b s_b s_b^T) (J^T J)^-1 * B / (B - p), with one score
+    s_b = J_b^T r_b per (preparation, time) block of four populations.  With
     ``fit_floor`` a shared saturation parameter p_inf is added through
-    ``apply_thermal_floor``.
+    ``apply_thermal_floor``.  A fit that fails, or stops at a rate <= 0 or
+    a floor outside (0, 1], raises FitDiverged.
     """
     preps = sorted(data.curves, key=lambda s: _PREP_INDEX[s])
     if len(preps) < 2:
@@ -504,11 +492,18 @@ def fit_decay_rates(
 
     names = ["gamma_ge", "gamma_ef", "gamma_fh"] + (["p_inf"] if fit_floor else [])
 
+    def physical(theta) -> bool:
+        return bool(np.all(theta[:3] > 0)) and (not fit_floor or 0.0 < theta[3] <= 1.0)
+
     def residuals(theta):
-        if np.any(theta[:3] <= 0) or (fit_floor and not 0.0 < theta[3] <= 1.0):
+        if not physical(theta):
             return np.full(measured.size, 1e3)
-        model = _model_curves(theta, preps, t_grids, fit_floor)
-        return np.concatenate([m.ravel() for m in model]) - measured
+        rates = DecayRates(theta[0], theta[1], theta[2])
+        model = np.concatenate([populations_closed_form(t, rates, PopulationVector.pure(p))
+                                for p, t in zip(preps, t_grids)])
+        if fit_floor:
+            model = apply_thermal_floor(model, theta[3])
+        return model.ravel() - measured
 
     res = least_squares(
         residuals,
@@ -522,6 +517,8 @@ def fit_decay_rates(
     )
     if not res.success and res.status <= 0:
         raise FitDiverged(f"reset fit did not converge: {res.message}")
+    if not physical(res.x):
+        raise FitDiverged(f"reset fit left the physical region at {res.x.tolist()}")
 
     n_params = len(theta0)
     dof = measured.size - n_params
@@ -531,11 +528,9 @@ def fit_decay_rates(
         raise RankDeficient("Jacobian is rank deficient at the optimum") from exc
     if not np.all(np.isfinite(bread)) or dof <= 0:
         raise RankDeficient("uncertainties undefined (rank-deficient or no dof)")
-    # Cluster-robust (sandwich) covariance from the Jacobian at the optimum,
-    # one cluster per (preparation, time) block of four correlated
-    # populations.  Plain residual-variance scaling assumes homoscedastic,
-    # independent residuals and understates the uncertainty of shot-noise
-    # data by a factor of 2 to 3.
+    # The four populations of a block are correlated; plain residual-variance
+    # scaling assumes independent residuals and understates the uncertainty
+    # of shot-noise data by a factor of 2 to 3.
     n_blocks = measured.size // 4
     jac_blocks = res.jac.reshape(n_blocks, 4, n_params)
     res_blocks = res.fun.reshape(n_blocks, 4)

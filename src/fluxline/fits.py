@@ -108,11 +108,8 @@ def fit_exponential(t, y) -> FitResult:
     def model(th, tt):
         return th[0] * np.exp(-tt / th[1]) + th[2]
 
-    def jac(th):
-        e = np.exp(-t / th[1])
-        return np.column_stack([e, th[0] * t / th[1] ** 2 * e, np.ones_like(t)])
-
-    res = least_squares(lambda th: model(th, t) - y, [a0, tau0, b0], jac=lambda th: jac(th),
+    res = least_squares(lambda th: model(th, t) - y, [a0, tau0, b0],
+                        jac=lambda th: exponential_jacobian(th, t),
                         bounds=([-np.inf, 1e-300, -np.inf], [np.inf, np.inf, np.inf]),
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
     if not res.success:
@@ -240,12 +237,7 @@ def rb_fit(m, p_g) -> FitResult:
     def resid(th):
         return th[0] * th[1] ** m + th[2] - p_g
 
-    def jac(th):
-        pm = th[1] ** m
-        dp = th[0] * m * th[1] ** np.maximum(m - 1, 0.0)
-        return np.column_stack([pm, dp, np.ones_like(m)])
-
-    res = least_squares(resid, [a0, p0, b0], jac=lambda th: jac(th),
+    res = least_squares(resid, [a0, p0, b0], jac=lambda th: rb_jacobian(th, m),
                         bounds=([-np.inf, 1e-12, -np.inf], [np.inf, 1.0, np.inf]),
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
     if not res.success:

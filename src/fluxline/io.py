@@ -43,6 +43,7 @@ MM = 1e-3
 UA = 1e-6
 MK = 1e-3
 
+RESET_FIELDS = ["prep", "time_s", "p_g", "p_e", "p_f", "p_h"]
 SWEEP_HEADER = ("flux_ratio,l_j_arr_H,f_f_Hz,gamma_qf_per_s,t1_ext_s,"
                 "t1_total_s,rabi_rel,i_peak_A,margin")
 
@@ -143,7 +144,7 @@ def write_flux_sweep_csv(path, rows: list[FluxSweepRow]) -> None:
 
 
 def write_reset_csv(path, data: ResetDataset) -> None:
-    lines = ["prep,time_s,p_g,p_e,p_f,p_h"]
+    lines = [",".join(RESET_FIELDS)]
     for prep in sorted(data.curves):
         curve = data.curves[prep]
         for t, p in zip(curve.times, curve.populations):
@@ -152,23 +153,40 @@ def write_reset_csv(path, data: ResetDataset) -> None:
 
 
 def read_reset_csv(path) -> ResetDataset:
-    rows: dict[str, list[tuple[float, list[float]]]] = {}
+    """Reset curves from a ``prep,time_s,p_g,p_e,p_f,p_h`` CSV.
+
+    Every data row must hold exactly six fields with finite numbers after
+    the prep label; the first row that does not is named in the
+    ``ValueError``.  Populations are not range-checked, since
+    readout-corrected data can be slightly negative.
+    """
+    rows: dict[str, list[list[float]]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["prep", "time_s", "p_g", "p_e", "p_f", "p_h"]:
-            raise ValueError(f"unexpected reset CSV header: {reader.fieldnames}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != RESET_FIELDS:
+            raise ValueError(f"unexpected reset CSV header: {header}")
         for rec in reader:
-            rows.setdefault(rec["prep"], []).append(
-                (float(rec["time_s"]),
-                 [float(rec[k]) for k in ("p_g", "p_e", "p_f", "p_h")]))
+            if not rec:
+                continue
+            where = f"reset CSV line {reader.line_num}"
+            if len(rec) != len(RESET_FIELDS):
+                raise ValueError(f"{where}: expected {len(RESET_FIELDS)} fields "
+                                 f"({','.join(RESET_FIELDS)}), got {len(rec)}")
+            try:
+                values = [float(v) for v in rec[1:]]
+            except ValueError:
+                raise ValueError(f"{where}: values are not numbers") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{where}: values must be finite")
+            rows.setdefault(rec[0], []).append(values)
     if not rows:
         raise ValueError("reset CSV holds no data rows")
     curves = {}
     for prep, entries in rows.items():
-        entries.sort(key=lambda e: e[0])
-        times = np.array([e[0] for e in entries])
-        pops = np.array([e[1] for e in entries])
-        curves[prep] = ResetCurve(times, pops)
+        table = np.array(entries)
+        table = table[np.argsort(table[:, 0], kind="stable")]
+        curves[prep] = ResetCurve(table[:, 0], table[:, 1:])
     return ResetDataset(curves)
 
 

@@ -165,7 +165,7 @@ def gen_reset_curves(rates: DecayRates, preps, t_grid, n_shots_per_point: int,
         p /= p.sum(axis=1, keepdims=True)
         counts = np.array([rng.multinomial(n_shots_per_point, row) for row in p])
         curves[prep] = ResetCurve(t_grid, counts / n_shots_per_point)
-    return ResetDataset(curves, floor_p_g=floor_p_inf)
+    return ResetDataset(curves)
 
 
 def gen_rb_decay(p_true: float, a: float, b: float, m_grid, shots_per_point: int,

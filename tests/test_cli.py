@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fluxline import classify as cl
+from fluxline import dynamics as dyn
 from fluxline import io as fio
 from fluxline.cli import main
 
@@ -114,10 +115,69 @@ class TestGenerateAndFitReset:
         assert main(["fit-reset", "--config", fit_cfg,
                      "--out", str(tmp_path / "x.json")]) == 1
 
+    def test_fit_outside_physical_region_exit_2(self, tmp_path, capsys, monkeypatch):
+        real = dyn.least_squares
+
+        def negative_rate(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x[0] = -res.x[0]
+            return res
+
+        monkeypatch.setattr(dyn, "least_squares", negative_rate)
+        gen_cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "reset",
+            "rates": {"t1_ge_ns": 238.22, "t1_ef_ns": 136.80, "t1_fh_ns": 128.84},
+            "t_points": 10, "n_shots_per_point": 500, "seed": 42})
+        reset_csv = tmp_path / "reset.csv"
+        assert main(["generate", "--config", gen_cfg, "--out", str(reset_csv)]) == 0
+        fit_cfg = write_cfg(tmp_path, "fit.json", {"reset_csv": str(reset_csv)})
+        assert main(["fit-reset", "--config", fit_cfg,
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert "FitDiverged" in capsys.readouterr().err
+
     def test_unknown_generator_exit_1(self, tmp_path):
         gen_cfg = write_cfg(tmp_path, "gen.json", {"generator": "bogus"})
         assert main(["generate", "--config", gen_cfg,
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+
+class TestResetCsvBoundary:
+    GOOD = ("prep,time_s,p_g,p_e,p_f,p_h\n"
+            "e,0.0,0.0,1.0,0.0,0.0\n"
+            "e,1e-7,0.3,0.7,0.0,0.0\n")
+
+    @pytest.mark.parametrize("bad_row, reason", [
+        ("e,2e-7,0.5,0.5", "6 fields"),
+        ("e,2e-7,0.5,0.5,0.0,0.0,0.0", "6 fields"),
+        ("e,2e-7,0.5,0.5,0.0,0.0,", "6 fields"),
+        ("e,inf,0.5,0.5,0.0,0.0", "finite"),
+        ("e,2e-7,0.5,nan,0.0,0.0", "finite"),
+        ("e,2e-7,abc,0.5,0.0,0.0", "not numbers"),
+        ("e,,0.5,0.5,0.0,0.0", "not numbers"),
+    ])
+    def test_malformed_row_exit_1_naming_line(self, tmp_path, capsys, bad_row, reason):
+        reset_csv = tmp_path / "reset.csv"
+        reset_csv.write_text(self.GOOD + bad_row + "\ne,3e-7,0.6,0.4,0.0,0.0\n")
+        fit_cfg = write_cfg(tmp_path, "fit.json", {"reset_csv": str(reset_csv)})
+        assert main(["fit-reset", "--config", fit_cfg,
+                     "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "reset CSV line 4" in err and reason in err
+
+    def test_bad_header_exit_1(self, tmp_path, capsys):
+        reset_csv = tmp_path / "reset.csv"
+        reset_csv.write_text("prep,t,p_g,p_e,p_f,p_h\ne,0.0,0.0,1.0,0.0,0.0\n")
+        fit_cfg = write_cfg(tmp_path, "fit.json", {"reset_csv": str(reset_csv)})
+        assert main(["fit-reset", "--config", fit_cfg,
+                     "--out", str(tmp_path / "x.json")]) == 1
+        assert "header" in capsys.readouterr().err
+
+    def test_slightly_negative_population_accepted(self, tmp_path):
+        reset_csv = tmp_path / "reset.csv"
+        reset_csv.write_text(self.GOOD + "e,2e-7,1.002,-0.002,0.0,0.0\n")
+        data = fio.read_reset_csv(reset_csv)
+        assert data.curves["e"].populations[-1, 1] == -0.002
 
 
 class TestRbPipeline:

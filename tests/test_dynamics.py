@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from fluxline import dynamics as dyn
 from fluxline import synth
+from fluxline.errors import FitDiverged
 
 
 def rate_triple(draw_sep=False):
@@ -100,6 +101,140 @@ class TestClosedForm:
             m = rates.rate_matrix()
             brute = np.array([expm(m * t) @ init.as_array() for t in t_grid])
             assert np.abs(closed - brute).max() < 1e-9
+
+
+# --- scalar reference --------------------------------------------------------
+#
+# The per-time-point closed form (math.* helpers, one Python call per t)
+# that the array kernel in fluxline.dynamics replaced, kept verbatim as the
+# reference the kernel must reproduce.
+
+def _ref_phi(x, t):
+    if x == 0.0:
+        return t
+    return -math.expm1(-x * t) / x
+
+
+def _ref_m1(z):
+    if abs(z) < 0.1:
+        return (-1.0 / 2.0 + z * (1.0 / 3.0 + z * (-1.0 / 8.0 + z * (1.0 / 30.0
+                + z * (-1.0 / 144.0 + z * (1.0 / 840.0 + z * (-1.0 / 5760.0
+                + z / 45360.0)))))))
+    return (math.exp(-z) * (z + 1.0) - 1.0) / (z * z)
+
+
+def _ref_m3(z):
+    if abs(z) < 0.1:
+        return -1.0 / 4.0 + z * (1.0 / 5.0 + z * (-1.0 / 12.0 + z / 42.0))
+    return (math.exp(-z) * (z**3 + 3.0 * z**2 + 6.0 * z + 6.0) - 6.0) / z**4
+
+
+def _ref_dd1(u, v, t):
+    lo = min(u, v)
+    return math.exp(-lo * t) * _ref_phi(abs(v - u), t)
+
+
+def _ref_psi(a, b, t):
+    d = (b - a) * t
+    if d < dyn._SERIES_CUT:
+        m = 0.5 * (a + b) * t
+        return t * t * (-_ref_m1(m) - d * d / 24.0 * _ref_m3(m))
+    if a * t >= 0.1:
+        return (_ref_phi(b, t) - _ref_dd1(a, b, t)) / a
+    return (_ref_phi(a, t) - _ref_phi(b, t)) / (b - a)
+
+
+def _ref_dd2(x, y, z, t):
+    x0, x1, x2 = sorted((x, y, z))
+    return math.exp(-x0 * t) * _ref_psi(x1 - x0, x2 - x0, t)
+
+
+def _ref_closed(t, rates, init):
+    g, af, ah = rates.gamma_ge, rates.a_f, rates.a_h
+    e0, f0, h0 = init[1], init[2], init[3]
+    p_h = h0 * math.exp(-ah * t)
+    p_f = f0 * math.exp(-af * t) + h0 * rates.gamma_fh * _ref_dd1(af, ah, t)
+    p_e = (e0 * math.exp(-g * t)
+           + rates.gamma_ef * f0 * _ref_dd1(g, af, t)
+           + h0 * (rates.gamma_ef * rates.gamma_fh * _ref_dd2(g, af, ah, t)
+                   + rates.gamma_eh * _ref_dd1(g, ah, t)))
+    return np.array([1.0 - p_e - p_f - p_h, p_e, p_f, p_h])
+
+
+# One grid for every case: t = 0 plus 1e-14 .. 1e-3 s, so that for rates of
+# 1e4-1e8 / s the cuts (b - a) t = 1e-6, (a + b) t / 2 = 0.1 and a t = 0.1
+# each fall inside it.
+T_CUTS = np.concatenate([[0.0], np.geomspace(1e-14, 1e-3, 300)])
+BASE = 3.7e6
+
+
+def _kernel_vs_reference(rates):
+    worst = 0.0
+    for prep in ("e", "f", "h"):
+        init = dyn.PopulationVector.pure(prep)
+        ref = np.array([_ref_closed(float(t), rates, init.as_array()) for t in T_CUTS])
+        got = dyn.populations_closed_form(T_CUTS, rates, init)
+        worst = max(worst, float(np.abs(got - ref).max()))
+    return worst
+
+
+class TestKernelMatchesScalarReference:
+    def test_grid_straddles_every_cut(self):
+        a, b = 2e6, 9e6
+        d = (b - a) * T_CUTS
+        m = 0.5 * (a + b) * T_CUTS
+        for cut_side in (d < dyn._SERIES_CUT, np.abs(m) < 0.1, a * T_CUTS >= 0.1):
+            assert cut_side.any() and not cut_side.all()
+
+    def test_series_helpers(self):
+        # Relative agreement across the |z| < 0.1 cut; the direct form of
+        # _m3 loses about 1e-11 to cancellation just above it.
+        z = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 500)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for kernel, ref in ((dyn._m1, _ref_m1), (dyn._m3, _ref_m3)):
+                expected = np.array([ref(float(v)) for v in z])
+                assert np.abs(kernel(z) / expected - 1.0).max() < 1e-10
+
+    @pytest.mark.parametrize("gammas", [
+        (2e6, 4e6, 9e6),
+        (1 / 238.22e-9, 1 / 136.80e-9, 1 / 128.84e-9),
+        (1e4, 1e6, 1e8),
+        (1e8, 1e6, 1e4),
+        (5e7, 3e5, 1.2e6),
+    ])
+    def test_well_separated_sequential(self, gammas):
+        assert _kernel_vs_reference(dyn.DecayRates(*gammas)) < 1e-14
+
+    @pytest.mark.parametrize("eps", [1e-15, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3])
+    def test_near_degenerate(self, eps):
+        for gammas in ((BASE, BASE * (1 + eps), BASE * (1 + 2 * eps)),
+                       (BASE * (1 + 2 * eps), BASE * (1 + eps), BASE),
+                       (BASE, BASE, BASE * (1 + eps))):
+            assert _kernel_vs_reference(dyn.DecayRates(*gammas)) < 1e-10
+
+    @pytest.mark.parametrize("gamma", [1e4, BASE, 1e8])
+    def test_exactly_equal(self, gamma):
+        assert _kernel_vs_reference(dyn.DecayRates(gamma, gamma, gamma)) < 1e-10
+
+    @pytest.mark.parametrize("extra", [
+        {"gamma_gf": 1e5, "gamma_gh": 2e5, "gamma_eh": 3e5},
+        {"gamma_gf": 2e6},
+        {"gamma_eh": 4e6},
+        {"gamma_gf": 1.0, "gamma_gh": 1.0, "gamma_eh": 1.0},
+    ])
+    def test_non_sequential_channels(self, extra):
+        for gammas in ((2e6, 4e6, 9e6), (BASE, BASE, BASE),
+                       (BASE, BASE - extra.get("gamma_gf", 0.0), BASE)):
+            rates = dyn.DecayRates(*gammas, **extra)
+            assert _kernel_vs_reference(rates) < 1e-10
+
+    @given(base=st.floats(1e4, 1e8), log_eps=st.floats(-15, -3),
+           order=st.permutations(range(3)))
+    @settings(max_examples=25, deadline=None)
+    def test_random_near_degenerate(self, base, log_eps, order):
+        eps = 10.0 ** log_eps
+        gammas = np.array([base, base * (1 + eps), base * (1 + 3 * eps)])[list(order)]
+        assert _kernel_vs_reference(dyn.DecayRates(*gammas)) < 1e-10
 
 
 class TestOde:
@@ -262,6 +397,23 @@ class TestFitDecayRates:
                                       floor_p_inf=0.985, seed=4)
         fit = dyn.fit_decay_rates(data, fit_floor=True)
         assert fit.floor == pytest.approx(0.985, abs=2e-3)
+
+    @pytest.mark.parametrize("index, value", [(0, -1.0), (1, 0.0), (3, 1.2), (3, 0.0)])
+    def test_optimum_outside_physical_region_raises(self, monkeypatch, reset_rates,
+                                                    index, value):
+        real = dyn.least_squares
+
+        def stopped_outside(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x[index] = value
+            return res
+
+        monkeypatch.setattr(dyn, "least_squares", stopped_outside)
+        t = np.linspace(20e-9, 2e-6, 20)
+        data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 10000,
+                                      floor_p_inf=0.985, seed=1)
+        with pytest.raises(FitDiverged, match="physical region"):
+            dyn.fit_decay_rates(data, fit_floor=True)
 
     def test_requires_enough_data(self, reset_rates):
         t = np.linspace(1e-8, 1e-6, 5)
