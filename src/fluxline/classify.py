@@ -97,17 +97,20 @@ class GmmModel:
         return sorted(self.components, key=_label_sort_key)
 
 
+def _mahalanobis_sq(diff: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared Mahalanobis distance of each (n, 2) row, by the 2x2 closed form, and det(cov)."""
+    x, y = diff[:, 0], diff[:, 1]
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    return (cov[1, 1] * x * x - (cov[0, 1] + cov[1, 0]) * x * y + cov[0, 0] * y * y) / det, det
+
+
 def _log_densities(model: GmmModel, xy: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Log of weight * normal density for every (shot, component)."""
     labels = model.labels
     out = np.empty((xy.shape[0], len(labels)))
     for j, lab in enumerate(labels):
         comp = model.components[lab]
-        diff = xy - comp.mean
-        cov = comp.cov
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-        inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
-        maha = np.einsum("ni,ij,nj->n", diff, inv, diff)
+        maha, det = _mahalanobis_sq(xy - comp.mean, comp.cov)
         log_w = math.log(comp.weight) if comp.weight > 0 else -math.inf
         out[:, j] = log_w - 0.5 * (maha + math.log(det)) - _LOG_2PI
     return labels, out
@@ -371,12 +374,8 @@ def truncate_to_sigma(model: GmmModel, xy: np.ndarray, n_sigma: float = 3.0) -> 
     mask = np.zeros(xy.shape[0], dtype=bool)
     for j, lab in enumerate(model.labels):
         sel = assigned == j
-        if not sel.any():
-            continue
         comp = model.components[lab]
-        diff = xy[sel] - comp.mean
-        maha = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(comp.cov), diff)
-        mask[sel] = maha <= n_sigma**2
+        mask[sel] = _mahalanobis_sq(xy[sel] - comp.mean, comp.cov)[0] <= n_sigma**2
     return mask
 
 

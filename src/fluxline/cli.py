@@ -44,6 +44,8 @@ def _flux_grid(cfg: dict) -> np.ndarray:
                            int(cfg.get("flux_points", 101)))
     if grid.size == 0:
         raise ConfigError("flux grid is empty")
+    if not np.isfinite(grid).all():
+        raise ConfigError("flux grid holds a non-finite value")
     return grid
 
 
@@ -51,12 +53,18 @@ def cmd_filter_sweep(cfg: dict, out: str, seed) -> int:
     geom = fio.geometry_from_config(_require(cfg, "geometry"))
     arr = fio.squid_array_from_config(_require(cfg, "squid_array"))
     qubit = fio.qubit_from_config(_require(cfg, "qubit"))
+    drive = float(_require(cfg, "drive_freq_GHz"))
+    if not (np.isfinite(drive) and drive > 0):
+        raise ConfigError(f"drive_freq_GHz must be finite and positive, got {drive}")
+    i_node = float(cfg.get("i_node_uA", 0.2))
+    if not np.isfinite(i_node):
+        raise ConfigError(f"i_node_uA must be finite, got {i_node}")
     rows = nw.flux_sweep(
         geom, arr, qubit,
         _flux_grid(cfg),
-        drive_freq=float(_require(cfg, "drive_freq_GHz")) * fio.GHZ,
+        drive_freq=drive * fio.GHZ,
         mode=cfg.get("mode", "clamped"),
-        i_node=float(cfg.get("i_node_uA", 0.2)) * fio.UA,
+        i_node=i_node * fio.UA,
         reference_flux=float(cfg.get("reference_flux", 0.0)),
     )
     fio.write_flux_sweep_csv(out, rows)

@@ -23,6 +23,11 @@ root of the shunt-short condition ``Z_1 + i z0 tan(b x_s) = 0``.
 Phasor convention is ``exp(+i w t)``: an inductor has impedance ``i w L``
 and a capacitor ``1/(i w C)``.  All quantities are strict SI; unit
 conversion belongs at the I/O boundary.
+
+The private kernels work on arrays of flux points (or of ``l_s``) at one
+drive frequency and return pole masks instead of raising; the public
+scalar functions are their one-row calls, and ``flux_sweep`` runs them over
+the whole grid in one pass.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ PHI0 = 2.067833848e-15
 _POLE_TAN = 1e9
 # Residual |F| (ohm) above this after bisection marks a pole, not a root.
 _ROOT_ACCEPT_OHM = 1e-3
+# Entries per block of the root scan: a block's (rows x n_scan) condition
+# matrix stays small, where a 2001-point grid at once would take ~65 MB.
+_SCAN_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -147,25 +155,23 @@ class CouplingFigures:
     rabi_relative: float
 
 
+def _inductances(arr: SquidArray, flux, mode: str):
+    """Linear inductance, critical current and |cos(pi flux)| < clamp_epsilon mask."""
+    if mode not in ("strict", "clamped"):
+        raise ValueError(f"mode must be 'strict' or 'clamped', got {mode!r}")
+    if np.isinf(flux).any():
+        raise ValueError("flux_ratio must not be infinite")
+    cos_abs = np.abs(np.cos(np.pi * np.asarray(flux, dtype=float)))
+    below = cos_abs < arr.clamp_epsilon
+    if mode == "clamped":  # strict mode leaves the masked points to the caller
+        cos_abs = np.where(below, arr.clamp_epsilon, cos_abs)
+    ic_sq = 2.0 * arr.ic_junction * cos_abs
+    return arr.n_squids * (arr.l_fixed_per_squid + PHI0 / (2.0 * math.pi * ic_sq)), ic_sq, below
+
+
 def squid_critical_current(arr: SquidArray, flux_ratio: float) -> float:
     """Flux-dependent SQUID critical current 2 Ic |cos(pi * flux_ratio)|."""
-    return 2.0 * arr.ic_junction * abs(math.cos(math.pi * flux_ratio))
-
-
-def _effective_ic_sq(arr: SquidArray, flux_ratio: float, mode: str) -> float:
-    cos_abs = abs(math.cos(math.pi * flux_ratio))
-    if cos_abs < arr.clamp_epsilon:
-        if mode == "strict":
-            raise HalfFluxDivergence(
-                f"|cos(pi*flux)| = {cos_abs:.3e} < clamp_epsilon = "
-                f"{arr.clamp_epsilon:.3e} at flux_ratio = {flux_ratio}"
-            )
-        if mode != "clamped":
-            raise ValueError(f"mode must be 'strict' or 'clamped', got {mode!r}")
-        cos_abs = arr.clamp_epsilon
-    elif mode not in ("strict", "clamped"):
-        raise ValueError(f"mode must be 'strict' or 'clamped', got {mode!r}")
-    return 2.0 * arr.ic_junction * cos_abs
+    return float(_inductances(arr, flux_ratio, "strict")[1])  # strict: never clamped
 
 
 def squid_array_inductance(
@@ -180,39 +186,57 @@ def squid_array_inductance(
     amplitude adds the per-SQUID Kerr correction
     (Phi0 / 4 pi) I^2 / Ic_sq^3 summed over the array.
     """
-    ic_sq = _effective_ic_sq(arr, flux_ratio, mode)
-    l_arr = arr.n_squids * (arr.l_fixed_per_squid + PHI0 / (2.0 * math.pi * ic_sq))
+    l_arr, ic_sq, below = _inductances(arr, flux_ratio, mode)
+    if below and mode == "strict":
+        raise HalfFluxDivergence(
+            f"|cos(pi*flux)| = {ic_sq / (2.0 * arr.ic_junction):.3e} < clamp_epsilon = "
+            f"{arr.clamp_epsilon:.3e} at flux_ratio = {flux_ratio}")
+    l_arr, ic_sq = float(l_arr), float(ic_sq)
     if i_ac != 0.0:
         if abs(i_ac) >= ic_sq:
-            raise OverCritical(
-                f"|i_ac| = {abs(i_ac):.3e} A >= Ic_sq = {ic_sq:.3e} A"
-            )
+            raise OverCritical(f"|i_ac| = {abs(i_ac):.3e} A >= Ic_sq = {ic_sq:.3e} A")
         l_arr += arr.n_squids * (PHI0 / (4.0 * math.pi)) * i_ac**2 / ic_sq**3
     return l_arr
 
 
-def _filter_condition(geom: FilterGeometry, l_s: float, omega):
-    """Shunt-short condition F(w) = w l_s + X2(w) + z0 tan(b x_s), in ohms.
-
-    Vectorized over ``omega``.  Values at poles come back inf/nan; the
-    caller is responsible for masking them.
-    """
-    omega = np.asarray(omega, dtype=float)
+def _line_terms(geom: FilterGeometry, omega):
+    """sin and cos of b x_s and b l_r, end-capped X2, and where that branch is open."""
     beta = omega / geom.v_p
     l_r = geom.l_f - geom.x_s
-    s_l = np.sin(beta * geom.x_s)
-    c_l = np.cos(beta * geom.x_s)
-    s_r = np.sin(beta * l_r)
-    c_r = np.cos(beta * l_r)
+    s_l, c_l = np.sin(beta * geom.x_s), np.cos(beta * geom.x_s)
+    s_r, c_r = np.sin(beta * l_r), np.cos(beta * l_r)
     z0 = geom.z0
     with np.errstate(divide="ignore", invalid="ignore"):
         if geom.c_g == 0.0:
-            x2 = -z0 * c_r / s_r
+            x2, open_end = -z0 * c_r / s_r, np.abs(c_r) > _POLE_TAN * np.abs(s_r)
         else:
             x_e = -1.0 / (omega * geom.c_g)
-            x2 = z0 * (x_e * c_r + z0 * s_r) / (z0 * c_r - x_e * s_r)
-        f = omega * l_s + x2 + z0 * s_l / c_l
-    return f
+            den = z0 * c_r - x_e * s_r
+            x2, open_end = z0 * (x_e * c_r + z0 * s_r) / den, den == 0.0
+    return s_l, c_l, s_r, c_r, x2, open_end
+
+
+def _filter_condition(geom: FilterGeometry, l_s, omega):
+    """Shunt-short condition F(w) = w l_s + X2(w) + z0 tan(b x_s), in ohms.
+
+    Broadcasts over ``l_s`` and ``omega``; values at poles are inf/nan.
+    """
+    s_l, c_l, _, _, x2, _ = _line_terms(geom, omega)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return omega * l_s + x2 + geom.z0 * s_l / c_l
+
+
+def _input_reactances(geom: FilterGeometry, l_s, omega: float):
+    """Input reactance X_in over an ``l_s`` array, and its pole mask."""
+    s_l, c_l, _, _, x2, open_end = _line_terms(geom, omega)
+    z0 = geom.z0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_l = s_l / c_l
+        x1 = omega * np.asarray(l_s, dtype=float) + x2
+        # An open series branch leaves the left section alone.
+        x_in = np.where(open_end, -z0 / t_l, z0 * (x1 + z0 * t_l) / (z0 - x1 * t_l))
+    # A zero denominator in either transform leaves X_in non-finite.
+    return x_in, (np.abs(s_l) > _POLE_TAN * np.abs(c_l)) | ~np.isfinite(x_in)
 
 
 def input_impedance(geom: FilterGeometry, l_s: float, omega: float) -> complex:
@@ -223,44 +247,12 @@ def input_impedance(geom: FilterGeometry, l_s: float, omega: float) -> complex:
     transform itself lands on an impedance pole; the caller should perturb
     omega.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    beta = omega / geom.v_p
-    l_r = geom.l_f - geom.x_s
-    s_l = math.sin(beta * geom.x_s)
-    c_l = math.cos(beta * geom.x_s)
-    s_r = math.sin(beta * l_r)
-    c_r = math.cos(beta * l_r)
-    z0 = geom.z0
-
-    if abs(s_l) > _POLE_TAN * abs(c_l):
-        raise TangentPole(f"tan(beta*x_s) at a pole for omega = {omega:.6e}")
-
-    if geom.c_g == 0.0:
-        # Ideal open end: X2 = -z0 cot(beta l_r), open when sin -> 0.
-        x2 = math.inf if abs(c_r) > _POLE_TAN * abs(s_r) else -z0 * c_r / s_r
-    else:
-        x_e = -1.0 / (omega * geom.c_g)
-        den = z0 * c_r - x_e * s_r
-        x2 = math.inf if den == 0.0 else z0 * (x_e * c_r + z0 * s_r) / den
-
-    t_l = s_l / c_l
-    if math.isinf(x2):
-        # Series branch open: the left section alone sets the impedance.
-        if t_l == 0.0:
-            raise TangentPole(
-                f"input impedance pole (open series branch) at omega = {omega:.6e}"
-            )
-        x_in = -z0 / t_l
-    else:
-        x1 = omega * l_s + x2
-        den_in = z0 - x1 * t_l
-        if den_in == 0.0:
-            raise TangentPole(f"impedance-transform pole at omega = {omega:.6e}")
-        x_in = z0 * (x1 + z0 * t_l) / den_in
-    if not math.isfinite(x_in):
-        raise TangentPole(f"non-finite input reactance at omega = {omega:.6e}")
-    return complex(0.0, x_in)
+    if omega <= 0 or omega == math.inf:
+        raise ValueError("omega must be positive and finite")
+    x_in, pole = _input_reactances(geom, l_s, omega)
+    if pole:
+        raise TangentPole(f"input impedance at a pole for omega = {omega:.6e}")
+    return complex(0.0, float(x_in))
 
 
 def filter_frequency_first_order(f0: float, l_s: float, z0: float) -> float:
@@ -270,6 +262,60 @@ def filter_frequency_first_order(f0: float, l_s: float, z0: float) -> float:
     if l_s < 0:
         raise ValueError("l_s must be >= 0")
     return f0 / (1.0 + 4.0 * f0 * l_s / z0)
+
+
+def _filter_frequencies(geom: FilterGeometry, l_s, n_scan: int = 4096,
+                        rtol: float = 1e-12):
+    """Filter frequency (Hz) per entry of an ``l_s`` array, nan where none.
+
+    Every sign change of the scan is bisected in one vectorised pass; an
+    entry's root is its first candidate passing the residual check.
+    Returns ``(f_f, n_valid_points, n_sign_changes, n_rejected_as_poles)``,
+    the counts per entry (rejected: all its candidates failing the check).
+    """
+    l_s = np.asarray(l_s, dtype=float)
+    if geom.c_g == 0.0 and geom.x_s >= geom.l_f:
+        # Inductor at the open end carries no current; the condition
+        # degenerates to the bare open stub.
+        geom = replace(geom, x_s=0.0)
+        l_s = np.zeros_like(l_s)
+
+    freqs = np.linspace(0.3 * geom.f0, 1.2 * geom.f0, n_scan)
+    found = []
+    for start in range(0, l_s.size, _SCAN_BLOCK_ROWS):
+        vals = _filter_condition(geom, l_s[start:start + _SCAN_BLOCK_ROWS, None],
+                                 2.0 * math.pi * freqs)
+        ok = np.isfinite(vals) & (np.abs(vals) < 1e12)
+        sign = np.sign(vals)
+        r, c = np.nonzero(ok[:, :-1] & ok[:, 1:] & (sign[:, :-1] != sign[:, 1:]))
+        found.append((start + r, c, vals[r, c], vals[r, c + 1], ok.sum(axis=1)))
+    rows, cols, f_lo, f_hi, n_valid = (np.concatenate(parts) for parts in zip(*found))
+
+    # Bisect every bracket [a, b] at once: an endpoint or midpoint with F == 0
+    # is the root, else halve until b - a <= rtol |b| and take the midpoint.
+    a, b, l_cand = freqs[cols], freqs[cols + 1], l_s[rows]
+    roots = np.where(f_lo == 0.0, a, b)
+    live = np.nonzero((f_lo != 0.0) & (f_hi != 0.0))[0]
+    a, b, fa, l_live = a[live], b[live], f_lo[live], l_cand[live]
+    while live.size:
+        wide = b - a > rtol * np.abs(b)
+        roots[live[~wide]] = 0.5 * (a[~wide] + b[~wide])
+        live, a, b, fa, l_live = live[wide], a[wide], b[wide], fa[wide], l_live[wide]
+        mid = 0.5 * (a + b)
+        fm = _filter_condition(geom, l_live, 2.0 * math.pi * mid)
+        zero = fm == 0.0
+        roots[live[zero]] = mid[zero]
+        same = (fm > 0) == (fa > 0)
+        a, fa, b = np.where(same, mid, a), np.where(same, fm, fa), np.where(same, b, mid)
+        live, a, b, fa, l_live = live[~zero], a[~zero], b[~zero], fa[~zero], l_live[~zero]
+
+    accepted = np.abs(_filter_condition(geom, l_cand, 2.0 * math.pi * roots)) < _ROOT_ACCEPT_OHM
+    # Candidates run in scan order, so return_index picks each entry's first.
+    hit, first = np.unique(rows[accepted], return_index=True)
+    f_f = np.full(l_s.size, math.nan)
+    f_f[hit] = roots[accepted][first]
+    return (f_f, n_valid, np.bincount(rows, minlength=l_s.size),
+            np.bincount(rows[~accepted], minlength=l_s.size))
 
 
 def filter_frequency_exact(
@@ -285,56 +331,17 @@ def filter_frequency_exact(
     tolerance ``rtol``; each candidate is validated against the residual so
     that tangent poles masquerading as sign changes are rejected.
     """
-    f0 = geom.f0
-    if geom.c_g == 0.0 and geom.x_s >= geom.l_f:
-        # Inductor at the open end carries no current; the condition
-        # degenerates to the bare open stub.
-        geom = replace(geom, x_s=0.0)
-        l_s = 0.0
-
-    freqs = np.linspace(0.3 * f0, 1.2 * f0, n_scan)
-    vals = _filter_condition(geom, l_s, 2.0 * math.pi * freqs)
-    ok = np.isfinite(vals) & (np.abs(vals) < 1e12)
-    sign_change = ok[:-1] & ok[1:] & (np.sign(vals[:-1]) != np.sign(vals[1:]))
-    idx = np.nonzero(sign_change)[0]
-
-    def cond(f: float) -> float:
-        return float(_filter_condition(geom, l_s, 2.0 * math.pi * f))
-
-    n_rejected = 0
-    for i in idx:
-        root = _bisect(cond, float(freqs[i]), float(freqs[i + 1]),
-                       float(vals[i]), float(vals[i + 1]), rtol)
-        if abs(cond(root)) < _ROOT_ACCEPT_OHM:
-            return root
-        n_rejected += 1
-    raise NoRootFound(
-        f"no filter-frequency root in [{0.3 * f0:.4e}, {1.2 * f0:.4e}] Hz",
-        diagnostics={
-            "window_hz": (0.3 * f0, 1.2 * f0),
-            "n_scan": n_scan,
-            "n_valid_points": int(ok.sum()),
-            "n_sign_changes": int(len(idx)),
-            "n_rejected_as_poles": n_rejected,
-        },
-    )
-
-
-def _bisect(func, a: float, b: float, fa: float, fb: float, rtol: float) -> float:
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    while b - a > rtol * abs(b):
-        mid = 0.5 * (a + b)
-        fm = func(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return 0.5 * (a + b)
+    f_f, n_valid, n_sign, n_rejected = _filter_frequencies(
+        geom, np.array([l_s], dtype=float), n_scan, rtol)
+    if math.isnan(f_f[0]):
+        f0 = geom.f0
+        raise NoRootFound(
+            f"no filter-frequency root in [{0.3 * f0:.4e}, {1.2 * f0:.4e}] Hz",
+            diagnostics={"window_hz": (0.3 * f0, 1.2 * f0), "n_scan": n_scan,
+                         "n_valid_points": int(n_valid[0]),
+                         "n_sign_changes": int(n_sign[0]),
+                         "n_rejected_as_poles": int(n_rejected[0])})
+    return float(f_f[0])
 
 
 def perturbative_pull(geom: FilterGeometry, l_s: float) -> float:
@@ -349,24 +356,14 @@ def perturbative_pull(geom: FilterGeometry, l_s: float) -> float:
     return -(2.0 / math.pi) * (geom.omega0 * l_s / geom.z0) * leverage
 
 
-def _inductor_current_factor(geom: FilterGeometry, l_s: float, omega: float) -> float:
-    """I_s / I(0): current at the inductor for unit current at the node.
-
-    Uses the ideal-open standing-wave solution (c_g neglected in the
-    profile).
-    """
-    beta = omega / geom.v_p
-    l_r = geom.l_f - geom.x_s
-    s_r = math.sin(beta * l_r)
-    c_r = math.cos(beta * l_r)
-    if abs(c_r) > _POLE_TAN * abs(s_r):
-        raise TangentPole(f"cot(beta*l_r) at a pole for omega = {omega:.6e}")
-    cot_r = c_r / s_r
-    d = (math.cos(beta * geom.x_s)
-         + (cot_r - omega * l_s / geom.z0) * math.sin(beta * geom.x_s))
-    if d == 0.0 or not math.isfinite(d):
-        raise TangentPole(f"current-profile node at the drive point, omega = {omega:.6e}")
-    return 1.0 / d
+def _inductor_current_factor(geom: FilterGeometry, l_s, omega: float):
+    """I_s / I(0) (inductor current per unit node current) over an ``l_s``
+    array, from the ideal-open standing wave (c_g neglected), and its pole
+    mask: cot(b l_r) at a pole, or the drive point on a current node."""
+    s_l, c_l, s_r, c_r, _, _ = _line_terms(geom, omega)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = c_l + (c_r / s_r - omega * np.asarray(l_s, dtype=float) / geom.z0) * s_l
+        return 1.0 / d, (np.abs(c_r) > _POLE_TAN * np.abs(s_r)) | (d == 0.0) | ~np.isfinite(d)
 
 
 def current_profile(
@@ -386,38 +383,40 @@ def current_profile(
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
+    factor, pole = _inductor_current_factor(geom, l_s, omega)
+    if pole:
+        raise TangentPole(f"current-profile pole at the drive point, omega = {omega:.6e}")
+    # A pole-free factor needs sin(b l_r) != 0, so x_s < l_f, and sin(0)
+    # makes the open end an exact current node.
+    i_s = i0 * float(factor)
     beta = omega / geom.v_p
-    l_r = geom.l_f - geom.x_s
-    factor = _inductor_current_factor(geom, l_s, omega)
-    i_s = i0 * factor
-
+    _, _, s_r, c_r, _, _ = _line_terms(geom, omega)
     x = np.linspace(0.0, geom.l_f, n_points)
-    current = np.empty(n_points, dtype=complex)
-    left = x <= geom.x_s
-    if l_r > 0.0:
-        cot_r = math.cos(beta * l_r) / math.sin(beta * l_r)
-    else:
-        cot_r = math.inf
-    coeff = cot_r - omega * l_s / geom.z0
-    current[left] = i_s * (np.cos(beta * (geom.x_s - x[left]))
-                           + coeff * np.sin(beta * (geom.x_s - x[left])))
-    right = ~left
-    if right.any():
-        s_r = math.sin(beta * l_r)
-        current[right] = i_s * np.sin(beta * (geom.l_f - x[right])) / s_r
-    # The open end is an exact current node of the standing-wave form.
-    current[-1] = 0.0 if geom.x_s < geom.l_f else current[-1]
-    return x, current
+    coeff = c_r / s_r - omega * l_s / geom.z0
+    left = i_s * (np.cos(beta * (geom.x_s - x)) + coeff * np.sin(beta * (geom.x_s - x)))
+    right = i_s * np.sin(beta * (geom.l_f - x)) / s_r
+    return x, np.where(x <= geom.x_s, left, right).astype(complex)
 
 
-def nonlinearity_margin(i_peak: float, ic_sq: float) -> tuple[float, bool]:
-    """Linear-response margin 5 I_peak / Ic_sq and its < 0.25 design gate."""
-    if ic_sq <= 0:
+def nonlinearity_margin(i_peak, ic_sq):
+    """Linear-response margin 5 I_peak / Ic_sq and its < 0.25 design gate (elementwise)."""
+    if np.any(np.less_equal(ic_sq, 0)):
         raise ValueError("ic_sq must be positive")
-    if i_peak < 0:
+    if np.any(np.less(i_peak, 0)):
         raise ValueError("i_peak must be >= 0")
     margin = 5.0 * i_peak / ic_sq
     return margin, margin < 0.25
+
+
+def _admittances(geom: FilterGeometry, l_s, omega: float):
+    """Qubit admittance Y_q over an ``l_s`` array, and the input-impedance pole mask."""
+    if geom.c_d == 0.0:
+        return np.zeros(np.shape(l_s), dtype=complex), np.zeros(np.shape(l_s), dtype=bool)
+    x_in, pole = _input_reactances(geom, l_s, omega)
+    zs = geom.z_source
+    with np.errstate(invalid="ignore"):
+        z_node = zs * (1j * x_in) / (zs + 1j * x_in)
+        return 1j * omega * geom.c_d / (1.0 + 1j * omega * geom.c_d * z_node), pole
 
 
 def qubit_admittance(geom: FilterGeometry, l_s: float, omega: float) -> complex:
@@ -427,14 +426,26 @@ def qubit_admittance(geom: FilterGeometry, l_s: float, omega: float) -> complex:
     in parallel with the stub.  Re Y_q >= 0; it vanishes when omega equals
     the filter frequency (Z_in -> 0), decoupling the qubit from the line.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if geom.c_d == 0.0:
-        return 0j
-    z_in = input_impedance(geom, l_s, omega)
-    zs = geom.z_source
-    z_node = zs * z_in / (zs + z_in)
-    return 1j * omega * geom.c_d / (1.0 + 1j * omega * geom.c_d * z_node)
+    if omega <= 0 or omega == math.inf:
+        raise ValueError("omega must be positive and finite")
+    y, pole = _admittances(geom, l_s, omega)
+    if pole:
+        raise TangentPole(f"input impedance at a pole for omega = {omega:.6e}")
+    return complex(y)
+
+
+def _coupling_columns(qubit: QubitLoad, y, y_ref: complex):
+    """gamma_qf, t1_ext, t1_total and rabi_rel from admittances (see
+    coupling_figures); rabi_rel is nan unless gamma_ref > 0."""
+    gamma = np.maximum(np.real(y) / qubit.c_q, 0.0)
+    with np.errstate(divide="ignore"):
+        t1_ext = np.where(gamma == 0.0, math.inf, 1.0 / gamma)
+        t1_total = t1_ext if qubit.t1_internal is None else np.where(
+            np.isinf(t1_ext), qubit.t1_internal,
+            1.0 / (1.0 / t1_ext + 1.0 / qubit.t1_internal))
+    gamma_ref = y_ref.real / qubit.c_q
+    rabi = np.sqrt(gamma / gamma_ref) if gamma_ref > 0.0 else np.full(np.shape(gamma), math.nan)
+    return gamma, t1_ext, t1_total, rabi
 
 
 def coupling_figures(
@@ -455,25 +466,10 @@ def coupling_figures(
     ``reference_flux`` (zero flux by convention).
     """
     omega = 2.0 * math.pi * drive_freq
-    l_s = squid_array_inductance(arr, flux_ratio, mode=mode)
-    gamma = qubit_admittance(geom, l_s, omega).real / qubit.c_q
-    gamma = max(gamma, 0.0)
-
-    t1_ext = math.inf if gamma == 0.0 else 1.0 / gamma
-    if qubit.t1_internal is None:
-        t1_total = t1_ext
-    elif math.isinf(t1_ext):
-        t1_total = qubit.t1_internal
-    else:
-        t1_total = 1.0 / (1.0 / t1_ext + 1.0 / qubit.t1_internal)
-
-    l_ref = squid_array_inductance(arr, reference_flux, mode=mode)
-    gamma_ref = qubit_admittance(geom, l_ref, omega).real / qubit.c_q
-    if gamma_ref > 0.0:
-        rabi_relative = math.sqrt(gamma / gamma_ref)
-    else:
-        rabi_relative = math.nan
-    return CouplingFigures(gamma, t1_ext, t1_total, rabi_relative)
+    y = qubit_admittance(geom, squid_array_inductance(arr, flux_ratio, mode=mode), omega)
+    y_ref = qubit_admittance(
+        geom, squid_array_inductance(arr, reference_flux, mode=mode), omega)
+    return CouplingFigures(*(float(col) for col in _coupling_columns(qubit, y, y_ref)))
 
 
 @dataclass(frozen=True)
@@ -492,6 +488,11 @@ class FluxSweepRow:
     error: str | None = None
 
 
+# Error marker of a row by its first failing stage (1-4); 5 is no failure.
+_STAGE_ERRORS = (None, HalfFluxDivergence.__name__, NoRootFound.__name__,
+                 TangentPole.__name__, TangentPole.__name__, None)
+
+
 def flux_sweep(
     geom: FilterGeometry,
     arr: SquidArray,
@@ -504,47 +505,37 @@ def flux_sweep(
 ) -> list[FluxSweepRow]:
     """Tabulate inductance, filter frequency and coupling over a flux grid.
 
-    Rows are independent and deterministic; a failing flux point yields a
-    row whose ``error`` field names the exception instead of aborting the
-    sweep.  ``i_node`` sets the drive-current amplitude at the node used
-    for the peak-current and nonlinearity-margin columns (the 0.2 uA
-    default corresponds to roughly -80 dBm available drive on a 50 ohm
-    line).
+    Rows are independent and deterministic.  A failing flux point's row
+    names the exception of its first failing stage in ``error``: inductance
+    (HalfFluxDivergence, strict mode), filter root (NoRootFound), admittance
+    or current factor (TangentPole); columns before that stage keep their
+    values, the rest are nan.  ``i_node`` is the node drive current for the
+    peak-current and margin columns (0.2 uA: about -80 dBm on 50 ohm).
     """
-    flux_grid = list(flux_grid)
-    if not flux_grid:
+    flux = np.array(list(flux_grid), dtype=float)
+    if flux.size == 0:
         raise ValueError("flux_grid must be non-empty")
     omega = 2.0 * math.pi * drive_freq
 
     try:
-        l_ref = squid_array_inductance(arr, reference_flux, mode=mode)
-        gamma_ref = qubit_admittance(geom, l_ref, omega).real / qubit.c_q
+        y_ref = qubit_admittance(
+            geom, squid_array_inductance(arr, reference_flux, mode=mode), omega)
     except FluxlineError:
-        gamma_ref = math.nan
+        y_ref = complex(math.nan, 0.0)
 
-    rows = []
-    for flux in flux_grid:
-        fields = {"flux_ratio": flux}
-        try:
-            fields["l_j_arr"] = l_j = squid_array_inductance(arr, flux, mode=mode)
-            ic_sq = _effective_ic_sq(arr, flux, mode)
-            fields["f_f"] = filter_frequency_exact(geom, l_j)
-            gamma = max(qubit_admittance(geom, l_j, omega).real / qubit.c_q, 0.0)
-            fields["gamma_qf"] = gamma
-            t1_ext = math.inf if gamma == 0.0 else 1.0 / gamma
-            fields["t1_ext"] = t1_ext
-            if qubit.t1_internal is None:
-                fields["t1_total"] = t1_ext
-            elif math.isinf(t1_ext):
-                fields["t1_total"] = qubit.t1_internal
-            else:
-                fields["t1_total"] = 1.0 / (1.0 / t1_ext + 1.0 / qubit.t1_internal)
-            fields["rabi_rel"] = (math.sqrt(gamma / gamma_ref)
-                                  if gamma_ref > 0.0 else math.nan)
-            i_peak = abs(i_node * _inductor_current_factor(geom, l_j, omega))
-            fields["i_peak"] = i_peak
-            fields["margin"] = nonlinearity_margin(i_peak, ic_sq)[0]
-        except FluxlineError as exc:
-            fields["error"] = type(exc).__name__
-        rows.append(FluxSweepRow(**fields))
-    return rows
+    l_j, ic_sq, half = _inductances(arr, flux, mode)
+    half &= mode == "strict"
+    f_f = _filter_frequencies(geom, l_j)[0]
+    y, y_pole = _admittances(geom, l_j, omega)
+    factor, i_pole = _inductor_current_factor(geom, l_j, omega)
+    i_peak = np.abs(i_node * factor)
+    stage = np.select([half, np.isnan(f_f), y_pole, i_pole], [1, 2, 3, 4], 5)
+
+    def kept(values, after):
+        return np.where(stage > after, values, math.nan).tolist()
+
+    coupling = [kept(col, 3) for col in _coupling_columns(qubit, y, y_ref)]
+    columns = zip(flux.tolist(), kept(l_j, 1), kept(f_f, 2), *coupling,
+                  kept(i_peak, 4), kept(nonlinearity_margin(i_peak, ic_sq)[0], 4),
+                  [_STAGE_ERRORS[s] for s in stage.tolist()])
+    return [FluxSweepRow(*fields) for fields in columns]

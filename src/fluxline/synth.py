@@ -27,7 +27,8 @@ from .dynamics import (
 )
 from .thermometry import LevelLadder
 
-_SEQ_LABELS = ("g", "e", "f", "h")
+# Cluster component of each level index: g, e, f, h, then k+ for >= 4.
+_COMPONENTS = ("g", "e", "f", "h", "k+")
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,10 @@ def gen_thermal_shots(cfg: ShotGenConfig, temperature: float, n: int,
 
     z = rng.standard_normal((n, 2))
     xy = np.empty((n, 2))
-    labels = np.where(levels < 4,
-                      np.array(_SEQ_LABELS, dtype=object)[np.minimum(levels, 3)],
-                      "k+")
-    for lab in set(labels.tolist()):
-        comp = cfg.cluster_model.components[lab]
-        sel = labels == lab
+    comp_idx = np.minimum(levels, 4)
+    for k in np.unique(comp_idx).tolist():
+        comp = cfg.cluster_model.components[_COMPONENTS[k]]
+        sel = comp_idx == k
         chol = np.linalg.cholesky(comp.cov)
         xy[sel] = comp.mean + z[sel] @ chol.T
     return xy

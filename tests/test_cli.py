@@ -48,16 +48,42 @@ class TestFilterSweep:
         assert lines[0] == fio.SWEEP_HEADER
         assert len(lines) == 1 + 101
 
-    def test_row_error_marker_keeps_exit_zero(self, tmp_path):
-        cfg = dict(SWEEP_CFG)
-        cfg["flux_values"] = [0.3, 0.5]
-        cfg["mode"] = "strict"
-        path = write_cfg(tmp_path, "cfg.json", cfg)
+    def test_row_error_marker_keeps_exit_zero(self, tmp_path, capsys):
+        header = fio.SWEEP_HEADER.split(",")
+        for mode, first_nan in (
+                ("strict", "l_j_arr_H"),   # HalfFluxDivergence: the inductance fails
+                ("clamped", "f_f_Hz")):    # NoRootFound: the clamped inductance is kept
+            path = write_cfg(tmp_path, "cfg.json",
+                             dict(SWEEP_CFG, flux_values=[0.3, 0.5], mode=mode))
+            out = tmp_path / f"sweep-{mode}.csv"
+            assert main(["filter-sweep", "--config", path, "--out", str(out)]) == 0
+            assert capsys.readouterr().err == "1/2 flux points carry error markers\n"
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 2
+            assert all(math.isfinite(float(v)) for v in rows[0].values())
+            cut = header.index(first_nan)
+            assert all(math.isfinite(float(rows[1][k])) for k in header[:cut]), mode
+            assert all(math.isnan(float(rows[1][k])) for k in header[cut:]), mode
+
+    @pytest.mark.parametrize("change", [
+        {"drive_freq_GHz": math.nan},
+        {"drive_freq_GHz": math.inf},
+        {"drive_freq_GHz": 0.0},
+        {"drive_freq_GHz": -4.2},
+        {"flux_values": [0.1, math.nan]},
+        {"flux_values": [0.1, math.inf]},
+        {"flux_start": math.nan},
+        {"i_node_uA": math.nan},
+        {"i_node_uA": -math.inf},
+    ])
+    def test_non_finite_or_bad_input_exit_1(self, tmp_path, capsys, change):
+        path = write_cfg(tmp_path, "cfg.json", dict(SWEEP_CFG, **change))
         out = tmp_path / "sweep.csv"
-        assert main(["filter-sweep", "--config", path, "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 3
-        assert "nan" in lines[2]
+        assert main(["filter-sweep", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["filter-sweep", "--config", str(tmp_path / "nope.json"),

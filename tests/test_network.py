@@ -251,7 +251,7 @@ class TestCurrentProfile:
         l_s = 0.3e-9
         omega = 2 * math.pi * 4.0e9
         beta = omega / geometry.v_p
-        factor = nw._inductor_current_factor(geometry, l_s, omega)
+        factor = float(nw._inductor_current_factor(geometry, l_s, omega)[0])
         l_r = geometry.l_f - geometry.x_s
         cot_r = math.cos(beta * l_r) / math.sin(beta * l_r)
         coeff = cot_r - omega * l_s / geometry.z0
@@ -381,3 +381,269 @@ class TestFluxSweep:
     def test_empty_grid_rejected(self, geometry, squid_array, qubit):
         with pytest.raises(ValueError):
             nw.flux_sweep(geometry, squid_array, qubit, [], 4.2e9)
+
+    def test_infinite_flux_or_drive_raises_value_error(self, geometry, squid_array, qubit):
+        # As with the math.* scalar code: inf is an input error, not a nan row.
+        with pytest.raises(ValueError):
+            nw.flux_sweep(geometry, squid_array, qubit, [0.1, math.inf], 4.2e9)
+        with pytest.raises(ValueError):
+            nw.squid_array_inductance(squid_array, -math.inf, mode="clamped")
+        for func in (nw.input_impedance, nw.qubit_admittance):
+            with pytest.raises(ValueError):
+                func(geometry, 0.1e-9, math.inf)
+        with pytest.raises(ValueError):
+            nw.flux_sweep(geometry, squid_array, qubit, [0.1], math.inf)
+
+    def test_invalid_mode_rejected(self, geometry, squid_array, qubit):
+        with pytest.raises(ValueError, match="mode"):
+            nw.flux_sweep(geometry, squid_array, qubit, [0.1], 4.2e9, mode="loose")
+        with pytest.raises(ValueError, match="mode"):
+            nw.squid_array_inductance(squid_array, 0.5, mode="loose")
+
+
+# --- Reference: the per-point sweep with scalar math.* kernels -----------------
+# The sweep, bisection, impedance and current code as they were before the
+# network layer became array kernels.  The array sweep must reproduce it row
+# by row: same error markers, bit-equal l_j_arr and f_f, and the other
+# columns within the benchmark's sweep tolerance.
+
+def _ref_ic_sq(arr, flux, mode):
+    cos_abs = abs(math.cos(math.pi * flux))
+    if cos_abs < arr.clamp_epsilon:
+        if mode == "strict":
+            raise HalfFluxDivergence("half flux")
+        cos_abs = arr.clamp_epsilon
+    return 2.0 * arr.ic_junction * cos_abs
+
+
+def _ref_inductance(arr, flux, mode):
+    ic_sq = _ref_ic_sq(arr, flux, mode)
+    return arr.n_squids * (arr.l_fixed_per_squid + nw.PHI0 / (2.0 * math.pi * ic_sq))
+
+
+def _ref_condition(geom, l_s, omega):
+    omega = np.asarray(omega, dtype=float)
+    beta = omega / geom.v_p
+    l_r = geom.l_f - geom.x_s
+    s_l, c_l = np.sin(beta * geom.x_s), np.cos(beta * geom.x_s)
+    s_r, c_r = np.sin(beta * l_r), np.cos(beta * l_r)
+    z0 = geom.z0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if geom.c_g == 0.0:
+            x2 = -z0 * c_r / s_r
+        else:
+            x_e = -1.0 / (omega * geom.c_g)
+            x2 = z0 * (x_e * c_r + z0 * s_r) / (z0 * c_r - x_e * s_r)
+        return omega * l_s + x2 + z0 * s_l / c_l
+
+
+def _ref_bisect(func, a, b, fa, fb, rtol):
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    while b - a > rtol * abs(b):
+        mid = 0.5 * (a + b)
+        fm = func(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+    return 0.5 * (a + b)
+
+
+def _ref_filter_frequency(geom, l_s, n_scan=4096, rtol=1e-12):
+    f0 = geom.f0
+    if geom.c_g == 0.0 and geom.x_s >= geom.l_f:
+        geom, l_s = replace(geom, x_s=0.0), 0.0
+    freqs = np.linspace(0.3 * f0, 1.2 * f0, n_scan)
+    vals = _ref_condition(geom, l_s, 2.0 * math.pi * freqs)
+    ok = np.isfinite(vals) & (np.abs(vals) < 1e12)
+    idx = np.nonzero(ok[:-1] & ok[1:] & (np.sign(vals[:-1]) != np.sign(vals[1:])))[0]
+
+    def cond(f):
+        return float(_ref_condition(geom, l_s, 2.0 * math.pi * f))
+
+    n_rejected = 0
+    for i in idx:
+        root = _ref_bisect(cond, float(freqs[i]), float(freqs[i + 1]),
+                           float(vals[i]), float(vals[i + 1]), rtol)
+        if abs(cond(root)) < nw._ROOT_ACCEPT_OHM:
+            return root
+        n_rejected += 1
+    raise NoRootFound("no root", diagnostics={
+        "n_valid_points": int(ok.sum()), "n_sign_changes": int(len(idx)),
+        "n_rejected_as_poles": n_rejected})
+
+
+def _ref_input_reactance(geom, l_s, omega):
+    beta = omega / geom.v_p
+    l_r = geom.l_f - geom.x_s
+    s_l, c_l = math.sin(beta * geom.x_s), math.cos(beta * geom.x_s)
+    s_r, c_r = math.sin(beta * l_r), math.cos(beta * l_r)
+    z0 = geom.z0
+    if abs(s_l) > nw._POLE_TAN * abs(c_l):
+        raise TangentPole("tan pole")
+    if geom.c_g == 0.0:
+        x2 = math.inf if abs(c_r) > nw._POLE_TAN * abs(s_r) else -z0 * c_r / s_r
+    else:
+        x_e = -1.0 / (omega * geom.c_g)
+        den = z0 * c_r - x_e * s_r
+        x2 = math.inf if den == 0.0 else z0 * (x_e * c_r + z0 * s_r) / den
+    t_l = s_l / c_l
+    if math.isinf(x2):
+        if t_l == 0.0:
+            raise TangentPole("open series branch")
+        x_in = -z0 / t_l
+    else:
+        x1 = omega * l_s + x2
+        den_in = z0 - x1 * t_l
+        if den_in == 0.0:
+            raise TangentPole("transform pole")
+        x_in = z0 * (x1 + z0 * t_l) / den_in
+    if not math.isfinite(x_in):
+        raise TangentPole("non-finite reactance")
+    return x_in
+
+
+def _ref_admittance(geom, l_s, omega):
+    if geom.c_d == 0.0:
+        return 0j
+    z_in = complex(0.0, _ref_input_reactance(geom, l_s, omega))
+    z_node = geom.z_source * z_in / (geom.z_source + z_in)
+    return 1j * omega * geom.c_d / (1.0 + 1j * omega * geom.c_d * z_node)
+
+
+def _ref_current_factor(geom, l_s, omega):
+    beta = omega / geom.v_p
+    l_r = geom.l_f - geom.x_s
+    s_r, c_r = math.sin(beta * l_r), math.cos(beta * l_r)
+    if abs(c_r) > nw._POLE_TAN * abs(s_r):
+        raise TangentPole("cot pole")
+    d = (math.cos(beta * geom.x_s)
+         + (c_r / s_r - omega * l_s / geom.z0) * math.sin(beta * geom.x_s))
+    if d == 0.0 or not math.isfinite(d):
+        raise TangentPole("current node")
+    return 1.0 / d
+
+
+def _ref_flux_sweep(geom, arr, qubit, flux_grid, drive_freq, mode="clamped",
+                    i_node=2e-7, reference_flux=0.0):
+    omega = 2.0 * math.pi * drive_freq
+    try:
+        l_ref = _ref_inductance(arr, reference_flux, mode)
+        gamma_ref = _ref_admittance(geom, l_ref, omega).real / qubit.c_q
+    except (HalfFluxDivergence, TangentPole):
+        gamma_ref = math.nan
+    rows = []
+    for flux in flux_grid:
+        fields = {"flux_ratio": flux}
+        try:
+            fields["l_j_arr"] = l_j = _ref_inductance(arr, flux, mode)
+            ic_sq = _ref_ic_sq(arr, flux, mode)
+            fields["f_f"] = _ref_filter_frequency(geom, l_j)
+            gamma = max(_ref_admittance(geom, l_j, omega).real / qubit.c_q, 0.0)
+            fields["gamma_qf"] = gamma
+            t1_ext = math.inf if gamma == 0.0 else 1.0 / gamma
+            fields["t1_ext"] = t1_ext
+            if qubit.t1_internal is None:
+                fields["t1_total"] = t1_ext
+            elif math.isinf(t1_ext):
+                fields["t1_total"] = qubit.t1_internal
+            else:
+                fields["t1_total"] = 1.0 / (1.0 / t1_ext + 1.0 / qubit.t1_internal)
+            fields["rabi_rel"] = (math.sqrt(gamma / gamma_ref)
+                                  if gamma_ref > 0.0 else math.nan)
+            i_peak = abs(i_node * _ref_current_factor(geom, l_j, omega))
+            fields["i_peak"] = i_peak
+            fields["margin"] = 5.0 * i_peak / ic_sq
+        except (HalfFluxDivergence, NoRootFound, TangentPole) as exc:
+            fields["error"] = type(exc).__name__
+        rows.append(nw.FluxSweepRow(**fields))
+    return rows
+
+
+_SWEEP_COLUMNS = ("flux_ratio", "l_j_arr", "f_f", "gamma_qf", "t1_ext",
+                  "t1_total", "rabi_rel", "i_peak", "margin")
+# The benchmark grid: 2001 points over the half flux period.
+_BENCH_GRID = np.linspace(0.0, 0.5, 2001)
+_GEOM = nw.FilterGeometry(z0=50.0, v_p=1.17e8, l_f=6.5e-3, x_s=2.0e-3,
+                          c_g=0.0, c_d=4.4e-15)
+_ARR = nw.SquidArray(n_squids=5, ic_junction=10e-6)
+_QUBIT = nw.QubitLoad(f_q=3.9e9, c_q=143e-15, t1_internal=2e-4)
+_TAN_POLE_DRIVE = _GEOM.v_p / (4.0 * _GEOM.x_s)
+# With the inductor this close to the open end the tan(b x_s) pole falls in
+# the scan window, so sign changes across it must be rejected as poles.
+_POLE_IN_WINDOW = replace(_GEOM, x_s=0.85 * _GEOM.l_f)
+
+
+class TestSweepMatchesScalarReference:
+    @pytest.mark.parametrize("geom, qubit, grid, drive, kwargs", [
+        pytest.param(_GEOM, _QUBIT, _BENCH_GRID, 4.2e9, {}, id="bench-4.2GHz"),
+        pytest.param(_GEOM, _QUBIT, _BENCH_GRID, 4.299e9, {}, id="bench-4.299GHz"),
+        pytest.param(_GEOM, _QUBIT, np.linspace(0.4, 0.6, 101), 4.2e9,
+                     {"mode": "strict"}, id="strict-across-half-flux"),
+        pytest.param(_GEOM, _QUBIT, np.linspace(0.0, 0.45, 46), _TAN_POLE_DRIVE, {},
+                     id="drive-on-tan-pole"),
+        pytest.param(replace(_GEOM, c_g=2e-15), _QUBIT, np.linspace(0.0, 0.5, 201),
+                     4.2e9, {}, id="end-cap"),
+        pytest.param(replace(_GEOM, x_s=_GEOM.l_f), _QUBIT, np.linspace(0.0, 0.5, 51),
+                     4.4e9, {}, id="inductor-at-open-end"),
+        pytest.param(_POLE_IN_WINDOW, _QUBIT, np.linspace(0.0, 0.5, 201), 4.2e9, {},
+                     id="pole-in-scan-window"),
+        pytest.param(_GEOM, nw.QubitLoad(f_q=3.9e9), [0.1, math.nan, 0.3, 0.5],
+                     4.2e9, {}, id="nan-flux-no-internal-loss"),
+        pytest.param(_GEOM, _QUBIT, [0.0, 0.2, 0.4999, 0.5], 4.2e9,
+                     {"mode": "strict", "reference_flux": 0.5}, id="failing-reference"),
+    ])
+    def test_rows(self, geom, qubit, grid, drive, kwargs):
+        got = nw.flux_sweep(geom, _ARR, qubit, grid, drive, **kwargs)
+        ref = _ref_flux_sweep(geom, _ARR, qubit, list(grid), drive, **kwargs)
+        assert [r.error for r in got] == [r.error for r in ref]
+        for name in _SWEEP_COLUMNS:
+            a = np.array([getattr(r, name) for r in got])
+            b = np.array([getattr(r, name) for r in ref])
+            if name in ("flux_ratio", "l_j_arr", "f_f"):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+                continue
+            finite = np.abs(b[np.isfinite(b)])
+            atol = 1e-12 * finite.max() if finite.size else 0.0
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=atol, err_msg=name)
+
+    def test_cases_reach_every_marker(self):
+        # The parametrised cases above are only a check of row semantics if
+        # every stage fails somewhere among them.
+        seen = set()
+        for geom, grid, drive, mode in (
+                (_GEOM, _BENCH_GRID, 4.2e9, "clamped"),
+                (_GEOM, np.linspace(0.4, 0.6, 101), 4.2e9, "strict"),
+                (_GEOM, np.linspace(0.0, 0.45, 46), _TAN_POLE_DRIVE, "clamped"),
+                (replace(_GEOM, x_s=_GEOM.l_f), np.linspace(0.0, 0.5, 51), 4.4e9,
+                 "clamped")):
+            seen.update(r.error for r in nw.flux_sweep(geom, _ARR, _QUBIT, grid, drive,
+                                                       mode=mode))
+        assert seen == {None, "HalfFluxDivergence", "NoRootFound", "TangentPole"}
+
+    @pytest.mark.parametrize("geom, l_s", [
+        (_GEOM, 1e-6),
+        (_GEOM, nw.squid_array_inductance(_ARR, 0.5, mode="clamped")),
+        (_POLE_IN_WINDOW, 1.5e-5),
+    ])
+    def test_no_root_diagnostics_match_reference(self, geom, l_s):
+        with pytest.raises(NoRootFound) as got:
+            nw.filter_frequency_exact(geom, l_s)
+        with pytest.raises(NoRootFound) as ref:
+            _ref_filter_frequency(geom, l_s)
+        for key, value in ref.value.diagnostics.items():
+            assert got.value.diagnostics[key] == value
+
+    def test_rejected_pole_moves_to_next_sign_change(self):
+        # At 10 uH the tan(b x_s) pole at v_p / (4 x_s) is the first sign
+        # change in the window and is rejected; the root is the next one.
+        f_f, _, n_sign, n_rejected = nw._filter_frequencies(
+            _POLE_IN_WINDOW, np.array([1e-5]))
+        assert (n_sign[0], n_rejected[0]) == (2, 1)
+        assert f_f[0] > _POLE_IN_WINDOW.v_p / (4.0 * _POLE_IN_WINDOW.x_s)
+        assert f_f[0] == _ref_filter_frequency(_POLE_IN_WINDOW, 1e-5)
