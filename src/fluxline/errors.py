@@ -58,6 +58,10 @@ class TooFewWindows(FluxlineError):
     """Window statistics need at least two windows."""
 
 
+class BoundMismatch(FluxlineError, ArithmeticError):
+    """The explicit and energy-variance QCRB routes disagree beyond tolerance."""
+
+
 # --- classify ----------------------------------------------------------------
 
 class SingularComponent(FluxlineError):

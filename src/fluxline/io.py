@@ -12,7 +12,7 @@ Formats:
                     t1_ext_s,t1_total_s,rabi_rel,i_peak_A,margin
 * reset CSV         header prep,time_s,p_g,p_e,p_f,p_h
 * shot CSV          header prep,i,q (prep may be empty)
-* curve CSV         header x,y[,sigma]
+* curve CSV         header x,y[,sigma] when read, x,y when written
 * ladder JSON       {"f_ge_ghz": ..., "f_ef_ghz": ..., "f_fh_ghz": ...}
 * GMM model JSON    {"components": {label: {"mean": [i, q],
                     "cov": [[a, b], [b, c]], "weight": w}}}
@@ -20,10 +20,10 @@ Formats:
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +43,12 @@ MM = 1e-3
 UA = 1e-6
 MK = 1e-3
 
-RESET_FIELDS = ["prep", "time_s", "p_g", "p_e", "p_f", "p_h"]
+RESET_HEADER = "prep,time_s,p_g,p_e,p_f,p_h"
+SHOT_HEADER = "prep,i,q"
 SWEEP_HEADER = ("flux_ratio,l_j_arr_H,f_f_Hz,gamma_qf_per_s,t1_ext_s,"
                 "t1_total_s,rabi_rel,i_peak_A,margin")
-
-
-def fmt(x: float) -> str:
-    """Shortest decimal string that round-trips the float exactly."""
-    return repr(float(x))
+# Rows formatted per write; the text of a whole table is never built.
+_WRITE_BLOCK_ROWS = 8192
 
 
 def load_json(path) -> dict:
@@ -135,146 +133,130 @@ def rates_from_config(cfg: dict) -> DecayRates:
 # --- CSV formats ----------------------------------------------------------------
 
 def write_flux_sweep_csv(path, rows: list[FluxSweepRow]) -> None:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(",".join(fmt(v) for v in (
-            r.flux_ratio, r.l_j_arr, r.f_f, r.gamma_qf, r.t1_ext,
-            r.t1_total, r.rabi_rel, r.i_peak, r.margin)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.array([(r.flux_ratio, r.l_j_arr, r.f_f, r.gamma_qf, r.t1_ext, r.t1_total,
+                       r.rabi_rel, r.i_peak, r.margin) for r in rows]).reshape(len(rows), 9)
+    _write_table(path, SWEEP_HEADER, table.T)
 
 
 def write_reset_csv(path, data: ResetDataset) -> None:
-    lines = [",".join(RESET_FIELDS)]
-    for prep in sorted(data.curves):
-        curve = data.curves[prep]
-        for t, p in zip(curve.times, curve.populations):
-            lines.append(",".join([prep] + [fmt(v) for v in (t, *p)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    curves = [(prep, data.curves[prep]) for prep in sorted(data.curves)]
+    table = np.vstack([np.empty((0, 5))]
+                      + [np.column_stack([c.times, c.populations]) for _, c in curves])
+    _write_table(path, RESET_HEADER, table.T,
+                 chain.from_iterable(repeat(prep, c.times.size) for prep, c in curves))
 
 
 def read_reset_csv(path) -> ResetDataset:
-    """Reset curves from a ``prep,time_s,p_g,p_e,p_f,p_h`` CSV.
+    """Reset curves, in order of each prep's first row and sorted by time.
 
-    Every data row must hold exactly six fields with finite numbers after
-    the prep label; the first row that does not is named in the
-    ``ValueError``.  Populations are not range-checked, since
-    readout-corrected data can be slightly negative.
+    Rows are checked as in ``_read_table``.  Populations are not
+    range-checked, since readout-corrected data can be slightly negative.
     """
-    rows: dict[str, list[list[float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESET_FIELDS:
-            raise ValueError(f"unexpected reset CSV header: {header}")
-        for rec in reader:
-            if not rec:
-                continue
-            where = f"reset CSV line {reader.line_num}"
-            if len(rec) != len(RESET_FIELDS):
-                raise ValueError(f"{where}: expected {len(RESET_FIELDS)} fields "
-                                 f"({','.join(RESET_FIELDS)}), got {len(rec)}")
-            try:
-                values = [float(v) for v in rec[1:]]
-            except ValueError:
-                raise ValueError(f"{where}: values are not numbers") from None
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{where}: values must be finite")
-            rows.setdefault(rec[0], []).append(values)
-    if not rows:
-        raise ValueError("reset CSV holds no data rows")
+    table, preps = _read_table(path, "reset", (RESET_HEADER,), labelled=True)
+    if preps is None:
+        raise ValueError("reset CSV: every prep label is empty")
     curves = {}
-    for prep, entries in rows.items():
-        table = np.array(entries)
-        table = table[np.argsort(table[:, 0], kind="stable")]
-        curves[prep] = ResetCurve(table[:, 0], table[:, 1:])
+    for prep in dict.fromkeys(preps.tolist()):
+        rows = table[preps == prep]
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        curves[prep] = ResetCurve(rows[:, 0], rows[:, 1:])
     return ResetDataset(curves)
 
 
 def write_shots_csv(path, xy: np.ndarray, prep_labels=None) -> None:
-    lines = ["prep,i,q"]
-    for k, (i, q) in enumerate(np.asarray(xy, dtype=float)):
-        prep = "" if prep_labels is None else str(prep_labels[k])
-        lines.append(f"{prep},{fmt(i)},{fmt(q)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    xy = np.asarray(xy, dtype=float)
+    _write_table(path, SHOT_HEADER, xy.T,
+                 repeat("", len(xy)) if prep_labels is None else prep_labels)
 
 
 def read_shots_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """(n, 2) IQ points and prep labels, or None when every prep is empty.
+    """(n, 2) IQ points and prep labels, or None when every prep is empty."""
+    return _read_table(path, "shot", (SHOT_HEADER,), labelled=True)
 
-    The body is parsed in one ``np.loadtxt`` call.  Every data row must
-    hold exactly the three fields ``prep,i,q`` with finite IQ values; the
-    first row that does not is named in the ``ValueError``.
+
+def write_curve_csv(path, x, y) -> None:
+    _write_table(path, "x,y", (x, y))
+
+
+def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """x, y and sigma (None under an ``x,y`` header) from a curve CSV."""
+    table, _ = _read_table(path, "curve", ("x,y", "x,y,sigma"), labelled=False)
+    return table[:, 0], table[:, 1], (table[:, 2] if table.shape[1] == 3 else None)
+
+
+def _read_table(path, kind: str, headers: tuple[str, ...], labelled: bool):
+    """(n, k) numeric columns and the labels of a CSV table under one of ``headers``.
+
+    The body is parsed in one ``np.loadtxt`` call.  Every row must hold the
+    header's fields, all finite numbers but the leading label when
+    ``labelled``; the ``ValueError`` names the first row that does not.
+    Labels are an object array, or None when there are none or all are
+    empty (counted on the bytes, without decoding the body).
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode().rstrip("\r\n")
         body = fh.read()
-    if header != "prep,i,q":
-        raise ValueError(f"unexpected shot CSV header: {header!r}")
+    if header not in headers:
+        raise ValueError(f"unexpected {kind} CSV header: {header!r}")
     if not body.strip():
-        raise ValueError("shot CSV holds no data rows")
+        raise ValueError(f"{kind} CSV holds no data rows")
+    n_fields = header.count(",") + 1
     try:
-        xy = np.loadtxt(io.BytesIO(body), delimiter=",", usecols=(1, 2),
-                        ndmin=2, comments=None)
+        values = np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2, comments=None,
+                            usecols=tuple(range(labelled, n_fields)))
     except ValueError as exc:
-        raise ValueError(_bad_shot_row(body, f"shot CSV: {exc}")) from None
+        raise ValueError(_bad_row(body, kind, header, labelled, f"{kind} CSV: {exc}")) from None
     raw = np.frombuffer(body, dtype=np.uint8)
-    # loadtxt rejects rows with fewer than three fields and ignores extra
-    # ones, so with it passing, two commas per row means exactly three.
-    if np.count_nonzero(raw == ord(",")) != 2 * xy.shape[0] or not np.isfinite(xy).all():
-        raise ValueError(_bad_shot_row(body, "shot CSV: malformed rows"))
+    # loadtxt rejects rows with too few fields and ignores extra ones, so
+    # with it passing, n_fields - 1 commas per row means exactly n_fields.
+    if (np.count_nonzero(raw == ord(",")) != (n_fields - 1) * values.shape[0]
+            or not np.isfinite(values).all()):
+        raise ValueError(_bad_row(body, kind, header, labelled, f"{kind} CSV: malformed rows"))
+    if not labelled:
+        return values, None
     line_starts = np.flatnonzero(raw[:-1] == ord("\n")) + 1
-    empty_preps = (raw[0] == ord(",")) + np.count_nonzero(raw[line_starts] == ord(","))
-    if empty_preps == xy.shape[0]:
-        return xy, None
+    empty_labels = (raw[0] == ord(",")) + np.count_nonzero(raw[line_starts] == ord(","))
+    if empty_labels == values.shape[0]:
+        return values, None
     labels = [line.partition(",")[0]
               for line in body.decode().split("\n") if line not in ("", "\r")]
-    return xy, np.array(labels, dtype=object)
+    return values, np.array(labels, dtype=object)
 
 
-def _bad_shot_row(body: bytes, fallback: str) -> str:
-    """Message naming the first malformed data line of a shot CSV body."""
+def _bad_row(body: bytes, kind: str, header: str, labelled: bool, fallback: str) -> str:
+    """Message naming the first malformed data line of a CSV table body."""
+    n_fields = header.count(",") + 1
     for line_no, line in enumerate(body.decode().split("\n"), start=2):
         if line in ("", "\r"):
             continue
         fields = line.split(",")
-        if len(fields) != 3:
-            return (f"shot CSV line {line_no}: expected 3 fields (prep,i,q), "
-                    f"got {len(fields)}")
+        where = f"{kind} CSV line {line_no}"
+        if len(fields) != n_fields:
+            return f"{where}: expected {n_fields} fields ({header}), got {len(fields)}"
         try:
-            iq = (float(fields[1]), float(fields[2]))
+            values = [float(v) for v in fields[labelled:]]
         except ValueError:
-            return f"shot CSV line {line_no}: IQ values are not numbers"
-        if not all(math.isfinite(v) for v in iq):
-            return f"shot CSV line {line_no}: IQ values must be finite"
+            return f"{where}: values are not numbers"
+        if not all(map(math.isfinite, values)):
+            return f"{where}: values must be finite"
     return fallback
 
 
-def write_curve_csv(path, x, y, sigma=None) -> None:
-    header = "x,y,sigma" if sigma is not None else "x,y"
-    lines = [header]
-    for k in range(len(x)):
-        row = [fmt(x[k]), fmt(y[k])]
-        if sigma is not None:
-            row.append(fmt(sigma[k]))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_table(path, header: str, columns, labels=None) -> None:
+    """Write ``header`` and the rows of equal-length float ``columns``.
 
-
-def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames not in (["x", "y"], ["x", "y", "sigma"]):
-            raise ValueError(f"unexpected curve CSV header: {reader.fieldnames}")
-        has_sigma = reader.fieldnames == ["x", "y", "sigma"]
-        x, y, s = [], [], []
-        for rec in reader:
-            x.append(float(rec["x"]))
-            y.append(float(rec["y"]))
-            if has_sigma:
-                s.append(float(rec["sigma"]))
-    if not x:
-        raise ValueError("curve CSV holds no data rows")
-    return np.array(x), np.array(y), (np.array(s) if has_sigma else None)
+    A value is the ``repr`` of its float, the shortest string that round-trips
+    it; ``labels`` (an iterable, one per row) is a leading text column.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    labels = None if labels is None else iter(labels)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            fields = [map(repr, c[start:start + _WRITE_BLOCK_ROWS].tolist()) for c in columns]
+            if labels is not None:
+                fields.insert(0, map(str, islice(labels, _WRITE_BLOCK_ROWS)))
+            fh.write("".join(f"{row}\n" for row in map(",".join, zip(*fields, strict=True))))
 
 
 # --- model / matrix JSON --------------------------------------------------------

@@ -33,7 +33,7 @@ the whole grid in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +52,11 @@ PHI0 = 2.067833848e-15
 _POLE_TAN = 1e9
 # Residual |F| (ohm) above this after bisection marks a pole, not a root.
 _ROOT_ACCEPT_OHM = 1e-3
+# With c_g = 0 and the inductor within this fraction of l_f of the open end,
+# the tan(b x_s) pole sits less than ~l_r / l_f above the root it traps, and
+# the bisected root's residual |F| exceeds _ROOT_ACCEPT_OHM (z0 up to ~1.5
+# kohm is covered); the condition is solved in its pole-free form there.
+_OPEN_END_FRAC = 1e-3
 # Entries per block of the root scan: a block's (rows x n_scan) condition
 # matrix stays small, where a 2001-point grid at once would take ~65 MB.
 _SCAN_BLOCK_ROWS = 8
@@ -216,14 +221,32 @@ def _line_terms(geom: FilterGeometry, omega):
     return s_l, c_l, s_r, c_r, x2, open_end
 
 
-def _filter_condition(geom: FilterGeometry, l_s, omega):
-    """Shunt-short condition F(w) = w l_s + X2(w) + z0 tan(b x_s), in ohms.
+def _near_open_end(geom: FilterGeometry) -> bool:
+    return geom.c_g == 0.0 and geom.l_f - geom.x_s <= _OPEN_END_FRAC * geom.l_f
 
-    Broadcasts over ``l_s`` and ``omega``; values at poles are inf/nan.
+
+def _condition_terms(geom: FilterGeometry, omega):
+    """The l_s-free parts (k, a, b) of the filter condition k l_s + a + b.
+
+    Normally (w, X2(w), z0 tan(b x_s)), the shunt-short condition F(w).
+    Near the open end (see _OPEN_END_FRAC) F is multiplied by
+    cos(b x_s) sin(b l_r): the same roots in ohms, without poles.
     """
-    s_l, c_l, _, _, x2, _ = _line_terms(geom, omega)
+    s_l, c_l, s_r, c_r, x2, _ = _line_terms(geom, omega)
+    if _near_open_end(geom):
+        return omega * c_l * s_r, -geom.z0 * c_r * c_l, geom.z0 * s_l * s_r
     with np.errstate(divide="ignore", invalid="ignore"):
-        return omega * l_s + x2 + geom.z0 * s_l / c_l
+        return omega, x2, geom.z0 * s_l / c_l
+
+
+def _filter_condition(terms, l_s):
+    """Filter condition k l_s + a + b of ``_condition_terms``, in ohms.
+
+    Broadcasts over ``l_s`` and the omega of ``terms``; inf/nan at poles.
+    """
+    slope, x2, x_left = terms
+    with np.errstate(invalid="ignore"):
+        return slope * l_s + x2 + x_left
 
 
 def _input_reactances(geom: FilterGeometry, l_s, omega: float):
@@ -274,17 +297,11 @@ def _filter_frequencies(geom: FilterGeometry, l_s, n_scan: int = 4096,
     the counts per entry (rejected: all its candidates failing the check).
     """
     l_s = np.asarray(l_s, dtype=float)
-    if geom.c_g == 0.0 and geom.x_s >= geom.l_f:
-        # Inductor at the open end carries no current; the condition
-        # degenerates to the bare open stub.
-        geom = replace(geom, x_s=0.0)
-        l_s = np.zeros_like(l_s)
-
     freqs = np.linspace(0.3 * geom.f0, 1.2 * geom.f0, n_scan)
+    scan = _condition_terms(geom, 2.0 * math.pi * freqs)
     found = []
     for start in range(0, l_s.size, _SCAN_BLOCK_ROWS):
-        vals = _filter_condition(geom, l_s[start:start + _SCAN_BLOCK_ROWS, None],
-                                 2.0 * math.pi * freqs)
+        vals = _filter_condition(scan, l_s[start:start + _SCAN_BLOCK_ROWS, None])
         ok = np.isfinite(vals) & (np.abs(vals) < 1e12)
         sign = np.sign(vals)
         r, c = np.nonzero(ok[:, :-1] & ok[:, 1:] & (sign[:, :-1] != sign[:, 1:]))
@@ -302,14 +319,15 @@ def _filter_frequencies(geom: FilterGeometry, l_s, n_scan: int = 4096,
         roots[live[~wide]] = 0.5 * (a[~wide] + b[~wide])
         live, a, b, fa, l_live = live[wide], a[wide], b[wide], fa[wide], l_live[wide]
         mid = 0.5 * (a + b)
-        fm = _filter_condition(geom, l_live, 2.0 * math.pi * mid)
+        fm = _filter_condition(_condition_terms(geom, 2.0 * math.pi * mid), l_live)
         zero = fm == 0.0
         roots[live[zero]] = mid[zero]
         same = (fm > 0) == (fa > 0)
         a, fa, b = np.where(same, mid, a), np.where(same, fm, fa), np.where(same, b, mid)
         live, a, b, fa, l_live = live[~zero], a[~zero], b[~zero], fa[~zero], l_live[~zero]
 
-    accepted = np.abs(_filter_condition(geom, l_cand, 2.0 * math.pi * roots)) < _ROOT_ACCEPT_OHM
+    residual = _filter_condition(_condition_terms(geom, 2.0 * math.pi * roots), l_cand)
+    accepted = np.abs(residual) < _ROOT_ACCEPT_OHM
     # Candidates run in scan order, so return_index picks each entry's first.
     hit, first = np.unique(rows[accepted], return_index=True)
     f_f = np.full(l_s.size, math.nan)

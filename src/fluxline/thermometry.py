@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import PopulationVector
-from .errors import InvalidPopulations, TooFewWindows
+from .errors import BoundMismatch, InvalidPopulations, TooFewWindows
 
 #: Rounded conversion constant used throughout the device analysis (GHz/K).
 KB_OVER_H_ROUNDED = 20.84
@@ -256,7 +256,7 @@ def qcrb_bound(temperature: float, ladder: LevelLadder, n_levels: int) -> float:
     generic = 1.0 / math.sqrt(var)
 
     if abs(explicit - generic) > 1e-10 * generic:
-        raise ArithmeticError(
+        raise BoundMismatch(
             f"explicit ({explicit!r}) and energy-variance ({generic!r}) "
             "bounds disagree beyond 1e-10"
         )

@@ -255,6 +255,50 @@ class TestFitCurve:
                      "--out", str(tmp_path / "x.json")]) == 1
 
 
+@pytest.mark.parametrize("command", ["fit-curve", "fit-rb"])
+class TestCurveCsvBoundary:
+    GOOD = "x,y\n0.0,1.0\n10.0,0.9\n"
+
+    def run_fit(self, tmp_path, capsys, command, text):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(text)
+        cfg = write_cfg(tmp_path, "fit.json", {"curve_csv": str(curve),
+                                               "model": "exponential"})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("bad_row, reason", [
+        ("20.0", "expected 2 fields (x,y), got 1"),
+        ("20.0,0.8,0.01", "expected 2 fields (x,y), got 3"),
+        ("20.0,0.8,", "expected 2 fields (x,y), got 3"),
+        ("20.0,nan", "finite"),
+        ("inf,0.8", "finite"),
+        ("20.0,-inf", "finite"),
+        ("20.0,abc", "not numbers"),
+        (",0.8", "not numbers"),
+    ])
+    def test_malformed_row_exit_1_naming_line(self, tmp_path, capsys, command,
+                                              bad_row, reason):
+        err = self.run_fit(tmp_path, capsys, command,
+                           self.GOOD + bad_row + "\n30.0,0.7\n")
+        assert "curve CSV line 4" in err and reason in err
+
+    def test_short_row_under_sigma_header(self, tmp_path, capsys, command):
+        err = self.run_fit(tmp_path, capsys, command,
+                           "x,y,sigma\n0.0,1.0,0.01\n10.0,0.9\n")
+        assert "curve CSV line 3: expected 3 fields (x,y,sigma), got 2" in err
+
+    def test_bad_header_exit_1(self, tmp_path, capsys, command):
+        err = self.run_fit(tmp_path, capsys, command, "x,z\n0.0,1.0\n10.0,0.9\n")
+        assert "header" in err
+
+    def test_header_only_exit_1(self, tmp_path, capsys, command):
+        err = self.run_fit(tmp_path, capsys, command, "x,y\n")
+        assert "no data rows" in err
+
+
 class TestThermometryPipeline:
     def test_windows_to_temperature_stats(self, tmp_path):
         model = model_dict()
@@ -411,6 +455,7 @@ class TestRoundTripFormats:
            labelled=st.booleans(), data=st.data())
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_shots_csv_matches_dictreader(self, tmp_path, xy, labelled, data):
+        """Shot, reset and curve files: writer, then reader against csv.DictReader."""
         xy = np.array(xy, dtype=float)
         preps = None
         if labelled:
@@ -429,6 +474,62 @@ class TestRoundTripFormats:
         else:
             assert labs.tolist() == ref_preps
 
+        # Curve: the same points as x, y.
+        fio.write_curve_csv(path, xy[:, 0], xy[:, 1])
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        x, y, sigma = fio.read_curve_csv(path)
+        assert np.array_equal(x, [float(r["x"]) for r in rows])
+        assert np.array_equal(y, [float(r["y"]) for r in rows])
+        assert np.array_equal(x, xy[:, 0]) and np.array_equal(y, xy[:, 1]) and sigma is None
+
+        # Reset: a curve per drawn prep, each on its own increasing times.
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        curves = {}
+        for prep in data.draw(st.lists(st.sampled_from(["e", "f", "h"]),
+                                       min_size=1, max_size=3, unique=True)):
+            times = sorted(data.draw(st.lists(finite, min_size=1, max_size=10, unique=True)))
+            pops = data.draw(st.lists(st.tuples(finite, finite, finite, finite),
+                                      min_size=len(times), max_size=len(times)))
+            curves[prep] = dyn.ResetCurve(np.array(times), np.array(pops, dtype=float))
+        fio.write_reset_csv(path, dyn.ResetDataset(curves))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        back = fio.read_reset_csv(path)
+        ref = {}
+        for r in rows:
+            ref.setdefault(r["prep"], []).append([float(r[k]) for k in rows[0] if k != "prep"])
+        assert list(back.curves) == list(ref) == sorted(curves)
+        for prep, table in ref.items():
+            table = np.array(table)
+            assert np.array_equal(back.curves[prep].times, table[:, 0])
+            assert np.array_equal(back.curves[prep].populations, table[:, 1:])
+            assert np.array_equal(back.curves[prep].times, curves[prep].times)
+            assert np.array_equal(back.curves[prep].populations, curves[prep].populations)
+
+    def test_curve_csv_reads_sigma_column(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("x,y,sigma\n0.0,1.0,0.125\n1e-05,0.5,-0.0\n")
+        x, y, sigma = fio.read_curve_csv(path)
+        assert x.tolist() == [0.0, 1e-05] and y.tolist() == [1.0, 0.5]
+        assert sigma.tolist() == [0.125, -0.0]
+
+    def test_reset_rows_grouped_by_first_appearance_then_time(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("prep,time_s,p_g,p_e,p_f,p_h\n"
+                        "h,2.0,0,0,0,1\ne,3.0,0,1,0,0\nh,1.0,1,0,0,0\ne,0.5,0,0,1,0\n")
+        back = fio.read_reset_csv(path)
+        assert list(back.curves) == ["h", "e"]
+        assert back.curves["h"].times.tolist() == [1.0, 2.0]
+        assert back.curves["h"].populations[:, 0].tolist() == [1.0, 0.0]
+        assert back.curves["e"].times.tolist() == [0.5, 3.0]
+
+    def test_reset_rows_without_prep_exit_1(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("prep,time_s,p_g,p_e,p_f,p_h\n,0.0,0,1,0,0\n")
+        with pytest.raises(ValueError, match="prep"):
+            fio.read_reset_csv(path)
+
     def test_model_json_round_trip(self, tmp_path):
         model = make_ring_model()
         fio.dump_json(fio.model_to_dict(model), tmp_path / "m.json")
@@ -438,3 +539,106 @@ class TestRoundTripFormats:
                                   model.components[lab].mean)
             assert np.array_equal(back.components[lab].cov,
                                   model.components[lab].cov)
+
+
+# --- per-row writers: the reference for the block writer's bytes ---------------
+
+def _ref_fmt(x):
+    return repr(float(x))
+
+
+def _ref_sweep_text(rows):
+    lines = [fio.SWEEP_HEADER]
+    for r in rows:
+        lines.append(",".join(_ref_fmt(v) for v in (
+            r.flux_ratio, r.l_j_arr, r.f_f, r.gamma_qf, r.t1_ext,
+            r.t1_total, r.rabi_rel, r.i_peak, r.margin)))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_reset_text(data):
+    lines = [",".join(["prep", "time_s", "p_g", "p_e", "p_f", "p_h"])]
+    for prep in sorted(data.curves):
+        curve = data.curves[prep]
+        for t, p in zip(curve.times, curve.populations):
+            lines.append(",".join([prep] + [_ref_fmt(v) for v in (t, *p)]))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_shots_text(xy, prep_labels=None):
+    lines = ["prep,i,q"]
+    for k, (i, q) in enumerate(np.asarray(xy, dtype=float)):
+        prep = "" if prep_labels is None else str(prep_labels[k])
+        lines.append(f"{prep},{_ref_fmt(i)},{_ref_fmt(q)}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_curve_text(x, y):
+    lines = ["x,y"]
+    for k in range(len(x)):
+        lines.append(",".join([_ref_fmt(x[k]), _ref_fmt(y[k])]))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
+
+
+def mixed_values(n, seed):
+    """n floats over 600 decades, every 7th one of SPECIAL_VALUES in turn."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[::7] = np.resize(SPECIAL_VALUES, values[::7].size)
+    return values
+
+
+class TestWritersMatchPerRowReference:
+    """Block writer against the per-row writers, across the block boundary."""
+
+    ROWS = [0, 1, 8191, 8192, 8193]
+
+    @pytest.mark.parametrize("n", ROWS)
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_shots(self, tmp_path, n, labelled):
+        xy = mixed_values(2 * n, n).reshape(n, 2)
+        preps = None
+        if labelled:
+            preps = np.resize(np.array(["g", "e", "", "k+", "h"], dtype=object), n)
+        fio.write_shots_csv(tmp_path / "s.csv", xy, preps)
+        assert (tmp_path / "s.csv").read_bytes() == _ref_shots_text(xy, preps).encode()
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_curve(self, tmp_path, n):
+        x, y = mixed_values(n, 1), mixed_values(n, 2)
+        fio.write_curve_csv(tmp_path / "c.csv", x, y)
+        assert (tmp_path / "c.csv").read_bytes() == _ref_curve_text(x, y).encode()
+
+    def test_curve_from_integer_lists(self, tmp_path):
+        fio.write_curve_csv(tmp_path / "c.csv", [0, 1, 2], [1, 2, 3])
+        assert (tmp_path / "c.csv").read_text() == "x,y\n0.0,1.0\n1.0,2.0\n2.0,3.0\n"
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_reset(self, tmp_path, n):
+        pops = mixed_values(4 * n, 3).reshape(n, 4)
+        # Two curves, given out of sorted order; times strictly increasing.
+        split = n // 2
+        times = np.concatenate([[-math.inf, -0.0, 5e-324, 1e-5],
+                                np.linspace(1e-4, 1e16, n)])[:n]
+        data = dyn.ResetDataset({
+            "h": dyn.ResetCurve(times[:n - split], pops[:n - split]),
+            "e": dyn.ResetCurve(times[:split], pops[n - split:]),
+        })
+        fio.write_reset_csv(tmp_path / "r.csv", data)
+        assert (tmp_path / "r.csv").read_bytes() == _ref_reset_text(data).encode()
+
+    def test_reset_without_curves(self, tmp_path):
+        data = dyn.ResetDataset({})
+        fio.write_reset_csv(tmp_path / "r.csv", data)
+        assert (tmp_path / "r.csv").read_bytes() == _ref_reset_text(data).encode()
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_flux_sweep(self, tmp_path, n):
+        from fluxline.network import FluxSweepRow
+        table = mixed_values(9 * n, 5).reshape(n, 9)
+        rows = [FluxSweepRow(*values) for values in table.tolist()]
+        fio.write_flux_sweep_csv(tmp_path / "f.csv", rows)
+        assert (tmp_path / "f.csv").read_bytes() == _ref_sweep_text(rows).encode()

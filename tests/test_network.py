@@ -173,6 +173,16 @@ class TestFilterFrequency:
             f = nw.filter_frequency_exact(geom, l_s)
             assert abs(f - geometry.f0) / geometry.f0 < 1e-9
 
+    @pytest.mark.parametrize("gap", [1e-3, 2e-4, 1e-4, 1e-8, 2.0**-53])
+    def test_inductor_near_open_end(self, geometry, gap):
+        # The tan(b x_s) pole sits ~gap above f0; the root must still be found
+        # and move continuously onto the open-end limit as gap -> 0.
+        geom = replace(geometry, z0=120.0, x_s=(1.0 - gap) * geometry.l_f)
+        assert abs(nw.filter_frequency_exact(geom, 0.0) - geom.f0) / geom.f0 < 1e-9
+        pull = (nw.filter_frequency_exact(geom, 1e-9) - geom.f0) / geom.f0
+        expected = nw.perturbative_pull(geom, 1e-9)
+        assert abs(pull - expected) <= 0.1 * abs(expected) + 1e-12
+
     def test_monotone_pull_in_inductance(self, geometry):
         f_prev = math.inf
         for l_s in np.linspace(0.0, 1.5e-9, 12):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fluxline import thermometry as th
 from fluxline.dynamics import PopulationVector
-from fluxline.errors import InvalidPopulations, TooFewWindows
+from fluxline.errors import BoundMismatch, FluxlineError, InvalidPopulations, TooFewWindows
 
 from conftest import LADDER_A
 
@@ -248,6 +248,14 @@ class TestQcrb:
             th.qcrb_bound(-1.0, ladder_a, 4)
         with pytest.raises(ValueError):
             th.qcrb_bound(0.1, ladder_a, 5)
+
+    def test_disagreeing_routes_raise_bound_mismatch(self, ladder_a, monkeypatch):
+        real = th._explicit_bound_sq
+        monkeypatch.setattr(th, "_explicit_bound_sq", lambda x: real(x) * (1.0 + 1e-8))
+        with pytest.raises(BoundMismatch, match="disagree") as info:
+            th.qcrb_bound(0.1, ladder_a, 4)
+        assert isinstance(info.value, FluxlineError)
+        assert isinstance(info.value, ArithmeticError)
 
 
 class TestWindowStatistics:
