@@ -232,25 +232,15 @@ def window_counts(indices: np.ndarray, n_labels: int, window: int) -> np.ndarray
     return np.bincount(keyed.ravel(), minlength=n_win * n_labels).reshape(n_win, n_labels)
 
 
-def classify_batch(model: GmmModel, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum-likelihood labels and posterior matrix for many shots.
-
-    Ties go to the earlier label in canonical order.  Posterior columns
-    follow ``model.labels``.
-    """
-    labels, log_dens = _log_densities(model, np.asarray(xy, dtype=float))
-    idx = np.argmax(log_dens, axis=1)
-    return np.array(labels, dtype=object)[idx], _posteriors(log_dens)
-
-
 def classify_shot(model: GmmModel, shot) -> tuple[str, dict[str, float]]:
-    """Label and posterior map for a single shot (IqShot or (i, q) pair)."""
+    """Label (``assign_indices``) and posterior map for a single shot
+    (IqShot or (i, q) pair)."""
     if isinstance(shot, IqShot):
         xy = np.array([[shot.i, shot.q]])
     else:
         xy = np.asarray(shot, dtype=float).reshape(1, 2)
-    labels, post = classify_batch(model, xy)
-    return str(labels[0]), dict(zip(model.labels, post[0]))
+    post = _posteriors(_log_densities(model, xy)[1])[0]
+    return model.labels[int(assign_indices(model, xy)[0])], dict(zip(model.labels, post))
 
 
 def pairwise_separation(model: GmmModel, label_i: str, label_j: str) -> float:

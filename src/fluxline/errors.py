@@ -23,7 +23,7 @@ class TangentPole(FluxlineError):
 
 
 class NoRootFound(FluxlineError):
-    """The filter-frequency scan window contains no acceptable sign change."""
+    """The filter-frequency scan window contains no root."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

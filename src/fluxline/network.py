@@ -18,7 +18,9 @@ Impedance chain, referenced at the node::
     Z_in  = z0 (Z_1 + i z0 tan(b x_s)) / (z0 + i Z_1 tan(b x_s))
 
 with ``b = w / v_p`` and ``l_r = l_f - x_s``.  The filter frequency is the
-root of the shunt-short condition ``Z_1 + i z0 tan(b x_s) = 0``.
+lowest root in [0.3 f0, 1.2 f0] of the shunt-short condition
+``Z_1 + i z0 tan(b x_s) = 0``, bracketed on a pole-free form of it with
+Foster's reactance theorem (see ``_filter_frequencies``).
 
 Phasor convention is ``exp(+i w t)``: an inductor has impedance ``i w L``
 and a capacitor ``1/(i w C)``.  All quantities are strict SI; unit
@@ -50,16 +52,6 @@ PHI0 = 2.067833848e-15
 
 # |tan| beyond this counts as sitting on a pole of the line tangent.
 _POLE_TAN = 1e9
-# Residual |F| (ohm) above this after bisection marks a pole, not a root.
-_ROOT_ACCEPT_OHM = 1e-3
-# With c_g = 0 and the inductor within this fraction of l_f of the open end,
-# the tan(b x_s) pole sits less than ~l_r / l_f above the root it traps, and
-# the bisected root's residual |F| exceeds _ROOT_ACCEPT_OHM (z0 up to ~1.5
-# kohm is covered); the condition is solved in its pole-free form there.
-_OPEN_END_FRAC = 1e-3
-# Entries per block of the root scan: a block's (rows x n_scan) condition
-# matrix stays small, where a 2001-point grid at once would take ~65 MB.
-_SCAN_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -205,55 +197,40 @@ def squid_array_inductance(
 
 
 def _line_terms(geom: FilterGeometry, omega):
-    """sin and cos of b x_s and b l_r, end-capped X2, and where that branch is open."""
+    """sin and cos of b x_s and of b l_r."""
     beta = omega / geom.v_p
     l_r = geom.l_f - geom.x_s
-    s_l, c_l = np.sin(beta * geom.x_s), np.cos(beta * geom.x_s)
-    s_r, c_r = np.sin(beta * l_r), np.cos(beta * l_r)
-    z0 = geom.z0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if geom.c_g == 0.0:
-            x2, open_end = -z0 * c_r / s_r, np.abs(c_r) > _POLE_TAN * np.abs(s_r)
-        else:
-            x_e = -1.0 / (omega * geom.c_g)
-            den = z0 * c_r - x_e * s_r
-            x2, open_end = z0 * (x_e * c_r + z0 * s_r) / den, den == 0.0
-    return s_l, c_l, s_r, c_r, x2, open_end
+    return (np.sin(beta * geom.x_s), np.cos(beta * geom.x_s),
+            np.sin(beta * l_r), np.cos(beta * l_r))
 
 
-def _near_open_end(geom: FilterGeometry) -> bool:
-    return geom.c_g == 0.0 and geom.l_f - geom.x_s <= _OPEN_END_FRAC * geom.l_f
+def _end_cap(geom: FilterGeometry, omega, s_r, c_r):
+    """Numerator and denominator of the end-capped reactance past the
+    inductor, X2 = z0 (u s_r - c_r) / (u c_r + s_r) with u = z0 w c_g
+    (-z0 cot(b l_r) for the ideal open end)."""
+    u = geom.z0 * omega * geom.c_g
+    return geom.z0 * (u * s_r - c_r), u * c_r + s_r
 
 
 def _condition_terms(geom: FilterGeometry, omega):
-    """The l_s-free parts (k, a, b) of the filter condition k l_s + a + b.
+    """Slope A and offset B of the pole-free filter condition G = A l_s + B.
 
-    Normally (w, X2(w), z0 tan(b x_s)), the shunt-short condition F(w).
-    Near the open end (see _OPEN_END_FRAC) F is multiplied by
-    cos(b x_s) sin(b l_r): the same roots in ohms, without poles.
+    G is the shunt-short condition F = w l_s + X2 + z0 tan(b x_s) times
+    cos(b x_s) and the denominator of X2: the same roots in ohms, and no
+    poles.  For x_s = l_f with c_g = 0, A is identically zero.
     """
-    s_l, c_l, s_r, c_r, x2, _ = _line_terms(geom, omega)
-    if _near_open_end(geom):
-        return omega * c_l * s_r, -geom.z0 * c_r * c_l, geom.z0 * s_l * s_r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return omega, x2, geom.z0 * s_l / c_l
-
-
-def _filter_condition(terms, l_s):
-    """Filter condition k l_s + a + b of ``_condition_terms``, in ohms.
-
-    Broadcasts over ``l_s`` and the omega of ``terms``; inf/nan at poles.
-    """
-    slope, x2, x_left = terms
-    with np.errstate(invalid="ignore"):
-        return slope * l_s + x2 + x_left
+    s_l, c_l, s_r, c_r = _line_terms(geom, omega)
+    num, den = _end_cap(geom, omega, s_r, c_r)
+    return omega * c_l * den, c_l * num + geom.z0 * s_l * den
 
 
 def _input_reactances(geom: FilterGeometry, l_s, omega: float):
     """Input reactance X_in over an ``l_s`` array, and its pole mask."""
-    s_l, c_l, _, _, x2, open_end = _line_terms(geom, omega)
+    s_l, c_l, s_r, c_r = _line_terms(geom, omega)
+    num, den = _end_cap(geom, omega, s_r, c_r)
     z0 = geom.z0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x2, open_end = num / den, np.abs(num) > _POLE_TAN * z0 * np.abs(den)
         t_l = s_l / c_l
         x1 = omega * np.asarray(l_s, dtype=float) + x2
         # An open series branch leaves the left section alone.
@@ -289,51 +266,67 @@ def filter_frequency_first_order(f0: float, l_s: float, z0: float) -> float:
 
 def _filter_frequencies(geom: FilterGeometry, l_s, n_scan: int = 4096,
                         rtol: float = 1e-12):
-    """Filter frequency (Hz) per entry of an ``l_s`` array, nan where none.
+    """Lowest filter frequency (Hz) in [0.3 f0, 1.2 f0] per entry of an
+    ``l_s`` array, nan where there is none.
 
-    Every sign change of the scan is bisected in one vectorised pass; an
-    entry's root is its first candidate passing the residual check.
-    Returns ``(f_f, n_valid_points, n_sign_changes, n_rejected_as_poles)``,
-    the counts per entry (rejected: all its candidates failing the check).
+    The pole-free condition G = A l_s + B (``_condition_terms``) is scanned
+    at ``n_scan`` points and changes sign exactly at the roots of F.  Where A
+    keeps its sign, G = A (l_s - L) with L = -B/A, and Foster's reactance
+    theorem (dX/dw >= |X|/w for a lossless X) makes L = -X/w fall strictly,
+    so one ``searchsorted`` per run of constant sign finds the interval that
+    brackets every entry.  An interval across a zero of A (a pole of F) is
+    tested on G directly.  Each entry's lowest bracket is bisected on G to
+    ``b - a <= rtol |b|``, returning early on G == 0.
     """
     l_s = np.asarray(l_s, dtype=float)
     freqs = np.linspace(0.3 * geom.f0, 1.2 * geom.f0, n_scan)
-    scan = _condition_terms(geom, 2.0 * math.pi * freqs)
-    found = []
-    for start in range(0, l_s.size, _SCAN_BLOCK_ROWS):
-        vals = _filter_condition(scan, l_s[start:start + _SCAN_BLOCK_ROWS, None])
-        ok = np.isfinite(vals) & (np.abs(vals) < 1e12)
-        sign = np.sign(vals)
-        r, c = np.nonzero(ok[:, :-1] & ok[:, 1:] & (sign[:, :-1] != sign[:, 1:]))
-        found.append((start + r, c, vals[r, c], vals[r, c + 1], ok.sum(axis=1)))
-    rows, cols, f_lo, f_hi, n_valid = (np.concatenate(parts) for parts in zip(*found))
+    slope, offset = _condition_terms(geom, 2.0 * math.pi * freqs)
+    # With A == 0 (x_s = l_f, c_g = 0) G = B brackets the same root for every l_s.
+    rows = l_s if slope.any() else np.zeros(min(l_s.size, 1))
+    none = n_scan - 1  # no interval has this index
 
-    # Bisect every bracket [a, b] at once: an endpoint or midpoint with F == 0
+    sign = np.sign(slope)
+    in_run = (sign[:-1] == sign[1:]) & (sign[1:] != 0)
+    across = np.flatnonzero(~in_run)
+    g = slope[across] * rows[:, None] + offset[across]
+    g_next = slope[across + 1] * rows[:, None] + offset[across + 1]
+    hit = (np.sign(g) != np.sign(g_next)) & np.isfinite(rows)[:, None]
+    first = np.where(hit, across, none).min(axis=1, initial=none)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], in_run, [0]))))
+    for start, stop in zip(edges[::2], edges[1::2]):  # intervals [start, stop) of a run
+        neg_l = offset[start:stop + 1] / slope[start:stop + 1]  # increasing
+        k = np.searchsorted(neg_l, -rows)
+        inside = (k > 0) & (k <= stop - start)  # nan and +-inf fall outside
+        first = np.where(inside, np.minimum(first, start + k - 1), first)
+
+    # Bisect every bracket [a, b] at once: an endpoint or midpoint with G == 0
     # is the root, else halve until b - a <= rtol |b| and take the midpoint.
-    a, b, l_cand = freqs[cols], freqs[cols + 1], l_s[rows]
-    roots = np.where(f_lo == 0.0, a, b)
-    live = np.nonzero((f_lo != 0.0) & (f_hi != 0.0))[0]
-    a, b, fa, l_live = a[live], b[live], f_lo[live], l_cand[live]
+    found = np.flatnonzero(first < none)
+    cols, l_live = first[found], rows[found]
+    a, b = freqs[cols], freqs[cols + 1]
+    fa = slope[cols] * l_live + offset[cols]
+    fb = slope[cols + 1] * l_live + offset[cols + 1]
+    roots = np.where(fa == 0.0, a, b)
+    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    a, b, fa, l_live = a[live], b[live], fa[live], l_live[live]
     while live.size:
-        wide = b - a > rtol * np.abs(b)
-        roots[live[~wide]] = 0.5 * (a[~wide] + b[~wide])
-        live, a, b, fa, l_live = live[wide], a[wide], b[wide], fa[wide], l_live[wide]
         mid = 0.5 * (a + b)
-        fm = _filter_condition(_condition_terms(geom, 2.0 * math.pi * mid), l_live)
-        zero = fm == 0.0
-        roots[live[zero]] = mid[zero]
+        wide = b - a > rtol * np.abs(b)
+        if not wide.all():
+            roots[live[~wide]] = mid[~wide]
+            live, a, b, fa, l_live, mid = (v[wide] for v in (live, a, b, fa, l_live, mid))
+        slope_m, offset_m = _condition_terms(geom, 2.0 * math.pi * mid)
+        fm = slope_m * l_live + offset_m
         same = (fm > 0) == (fa > 0)
         a, fa, b = np.where(same, mid, a), np.where(same, fm, fa), np.where(same, b, mid)
-        live, a, b, fa, l_live = live[~zero], a[~zero], b[~zero], fa[~zero], l_live[~zero]
+        zero = fm == 0.0
+        if zero.any():
+            roots[live[zero]] = mid[zero]
+            live, a, b, fa, l_live = (v[~zero] for v in (live, a, b, fa, l_live))
 
-    residual = _filter_condition(_condition_terms(geom, 2.0 * math.pi * roots), l_cand)
-    accepted = np.abs(residual) < _ROOT_ACCEPT_OHM
-    # Candidates run in scan order, so return_index picks each entry's first.
-    hit, first = np.unique(rows[accepted], return_index=True)
-    f_f = np.full(l_s.size, math.nan)
-    f_f[hit] = roots[accepted][first]
-    return (f_f, n_valid, np.bincount(rows, minlength=l_s.size),
-            np.bincount(rows[~accepted], minlength=l_s.size))
+    f_f = np.full(rows.size, math.nan)
+    f_f[found] = roots
+    return f_f if rows is l_s else np.where(np.isfinite(l_s), f_f, math.nan)
 
 
 def filter_frequency_exact(
@@ -344,22 +337,19 @@ def filter_frequency_exact(
 ) -> float:
     """Filter frequency from the transcendental shunt-short condition (Hz).
 
-    Scans ``n_scan`` points over [0.3 f0, 1.2 f0], discards pole-polluted
-    intervals, and bisects the first remaining sign change to relative
-    tolerance ``rtol``; each candidate is validated against the residual so
-    that tangent poles masquerading as sign changes are rejected.
+    The lowest root in [0.3 f0, 1.2 f0], found on an ``n_scan``-point scan
+    and bisected to relative tolerance ``rtol`` (see ``_filter_frequencies``);
+    raises NoRootFound when the window holds none.
     """
-    f_f, n_valid, n_sign, n_rejected = _filter_frequencies(
-        geom, np.array([l_s], dtype=float), n_scan, rtol)
-    if math.isnan(f_f[0]):
+    f_f = _filter_frequencies(geom, np.array([l_s], dtype=float), n_scan, rtol)[0]
+    if math.isnan(f_f):
         f0 = geom.f0
+        # Every sign change of the pole-free condition on the scan brackets a root.
         raise NoRootFound(
             f"no filter-frequency root in [{0.3 * f0:.4e}, {1.2 * f0:.4e}] Hz",
             diagnostics={"window_hz": (0.3 * f0, 1.2 * f0), "n_scan": n_scan,
-                         "n_valid_points": int(n_valid[0]),
-                         "n_sign_changes": int(n_sign[0]),
-                         "n_rejected_as_poles": int(n_rejected[0])})
-    return float(f_f[0])
+                         "n_sign_changes": 0})
+    return float(f_f)
 
 
 def perturbative_pull(geom: FilterGeometry, l_s: float) -> float:
@@ -378,7 +368,7 @@ def _inductor_current_factor(geom: FilterGeometry, l_s, omega: float):
     """I_s / I(0) (inductor current per unit node current) over an ``l_s``
     array, from the ideal-open standing wave (c_g neglected), and its pole
     mask: cot(b l_r) at a pole, or the drive point on a current node."""
-    s_l, c_l, s_r, c_r, _, _ = _line_terms(geom, omega)
+    s_l, c_l, s_r, c_r = _line_terms(geom, omega)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = c_l + (c_r / s_r - omega * np.asarray(l_s, dtype=float) / geom.z0) * s_l
         return 1.0 / d, (np.abs(c_r) > _POLE_TAN * np.abs(s_r)) | (d == 0.0) | ~np.isfinite(d)
@@ -408,7 +398,7 @@ def current_profile(
     # makes the open end an exact current node.
     i_s = i0 * float(factor)
     beta = omega / geom.v_p
-    _, _, s_r, c_r, _, _ = _line_terms(geom, omega)
+    _, _, s_r, c_r = _line_terms(geom, omega)
     x = np.linspace(0.0, geom.l_f, n_points)
     coeff = c_r / s_r - omega * l_s / geom.z0
     left = i_s * (np.cos(beta * (geom.x_s - x)) + coeff * np.sin(beta * (geom.x_s - x)))
@@ -543,7 +533,7 @@ def flux_sweep(
 
     l_j, ic_sq, half = _inductances(arr, flux, mode)
     half &= mode == "strict"
-    f_f = _filter_frequencies(geom, l_j)[0]
+    f_f = _filter_frequencies(geom, l_j)
     y, y_pole = _admittances(geom, l_j, omega)
     factor, i_pole = _inductor_current_factor(geom, l_j, omega)
     i_peak = np.abs(i_node * factor)

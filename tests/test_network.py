@@ -464,6 +464,10 @@ def _ref_bisect(func, a, b, fa, fb, rtol):
     return 0.5 * (a + b)
 
 
+# The reference told poles from roots by the residual |F| left after bisection.
+_REF_ROOT_ACCEPT_OHM = 1e-3
+
+
 def _ref_filter_frequency(geom, l_s, n_scan=4096, rtol=1e-12):
     f0 = geom.f0
     if geom.c_g == 0.0 and geom.x_s >= geom.l_f:
@@ -476,16 +480,33 @@ def _ref_filter_frequency(geom, l_s, n_scan=4096, rtol=1e-12):
     def cond(f):
         return float(_ref_condition(geom, l_s, 2.0 * math.pi * f))
 
-    n_rejected = 0
     for i in idx:
         root = _ref_bisect(cond, float(freqs[i]), float(freqs[i + 1]),
                            float(vals[i]), float(vals[i + 1]), rtol)
-        if abs(cond(root)) < nw._ROOT_ACCEPT_OHM:
+        if abs(cond(root)) < _REF_ROOT_ACCEPT_OHM:
             return root
-        n_rejected += 1
-    raise NoRootFound("no root", diagnostics={
-        "n_valid_points": int(ok.sum()), "n_sign_changes": int(len(idx)),
-        "n_rejected_as_poles": n_rejected})
+    raise NoRootFound("no root", diagnostics={"n_sign_changes": int(len(idx))})
+
+
+def _ref_pole_free(geom, l_s, omega):
+    """The reference condition times cos(b x_s) and a positive multiple of
+    the end-cap denominator: the roots of F, none of its poles."""
+    beta = omega / geom.v_p
+    c_r, s_r = np.cos(beta * (geom.l_f - geom.x_s)), np.sin(beta * (geom.l_f - geom.x_s))
+    den = s_r if geom.c_g == 0.0 else geom.z0 * c_r + s_r / (omega * geom.c_g)
+    return _ref_condition(geom, l_s, omega) * np.cos(beta * geom.x_s) * den
+
+
+def _assert_dense_scan_root(geom, l_s, f_f):
+    """A dense grid of the pole-free reference condition around ``f_f``
+    changes sign once, in the 1e-9-wide cell that holds ``f_f`` to within
+    the 1e-12 bisection tolerance."""
+    f = np.linspace(f_f * (1.0 - 1e-6), f_f * (1.0 + 1e-6), 2001)
+    g = _ref_pole_free(geom, l_s, 2.0 * math.pi * f)
+    cells = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
+    assert cells.size == 1
+    tol = 1e-12 * f_f
+    assert f[cells[0]] - tol <= f_f <= f[cells[0] + 1] + tol
 
 
 def _ref_input_reactance(geom, l_s, omega):
@@ -639,7 +660,6 @@ class TestSweepMatchesScalarReference:
     @pytest.mark.parametrize("geom, l_s", [
         (_GEOM, 1e-6),
         (_GEOM, nw.squid_array_inductance(_ARR, 0.5, mode="clamped")),
-        (_POLE_IN_WINDOW, 1.5e-5),
     ])
     def test_no_root_diagnostics_match_reference(self, geom, l_s):
         with pytest.raises(NoRootFound) as got:
@@ -649,11 +669,73 @@ class TestSweepMatchesScalarReference:
         for key, value in ref.value.diagnostics.items():
             assert got.value.diagnostics[key] == value
 
+    def test_steep_root_above_pole_is_found(self):
+        # At 15 uH the root sits 0.34 MHz above the tan(b x_s) pole, in the
+        # next scan interval.  F is so steep there that the bisected root's
+        # residual exceeds the reference's 1e-3 ohm and it is rejected.
+        with pytest.raises(NoRootFound):
+            _ref_filter_frequency(_POLE_IN_WINDOW, 1.5e-5)
+        f_f = nw.filter_frequency_exact(_POLE_IN_WINDOW, 1.5e-5)
+        assert f_f == pytest.approx(5.2945e9, abs=0.1e6)
+        assert f_f > _POLE_IN_WINDOW.v_p / (4.0 * _POLE_IN_WINDOW.x_s)
+        _assert_dense_scan_root(_POLE_IN_WINDOW, 1.5e-5, f_f)
+
     def test_rejected_pole_moves_to_next_sign_change(self):
-        # At 10 uH the tan(b x_s) pole at v_p / (4 x_s) is the first sign
-        # change in the window and is rejected; the root is the next one.
-        f_f, _, n_sign, n_rejected = nw._filter_frequencies(
-            _POLE_IN_WINDOW, np.array([1e-5]))
-        assert (n_sign[0], n_rejected[0]) == (2, 1)
-        assert f_f[0] > _POLE_IN_WINDOW.v_p / (4.0 * _POLE_IN_WINDOW.x_s)
-        assert f_f[0] == _ref_filter_frequency(_POLE_IN_WINDOW, 1e-5)
+        # From about 0.1 uH up no root lies below the tan(b x_s) pole at
+        # v_p / (4 x_s), where F changes sign; the pole is never returned,
+        # and the root above it is the reference's.
+        pole = _POLE_IN_WINDOW.v_p / (4.0 * _POLE_IN_WINDOW.x_s)
+        l_s = np.array([1e-6, 3e-6, 1e-5, 3e-5, 1e-4])
+        f_f = nw._filter_frequencies(_POLE_IN_WINDOW, l_s)
+        assert np.all(f_f > pole)
+        for l, f in zip(l_s, f_f):
+            _assert_dense_scan_root(_POLE_IN_WINDOW, l, f)
+        assert f_f[2] == _ref_filter_frequency(_POLE_IN_WINDOW, 1e-5)
+
+
+# Random geometries for the bracketing properties: both end-cap branches,
+# the inductor down to 1e-8 l_f from the open end, and l_s from 0 to 0.1 uH.
+_GEOMETRY_ARGS = dict(
+    z0=st.floats(20, 120),
+    v_p=st.floats(0.8e8, 2.0e8),
+    l_f=st.floats(2e-3, 2e-2),
+    log_gap=st.floats(-8, 0),
+    c_g=st.floats(0.5e-15, 20e-15),
+)
+_L_S = st.one_of(st.just(0.0), st.floats(-11, -7).map(lambda e: 10.0**e))
+
+
+def _random_geometry(z0, v_p, l_f, log_gap, c_g):
+    return nw.FilterGeometry(z0=z0, v_p=v_p, l_f=l_f, x_s=(1.0 - 10.0**log_gap) * l_f,
+                             c_g=c_g)
+
+
+class TestFosterBracketing:
+    @pytest.mark.parametrize("end_cap", [False, True])
+    @given(**_GEOMETRY_ARGS, l_s=st.lists(_L_S, min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_roots_match_scalar_reference(self, end_cap, z0, v_p, l_f, log_gap, c_g, l_s):
+        geom = _random_geometry(z0, v_p, l_f, log_gap, c_g * end_cap)
+        got = nw._filter_frequencies(geom, np.array(l_s))
+        for l, f in zip(l_s, got):
+            try:
+                ref = _ref_filter_frequency(geom, l)
+            except NoRootFound:
+                ref = math.nan
+            if math.isnan(f) and math.isnan(ref) or abs(f - ref) <= 1e-12 * ref:
+                continue
+            # Else only a lower root, one the reference rejected, may appear.
+            assert f < ref or math.isnan(ref)
+            _assert_dense_scan_root(geom, l, f)
+
+    @pytest.mark.parametrize("end_cap", [False, True])
+    @given(**_GEOMETRY_ARGS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_l_falls_between_zeros_of_slope(self, end_cap, z0, v_p, l_f, log_gap, c_g):
+        # Foster: L = -B/A = -X/w does not increase between poles of X.
+        geom = _random_geometry(z0, v_p, l_f, log_gap, c_g * end_cap)
+        omega = 2.0 * math.pi * np.linspace(0.3 * geom.f0, 1.2 * geom.f0, 4096)
+        slope, offset = nw._condition_terms(geom, omega)
+        sign = np.sign(slope)
+        in_run = (sign[:-1] == sign[1:]) & (sign[1:] != 0)
+        assert np.all(np.diff(-offset / slope)[in_run] <= 0.0)

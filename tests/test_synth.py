@@ -16,6 +16,13 @@ def gen_config(ladder_a, ring_model):
     return synth.ShotGenConfig(ladder=ladder_a, cluster_model=ring_model, seed=11)
 
 
+def _window_temperatures(model, windows, ladder):
+    """Fitted temperature of each window of shots: classify, count, fit."""
+    counts = cl.window_counts(cl.assign_indices(model, np.concatenate(windows)),
+                              len(model.labels), windows[0].shape[0])
+    return th.fit_temperature_batch(cl.level_populations(counts, model.labels), ladder).t_eff
+
+
 class TestLadderExtension:
     def test_constant_anharmonicity_step(self, ladder_a):
         energies = synth.extended_level_energies(ladder_a, 6)
@@ -50,11 +57,12 @@ class TestThermalShots:
     def test_level_frequencies_match_boltzmann(self, gen_config):
         n = 1_000_000
         xy = synth.gen_thermal_shots(gen_config, 0.25, n)
-        labels, _ = cl.classify_batch(gen_config.cluster_model, xy)
+        model = gen_config.cluster_model
+        indices = cl.assign_indices(model, xy)
         probs = synth.thermal_level_probabilities(gen_config, 0.25)
         expected = np.concatenate([probs[:4], [probs[4:].sum()]])
         for k, lab in enumerate(("g", "e", "f", "h", "k+")):
-            observed = np.count_nonzero(labels == lab) / n
+            observed = np.count_nonzero(indices == model.labels.index(lab)) / n
             tol = 4 * math.sqrt(expected[k] * (1 - expected[k]) / n) + 2e-3
             # classification adds a small cross-talk floor on top of the
             # multinomial band
@@ -62,14 +70,8 @@ class TestThermalShots:
 
     def test_window_pipeline_matches_target_temperature(self, gen_config, ladder_a):
         windows = synth.gen_window_series(gen_config, 0.181072, 120, 5000)
-        temps = []
-        for xy in windows:
-            labels, _ = cl.classify_batch(gen_config.cluster_model, xy)
-            counts = {lab: int(np.count_nonzero(labels == lab))
-                      for lab in gen_config.cluster_model.labels}
-            pv = cl.exclude_overflow_and_renormalize(counts)
-            temps.append(th.fit_temperature(pv, ladder_a).t_eff)
-        series = th.WindowSeries(np.array(temps), 5000, 34.2e-6)
+        temps = _window_temperatures(gen_config.cluster_model, windows, ladder_a)
+        series = th.WindowSeries(temps, 5000, 34.2e-6)
         mu, sigma, sigma_mu = th.window_statistics(series)
         # classification cross-talk at separation 6 biases mu by about +0.4 mK
         assert abs(mu - 0.181072) < 1e-3
@@ -84,10 +86,9 @@ class TestGillespie:
                                    readout_decay=decay, seed=3)
         xy_hot = synth.gen_thermal_shots(hot, 0.4, 20000)
         xy_cold = synth.gen_thermal_shots(cold, 0.4, 20000)
-        lab_hot, _ = cl.classify_batch(ring_model, xy_hot)
-        lab_cold, _ = cl.classify_batch(ring_model, xy_cold)
-        assert (np.count_nonzero(lab_cold == "g")
-                > np.count_nonzero(lab_hot == "g"))
+        g = ring_model.labels.index("g")
+        assert (np.count_nonzero(cl.assign_indices(ring_model, xy_cold) == g)
+                > np.count_nonzero(cl.assign_indices(ring_model, xy_hot) == g))
 
     def test_matches_rate_equation_prediction(self, ladder_a, ring_model):
         # single decay channel from e: survival should match the ODE
@@ -99,7 +100,7 @@ class TestGillespie:
         # hot enough to put substantial weight in e
         n = 200000
         xy = synth.gen_thermal_shots(cfg, 0.5, n)
-        labels, _ = cl.classify_batch(ring_model, xy)
+        indices = cl.assign_indices(ring_model, xy)
         probs = synth.thermal_level_probabilities(cfg, 0.5)
         # e-survival after the walk: P_e(0) exp(-G t) plus feeding from f, h
         traj = dyn.populations_ode(
@@ -107,7 +108,7 @@ class TestGillespie:
             dyn.PopulationVector.from_array(
                 np.array([probs[0], probs[1], probs[2], probs[3]]) / probs[:4].sum()))
         expected_e = traj[0, 1] * probs[:4].sum()
-        observed_e = np.count_nonzero(labels == "e") / n
+        observed_e = np.count_nonzero(indices == ring_model.labels.index("e")) / n
         tol = 4 * math.sqrt(expected_e * (1 - expected_e) / n) + 2e-3
         assert abs(observed_e - expected_e) < tol
 
@@ -176,14 +177,7 @@ class TestWindowSeries:
     def test_step_profile_tracked(self, gen_config, ladder_a):
         profile = lambda w: 0.12 if w < 5 else 0.30
         windows = synth.gen_window_series(gen_config, profile, 10, 4000)
-        temps = []
-        for xy in windows:
-            labels, _ = cl.classify_batch(gen_config.cluster_model, xy)
-            counts = {lab: int(np.count_nonzero(labels == lab))
-                      for lab in gen_config.cluster_model.labels}
-            temps.append(th.fit_temperature(
-                cl.exclude_overflow_and_renormalize(counts), ladder_a).t_eff)
-        temps = np.array(temps)
+        temps = _window_temperatures(gen_config.cluster_model, windows, ladder_a)
         assert np.all(temps[:5] < 0.2)
         assert np.all(temps[5:] > 0.2)
 
