@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .dynamics import LEVELS, PopulationVector
 from .errors import (
@@ -279,7 +279,7 @@ def effective_binary_separation(epsilon: float) -> float:
     """
     if not 0.0 < epsilon <= 0.5:
         raise OutOfRange(f"epsilon must lie in (0, 0.5], got {epsilon}")
-    return -2.0 * float(ndtri(epsilon))
+    return -2.0 * NormalDist().inv_cdf(epsilon)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import classify as cl
 from . import dynamics as dyn
-from . import fits
 from . import io as fio
 from . import network as nw
 from . import synth
@@ -39,9 +38,11 @@ def _flux_grid(cfg: dict) -> np.ndarray:
     if "flux_values" in cfg:
         grid = np.asarray(cfg["flux_values"], dtype=float)
     else:
+        n = cfg.get("flux_points", 101)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ConfigError(f"flux_points must be an integer >= 1, got {n!r}")
         grid = np.linspace(float(cfg.get("flux_start", 0.0)),
-                           float(cfg.get("flux_stop", 0.5)),
-                           int(cfg.get("flux_points", 101)))
+                           float(cfg.get("flux_stop", 0.5)), n)
     if grid.size == 0:
         raise ConfigError("flux grid is empty")
     if not np.isfinite(grid).all():
@@ -93,7 +94,7 @@ def cmd_fit_reset(cfg: dict, out: str, seed) -> int:
     return 0
 
 
-def _fit_result_doc(res: fits.FitResult) -> dict:
+def _fit_result_doc(res) -> dict:
     return {
         "params": res.params,
         "sigmas": res.sigmas,
@@ -106,6 +107,7 @@ def _fit_result_doc(res: fits.FitResult) -> dict:
 
 
 def cmd_fit_rb(cfg: dict, out: str, seed) -> int:
+    from . import fits  # the only scipy user; other commands skip its import
     x, y, _ = fio.read_curve_csv(_require(cfg, "curve_csv"))
     res = fits.rb_fit(x, y)
     k = float(cfg.get("pulses_per_clifford", 45.0 / 24.0))
@@ -120,6 +122,7 @@ def cmd_fit_rb(cfg: dict, out: str, seed) -> int:
 
 
 def cmd_fit_curve(cfg: dict, out: str, seed) -> int:
+    from . import fits
     x, y, _ = fio.read_curve_csv(_require(cfg, "curve_csv"))
     model = _require(cfg, "model")
     fitters = {

@@ -14,9 +14,11 @@ removable 1/(Gamma_i - Gamma_j) poles at rate degeneracies; those are
 evaluated through divided-difference helpers that switch to series limits
 instead of relying on cancellation.
 
-The closed forms are cross-checked against an adaptive Dormand-Prince
-integration (``populations_ode``), which doubles as the numerical oracle
-for fitting measured reset curves.
+The closed forms are cross-checked against an in-house adaptive
+Dormand-Prince 4(5) integrator, ``populations_ode_batch``, whose one-row
+call ``populations_ode`` is also the truth behind synthetic reset curves.
+Measured reset curves are fitted to the closed forms by a small
+Levenberg-Marquardt solver, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import least_squares
 
 from .errors import DegenerateUnhandled, FitDiverged, RankDeficient, StepFailure
 
@@ -229,11 +229,16 @@ def _dd2(x: float, y: float, z: float, t: np.ndarray) -> np.ndarray:
 
 
 def _populations_closed(t: np.ndarray, rates: DecayRates, init: np.ndarray) -> np.ndarray:
-    """Analytic solution of the rate equations on the 1-D grid t, shape (n, 4)."""
+    """Analytic solution on the 1-D grid t for each row of the (m, 4) init
+    matrix, shape (m, n, 4).
+
+    The exponentials and divided differences depend on the rates and t
+    alone, so they are computed once and shared by every initial state.
+    """
     g = rates.gamma_ge
     af = rates.a_f
     ah = rates.a_h
-    e0, f0, h0 = init[1], init[2], init[3]
+    e0, f0, h0 = (init[:, k, None] for k in (1, 2, 3))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         p_h = h0 * np.exp(-ah * t)
@@ -242,16 +247,16 @@ def _populations_closed(t: np.ndarray, rates: DecayRates, init: np.ndarray) -> n
                + rates.gamma_ef * f0 * _dd1(g, af, t)
                + h0 * (rates.gamma_ef * rates.gamma_fh * _dd2(g, af, ah, t)
                        + rates.gamma_eh * _dd1(g, ah, t)))
-    return np.column_stack([1.0 - p_e - p_f - p_h, p_e, p_f, p_h])
+    out = np.stack([1.0 - p_e - p_f - p_h, p_e, p_f, p_h], axis=-1)
+    if not np.all(np.isfinite(out)):
+        raise DegenerateUnhandled("closed-form evaluation produced non-finite values")
+    return out
 
 
 def populations_closed_form(t_grid, rates: DecayRates, init: PopulationVector) -> np.ndarray:
     """Analytic populations on a time grid; rows ordered (g, e, f, h)."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    out = _populations_closed(t_grid, rates, init.as_array())
-    if not np.all(np.isfinite(out)):
-        raise DegenerateUnhandled("closed-form evaluation produced non-finite values")
-    return out
+    return _populations_closed(t_grid, rates, init.as_array()[None])[0]
 
 
 def ground_population_closed_form(
@@ -286,33 +291,13 @@ def populations_ode(
     rtol: float = 1e-11,
     atol: float = 1e-13,
 ) -> np.ndarray:
-    """Populations from adaptive Dormand-Prince (4)5 integration.
+    """Populations from adaptive Dormand-Prince 4(5) integration.
 
-    Independent numerical oracle for the closed forms; returns an array of
-    shape (len(t_grid), 4).  Raises StepFailure if the integrator cannot
-    meet its tolerance.
+    Independent numerical oracle for the closed forms: the one-row call of
+    ``populations_ode_batch``.  Returns an array of shape (len(t_grid), 4).
+    Raises StepFailure if the integrator cannot meet its tolerance.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be non-empty and strictly increasing")
-    if t_grid[0] < 0:
-        raise ValueError("t_grid must be non-negative")
-    m = rates.rate_matrix()
-    y0 = init.as_array()
-    if t_grid[-1] == 0.0:
-        return np.tile(y0, (t_grid.size, 1))
-    sol = solve_ivp(
-        lambda _t, p: m @ p,
-        (0.0, float(t_grid[-1])),
-        y0,
-        method="RK45",
-        t_eval=t_grid,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise StepFailure(f"integrator failed: {sol.message}")
-    out = sol.y.T.copy()
+    out = populations_ode_batch(t_grid, [rates], init, rtol=rtol, atol=atol)[0]
     # Integration noise can push fully decayed levels marginally negative.
     tiny = (out < 0.0) & (out > -1e-9)
     out[tiny] = 0.0
@@ -321,7 +306,6 @@ def populations_ode(
 
 
 # Dormand-Prince 4(5) tableau, FSAL form.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = np.array([
     [0, 0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0, 0],
@@ -344,16 +328,18 @@ def populations_ode_batch(
 ) -> np.ndarray:
     """Adaptive Dormand-Prince 4(5) integration of many rate triples at once.
 
-    Same embedded pair as ``populations_ode`` but stepping all systems on a
-    shared adaptive grid (the step controller obeys the worst per-system
-    error), which amortizes the solver overhead when validating thousands
-    of rate sets.  Steps land exactly on the requested times, so no
-    interpolation enters the oracle.  Returns shape
-    (len(rates_list), len(t_grid), 4).
+    Steps all systems on a shared adaptive grid (the step controller obeys
+    the worst per-system error), which amortizes the solver overhead when
+    validating thousands of rate sets.  Steps land exactly on the requested
+    times, so no interpolation enters the oracle.  Returns shape
+    (len(rates_list), len(t_grid), 4).  Raises StepFailure if the step size
+    collapses.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be non-empty and strictly increasing")
+    if t_grid[0] < 0:
+        raise ValueError("t_grid must be non-negative")
     mats = np.stack([r.rate_matrix() for r in rates_list])
     n_sys = mats.shape[0]
     y = np.tile(init.as_array(), (n_sys, 1))
@@ -452,6 +438,58 @@ def _seed_gamma(times: np.ndarray, p_g: np.ndarray) -> float:
     return 1.0 / max(times[-1] / 5.0, 1e-12)
 
 
+def _fd_jacobian(fun, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian, step 1e-6 sign(x) max(1, |x|) per column."""
+    h = 1e-6 * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    jac = np.empty((f.size, x.size))
+    for i in range(x.size):
+        xi = x.copy()
+        xi[i] += h[i]
+        jac[:, i] = (fun(xi) - f) / (xi[i] - x[i])
+    return jac
+
+
+def _levenberg_marquardt(fun, x0, max_nfev: int):
+    """Minimise |fun(x)|^2; return x, fun(x) and the Jacobian at x.
+
+    Each step solves (J^T J + lam diag(J^T J)) dx = -J^T f, Marquardt's
+    scale-invariant damping, on a forward-difference J.  A step that lowers
+    the cost is taken and lam shrinks tenfold; otherwise lam grows tenfold
+    and J is kept.  The run stops when the step, scaled by the column norms
+    of J, or the relative cost decrease is <= 1e-14.  FitDiverged is raised
+    once max_nfev evaluations of fun (the difference columns included) are
+    spent, RankDeficient when the damped system is singular.
+    """
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    cost = f @ f
+    nfev, lam, jac = 1, 1e-3, None
+    while True:
+        if nfev >= max_nfev:
+            raise FitDiverged(f"reset fit did not converge within {max_nfev} evaluations")
+        if jac is None:
+            jac = _fd_jacobian(fun, x, f)
+            nfev += x.size
+            jtj, grad = jac.T @ jac, jac.T @ f
+            scale = np.sqrt(np.diag(jtj))
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -grad)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient("Jacobian is rank deficient during the fit") from exc
+        f_new = fun(x + step)
+        nfev += 1
+        cost_new = f_new @ f_new
+        done = np.linalg.norm(scale * step) <= 1e-14 * np.linalg.norm(scale * x)
+        if cost_new < cost:
+            done = done or cost - cost_new <= 1e-14 * cost
+            x, f, cost, jac = x + step, f_new, cost_new, None
+            lam /= 10.0
+        else:
+            lam *= 10.0
+        if done:
+            return x, f, _fd_jacobian(fun, x, f) if jac is None else jac
+
+
 def fit_decay_rates(
     data: ResetDataset,
     fit_floor: bool = False,
@@ -460,13 +498,18 @@ def fit_decay_rates(
     """Global nonlinear least squares of the sequential cascade to reset data.
 
     All four populations of every preparation enter one unweighted
-    residual vector, minimised by Levenberg-Marquardt.  Uncertainties come
-    from the cluster-robust (sandwich) covariance
-    (J^T J)^-1 (sum_b s_b s_b^T) (J^T J)^-1 * B / (B - p), with one score
+    residual vector.  Each residual is one closed-form call on the union of
+    the preparations' time grids, from which each preparation's rows are
+    gathered.  It is minimised by ``_levenberg_marquardt`` from a seeded
+    start, stopping when the scaled step or the relative cost decrease
+    falls to 1e-14, within 200 (p + 1) evaluations for p parameters.
+    Uncertainties come from the cluster-robust (sandwich) covariance
+    (J^T J)^-1 (sum_b s_b s_b^T) (J^T J)^-1 * B / (B - p), with J the
+    forward-difference Jacobian at the optimum and one score
     s_b = J_b^T r_b per (preparation, time) block of four populations.  With
     ``fit_floor`` a shared saturation parameter p_inf is added through
-    ``apply_thermal_floor``.  A fit that fails, or stops at a rate <= 0 or
-    a floor outside (0, 1], raises FitDiverged.
+    ``apply_thermal_floor``.  A fit that runs out of evaluations, or stops
+    at a rate <= 0 or a floor outside (0, 1], raises FitDiverged.
     """
     preps = sorted(data.curves, key=lambda s: _PREP_INDEX[s])
     if len(preps) < 2:
@@ -476,6 +519,9 @@ def fit_decay_rates(
             raise ValueError("need at least 5 time points per preparation")
     t_grids = [data.curves[p].times for p in preps]
     measured = np.concatenate([data.curves[p].populations.ravel() for p in preps])
+    t_all, time_index = np.unique(np.concatenate(t_grids), return_inverse=True)
+    prep_of_row = np.repeat(np.arange(len(preps)), [t.size for t in t_grids])
+    inits = np.array([PopulationVector.pure(p).as_array() for p in preps])
 
     if initial_guess is not None:
         theta0 = [initial_guess.gamma_ge, initial_guess.gamma_ef, initial_guess.gamma_fh]
@@ -499,31 +545,19 @@ def fit_decay_rates(
         if not physical(theta):
             return np.full(measured.size, 1e3)
         rates = DecayRates(theta[0], theta[1], theta[2])
-        model = np.concatenate([populations_closed_form(t, rates, PopulationVector.pure(p))
-                                for p, t in zip(preps, t_grids)])
+        model = _populations_closed(t_all, rates, inits)[prep_of_row, time_index]
         if fit_floor:
             model = apply_thermal_floor(model, theta[3])
         return model.ravel() - measured
 
-    res = least_squares(
-        residuals,
-        theta0,
-        method="lm",
-        diff_step=1e-6,
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-        max_nfev=200 * (len(theta0) + 1),
-    )
-    if not res.success and res.status <= 0:
-        raise FitDiverged(f"reset fit did not converge: {res.message}")
-    if not physical(res.x):
-        raise FitDiverged(f"reset fit left the physical region at {res.x.tolist()}")
-
     n_params = len(theta0)
+    x, fun, jac = _levenberg_marquardt(residuals, theta0, max_nfev=200 * (n_params + 1))
+    if not physical(x):
+        raise FitDiverged(f"reset fit left the physical region at {x.tolist()}")
+
     dof = measured.size - n_params
     try:
-        bread = np.linalg.inv(res.jac.T @ res.jac)
+        bread = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient("Jacobian is rank deficient at the optimum") from exc
     if not np.all(np.isfinite(bread)) or dof <= 0:
@@ -532,14 +566,14 @@ def fit_decay_rates(
     # scaling assumes independent residuals and understates the uncertainty
     # of shot-noise data by a factor of 2 to 3.
     n_blocks = measured.size // 4
-    jac_blocks = res.jac.reshape(n_blocks, 4, n_params)
-    res_blocks = res.fun.reshape(n_blocks, 4)
+    jac_blocks = jac.reshape(n_blocks, 4, n_params)
+    res_blocks = fun.reshape(n_blocks, 4)
     scores = np.einsum("bip,bi->bp", jac_blocks, res_blocks)
     meat = scores.T @ scores
     cov = bread @ meat @ bread * (n_blocks / max(n_blocks - n_params, 1))
     sigmas = {n: math.sqrt(max(cov[i, i], 0.0)) for i, n in enumerate(names)}
 
-    rates = DecayRates(res.x[0], res.x[1], res.x[2])
-    floor = float(res.x[3]) if fit_floor else None
-    rms = math.sqrt(np.mean(res.fun**2))
+    rates = DecayRates(x[0], x[1], x[2])
+    floor = float(x[3]) if fit_floor else None
+    rms = math.sqrt(np.mean(fun**2))
     return DecayRatesFit(rates, sigmas, cov, floor, rms, measured.size)

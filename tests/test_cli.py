@@ -3,12 +3,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fluxline
 from fluxline import classify as cl
 from fluxline import dynamics as dyn
 from fluxline import io as fio
@@ -85,6 +90,15 @@ class TestFilterSweep:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", [2.5, 2.0, True, "5", 0, -3])
+    def test_flux_points_must_be_a_positive_integer(self, tmp_path, capsys, points):
+        path = write_cfg(tmp_path, "cfg.json", dict(SWEEP_CFG, flux_points=points))
+        out = tmp_path / "sweep.csv"
+        assert main(["filter-sweep", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: flux_points must be an integer >= 1, got {points!r}\n")
+        assert not out.exists()
+
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["filter-sweep", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv")]) == 1
@@ -142,14 +156,14 @@ class TestGenerateAndFitReset:
                      "--out", str(tmp_path / "x.json")]) == 1
 
     def test_fit_outside_physical_region_exit_2(self, tmp_path, capsys, monkeypatch):
-        real = dyn.least_squares
+        real = dyn._levenberg_marquardt
 
         def negative_rate(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.x[0] = -res.x[0]
-            return res
+            x, fun, jac = real(*args, **kwargs)
+            x[0] = -x[0]
+            return x, fun, jac
 
-        monkeypatch.setattr(dyn, "least_squares", negative_rate)
+        monkeypatch.setattr(dyn, "_levenberg_marquardt", negative_rate)
         gen_cfg = write_cfg(tmp_path, "gen.json", {
             "generator": "reset",
             "rates": {"t1_ge_ns": 238.22, "t1_ef_ns": 136.80, "t1_fh_ns": 128.84},
@@ -642,3 +656,62 @@ class TestWritersMatchPerRowReference:
         rows = [FluxSweepRow(*values) for values in table.tolist()]
         fio.write_flux_sweep_csv(tmp_path / "f.csv", rows)
         assert (tmp_path / "f.csv").read_bytes() == _ref_sweep_text(rows).encode()
+
+
+# Runs in a fresh interpreter: imports the CLI, runs each command named on
+# the command line (name, config path, output path), and prints the scipy
+# modules loaded after the import and after each command.  Then it reaches
+# the lazily imported fits module as a package attribute (the module
+# __getattr__) and by a from-import, and checks that scipy is loaded now.
+_HYGIENE_SCRIPT = """
+import json, sys
+import fluxline.cli as cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+report = {"import fluxline.cli": loaded()}
+for name, cfg, out in json.loads(sys.argv[1]):
+    rc = cli.main([name, "--config", cfg, "--out", out])
+    report[f"{name} {cfg}"] = loaded() if rc == 0 else f"exit {rc}"
+import fluxline
+by_attribute = fluxline.fits
+from fluxline import fits
+report["fits"] = [fits is by_attribute, hasattr(fits, "rb_fit"),
+                  "scipy.optimize" in sys.modules]
+print(json.dumps(report))
+"""
+
+
+class TestImportHygiene:
+    def test_only_the_curve_fits_load_scipy(self, tmp_path):
+        (tmp_path / "model.json").write_text(json.dumps(model_dict()))
+        cfgs = {
+            "windows": {"generator": "windows", "ladder": LADDER_CFG,
+                        "cluster_model": model_dict(), "temperature_mk": 181.072,
+                        "n_win": 2, "n_shot": 200, "seed": 3},
+            "reset": {"generator": "reset",
+                      "rates": {"t1_ge_ns": 238.22, "t1_ef_ns": 136.80, "t1_fh_ns": 128.84},
+                      "t_points": 12, "n_shots_per_point": 1000, "floor_p_inf": 0.985},
+            "temp": {"shots_csv": str(tmp_path / "shots.csv"),
+                     "model_json": str(tmp_path / "model.json"),
+                     "ladder": LADDER_CFG, "window": 200, "t_shot_us": 34.2},
+            "sweep": dict(SWEEP_CFG, flux_points=5),
+            "fit": {"reset_csv": str(tmp_path / "reset.csv"), "fit_floor": True},
+            "classify": {"shots_csv": str(tmp_path / "shots.csv"),
+                         "model_json": str(tmp_path / "model.json")},
+        }
+        paths = {k: write_cfg(tmp_path, f"{k}.json", v) for k, v in cfgs.items()}
+        calls = [("generate", paths["windows"], str(tmp_path / "shots.csv")),
+                 ("generate", paths["reset"], str(tmp_path / "reset.csv")),
+                 ("fit-temp", paths["temp"], str(tmp_path / "temp.json")),
+                 ("filter-sweep", paths["sweep"], str(tmp_path / "sweep.csv")),
+                 ("fit-reset", paths["fit"], str(tmp_path / "fit.json")),
+                 ("classify", paths["classify"], str(tmp_path / "counts.json"))]
+        src = str(Path(fluxline.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", _HYGIENE_SCRIPT, json.dumps(calls)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report.pop("fits") == [True, True, True]
+        assert len(report) == 1 + len(calls)
+        assert report == {step: [] for step in report}

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import least_squares
 
 from fluxline import dynamics as dyn
 from fluxline import synth
-from fluxline.errors import FitDiverged
+from fluxline.errors import FitDiverged, RankDeficient
 
 
 def rate_triple(draw_sep=False):
@@ -401,14 +402,14 @@ class TestFitDecayRates:
     @pytest.mark.parametrize("index, value", [(0, -1.0), (1, 0.0), (3, 1.2), (3, 0.0)])
     def test_optimum_outside_physical_region_raises(self, monkeypatch, reset_rates,
                                                     index, value):
-        real = dyn.least_squares
+        real = dyn._levenberg_marquardt
 
         def stopped_outside(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.x[index] = value
-            return res
+            x, fun, jac = real(*args, **kwargs)
+            x[index] = value
+            return x, fun, jac
 
-        monkeypatch.setattr(dyn, "least_squares", stopped_outside)
+        monkeypatch.setattr(dyn, "_levenberg_marquardt", stopped_outside)
         t = np.linspace(20e-9, 2e-6, 20)
         data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 10000,
                                       floor_p_inf=0.985, seed=1)
@@ -420,3 +421,109 @@ class TestFitDecayRates:
         p = dyn.populations_ode(t, reset_rates, dyn.PopulationVector.pure("e"))
         with pytest.raises(ValueError):
             dyn.fit_decay_rates(dyn.ResetDataset({"e": dyn.ResetCurve(t, p)}))
+
+
+# --- scipy reference fit -----------------------------------------------------
+#
+# The reset fit as it was before fluxline had its own solver: one
+# closed-form call per preparation, scipy's MINPACK Levenberg-Marquardt with
+# the same step and stop settings, and the same sandwich covariance.  It is
+# the reference that ``_levenberg_marquardt`` and the shared-grid residual
+# must reproduce.
+
+def _reference_fit(data, fit_floor):
+    preps = sorted(data.curves, key="efh".index)
+    measured = np.concatenate([data.curves[p].populations.ravel() for p in preps])
+    g0 = dyn._seed_gamma(data.curves[preps[0]].times, data.curves[preps[0]].populations[:, 0])
+    theta0 = [g0, 1.7 * g0, 2.5 * g0]
+    if fit_floor:
+        theta0.append(min(max(max(data.curves[p].populations[-1, 0] for p in preps), 0.5), 1.0))
+
+    def residuals(theta):
+        if np.any(theta[:3] <= 0) or (fit_floor and not 0.0 < theta[3] <= 1.0):
+            return np.full(measured.size, 1e3)
+        rates = dyn.DecayRates(*theta[:3])
+        model = np.concatenate([dyn.populations_closed_form(
+            data.curves[p].times, rates, dyn.PopulationVector.pure(p)) for p in preps])
+        if fit_floor:
+            model = dyn.apply_thermal_floor(model, theta[3])
+        return model.ravel() - measured
+
+    res = least_squares(residuals, theta0, method="lm", diff_step=1e-6, xtol=1e-14,
+                        ftol=1e-14, gtol=1e-14, max_nfev=200 * (len(theta0) + 1))
+    assert res.success
+    n_blocks, n_params = measured.size // 4, len(theta0)
+    bread = np.linalg.inv(res.jac.T @ res.jac)
+    scores = np.einsum("bip,bi->bp", res.jac.reshape(n_blocks, 4, n_params),
+                       res.fun.reshape(n_blocks, 4))
+    cov = bread @ scores.T @ scores @ bread * (n_blocks / (n_blocks - n_params))
+    return res.x, np.sqrt(np.diag(cov))
+
+
+def _rel(a, b):
+    return np.abs(np.asarray(a) - np.asarray(b)) / np.maximum(np.abs(a), np.abs(b))
+
+
+class TestSolverMatchesScipyReference:
+    @pytest.mark.parametrize("preps", [("e", "f", "h"), ("e", "h"), ("f", "h")])
+    @pytest.mark.parametrize("floor", [None, 0.985])
+    def test_fit_agrees(self, reset_rates, preps, floor):
+        t = np.linspace(20e-9, 3e-6, 40)
+        data = synth.gen_reset_curves(reset_rates, preps, t, 10000,
+                                      floor_p_inf=floor, seed=len(preps))
+        self._check(data, fit_floor=floor is not None)
+
+    @pytest.mark.parametrize("floor", [None, 0.985])
+    def test_fit_agrees_on_different_grids(self, reset_rates, floor):
+        grids = {"e": np.linspace(10e-9, 3e-6, 40), "f": np.geomspace(5e-9, 4e-6, 31),
+                 "h": np.linspace(20e-9, 2e-6, 25)}
+        curves = {prep: synth.gen_reset_curves(reset_rates, (prep,), t, 10000,
+                                               floor_p_inf=floor, seed=k).curves[prep]
+                  for k, (prep, t) in enumerate(grids.items())}
+        self._check(dyn.ResetDataset(curves), fit_floor=floor is not None)
+
+    @staticmethod
+    def _check(data, fit_floor):
+        x_ref, sig_ref = _reference_fit(data, fit_floor)
+        fit = dyn.fit_decay_rates(data, fit_floor=fit_floor)
+        names = ["gamma_ge", "gamma_ef", "gamma_fh"] + (["p_inf"] if fit_floor else [])
+        x = [fit.rates.gamma_ge, fit.rates.gamma_ef, fit.rates.gamma_fh]
+        if fit_floor:
+            x.append(fit.floor)
+        assert _rel(x, x_ref).max() < 1e-8
+        assert _rel([fit.sigmas[n] for n in names], sig_ref).max() < 1e-6
+
+    def test_init_matrix_kernel_matches_per_init_calls(self):
+        t = np.concatenate([[0.0], np.geomspace(1e-12, 1e-4, 200)])
+        inits = [dyn.PopulationVector.pure(p) for p in "gefh"]
+        inits.append(dyn.PopulationVector(0.1, 0.2, 0.3, 0.4))
+        for rates in (dyn.DecayRates(4.2e6, 7.3e6, 7.8e6),
+                      dyn.DecayRates(BASE, BASE, BASE * (1 + 1e-9)),
+                      dyn.DecayRates(2e6, 4e6, 9e6, gamma_gf=1e5, gamma_gh=2e5, gamma_eh=3e5)):
+            got = dyn._populations_closed(t, rates, np.array([v.as_array() for v in inits]))
+            assert got.shape == (len(inits), t.size, 4)
+            for k, init in enumerate(inits):
+                assert np.abs(got[k] - dyn.populations_closed_form(t, rates, init)).max() <= 1e-15
+
+    def test_solver_reaches_rosenbrock_minimum(self):
+        def rosenbrock(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        x, fun, jac = dyn._levenberg_marquardt(rosenbrock, [-1.2, 1.0], max_nfev=600)
+        assert np.abs(x - 1.0).max() < 1e-7
+        assert np.abs(fun).max() < 1e-7
+        assert jac.shape == (2, 2)
+
+    def test_max_nfev_raises_fit_diverged(self):
+        def rosenbrock(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        with pytest.raises(FitDiverged, match="did not converge"):
+            dyn._levenberg_marquardt(rosenbrock, [-1.2, 1.0], max_nfev=10)
+
+    def test_unconstrained_rate_raises_rank_deficient(self, reset_rates):
+        # Without an h preparation gamma_fh leaves every residual unchanged.
+        t = np.linspace(20e-9, 3e-6, 40)
+        data = synth.gen_reset_curves(reset_rates, ("e", "f"), t, 10000, seed=1)
+        with pytest.raises(RankDeficient):
+            dyn.fit_decay_rates(data)
