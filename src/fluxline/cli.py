@@ -2,9 +2,9 @@
 
 Every subcommand reads a JSON config (--config), writes its result to
 --out, and is deterministic given (config, seed).  Exit codes: 0 success,
-1 configuration or input error, 2 solver or fit failure.  Config schemas
-are documented in the README; boundary units (GHz, ns, us, fF, nH, mm,
-uA, mK) are converted once at parse time and the core runs in SI.
+1 configuration or input error, 2 solver or fit failure.  ``main`` checks
+the config once against the command's key table below (documented in the
+README), so each ``cmd_*`` takes checked values, in SI, under their keys.
 """
 
 from __future__ import annotations
@@ -24,50 +24,74 @@ from . import thermometry as th
 from .errors import FluxlineError
 
 
-class ConfigError(Exception):
-    pass
+# Key tables for fio.read_config: key -> (kind, default[, lab unit]), where a
+# default of ... marks a required key.  A section lists its keys in the order
+# of the fields of the class built from it; fio.model_from_dict reads models.
+_GEOMETRY = {"z0_ohm": ("number", ...), "v_p_m_per_s": ("number", ...),
+             "l_f_mm": ("number", ..., fio.MM), "x_s_mm": ("number", ..., fio.MM),
+             "c_g_fF": ("number", 0.0, fio.FF), "c_d_fF": ("number", 0.0, fio.FF),
+             "z_source_ohm": ("number", 50.0)}
+_SQUID_ARRAY = {"n_squids": ("integer", ...), "ic_junction_uA": ("number", ..., fio.UA),
+                "l_fixed_per_squid_nH": ("number", 0.0, fio.NH), "clamp_epsilon": ("number", 1e-3)}
+_QUBIT = {"f_q_GHz": ("number", ..., fio.GHZ), "c_q_fF": ("number", 143.0, fio.FF),
+          "t1_internal_ms": ("number or null", None, fio.MS)}
+_LADDER = {"f_ge_ghz": ("number", ...), "f_ef_ghz": ("number", ...), "f_fh_ghz": ("number", ...),
+           "kb_over_h": ("kb_over_h", "rounded")}
+_RATES = {"t1_ge_ns": ("positive", ..., fio.NS), "t1_ef_ns": ("positive", ..., fio.NS),
+          "t1_fh_ns": ("positive", ..., fio.NS)}
+_SHOT_GENERATOR = {"ladder": (_LADDER, ...), "cluster_model": ("object", ...),
+                   "temperature_mk": ("number", ..., fio.MK), "n_model_levels": ("integer", 6)}
+_GENERATORS = {
+    "thermal": {**_SHOT_GENERATOR, "n_shots": ("integer", ...)},
+    "windows": {**_SHOT_GENERATOR, "n_win": ("integer", ...), "n_shot": ("integer", ...)},
+    "reset": {"rates": (_RATES, ...), "t_start_ns": ("number", 10.0, fio.NS),
+              "t_stop_ns": ("number", 2000.0, fio.NS), "t_points": ("count", 40),
+              "preps": ("strings", ["e", "f", "h"]), "n_shots_per_point": ("integer", 10000),
+              "floor_p_inf": ("number or null", None)},
+    "rb": {"p_true": ("number", ...), "a": ("number", 0.5), "b": ("number", 0.5),
+           "m_grid": ("numbers", list(range(0, 400, 10))), "shots_per_point": ("integer", 10000)},
+}
+# fit-curve model name -> function of fluxline.fits, imported on use.
+_FIT_MODELS = {"exponential": "fit_exponential", "decaying_cosine": "fit_decaying_cosine",
+               "stretched_exponential": "fit_stretched_exponential", "rb": "rb_fit",
+               "quadratic_minimum": "fit_quadratic_minimum"}
+_SCHEMAS = {
+    "filter-sweep": {"geometry": (_GEOMETRY, ...), "squid_array": (_SQUID_ARRAY, ...),
+                     "qubit": (_QUBIT, ...), "drive_freq_GHz": ("positive", ..., fio.GHZ),
+                     "flux_values": ("numbers", None), "flux_start": ("number", 0.0),
+                     "flux_stop": ("number", 0.5), "flux_points": ("count", 101),
+                     "mode": (("clamped", "strict"), "clamped"),
+                     "i_node_uA": ("number", 0.2, fio.UA), "reference_flux": ("number", 0.0)},
+    "fit-reset": {"reset_csv": ("string", ...), "fit_floor": ("bool", False)},
+    "fit-temp": {"shots_csv": ("string", ...), "model_json": ("string", ...),
+                 "ladder": (_LADDER, ...), "window": ("count", ...),
+                 "t_shot_us": ("positive", ..., fio.US),
+                 "t_min_mk": ("number", 1.0, fio.MK), "t_max_mk": ("number", 20000.0, fio.MK)},
+    "fit-rb": {"curve_csv": ("string", ...), "pulses_per_clifford": ("number", 45.0 / 24.0),
+               "p_ref": ("number", None)},
+    "fit-curve": {"curve_csv": ("string", ...), "model": (tuple(_FIT_MODELS), ...)},
+    "classify": {"shots_csv": ("string", ...), "model_json": ("string", None),
+                 "save_model_json": ("string", None),
+                 "init": (("supervised", "random"), "supervised")},
+    "generate": {"generator": (tuple(_GENERATORS), ...), "seed": ("integer", 0)},
+}
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
-
-
-def _flux_grid(cfg: dict) -> np.ndarray:
-    if "flux_values" in cfg:
-        grid = np.asarray(cfg["flux_values"], dtype=float)
-    else:
-        n = cfg.get("flux_points", 101)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"flux_points must be an integer >= 1, got {n!r}")
-        grid = np.linspace(float(cfg.get("flux_start", 0.0)),
-                           float(cfg.get("flux_stop", 0.5)), n)
-    if grid.size == 0:
-        raise ConfigError("flux grid is empty")
-    if not np.isfinite(grid).all():
-        raise ConfigError("flux grid holds a non-finite value")
-    return grid
+def config_schema(command: str, cfg) -> dict:
+    """The key table of ``command``; generate's depends on the config's generator."""
+    schema = _SCHEMAS[command]
+    generator = cfg.get("generator") if command == "generate" and type(cfg) is dict else None
+    return {**schema, **_GENERATORS[generator]} if generator in tuple(_GENERATORS) else schema
 
 
 def cmd_filter_sweep(cfg: dict, out: str, seed) -> int:
-    geom = fio.geometry_from_config(_require(cfg, "geometry"))
-    arr = fio.squid_array_from_config(_require(cfg, "squid_array"))
-    qubit = fio.qubit_from_config(_require(cfg, "qubit"))
-    drive = float(_require(cfg, "drive_freq_GHz"))
-    if not (np.isfinite(drive) and drive > 0):
-        raise ConfigError(f"drive_freq_GHz must be finite and positive, got {drive}")
-    i_node = float(cfg.get("i_node_uA", 0.2))
-    if not np.isfinite(i_node):
-        raise ConfigError(f"i_node_uA must be finite, got {i_node}")
+    flux = cfg["flux_values"]
+    if flux is None:
+        flux = np.linspace(cfg["flux_start"], cfg["flux_stop"], cfg["flux_points"])
     rows = nw.flux_sweep(
-        geom, arr, qubit,
-        _flux_grid(cfg),
-        drive_freq=drive * fio.GHZ,
-        mode=cfg.get("mode", "clamped"),
-        i_node=i_node * fio.UA,
-        reference_flux=float(cfg.get("reference_flux", 0.0)),
-    )
+        nw.FilterGeometry(*cfg["geometry"].values()), nw.SquidArray(*cfg["squid_array"].values()),
+        nw.QubitLoad(*cfg["qubit"].values()), flux, drive_freq=cfg["drive_freq_GHz"],
+        mode=cfg["mode"], i_node=cfg["i_node_uA"], reference_flux=cfg["reference_flux"])
     fio.write_flux_sweep_csv(out, rows)
     n_err = sum(1 for r in rows if r.error is not None)
     if n_err:
@@ -76,8 +100,8 @@ def cmd_filter_sweep(cfg: dict, out: str, seed) -> int:
 
 
 def cmd_fit_reset(cfg: dict, out: str, seed) -> int:
-    data = fio.read_reset_csv(_require(cfg, "reset_csv"))
-    fit = dyn.fit_decay_rates(data, fit_floor=bool(cfg.get("fit_floor", False)))
+    data = fio.read_reset_csv(cfg["reset_csv"])
+    fit = dyn.fit_decay_rates(data, fit_floor=cfg["fit_floor"])
     names = ("gamma_ge", "gamma_ef", "gamma_fh")
     doc = {
         "rates_per_s": {n: getattr(fit.rates, n) for n in names},
@@ -108,54 +132,39 @@ def _fit_result_doc(res) -> dict:
 
 def cmd_fit_rb(cfg: dict, out: str, seed) -> int:
     from . import fits  # the only scipy user; other commands skip its import
-    x, y, _ = fio.read_curve_csv(_require(cfg, "curve_csv"))
+    x, y, _ = fio.read_curve_csv(cfg["curve_csv"])
     res = fits.rb_fit(x, y)
-    k = float(cfg.get("pulses_per_clifford", 45.0 / 24.0))
+    k = cfg["pulses_per_clifford"]
     doc = _fit_result_doc(res)
     doc["pulses_per_clifford"] = k
     doc["clifford_fidelity"] = fits.clifford_fidelity(res.params["p"], k)
-    if "p_ref" in cfg:
-        doc["interleaved_fidelity"] = fits.interleaved_fidelity(
-            float(cfg["p_ref"]), res.params["p"])
+    if cfg["p_ref"] is not None:
+        doc["interleaved_fidelity"] = fits.interleaved_fidelity(cfg["p_ref"], res.params["p"])
     fio.dump_json(doc, out)
     return 0
 
 
 def cmd_fit_curve(cfg: dict, out: str, seed) -> int:
     from . import fits
-    x, y, _ = fio.read_curve_csv(_require(cfg, "curve_csv"))
-    model = _require(cfg, "model")
-    fitters = {
-        "exponential": fits.fit_exponential,
-        "decaying_cosine": fits.fit_decaying_cosine,
-        "stretched_exponential": fits.fit_stretched_exponential,
-        "rb": fits.rb_fit,
-        "quadratic_minimum": fits.fit_quadratic_minimum,
-    }
-    if model not in fitters:
-        raise ConfigError(f"unknown fit model {model!r}; choose from {sorted(fitters)}")
-    fio.dump_json(_fit_result_doc(fitters[model](x, y)), out)
+    x, y, _ = fio.read_curve_csv(cfg["curve_csv"])
+    fit = getattr(fits, _FIT_MODELS[cfg["model"]])
+    fio.dump_json(_fit_result_doc(fit(x, y)), out)
     return 0
 
 
 def cmd_fit_temp(cfg: dict, out: str, seed) -> int:
-    xy, _ = fio.read_shots_csv(_require(cfg, "shots_csv"))
-    model = fio.model_from_dict(fio.load_json(_require(cfg, "model_json")))
-    ladder = fio.ladder_from_config(_require(cfg, "ladder"))
-    window = int(_require(cfg, "window"))
-    if window < 1:
-        raise ConfigError(f"window must be >= 1 shot, got {window}")
-    t_shot = float(_require(cfg, "t_shot_us")) * fio.US
-    bounds = (float(cfg.get("t_min_mk", 1.0)) * fio.MK,
-              float(cfg.get("t_max_mk", 20000.0)) * fio.MK)
+    xy, _ = fio.read_shots_csv(cfg["shots_csv"])
+    model = fio.model_from_dict(fio.load_json(cfg["model_json"]), "model_json")
+    window, t_shot = cfg["window"], cfg["t_shot_us"]
     n_win = xy.shape[0] // window
     if n_win < 1:
-        raise ConfigError(f"fewer shots ({xy.shape[0]}) than one window ({window})")
+        raise ValueError(f"fewer shots ({xy.shape[0]}) than one window ({window})")
 
     indices = cl.assign_indices(model, xy[:n_win * window])
     counts = cl.window_counts(indices, len(model.labels), window)
     fit = th.fit_temperature_batch(cl.level_populations(counts, model.labels),
-                                   ladder, bounds=bounds)
+                                   th.LevelLadder(*cfg["ladder"].values()),
+                                   bounds=(cfg["t_min_mk"], cfg["t_max_mk"]))
     per_window = [{"t_eff_K": t, "r2": r2, "chi2": chi2, "at_boundary": at_bound}
                   for t, r2, chi2, at_bound in zip(
                       fit.t_eff.tolist(), fit.r_squared.tolist(),
@@ -176,16 +185,16 @@ def cmd_fit_temp(cfg: dict, out: str, seed) -> int:
 
 
 def cmd_classify(cfg: dict, out: str, seed) -> int:
-    xy, prep = fio.read_shots_csv(_require(cfg, "shots_csv"))
-    if "model_json" in cfg:
-        model = fio.model_from_dict(fio.load_json(cfg["model_json"]))
+    xy, prep = fio.read_shots_csv(cfg["shots_csv"])
+    if cfg["model_json"] is not None:
+        model = fio.model_from_dict(fio.load_json(cfg["model_json"]), "model_json")
     else:
         if prep is None:
-            raise ConfigError("fitting a model needs prep labels in the shot CSV")
+            raise ValueError("fitting a model needs prep labels in the shot CSV")
         model = cl.fit_gmm(xy, labels=sorted(set(prep.tolist())),
-                           init=cfg.get("init", "supervised"), prep_labels=prep,
+                           init=cfg["init"], prep_labels=prep,
                            seed=0 if seed is None else seed)
-    if "save_model_json" in cfg:
+    if cfg["save_model_json"] is not None:
         fio.dump_json(fio.model_to_dict(model), cfg["save_model_json"])
     if prep is not None:
         matrix = cl.assignment_matrix(model, xy, prep)
@@ -202,55 +211,35 @@ def cmd_classify(cfg: dict, out: str, seed) -> int:
 
 
 def cmd_generate(cfg: dict, out: str, seed) -> int:
-    kind = _require(cfg, "generator")
-    seed = int(cfg.get("seed", 0) if seed is None else seed)
+    kind = cfg["generator"]
+    seed = cfg["seed"] if seed is None else seed
     if kind == "thermal" or kind == "windows":
-        ladder = fio.ladder_from_config(_require(cfg, "ladder"))
-        model = fio.model_from_dict(_require(cfg, "cluster_model"))
         gen_cfg = synth.ShotGenConfig(
-            ladder=ladder, cluster_model=model,
-            n_model_levels=int(cfg.get("n_model_levels", 6)), seed=seed)
-        temperature = float(_require(cfg, "temperature_mk")) * fio.MK
+            ladder=th.LevelLadder(*cfg["ladder"].values()),
+            cluster_model=fio.model_from_dict(cfg["cluster_model"], "cluster_model"),
+            n_model_levels=cfg["n_model_levels"], seed=seed)
         if kind == "thermal":
-            xy = synth.gen_thermal_shots(gen_cfg, temperature, int(_require(cfg, "n_shots")))
+            xy = synth.gen_thermal_shots(gen_cfg, cfg["temperature_mk"], cfg["n_shots"])
         else:
             windows = synth.gen_window_series(
-                gen_cfg, temperature, int(_require(cfg, "n_win")),
-                int(_require(cfg, "n_shot")))
+                gen_cfg, cfg["temperature_mk"], cfg["n_win"], cfg["n_shot"])
             xy = np.vstack(windows)
         fio.write_shots_csv(out, xy)
     elif kind == "reset":
-        rates = fio.rates_from_config(_require(cfg, "rates"))
-        t_grid = np.linspace(float(cfg.get("t_start_ns", 10.0)) * fio.NS,
-                             float(cfg.get("t_stop_ns", 2000.0)) * fio.NS,
-                             int(cfg.get("t_points", 40)))
+        t_grid = np.linspace(cfg["t_start_ns"], cfg["t_stop_ns"], cfg["t_points"])
         data = synth.gen_reset_curves(
-            rates, cfg.get("preps", ["e", "f", "h"]), t_grid,
-            int(cfg.get("n_shots_per_point", 10000)),
-            floor_p_inf=cfg.get("floor_p_inf"), seed=seed)
+            dyn.DecayRates.from_t1(*cfg["rates"].values()), cfg["preps"], t_grid,
+            cfg["n_shots_per_point"], floor_p_inf=cfg["floor_p_inf"], seed=seed)
         fio.write_reset_csv(out, data)
-    elif kind == "rb":
-        m_grid = np.asarray(cfg.get("m_grid", list(range(0, 400, 10))), dtype=float)
-        m, y = synth.gen_rb_decay(
-            float(_require(cfg, "p_true")), float(cfg.get("a", 0.5)),
-            float(cfg.get("b", 0.5)), m_grid,
-            int(cfg.get("shots_per_point", 10000)), seed=seed)
-        fio.write_curve_csv(out, m, y)
     else:
-        raise ConfigError(f"unknown generator {kind!r}; "
-                          "choose from thermal, windows, reset, rb")
+        m, y = synth.gen_rb_decay(cfg["p_true"], cfg["a"], cfg["b"], cfg["m_grid"],
+                                  cfg["shots_per_point"], seed=seed)
+        fio.write_curve_csv(out, m, y)
     return 0
 
 
-_COMMANDS = {
-    "filter-sweep": cmd_filter_sweep,
-    "fit-reset": cmd_fit_reset,
-    "fit-temp": cmd_fit_temp,
-    "fit-rb": cmd_fit_rb,
-    "fit-curve": cmd_fit_curve,
-    "classify": cmd_classify,
-    "generate": cmd_generate,
-}
+# The function of each command in _SCHEMAS: cmd_<name, "-" as "_">.
+_COMMANDS = {name: globals()["cmd_" + name.replace("-", "_")] for name in _SCHEMAS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,12 +263,13 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
+        cfg = fio.read_config(cfg, config_schema(args.command, cfg))
         return _COMMANDS[args.command](cfg, args.out, args.seed)
-    except (ConfigError, KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FluxlineError as exc:

@@ -1,10 +1,10 @@
-"""File formats and unit conversion at the tool boundary.
+"""File formats, config reading and unit conversion at the tool boundary.
 
 The core library is strict SI; configs and data files use the laboratory
-units their keys are annotated with (GHz, ns, us, fF, nH, mm, uA, mK) and
-are converted exactly once here.  All numeric output is written with
-full-precision shortest-roundtrip formatting so seeded pipelines are
-byte-stable.
+units their keys are annotated with (GHz, ns, us, fF, nH, mm, uA, mK).
+``read_config`` checks every JSON config against a key table (the command
+tables are in ``fluxline.cli``) and converts units exactly once.  Numeric
+output uses shortest-roundtrip formatting so seeded runs are byte-stable.
 
 Formats:
 
@@ -13,7 +13,6 @@ Formats:
 * reset CSV         header prep,time_s,p_g,p_e,p_f,p_h
 * shot CSV          header prep,i,q (prep may be empty)
 * curve CSV         header x,y[,sigma] when read, x,y when written
-* ladder JSON       {"f_ge_ghz": ..., "f_ef_ghz": ..., "f_fh_ghz": ...}
 * GMM model JSON    {"components": {label: {"mean": [i, q],
                     "cov": [[a, b], [b, c]], "weight": w}}}
 """
@@ -23,15 +22,16 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .classify import AssignmentMatrix, GmmComponent, GmmModel
-from .dynamics import DecayRates, ResetCurve, ResetDataset
-from .network import FilterGeometry, FluxSweepRow, QubitLoad, SquidArray
-from .thermometry import KB_OVER_H_CODATA, KB_OVER_H_ROUNDED, LevelLadder
+from .dynamics import ResetCurve, ResetDataset
+from .network import FluxSweepRow
+from .thermometry import KB_OVER_H_CODATA, KB_OVER_H_ROUNDED
 
 GHZ = 1e9
 NS = 1e-9
@@ -74,60 +74,75 @@ def _jsonable(obj):
     return obj
 
 
-# --- network configs -----------------------------------------------------------
+# --- configs -------------------------------------------------------------------
 
-def geometry_from_config(cfg: dict) -> FilterGeometry:
-    return FilterGeometry(
-        z0=float(cfg["z0_ohm"]),
-        v_p=float(cfg["v_p_m_per_s"]),
-        l_f=float(cfg["l_f_mm"]) * MM,
-        x_s=float(cfg["x_s_mm"]) * MM,
-        c_g=float(cfg.get("c_g_fF", 0.0)) * FF,
-        c_d=float(cfg.get("c_d_fF", 0.0)) * FF,
-        z_source=float(cfg.get("z_source_ohm", 50.0)),
-    )
+_KB_OVER_H = {"rounded": KB_OVER_H_ROUNDED, "codata": KB_OVER_H_CODATA}
 
 
-def squid_array_from_config(cfg: dict) -> SquidArray:
-    return SquidArray(
-        n_squids=int(cfg["n_squids"]),
-        ic_junction=float(cfg["ic_junction_uA"]) * UA,
-        l_fixed_per_squid=float(cfg.get("l_fixed_per_squid_nH", 0.0)) * NH,
-        clamp_epsilon=float(cfg.get("clamp_epsilon", 1e-3)),
-    )
+def _finite(v) -> bool:
+    """A JSON number, not a bool, that a float holds finitely."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def qubit_from_config(cfg: dict) -> QubitLoad:
-    t1 = cfg.get("t1_internal_ms")
-    return QubitLoad(
-        f_q=float(cfg["f_q_GHz"]) * GHZ,
-        c_q=float(cfg.get("c_q_fF", 143.0)) * FF,
-        t1_internal=None if t1 is None else float(t1) * MS,
-    )
+def _list_of(test, v, size: int | None = None) -> bool:
+    """A non-empty JSON list, of ``size`` items if given, whose items all pass ``test``."""
+    return type(v) is list and len(v) > 0 and size in (None, len(v)) and all(map(test, v))
 
 
-def ladder_from_config(cfg: dict) -> LevelLadder:
-    constant = cfg.get("kb_over_h", "rounded")
-    if constant == "rounded":
-        kb = KB_OVER_H_ROUNDED
-    elif constant == "codata":
-        kb = KB_OVER_H_CODATA
-    else:
-        kb = float(constant)
-    return LevelLadder(
-        f_ge_ghz=float(cfg["f_ge_ghz"]),
-        f_ef_ghz=float(cfg["f_ef_ghz"]),
-        f_fh_ghz=float(cfg["f_fh_ghz"]),
-        kb_over_h_ghz_per_k=kb,
-    )
+# kind: (test of the JSON value, what an error says it must be, conversion).
+_KINDS = {
+    "number": (_finite, "a finite number", float),
+    "positive": (lambda v: _finite(v) and v > 0, "a positive finite number", float),
+    "number or null": (lambda v: v is None or _finite(v), "a finite number or null", float),
+    "count": (lambda v: type(v) is int and v >= 1, "an integer >= 1", int),
+    "integer": (lambda v: type(v) is int, "an integer", int),
+    "bool": (lambda v: type(v) is bool, "true or false", bool),
+    "string": (lambda v: type(v) is str, "a string", str),
+    "strings": (lambda v: _list_of(_KINDS["string"][0], v), "a non-empty list of strings", list),
+    "numbers": (lambda v: _list_of(_finite, v), "a non-empty list of finite numbers", list),
+    "pair": (lambda v: _list_of(_finite, v, 2), "a list of 2 finite numbers", list),
+    "2x2": (lambda v: _list_of(_KINDS["pair"][0], v, 2), "a 2x2 list of finite numbers", list),
+    "object": (lambda v: type(v) is dict and len(v) > 0, "a non-empty object", dict),
+    "kb_over_h": (lambda v: v in _KB_OVER_H if type(v) is str else _finite(v),
+                  "'rounded', 'codata' or a finite number",
+                  lambda v: _KB_OVER_H[v] if type(v) is str else float(v)),
+}
 
 
-def rates_from_config(cfg: dict) -> DecayRates:
-    return DecayRates.from_t1(
-        float(cfg["t1_ge_ns"]) * NS,
-        float(cfg["t1_ef_ns"]) * NS,
-        float(cfg["t1_fh_ns"]) * NS,
-    )
+def _choice(names: tuple[str, ...]) -> tuple:
+    return names.__contains__, " or ".join(map(repr, names)), str
+
+
+def read_config(cfg, schema: dict, path: str = "") -> dict:
+    """Checked copy of a JSON config section, with defaults filled and units in SI.
+
+    ``schema`` maps each key to ``(kind, default[, SI value of its lab unit])``;
+    the kind is a name in ``_KINDS``, a tuple of allowed strings or a nested
+    schema.  A key with default ``...`` must be given; one with default None
+    reads None when left out.  Errors are ValueErrors naming the key's
+    dotted path under ``path``; a key the schema does not list is an error.
+    """
+    if type(cfg) is not dict:
+        raise ValueError(f"{path or 'config'} must be an object, got {cfg!r}")
+    prefix = f"{path}." if path else ""
+    out = {}
+    for key, (kind, default, *unit) in schema.items():
+        value = cfg.get(key, default)
+        if value is ...:
+            raise ValueError(f"config is missing required key {prefix + key!r}")
+        if type(kind) is dict:
+            value = read_config(value, kind, prefix + key)
+        elif key in cfg or value is not None:
+            test, what, convert = _KINDS.get(kind) or _choice(kind)
+            if not test(value):
+                raise ValueError(f"{prefix + key} must be {what}, got {value!r}")
+            if value is not None:
+                value = convert(value) * unit[0] if unit else convert(value)
+        out[key] = value
+    for key in cfg:
+        if key not in schema:
+            raise ValueError(f"config has unknown key {prefix + key!r}")
+    return out
 
 
 # --- CSV formats ----------------------------------------------------------------
@@ -269,12 +284,15 @@ def model_to_dict(model: GmmModel) -> dict:
         for lab, comp in model.components.items()}}
 
 
-def model_from_dict(doc: dict) -> GmmModel:
+_COMPONENT = {"mean": ("pair", ...), "cov": ("2x2", ...), "weight": ("number", ...)}
+
+
+def model_from_dict(doc, path: str = "model") -> GmmModel:
+    """GmmModel from the model JSON schema; errors name the keys under ``path``."""
+    components = read_config(doc, {"components": ("object", ...)}, path)["components"]
     return GmmModel({
-        lab: GmmComponent(np.array(params["mean"], dtype=float),
-                          np.array(params["cov"], dtype=float),
-                          float(params["weight"]))
-        for lab, params in doc["components"].items()})
+        lab: GmmComponent(**read_config(params, _COMPONENT, f"{path}.components.{lab}"))
+        for lab, params in components.items()})
 
 
 def matrix_to_dict(matrix: AssignmentMatrix) -> dict:

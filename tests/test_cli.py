@@ -276,8 +276,10 @@ class TestCurveCsvBoundary:
     def run_fit(self, tmp_path, capsys, command, text):
         curve = tmp_path / "curve.csv"
         curve.write_text(text)
-        cfg = write_cfg(tmp_path, "fit.json", {"curve_csv": str(curve),
-                                               "model": "exponential"})
+        cfg = {"curve_csv": str(curve)}
+        if command == "fit-curve":
+            cfg["model"] = "exponential"
+        cfg = write_cfg(tmp_path, "fit.json", cfg)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x.json")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
