@@ -23,6 +23,7 @@ Levenberg-Marquardt solver, so the module needs numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,7 +148,8 @@ class ResetCurve:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         p = np.asarray(self.populations, dtype=float)
-        if t.ndim != 1 or np.any(np.diff(t) <= 0):
+        # A positive test, so that NaN times fail it.
+        if t.ndim != 1 or not (np.diff(t) > 0).all():
             raise ValueError("times must be strictly increasing")
         if p.shape != (t.size, 4):
             raise ValueError("populations must have shape (len(times), 4)")
@@ -172,9 +174,10 @@ class ResetDataset:
 # The cascade solution is built from divided differences of exp(-x t),
 # which are bounded for nonnegative rates and reduce the removable
 # 1/(Gamma_i - Gamma_j) poles to well-conditioned limits.  Rates are
-# scalars and t is an array; every branch is evaluated on the whole grid
-# and the same cuts pick the value per time point, so the branch that is
-# not taken may divide by zero (the kernel silences those warnings).
+# scalars and t is an array.  _psi evaluates each of its branches only on
+# the time points that take it; the series helpers _m1 and _m3 still
+# evaluate both of theirs and pick per point, so the one not taken may
+# divide by zero (the kernel silences those warnings).
 
 def _phi(x: float, t: np.ndarray) -> np.ndarray:
     """(1 - exp(-x t)) / x for x >= 0, the integral of exp(-x s) on [0, t]."""
@@ -211,15 +214,24 @@ def _psi(a: float, b: float, t: np.ndarray) -> np.ndarray:
     Branches keep the evaluation well conditioned over the whole range:
     a series limit for near-degenerate arguments, an exact algebraic
     rearrangement when a t is order one or larger, and the direct
-    difference in the small-a t regime where it is benign.
+    difference in the small-a t regime where it is benign.  Each branch
+    is evaluated only on the time points that take it, and its values are
+    scattered into one output.
     """
     d = (b - a) * t
-    m = 0.5 * (a + b) * t
-    series = t * t * (-_m1(m) - d * d / 24.0 * _m3(m))
-    rearranged = (_phi(b, t) - _dd1(a, b, t)) / a
-    direct = (_phi(a, t) - _phi(b, t)) / (b - a)
-    return np.where(d < _SERIES_CUT, series,
-                    np.where(a * t >= 0.1, rearranged, direct))
+    series = d < _SERIES_CUT
+    rearranged = ~series & (a * t >= 0.1)
+    direct = ~(series | rearranged)
+    out = np.empty_like(t)
+    if series.any():  # _m1 and _m3 cost about 50 numpy calls even on no points
+        ts, ds = t[series], d[series]
+        m = 0.5 * (a + b) * ts
+        out[series] = ts * ts * (-_m1(m) - ds * ds / 24.0 * _m3(m))
+    tr = t[rearranged]
+    out[rearranged] = (_phi(b, tr) - _dd1(a, b, tr)) / a
+    td = t[direct]
+    out[direct] = (_phi(a, td) - _phi(b, td)) / (b - a)
+    return out
 
 
 def _dd2(x: float, y: float, z: float, t: np.ndarray) -> np.ndarray:
@@ -336,9 +348,12 @@ def populations_ode_batch(
     collapses.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be non-empty and strictly increasing")
-    if t_grid[0] < 0:
+    # Positive tests, so that NaN times fail them; a NaN or infinite grid
+    # point would never be reached and the stepper would not return.
+    if (t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all()
+            or not (np.diff(t_grid) > 0).all()):
+        raise ValueError("t_grid must be non-empty, finite and strictly increasing")
+    if not t_grid[0] >= 0:
         raise ValueError("t_grid must be non-negative")
     mats = np.stack([r.rate_matrix() for r in rates_list])
     n_sys = mats.shape[0]
@@ -500,9 +515,15 @@ def fit_decay_rates(
     All four populations of every preparation enter one unweighted
     residual vector.  Each residual is one closed-form call on the union of
     the preparations' time grids, from which each preparation's rows are
-    gathered.  It is minimised by ``_levenberg_marquardt`` from a seeded
-    start, stopping when the scaled step or the relative cost decrease
-    falls to 1e-14, within 200 (p + 1) evaluations for p parameters.
+    gathered, and the gathered floorless model is kept per rate triple, so
+    the difference column of p_inf evaluates no closed form.  It is
+    minimised by ``_levenberg_marquardt``, stopping when the scaled step or
+    the relative cost decrease falls to 1e-14, within 200 (p + 1) residual
+    evaluations for p parameters.  Each prepared level seeds its own rate
+    (prep e gamma_ge, f gamma_ef, h gamma_fh) from the log-linear decay of
+    its population towards the last value; a level not prepared keeps the
+    guess (g0, 1.7 g0, 2.5 g0), g0 from the ground-population rise of the
+    first preparation.
     Uncertainties come from the cluster-robust (sandwich) covariance
     (J^T J)^-1 (sum_b s_b s_b^T) (J^T J)^-1 * B / (B - p), with J the
     forward-difference Jacobian at the optimum and one score
@@ -520,18 +541,23 @@ def fit_decay_rates(
     t_grids = [data.curves[p].times for p in preps]
     measured = np.concatenate([data.curves[p].populations.ravel() for p in preps])
     t_all, time_index = np.unique(np.concatenate(t_grids), return_inverse=True)
-    prep_of_row = np.repeat(np.arange(len(preps)), [t.size for t in t_grids])
+    # Row of each data point in the kernel output seen as (preps * times, 4);
+    # one take of these rows costs a tenth of a 2-D fancy index.
+    kernel_row = np.repeat(np.arange(len(preps)) * t_all.size,
+                           [t.size for t in t_grids]) + time_index
     inits = np.array([PopulationVector.pure(p).as_array() for p in preps])
 
     if initial_guess is not None:
         theta0 = [initial_guess.gamma_ge, initial_guess.gamma_ef, initial_guess.gamma_fh]
     else:
-        if "e" in data.curves:
-            g0 = _seed_gamma(data.curves["e"].times, data.curves["e"].populations[:, 0])
-        else:
-            first = data.curves[preps[0]]
-            g0 = _seed_gamma(first.times, first.populations[:, 0])
+        first = data.curves[preps[0]]
+        g0 = _seed_gamma(first.times, first.populations[:, 0])
         theta0 = [g0, 1.7 * g0, 2.5 * g0]
+        # A prepared level k empties at its own rate gamma_{k-1,k} alone.
+        for prep in preps:
+            k = _PREP_INDEX[prep]
+            curve = data.curves[prep]
+            theta0[k - 1] = _seed_gamma(curve.times, -curve.populations[:, k])
     if fit_floor:
         p_late = max(data.curves[p].populations[-1, 0] for p in preps)
         theta0 = theta0 + [min(max(p_late, 0.5), 1.0)]
@@ -541,11 +567,20 @@ def fit_decay_rates(
     def physical(theta) -> bool:
         return bool(np.all(theta[:3] > 0)) and (not fit_floor or 0.0 < theta[3] <= 1.0)
 
+    # The difference column of p_inf moves only the floor and reuses the
+    # model at x; four entries hold x and the three rate columns' points.
+    # Every caller shares a cached model, so it is read-only.
+    @functools.lru_cache(maxsize=4)
+    def floorless(g, ef, fh):
+        model = _populations_closed(t_all, DecayRates(g, ef, fh), inits).reshape(-1, 4)
+        model = model.take(kernel_row, axis=0)
+        model.flags.writeable = False
+        return model
+
     def residuals(theta):
         if not physical(theta):
             return np.full(measured.size, 1e3)
-        rates = DecayRates(theta[0], theta[1], theta[2])
-        model = _populations_closed(t_all, rates, inits)[prep_of_row, time_index]
+        model = floorless(theta[0], theta[1], theta[2])
         if fit_floor:
             model = apply_thermal_floor(model, theta[3])
         return model.ravel() - measured

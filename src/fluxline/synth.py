@@ -136,8 +136,11 @@ def gen_thermal_shots(cfg: ShotGenConfig, temperature: float, n: int,
     xy = np.empty((n, 2))
     comp_idx = np.minimum(levels, 4)
     for k in np.unique(comp_idx).tolist():
-        comp = cfg.cluster_model.components[_COMPONENTS[k]]
+        comp = cfg.cluster_model.components.get(_COMPONENTS[k])
         sel = comp_idx == k
+        if comp is None:
+            raise ValueError(f"cluster_model has no {_COMPONENTS[k]!r} component,"
+                             f" which level {levels[sel].min()} needs")
         chol = np.linalg.cholesky(comp.cov)
         xy[sel] = comp.mean + z[sel] @ chol.T
     return xy

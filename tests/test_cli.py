@@ -357,6 +357,18 @@ class TestThermometryPipeline:
         assert all(w["at_boundary"] for w in doc["per_window"])
         assert doc["mu_T_K"] == pytest.approx(0.1, rel=1e-5)
 
+    def test_generate_names_missing_cluster_component(self, tmp_path, capsys):
+        # At 300 mK levels above h are drawn, and this model has no k+.
+        model = fio.model_to_dict(make_ring_model(labels=("g", "e", "f", "h")))
+        gen_cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "thermal", "ladder": LADDER_CFG, "cluster_model": model,
+            "temperature_mk": 300.0, "n_shots": 2000, "seed": 1})
+        out = tmp_path / "shots.csv"
+        assert main(["generate", "--config", gen_cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cluster_model has no 'k+' component, which level 4 needs\n")
+        assert not out.exists()
+
 
 def fit_temp_cfg(tmp_path, shots_csv, window=2):
     (tmp_path / "model.json").write_text(json.dumps(model_dict()))

@@ -1,6 +1,8 @@
 """Tests of the four-level rate-equation solutions and reset fits."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -12,6 +14,21 @@ from scipy.optimize import least_squares
 from fluxline import dynamics as dyn
 from fluxline import synth
 from fluxline.errors import FitDiverged, RankDeficient
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, when the body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rate_triple(draw_sep=False):
@@ -48,6 +65,9 @@ class TestTypes:
     def test_reset_curve_validation(self):
         with pytest.raises(ValueError):
             dyn.ResetCurve(np.array([1e-6, 1e-6]), np.zeros((2, 4)))
+        for times in ([math.nan, 1e-6], [1e-6, math.nan], [0.0, math.nan, 1e-6]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                dyn.ResetCurve(np.array(times), np.zeros((len(times), 4)))
         with pytest.raises(ValueError):
             dyn.ResetDataset({"x": dyn.ResetCurve(np.array([1e-6, 2e-6]),
                                                   np.zeros((2, 4)))})
@@ -238,6 +258,69 @@ class TestKernelMatchesScalarReference:
         assert _kernel_vs_reference(dyn.DecayRates(*gammas)) < 1e-10
 
 
+def _psi_branches(a, b, t):
+    """Time points taking the series, rearranged and direct branch of _psi."""
+    series = (b - a) * t < dyn._SERIES_CUT
+    rearranged = ~series & (a * t >= 0.1)
+    return series, rearranged, ~(series | rearranged)
+
+
+def _rel_err(got, ref):
+    return np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)
+
+
+class TestPsiBranches:
+    """_psi evaluates each branch on its own points; every value must match
+    the scalar reference, whichever branches one call takes."""
+
+    A, B = 1e6, 2e6
+    T_SERIES = dyn._SERIES_CUT / (B - A)   # (b - a) t = cut
+    T_REARRANGED = 0.1 / A                 # a t = 0.1
+    T_ALL = np.array([0.0, T_SERIES * (1 - 1e-9), T_SERIES, T_SERIES * (1 + 1e-9),
+                      T_REARRANGED * (1 - 1e-9), T_REARRANGED, T_REARRANGED * (1 + 1e-9)])
+
+    def _check(self, a, b, t, taken):
+        assert [mask.any() for mask in _psi_branches(a, b, t)] == taken
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = dyn._psi(a, b, t)
+        ref = np.array([_ref_psi(a, b, float(v)) for v in t])
+        assert _rel_err(got, ref).max() < 1e-14
+
+    def test_one_call_takes_all_three_branches(self):
+        # The points on the cuts are exact: each goes to the branch above it.
+        assert (self.B - self.A) * self.T_SERIES == dyn._SERIES_CUT
+        assert self.A * self.T_REARRANGED == 0.1
+        series, rearranged, direct = _psi_branches(self.A, self.B, self.T_ALL)
+        assert series.tolist() == [True, True, False, False, False, False, False]
+        assert rearranged.tolist() == [False, False, False, False, False, True, True]
+        for order in (slice(None), slice(None, None, -1)):
+            self._check(self.A, self.B, self.T_ALL[order], [True, True, True])
+        self._check(self.A, self.B, np.concatenate([self.T_ALL, T_CUTS]), [True, True, True])
+
+    @pytest.mark.parametrize("a, b, t, taken", [
+        (A, B, np.array([0.0, T_SERIES * 1e-3, T_SERIES * (1 - 1e-9)]), [True, False, False]),
+        (BASE, BASE, T_CUTS, [True, False, False]),
+        (A, B, np.geomspace(T_REARRANGED * (1 + 1e-9), 1e-3, 50), [False, True, False]),
+        (A, B, np.geomspace(T_SERIES * (1 + 1e-9), T_REARRANGED * (1 - 1e-9), 50),
+         [False, False, True]),
+        (0.0, B, np.geomspace(T_SERIES * (1 + 1e-9), 1e-3, 50), [False, False, True]),
+    ])
+    def test_single_branch_grids(self, a, b, t, taken):
+        self._check(a, b, t, taken)
+
+    @pytest.mark.parametrize("rates", [
+        (BASE, BASE, BASE), (1e4, 1e4, 1e4), (1e8, 1e8, 1e8),
+        (BASE, BASE, BASE * (1 + 1e-12)), (BASE * (1 + 1e-12), BASE, BASE),
+        (BASE, BASE * (1 + 1e-9), BASE * (1 + 2e-9)), (1e8, 1e8 * (1 + 1e-15), 1e8),
+        (1e4, 1e4 * (1 + 1e-7), 1e4 * (1 + 3e-7)), (2e6, 4e6, 9e6),
+    ])
+    def test_dd2_equal_and_near_equal(self, rates):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = dyn._dd2(*rates, T_CUTS)
+        ref = np.array([_ref_dd2(*rates, float(v)) for v in T_CUTS])
+        assert _rel_err(got, ref).max() < 1e-14
+
+
 class TestOde:
     def test_no_dynamics(self):
         r = dyn.DecayRates(0.0, 0.0, 0.0)
@@ -284,6 +367,15 @@ class TestOde:
             closed = dyn.populations_closed_form(t, rates,
                                                  dyn.PopulationVector.pure("h"))
             assert np.abs(ode - closed).max() < 1e-9
+
+    @pytest.mark.parametrize("t_grid", [[math.nan, 1e-7], [1e-8, math.nan], [1e-8, math.inf],
+                                        [-math.inf, 1e-7], [1e-8, 1e-8], [-1e-9, 1e-7]])
+    def test_bad_grid_raises_instead_of_hanging(self, reset_rates, t_grid):
+        init = dyn.PopulationVector.pure("h")
+        with _deadline(10), pytest.raises(ValueError, match="t_grid"):
+            dyn.populations_ode(np.array(t_grid), reset_rates, init)
+        with _deadline(10), pytest.raises(ValueError, match="t_grid"):
+            synth.gen_reset_curves(reset_rates, ("h",), t_grid, 100)
 
     def test_batch_matches_scalar_solver(self, reset_rates):
         t = np.geomspace(1e-9, 1e-5, 25)
@@ -415,6 +507,60 @@ class TestFitDecayRates:
                                       floor_p_inf=0.985, seed=1)
         with pytest.raises(FitDiverged, match="physical region"):
             dyn.fit_decay_rates(data, fit_floor=True)
+
+    def test_no_rate_triple_evaluated_twice(self, monkeypatch, reset_rates):
+        t = np.linspace(10e-9, 2e-6, 200)
+        data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 10000,
+                                      floor_p_inf=0.985, seed=2)
+        real = dyn._populations_closed
+        triples = []
+
+        def counting(t, rates, init):
+            triples.append((rates.gamma_ge, rates.gamma_ef, rates.gamma_fh))
+            return real(t, rates, init)
+
+        monkeypatch.setattr(dyn, "_populations_closed", counting)
+        dyn.fit_decay_rates(data, fit_floor=True)
+        assert len(triples) > 5
+        assert len(set(triples)) == len(triples)
+
+    @staticmethod
+    def _start_point(monkeypatch, data, fit_floor):
+        """The rates the solver starts from in fit_decay_rates(data)."""
+        real = dyn._levenberg_marquardt
+        starts = []
+
+        def recording(fun, x0, *args, **kwargs):
+            starts.append(list(x0[:3]))
+            return real(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(dyn, "_levenberg_marquardt", recording)
+        dyn.fit_decay_rates(data, fit_floor=fit_floor)
+        return np.array(starts[0])
+
+    @pytest.mark.parametrize("floor", [None, 0.985])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_per_level_seeds_near_truth(self, monkeypatch, reset_rates, floor, seed):
+        t = np.linspace(10e-9, 2e-6, 1000)
+        data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 10000,
+                                      floor_p_inf=floor, seed=seed)
+        start = self._start_point(monkeypatch, data, floor is not None)
+        truth = [reset_rates.gamma_ge, reset_rates.gamma_ef, reset_rates.gamma_fh]
+        assert _rel(start, truth).max() < 0.05
+
+    @pytest.mark.parametrize("preps, missing", [(("e", "h"), 1), (("f", "h"), 0)])
+    def test_missing_level_keeps_cascade_guess(self, monkeypatch, reset_rates,
+                                               preps, missing):
+        t = np.linspace(10e-9, 2e-6, 200)
+        data = synth.gen_reset_curves(reset_rates, preps, t, 10000, seed=3)
+        first = data.curves[preps[0]]
+        g0 = dyn._seed_gamma(first.times, first.populations[:, 0])
+        start = self._start_point(monkeypatch, data, False)
+        assert start[missing] == [g0, 1.7 * g0, 2.5 * g0][missing]
+        for prep in preps:
+            k = "efh".index(prep) + 1
+            curve = data.curves[prep]
+            assert start[k - 1] == dyn._seed_gamma(curve.times, -curve.populations[:, k])
 
     def test_requires_enough_data(self, reset_rates):
         t = np.linspace(1e-8, 1e-6, 5)

@@ -54,6 +54,20 @@ class TestThermalShots:
         b = synth.gen_thermal_shots(gen_config, 0.18, 400)
         assert np.array_equal(a, b)
 
+    def test_missing_component_named_with_its_level(self, gen_config):
+        comps = gen_config.cluster_model.components
+        kept = {lab: cl.GmmComponent(c.mean, c.cov, c.weight / (1.0 - comps["k+"].weight))
+                for lab, c in comps.items() if lab != "k+"}
+        cfg = synth.ShotGenConfig(ladder=gen_config.ladder, seed=gen_config.seed,
+                                  cluster_model=cl.GmmModel(kept))
+        # Cold enough that no level above h is drawn: the overflow cluster
+        # is never needed and the shots equal those of the full model.
+        assert np.array_equal(synth.gen_thermal_shots(cfg, 0.05, 2000),
+                              synth.gen_thermal_shots(gen_config, 0.05, 2000))
+        with pytest.raises(ValueError,
+                           match=r"^cluster_model has no 'k\+' component, which level 4 needs$"):
+            synth.gen_thermal_shots(cfg, 0.3, 2000)
+
     def test_level_frequencies_match_boltzmann(self, gen_config):
         n = 1_000_000
         xy = synth.gen_thermal_shots(gen_config, 0.25, n)
