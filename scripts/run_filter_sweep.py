@@ -28,13 +28,11 @@ grid = np.linspace(0.0, 0.45, 201)
 # configuration, where the radiative channel closes
 drive = nw.filter_frequency_exact(geom, nw.squid_array_inductance(arr, grid[150]))
 
-rows = nw.flux_sweep(geom, arr, qubit, grid, drive, mode="clamped")
-fio.write_flux_sweep_csv(OUT, rows)
+sweep = nw.flux_sweep(geom, arr, qubit, grid, drive, mode="clamped")
+fio.write_flux_sweep_csv(OUT, sweep)
 
-f_f = np.array([r.f_f for r in rows])
-gamma = np.array([r.gamma_qf for r in rows])
-margin = np.array([r.margin for r in rows])
-print(f"wrote {OUT} ({len(rows)} biases, drive {drive / 1e9:.4f} GHz)")
+f_f, gamma, margin = sweep.f_f, sweep.gamma_qf, sweep.margin
+print(f"wrote {OUT} ({len(sweep)} biases, drive {drive / 1e9:.4f} GHz)")
 print(f"bare quarter-wave frequency : {geom.f0 / 1e9:.4f} GHz")
 print(f"filter frequency range      : {f_f.min() / 1e9:.4f} - {f_f.max() / 1e9:.4f} GHz")
 print(f"coupling gamma_qf range     : {gamma.min():.3e} - {gamma.max():.3e} 1/s")

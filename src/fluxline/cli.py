@@ -1,6 +1,6 @@
 """Command-line front end for sweeps, fits and synthetic-data generation.
 
-Every subcommand reads a JSON config (--config), writes its result to
+Every command reads a JSON config (--config), writes its result to
 --out, and is deterministic given (config, seed).  Exit codes: 0 success,
 1 configuration or input error, 2 solver or fit failure.  ``main`` checks
 the config once against the command's key table below (documented in the
@@ -88,14 +88,14 @@ def cmd_filter_sweep(cfg: dict, out: str, seed) -> int:
     flux = cfg["flux_values"]
     if flux is None:
         flux = np.linspace(cfg["flux_start"], cfg["flux_stop"], cfg["flux_points"])
-    rows = nw.flux_sweep(
+    sweep = nw.flux_sweep(
         nw.FilterGeometry(*cfg["geometry"].values()), nw.SquidArray(*cfg["squid_array"].values()),
         nw.QubitLoad(*cfg["qubit"].values()), flux, drive_freq=cfg["drive_freq_GHz"],
         mode=cfg["mode"], i_node=cfg["i_node_uA"], reference_flux=cfg["reference_flux"])
-    fio.write_flux_sweep_csv(out, rows)
-    n_err = sum(1 for r in rows if r.error is not None)
+    fio.write_flux_sweep_csv(out, sweep)
+    n_err = sum(e is not None for e in sweep.error)
     if n_err:
-        print(f"{n_err}/{len(rows)} flux points carry error markers", file=sys.stderr)
+        print(f"{n_err}/{len(sweep)} flux points carry error markers", file=sys.stderr)
     return 0
 
 
@@ -248,13 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tunable drive-line filter modeling and multilevel "
                     "qubit analysis toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in _COMMANDS.items():
-        p = sub.add_parser(name, help=func.__doc__)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", required=True, help="output file path")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .classify import AssignmentMatrix, GmmComponent, GmmModel
 from .dynamics import ResetCurve, ResetDataset
-from .network import FluxSweepRow
+from .network import SWEEP_FIELDS
 from .thermometry import KB_OVER_H_CODATA, KB_OVER_H_ROUNDED
 
 GHZ = 1e9
@@ -147,10 +147,9 @@ def read_config(cfg, schema: dict, path: str = "") -> dict:
 
 # --- CSV formats ----------------------------------------------------------------
 
-def write_flux_sweep_csv(path, rows: list[FluxSweepRow]) -> None:
-    table = np.array([(r.flux_ratio, r.l_j_arr, r.f_f, r.gamma_qf, r.t1_ext, r.t1_total,
-                       r.rabi_rel, r.i_peak, r.margin) for r in rows]).reshape(len(rows), 9)
-    _write_table(path, SWEEP_HEADER, table.T)
+def write_flux_sweep_csv(path, sweep: np.recarray) -> None:
+    """Write the float fields of a ``network.flux_sweep`` result; ``error`` is not written."""
+    _write_table(path, SWEEP_HEADER, [sweep[name] for name in SWEEP_FIELDS])
 
 
 def write_reset_csv(path, data: ResetDataset) -> None:
@@ -213,7 +212,7 @@ def _read_table(path, kind: str, headers: tuple[str, ...], labelled: bool):
         body = fh.read()
     if header not in headers:
         raise ValueError(f"unexpected {kind} CSV header: {header!r}")
-    if not body.strip():
+    if not body or body.isspace():
         raise ValueError(f"{kind} CSV holds no data rows")
     n_fields = header.count(",") + 1
     try:

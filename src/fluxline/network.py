@@ -480,25 +480,13 @@ def coupling_figures(
     return CouplingFigures(*(float(col) for col in _coupling_columns(qubit, y, y_ref)))
 
 
-@dataclass(frozen=True)
-class FluxSweepRow:
-    """One flux point of a sweep; ``error`` holds a failure marker, if any."""
+# The float fields of a flux_sweep record, in the column order of the sweep CSV.
+SWEEP_FIELDS = ("flux_ratio", "l_j_arr", "f_f", "gamma_qf", "t1_ext", "t1_total",
+                "rabi_rel", "i_peak", "margin")
 
-    flux_ratio: float
-    l_j_arr: float = math.nan
-    f_f: float = math.nan
-    gamma_qf: float = math.nan
-    t1_ext: float = math.nan
-    t1_total: float = math.nan
-    rabi_rel: float = math.nan
-    i_peak: float = math.nan
-    margin: float = math.nan
-    error: str | None = None
-
-
-# Error marker of a row by its first failing stage (1-4); 5 is no failure.
-_STAGE_ERRORS = (None, HalfFluxDivergence.__name__, NoRootFound.__name__,
-                 TangentPole.__name__, TangentPole.__name__, None)
+# Error marker of a flux point by its first failing stage (1-4); 5 is no failure.
+_STAGE_ERRORS = np.array([None, HalfFluxDivergence.__name__, NoRootFound.__name__,
+                          TangentPole.__name__, TangentPole.__name__, None], dtype=object)
 
 
 def flux_sweep(
@@ -510,15 +498,18 @@ def flux_sweep(
     mode: str = "clamped",
     i_node: float = 2e-7,
     reference_flux: float = 0.0,
-) -> list[FluxSweepRow]:
+) -> np.recarray:
     """Tabulate inductance, filter frequency and coupling over a flux grid.
 
-    Rows are independent and deterministic.  A failing flux point's row
-    names the exception of its first failing stage in ``error``: inductance
-    (HalfFluxDivergence, strict mode), filter root (NoRootFound), admittance
-    or current factor (TangentPole); columns before that stage keep their
-    values, the rest are nan.  ``i_node`` is the node drive current for the
-    peak-current and margin columns (0.2 uA: about -80 dBm on 50 ohm).
+    Returns one record per flux point: the float64 fields ``SWEEP_FIELDS``
+    and an object field ``error``, None or the name of the exception of the
+    point's first failing stage: inductance (HalfFluxDivergence, strict
+    mode), filter root (NoRootFound), admittance or current factor
+    (TangentPole).  Fields before that stage keep their values, the rest are
+    nan.  Each field is a column (``sweep.f_f``); iterating the array yields
+    rows with the same attributes (``row.f_f``, ``row.error``).  Points are
+    independent and deterministic.  ``i_node`` is the node drive current for
+    the peak-current and margin fields (0.2 uA: about -80 dBm on 50 ohm).
     """
     flux = np.array(list(flux_grid), dtype=float)
     if flux.size == 0:
@@ -540,10 +531,10 @@ def flux_sweep(
     stage = np.select([half, np.isnan(f_f), y_pole, i_pole], [1, 2, 3, 4], 5)
 
     def kept(values, after):
-        return np.where(stage > after, values, math.nan).tolist()
+        return np.where(stage > after, values, math.nan)
 
     coupling = [kept(col, 3) for col in _coupling_columns(qubit, y, y_ref)]
-    columns = zip(flux.tolist(), kept(l_j, 1), kept(f_f, 2), *coupling,
-                  kept(i_peak, 4), kept(nonlinearity_margin(i_peak, ic_sq)[0], 4),
-                  [_STAGE_ERRORS[s] for s in stage.tolist()])
-    return [FluxSweepRow(*fields) for fields in columns]
+    return np.rec.fromarrays(
+        [flux, kept(l_j, 1), kept(f_f, 2), *coupling, kept(i_peak, 4),
+         kept(nonlinearity_margin(i_peak, ic_sq)[0], 4), _STAGE_ERRORS[stage]],
+        names=SWEEP_FIELDS + ("error",))

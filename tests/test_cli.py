@@ -17,6 +17,7 @@ import fluxline
 from fluxline import classify as cl
 from fluxline import dynamics as dyn
 from fluxline import io as fio
+from fluxline import network as nw
 from fluxline.cli import main
 
 from conftest import LADDER_A, make_ring_model
@@ -42,6 +43,15 @@ def write_cfg(tmp_path, name, cfg):
 
 def model_dict():
     return fio.model_to_dict(make_ring_model())
+
+
+def test_unknown_command_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", SWEEP_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["filter-swep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'filter-swep'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 class TestFilterSweep:
@@ -147,6 +157,17 @@ class TestGenerateAndFitReset:
         assert main(["generate", "--config", gen_cfg, "--out", str(b),
                      "--seed", "43"]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_seed_flag_before_the_command_overrides(self, tmp_path):
+        gen = {"generator": "reset",
+               "rates": {"t1_ge_ns": 238.22, "t1_ef_ns": 136.80, "t1_fh_ns": 128.84},
+               "t_points": 10, "n_shots_per_point": 500}
+        cfg_42 = write_cfg(tmp_path, "gen42.json", dict(gen, seed=42))
+        cfg_43 = write_cfg(tmp_path, "gen43.json", dict(gen, seed=43))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["--seed", "43", "generate", "--config", cfg_42, "--out", str(a)]) == 0
+        assert main(["generate", "--config", cfg_43, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_empty_csv_exit_1(self, tmp_path):
         bad = tmp_path / "empty.csv"
@@ -313,6 +334,10 @@ class TestCurveCsvBoundary:
     def test_header_only_exit_1(self, tmp_path, capsys, command):
         err = self.run_fit(tmp_path, capsys, command, "x,y\n")
         assert "no data rows" in err
+
+    def test_whitespace_only_body_exit_1(self, tmp_path, capsys, command):
+        err = self.run_fit(tmp_path, capsys, command, "x,y\n \r\n\t\x0b\x0c\n")
+        assert err == "error: curve CSV holds no data rows\n"
 
 
 class TestThermometryPipeline:
@@ -665,11 +690,11 @@ class TestWritersMatchPerRowReference:
 
     @pytest.mark.parametrize("n", ROWS)
     def test_flux_sweep(self, tmp_path, n):
-        from fluxline.network import FluxSweepRow
         table = mixed_values(9 * n, 5).reshape(n, 9)
-        rows = [FluxSweepRow(*values) for values in table.tolist()]
-        fio.write_flux_sweep_csv(tmp_path / "f.csv", rows)
-        assert (tmp_path / "f.csv").read_bytes() == _ref_sweep_text(rows).encode()
+        errors = np.resize(np.array([None, "NoRootFound"], dtype=object), n)
+        sweep = np.rec.fromarrays([*table.T, errors], names=nw.SWEEP_FIELDS + ("error",))
+        fio.write_flux_sweep_csv(tmp_path / "f.csv", sweep)
+        assert (tmp_path / "f.csv").read_bytes() == _ref_sweep_text(sweep).encode()
 
 
 # Runs in a fresh interpreter: imports the CLI, runs each command named on

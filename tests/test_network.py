@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -388,6 +389,19 @@ class TestFluxSweep:
         assert rows[1].error == "HalfFluxDivergence"
         assert math.isnan(rows[1].gamma_qf)
 
+    def test_iterates_as_rows_equal_to_columns(self, geometry, squid_array, qubit):
+        # Row access is what the scalar-reference tests and the benchmark's
+        # error-row counter read; it must agree with the columns.
+        sweep = nw.flux_sweep(geometry, squid_array, qubit, [0.0, 0.3, 0.5, math.nan],
+                              4.2e9)
+        assert sweep.dtype.names == nw.SWEEP_FIELDS + ("error",)
+        assert sweep.error.tolist() == [None, None, "NoRootFound", "NoRootFound"]
+        for k, row in enumerate(sweep):
+            assert row.error is sweep.error[k]
+            for name in nw.SWEEP_FIELDS:
+                np.testing.assert_array_equal(getattr(row, name), sweep[name][k],
+                                              err_msg=name)
+
     def test_empty_grid_rejected(self, geometry, squid_array, qubit):
         with pytest.raises(ValueError):
             nw.flux_sweep(geometry, squid_array, qubit, [], 4.2e9)
@@ -570,7 +584,8 @@ def _ref_flux_sweep(geom, arr, qubit, flux_grid, drive_freq, mode="clamped",
         gamma_ref = math.nan
     rows = []
     for flux in flux_grid:
-        fields = {"flux_ratio": flux}
+        fields = {**dict.fromkeys(_SWEEP_COLUMNS, math.nan), "error": None,
+                  "flux_ratio": flux}
         try:
             fields["l_j_arr"] = l_j = _ref_inductance(arr, flux, mode)
             ic_sq = _ref_ic_sq(arr, flux, mode)
@@ -592,7 +607,7 @@ def _ref_flux_sweep(geom, arr, qubit, flux_grid, drive_freq, mode="clamped",
             fields["margin"] = 5.0 * i_peak / ic_sq
         except (HalfFluxDivergence, NoRootFound, TangentPole) as exc:
             fields["error"] = type(exc).__name__
-        rows.append(nw.FluxSweepRow(**fields))
+        rows.append(SimpleNamespace(**fields))
     return rows
 
 
