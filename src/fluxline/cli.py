@@ -9,7 +9,6 @@ README), so each ``cmd_*`` takes checked values, in SI, under their keys.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -242,30 +241,78 @@ def cmd_generate(cfg: dict, out: str, seed) -> int:
 _COMMANDS = {name: globals()["cmd_" + name.replace("-", "_")] for name in _SCHEMAS}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fluxline",
-        description="Tunable drive-line filter modeling and multilevel "
-                    "qubit analysis toolkit",
-    )
-    parser.add_argument("command", choices=list(_COMMANDS))
-    parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--out", required=True, help="output file path")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    return parser
+# The CLI's one grammar, COMMAND --config PATH --out PATH [--seed N]: each
+# option's (metavar, conversion, default), a default of ... marking it required.
+_OPTIONS = {"--config": ("PATH", str, ...), "--out": ("PATH", str, ...),
+            "--seed": ("N", int, None)}
+_USAGE = "".join(
+    ["usage: fluxline COMMAND"]
+    + [f" {name} {metavar}" if default is ... else f" [{name} {metavar}]"
+       for name, (metavar, _, default) in _OPTIONS.items()]
+    + [f"\ncommands: {', '.join(_COMMANDS)}\n"])
+
+
+def _usage_error(reason: str):
+    sys.stderr.write(f"{_USAGE}fluxline: error: {reason}\n")
+    sys.exit(2)
+
+
+def read_argv(argv) -> tuple[str, str, str, int | None]:
+    """(command, config path, output path, seed) from the argument list.
+
+    Options come in any order, before or after the command, as ``--opt
+    VALUE`` or ``--opt=VALUE``.  ``-h`` or ``--help`` prints the usage and
+    exits 0; a bad argument list prints the usage and the reason to stderr
+    and exits 2.
+    """
+    words, given = [], {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_USAGE)
+            sys.exit(0)
+        name, eq, value = arg.partition("=")
+        if name in _OPTIONS:
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("--"):
+                    _usage_error(f"argument {name}: expected one argument")
+            given[name] = value
+        elif arg.startswith("-"):
+            _usage_error(f"unrecognized arguments: {arg}")
+        else:
+            words.append(arg)
+    if not words:
+        _usage_error("the following arguments are required: COMMAND")
+    if words[0] not in _COMMANDS:
+        _usage_error(f"argument COMMAND: invalid choice: {words[0]!r} "
+                     f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    if len(words) > 1:
+        _usage_error(f"unrecognized arguments: {' '.join(words[1:])}")
+    missing = [name for name, (_, _, default) in _OPTIONS.items()
+               if default is ... and name not in given]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    values = []
+    for name, (_, convert, default) in _OPTIONS.items():
+        try:
+            values.append(convert(given[name]) if name in given else default)
+        except ValueError:
+            _usage_error(f"argument {name}: invalid {convert.__name__} value: {given[name]!r}")
+    return (words[0], *values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    command, config, out, seed = read_argv(sys.argv[1:] if argv is None else argv)
     try:
-        with open(args.config) as fh:
+        with open(config) as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        cfg = fio.read_config(cfg, config_schema(args.command, cfg))
-        return _COMMANDS[args.command](cfg, args.out, args.seed)
+        cfg = fio.read_config(cfg, config_schema(command, cfg))
+        return _COMMANDS[command](cfg, out, seed)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

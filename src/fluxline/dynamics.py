@@ -252,15 +252,16 @@ def _populations_closed(t: np.ndarray, rates: DecayRates, init: np.ndarray) -> n
     ah = rates.a_h
     e0, f0, h0 = (init[:, k, None] for k in (1, 2, 3))
 
+    out = np.empty((init.shape[0], t.size, 4))
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_h = h0 * np.exp(-ah * t)
-        p_f = f0 * np.exp(-af * t) + h0 * rates.gamma_fh * _dd1(af, ah, t)
-        p_e = (e0 * np.exp(-g * t)
-               + rates.gamma_ef * f0 * _dd1(g, af, t)
-               + h0 * (rates.gamma_ef * rates.gamma_fh * _dd2(g, af, ah, t)
-                       + rates.gamma_eh * _dd1(g, ah, t)))
-    out = np.stack([1.0 - p_e - p_f - p_h, p_e, p_f, p_h], axis=-1)
-    if not np.all(np.isfinite(out)):
+        out[..., 3] = p_h = h0 * np.exp(-ah * t)
+        out[..., 2] = p_f = f0 * np.exp(-af * t) + h0 * rates.gamma_fh * _dd1(af, ah, t)
+        out[..., 1] = p_e = (e0 * np.exp(-g * t)
+                             + rates.gamma_ef * f0 * _dd1(g, af, t)
+                             + h0 * (rates.gamma_ef * rates.gamma_fh * _dd2(g, af, ah, t)
+                                     + rates.gamma_eh * _dd1(g, ah, t)))
+    out[..., 0] = 1.0 - p_e - p_f - p_h
+    if not np.isfinite(out).all():
         raise DegenerateUnhandled("closed-form evaluation produced non-finite values")
     return out
 
@@ -460,7 +461,9 @@ def _fd_jacobian(fun, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     for i in range(x.size):
         xi = x.copy()
         xi[i] += h[i]
-        jac[:, i] = (fun(xi) - f) / (xi[i] - x[i])
+        # Divided straight into the column: no temporary to copy there.  J
+        # stays row-major (n, p), so J^T f keeps its BLAS summation order.
+        np.divide(fun(xi) - f, xi[i] - x[i], out=jac[:, i])
     return jac
 
 
@@ -564,8 +567,9 @@ def fit_decay_rates(
 
     names = ["gamma_ge", "gamma_ef", "gamma_fh"] + (["p_inf"] if fit_floor else [])
 
-    def physical(theta) -> bool:
-        return bool(np.all(theta[:3] > 0)) and (not fit_floor or 0.0 < theta[3] <= 1.0)
+    def physical(theta: list) -> bool:
+        return (theta[0] > 0 and theta[1] > 0 and theta[2] > 0
+                and (not fit_floor or 0.0 < theta[3] <= 1.0))
 
     # The difference column of p_inf moves only the floor and reuses the
     # model at x; four entries hold x and the three rate columns' points.
@@ -577,17 +581,18 @@ def fit_decay_rates(
         model.flags.writeable = False
         return model
 
-    def residuals(theta):
+    def residuals(x):
+        theta = x.tolist()
         if not physical(theta):
             return np.full(measured.size, 1e3)
-        model = floorless(theta[0], theta[1], theta[2])
+        model = floorless(*theta[:3])
         if fit_floor:
             model = apply_thermal_floor(model, theta[3])
         return model.ravel() - measured
 
     n_params = len(theta0)
     x, fun, jac = _levenberg_marquardt(residuals, theta0, max_nfev=200 * (n_params + 1))
-    if not physical(x):
+    if not physical(x.tolist()):
         raise FitDiverged(f"reset fit left the physical region at {x.tolist()}")
 
     dof = measured.size - n_params

@@ -166,15 +166,14 @@ def read_reset_csv(path) -> ResetDataset:
     Rows are checked as in ``_read_table``.  Populations are not
     range-checked, since readout-corrected data can be slightly negative.
     """
-    table, preps = _read_table(path, "reset", (RESET_HEADER,), labelled=True)
-    if preps is None:
+    table, codes, preps = _read_table(path, "reset", (RESET_HEADER,), labelled=True)
+    if codes is None:
         raise ValueError("reset CSV: every prep label is empty")
-    curves = {}
-    for prep in dict.fromkeys(preps.tolist()):
-        rows = table[preps == prep]
-        rows = rows[np.argsort(rows[:, 0], kind="stable")]
-        curves[prep] = ResetCurve(rows[:, 0], rows[:, 1:])
-    return ResetDataset(curves)
+    # Rows grouped by prep code, each group stably sorted by time.
+    table = table[np.lexsort((table[:, 0], codes))]
+    groups = np.split(table, np.cumsum(np.bincount(codes))[:-1])
+    return ResetDataset({prep: ResetCurve(rows[:, 0], rows[:, 1:])
+                         for prep, rows in zip(preps, groups)})
 
 
 def write_shots_csv(path, xy: np.ndarray, prep_labels=None) -> None:
@@ -185,7 +184,8 @@ def write_shots_csv(path, xy: np.ndarray, prep_labels=None) -> None:
 
 def read_shots_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """(n, 2) IQ points and prep labels, or None when every prep is empty."""
-    return _read_table(path, "shot", (SHOT_HEADER,), labelled=True)
+    xy, codes, preps = _read_table(path, "shot", (SHOT_HEADER,), labelled=True)
+    return xy, None if codes is None else np.array(preps, dtype=object)[codes]
 
 
 def write_curve_csv(path, x, y) -> None:
@@ -194,18 +194,19 @@ def write_curve_csv(path, x, y) -> None:
 
 def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """x, y and sigma (None under an ``x,y`` header) from a curve CSV."""
-    table, _ = _read_table(path, "curve", ("x,y", "x,y,sigma"), labelled=False)
+    table, _, _ = _read_table(path, "curve", ("x,y", "x,y,sigma"), labelled=False)
     return table[:, 0], table[:, 1], (table[:, 2] if table.shape[1] == 3 else None)
 
 
 def _read_table(path, kind: str, headers: tuple[str, ...], labelled: bool):
-    """(n, k) numeric columns and the labels of a CSV table under one of ``headers``.
+    """(n, k) numeric columns of a CSV table under one of ``headers``, and its labels.
 
     The body is parsed in one ``np.loadtxt`` call.  Every row must hold the
     header's fields, all finite numbers but the leading label when
     ``labelled``; the ``ValueError`` names the first row that does not.
-    Labels are an object array, or None when there are none or all are
-    empty (counted on the bytes, without decoding the body).
+    The labels come as (n,) integer codes and the list of distinct labels
+    in order of first appearance, which the codes index; both are None
+    when there are no labels or all are empty (counted on the bytes).
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode().rstrip("\r\n")
@@ -227,14 +228,38 @@ def _read_table(path, kind: str, headers: tuple[str, ...], labelled: bool):
             or not np.isfinite(values).all()):
         raise ValueError(_bad_row(body, kind, header, labelled, f"{kind} CSV: malformed rows"))
     if not labelled:
-        return values, None
+        return values, None, None
     line_starts = np.flatnonzero(raw[:-1] == ord("\n")) + 1
     empty_labels = (raw[0] == ord(",")) + np.count_nonzero(raw[line_starts] == ord(","))
     if empty_labels == values.shape[0]:
-        return values, None
-    labels = [line.partition(",")[0]
-              for line in body.decode().split("\n") if line not in ("", "\r")]
-    return values, np.array(labels, dtype=object)
+        return values, None, None
+    # A row's label runs from its line start to its first comma, which is
+    # every (n_fields - 1)-th comma of the body.
+    line_starts = np.concatenate([[0], line_starts])
+    ends = np.flatnonzero(raw == ord(","))[::n_fields - 1]
+    starts = line_starts[np.searchsorted(line_starts, ends, side="right") - 1]
+    # Distinct labels as distinct byte strings, each with its comma so that
+    # none is empty.  Rows are compared among those of one label length, so
+    # a long label pads no other row's key.
+    sizes = ends - starts + 1
+    group, first = np.empty(ends.size, dtype=np.intp), []
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == size)
+        keys = raw[starts[rows, None] + np.arange(size)].view(np.dtype((np.void, size)))
+        _, first_rows, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        group[rows] = len(first) + inverse
+        first.extend(rows[first_rows].tolist())
+    order = np.argsort(first)
+    codes = np.empty_like(order)
+    codes[order] = np.arange(order.size)
+    labels = []
+    for row in sorted(first):
+        try:
+            labels.append(body[starts[row]:ends[row]].decode())
+        except UnicodeDecodeError:
+            line_no = 2 + np.searchsorted(line_starts, starts[row])
+            raise ValueError(f"{kind} CSV line {line_no}: label is not UTF-8") from None
+    return values, codes[group], labels
 
 
 def _bad_row(body: bytes, kind: str, header: str, labelled: bool, fallback: str) -> str:

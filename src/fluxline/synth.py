@@ -115,35 +115,50 @@ def _gillespie_levels(levels: np.ndarray, decay: GillespieDecay,
     return lvl
 
 
-def gen_thermal_shots(cfg: ShotGenConfig, temperature: float, n: int,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-    """Draw n thermal IQ shots; returns an (n, 2) array.
+def _thermal_shot_sampler(cfg: ShotGenConfig):
+    """``draw(temperature, n, rng)``, the (n, 2) thermal IQ shots of one window.
 
     Levels are sampled from the extended Boltzmann distribution, optionally
     relaxed by the Gillespie walk, then emitted from the matching cluster
-    Gaussian (levels >= 4 from the overflow component).
+    Gaussian (levels >= 4 from the overflow component).  The per-run setup,
+    each component's Cholesky factor and each temperature's level
+    probabilities, is done once per sampler, not once per window.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    factors = {k: (comp.mean, np.linalg.cholesky(comp.cov))
+               for k, name in enumerate(_COMPONENTS)
+               if (comp := cfg.cluster_model.components.get(name)) is not None}
+    probs = {}
+
+    def draw(temperature: float, n: int, rng: np.random.Generator) -> np.ndarray:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if temperature not in probs:
+            probs[temperature] = thermal_level_probabilities(cfg, temperature)
+        levels = rng.choice(cfg.n_model_levels, size=n, p=probs[temperature])
+        if cfg.readout_decay is not None:
+            levels = _gillespie_levels(levels, cfg.readout_decay, rng)
+
+        z = rng.standard_normal((n, 2))
+        xy = np.empty((n, 2))
+        comp_idx = np.minimum(levels, 4)
+        for k in np.flatnonzero(np.bincount(comp_idx)).tolist():
+            sel = comp_idx == k
+            if k not in factors:
+                raise ValueError(f"cluster_model has no {_COMPONENTS[k]!r} component,"
+                                 f" which level {levels[sel].min()} needs")
+            mean, chol = factors[k]
+            xy[sel] = mean + z[sel] @ chol.T
+        return xy
+
+    return draw
+
+
+def gen_thermal_shots(cfg: ShotGenConfig, temperature: float, n: int,
+                      rng: np.random.Generator | None = None) -> np.ndarray:
+    """Draw n thermal IQ shots; returns an (n, 2) array (see ``_thermal_shot_sampler``)."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    probs = thermal_level_probabilities(cfg, temperature)
-    levels = rng.choice(cfg.n_model_levels, size=n, p=probs)
-    if cfg.readout_decay is not None:
-        levels = _gillespie_levels(levels, cfg.readout_decay, rng)
-
-    z = rng.standard_normal((n, 2))
-    xy = np.empty((n, 2))
-    comp_idx = np.minimum(levels, 4)
-    for k in np.unique(comp_idx).tolist():
-        comp = cfg.cluster_model.components.get(_COMPONENTS[k])
-        sel = comp_idx == k
-        if comp is None:
-            raise ValueError(f"cluster_model has no {_COMPONENTS[k]!r} component,"
-                             f" which level {levels[sel].min()} needs")
-        chol = np.linalg.cholesky(comp.cov)
-        xy[sel] = comp.mean + z[sel] @ chol.T
-    return xy
+    return _thermal_shot_sampler(cfg)(temperature, n, rng)
 
 
 def gen_reset_curves(rates: DecayRates, preps, t_grid, n_shots_per_point: int,
@@ -196,5 +211,5 @@ def gen_window_series(cfg: ShotGenConfig, t_profile, n_win: int, n_shot: int,
         raise ValueError("n_win must be >= 2")
     base_seed = cfg.seed if seed is None else seed
     profile = t_profile if callable(t_profile) else (lambda _w: float(t_profile))
-    return [gen_thermal_shots(cfg, profile(w), n_shot, rng=window_rng(base_seed, w))
-            for w in range(n_win)]
+    draw = _thermal_shot_sampler(cfg)
+    return [draw(profile(w), n_shot, window_rng(base_seed, w)) for w in range(n_win)]

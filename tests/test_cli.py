@@ -54,6 +54,66 @@ def test_unknown_command_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def exit_code(argv) -> int:
+    """``main``'s return value, or the code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestArgvReader:
+    """The one grammar, COMMAND --config PATH --out PATH [--seed N]."""
+
+    # argv (CFG and OUT stand for the paths), exit code, a stderr
+    # substring, whether OUT was written.
+    CASES = [
+        (["generate", "--out", "OUT"], 2, "required: --config", False),
+        (["generate", "--config", "CFG"], 2, "required: --out", False),
+        (["generate", "--config", "CFG", "--out", "OUT", "--seed", "x"], 2,
+         "argument --seed: invalid int value: 'x'", False),
+        (["generate", "--config", "CFG", "--out", "OUT", "--seed"], 2,
+         "argument --seed: expected one argument", False),
+        (["generate", "--config", "--out", "OUT"], 2,
+         "argument --config: expected one argument", False),
+        (["generate", "--config=CFG", "--out=OUT"], 0, "", True),
+        (["--seed", "43", "generate", "--config", "CFG", "--out", "OUT"], 0, "", True),
+        (["--out", "OUT", "--seed=7", "--config", "CFG", "generate"], 0, "", True),
+        (["generate", "fit-reset", "--config", "CFG", "--out", "OUT"], 2,
+         "unrecognized arguments: fit-reset", False),
+        (["generate", "--conf", "CFG", "--out", "OUT"], 2,
+         "unrecognized arguments: --conf", False),
+        (["--config", "CFG", "--out", "OUT"], 2, "required: COMMAND", False),
+        (["generate", "--config", "CFG", "--out", "OUT", "-h"], 0, "", False),
+        (["--help"], 0, "", False),
+    ]
+
+    @pytest.mark.parametrize("argv, code, stderr, written", CASES)
+    def test_argument_lists(self, tmp_path, capsys, argv, code, stderr, written):
+        cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "reset",
+            "rates": {"t1_ge_ns": 238.22, "t1_ef_ns": 136.80, "t1_fh_ns": 128.84},
+            "t_points": 10, "n_shots_per_point": 500})
+        out = tmp_path / "out.csv"
+        argv = [a.replace("CFG", cfg).replace("OUT", str(out)) for a in argv]
+        assert exit_code(argv) == code
+        captured = capsys.readouterr()
+        assert stderr in captured.err
+        if code == 2:
+            assert captured.err.startswith("usage: fluxline COMMAND --config PATH --out PATH")
+            assert captured.err.endswith("\n") and captured.out == ""
+        assert out.exists() == written
+
+    def test_help_prints_the_usage_on_stdout(self, capsys):
+        assert exit_code(["-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "usage: fluxline COMMAND --config PATH --out PATH [--seed N]",
+            "commands: filter-sweep, fit-reset, fit-temp, fit-rb, fit-curve, classify,"
+            " generate"]
+
+
 class TestFilterSweep:
     def test_writes_header_and_rows(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", SWEEP_CFG)
@@ -483,6 +543,79 @@ class TestClassifyCommand:
         assert sum(doc["counts"].values()) == 1000
 
 
+def reference_labels(body: bytes) -> list[str]:
+    """The label path the byte-level reader replaced: decode, split, partition."""
+    return [line.partition(",")[0]
+            for line in body.decode().split("\n") if line not in ("", "\r")]
+
+
+# Label text as a CSV can hold it: no comma, no line end, valid UTF-8.
+label_text = st.text(st.characters(blacklist_characters=",\n\r",
+                                   blacklist_categories=("Cs",)), max_size=4)
+
+
+class TestLabelCodes:
+    """Labels cut from the bytes as codes into a first-appearance table."""
+
+    BODIES = {
+        "crlf": b"g,1,2\r\ne,3,4\r\n",
+        "blank lines": b"\ng,1,2\n\n\r\ne,3,4\n\n",
+        "spaces and utf-8": "ground state,1,2\n État é ,3,4\n\U0001d713,5,6\n"
+                            "ground state,7,8\n".encode(),
+        "mixed empty": b",1,2\ng,3,4\n,5,6\n",
+        "interleaved": b"h,1,2\ne,3,4\nh,5,6\nf,7,8\ne,9,10\n",
+        "no final newline": b"g,1,2\ne,3,4",
+        "prefixes and nul": b"g,1,2\ngg,3,4\ng ,5,6\ng\x00,7,8\ng,9,10\n",
+    }
+
+    def check(self, path, body):
+        ref = reference_labels(body)
+        _, codes, labels = fio._read_table(path, "shot", (fio.SHOT_HEADER,), labelled=True)
+        xy, labs = fio.read_shots_csv(path)
+        assert len(xy) == len(ref)
+        if all(r == "" for r in ref):
+            assert codes is labels is labs is None
+            return
+        assert labels == list(dict.fromkeys(ref))
+        assert codes.tolist() == [labels.index(r) for r in ref]
+        assert labs.dtype == object and labs.tolist() == ref
+
+    @pytest.mark.parametrize("name", BODIES)
+    def test_edge_case_bodies_match_the_reference(self, tmp_path, name):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"prep,i,q\n" + self.BODIES[name])
+        self.check(path, self.BODIES[name])
+
+    @given(labels=st.lists(label_text, min_size=1, max_size=20),
+           blank=st.lists(st.sampled_from(["", "\n", "\r\n"]), min_size=20, max_size=20),
+           crlf=st.booleans(), final_newline=st.booleans())
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_labels_match_the_reference(self, tmp_path, labels, blank, crlf, final_newline):
+        end = "\r\n" if crlf else "\n"
+        text = end.join(f"{lab},{k},0.5{blank[k]}" for k, lab in enumerate(labels))
+        body = (text + (end if final_newline else "")).encode()
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"prep,i,q\n" + body)
+        self.check(path, body)
+
+    @pytest.mark.parametrize("command, header, row, key", [
+        ("classify", b"prep,i,q", b",0.5,1.5", "shots_csv"),
+        ("fit-reset", b"prep,time_s,p_g,p_e,p_f,p_h", b",0.0,1,0,0,0", "reset_csv"),
+    ])
+    def test_label_not_utf8_exit_1_naming_line(self, tmp_path, capsys, command, header, row,
+                                               key):
+        data = tmp_path / "data.csv"
+        data.write_bytes(header + b"\ne" + row + b"\n\n\xe9t\xe9" + row + b"\n")
+        (tmp_path / "model.json").write_text(json.dumps(model_dict()))
+        cfg = {key: str(data)}
+        if command == "classify":
+            cfg["model_json"] = str(tmp_path / "model.json")
+        assert main([command, "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                     "--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(" CSV line 4: label is not UTF-8\n")
+
+
 class TestRoundTripFormats:
     def test_reset_csv_round_trip(self, tmp_path, reset_rates):
         from fluxline import synth
@@ -698,14 +831,17 @@ class TestWritersMatchPerRowReference:
 
 
 # Runs in a fresh interpreter: imports the CLI, runs each command named on
-# the command line (name, config path, output path), and prints the scipy
-# modules loaded after the import and after each command.  Then it reaches
-# the lazily imported fits module as a package attribute (the module
-# __getattr__) and by a from-import, and checks that scipy is loaded now.
+# the command line (name, config path, output path), and prints the watched
+# modules (scipy's, and the costly imports in WATCHED) loaded after the
+# import and after each command.  Then it reaches the lazily imported fits
+# module as a package attribute (the module __getattr__) and by a
+# from-import, and checks that scipy is loaded now.
 _HYGIENE_SCRIPT = """
 import json, sys
 import fluxline.cli as cli
-loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+watched = set(sys.argv[2].split(","))
+loaded = lambda: sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m in watched)
 report = {"import fluxline.cli": loaded()}
 for name, cfg, out in json.loads(sys.argv[1]):
     rc = cli.main([name, "--config", cfg, "--out", out])
@@ -717,10 +853,17 @@ report["fits"] = [fits is by_attribute, hasattr(fits, "rb_fit"),
                   "scipy.optimize" in sys.modules]
 print(json.dumps(report))
 """
+# argparse (with the locale its first gettext call imports) and numpy.ma
+# (which a plain np.unique imports) each cost milliseconds of every run, and
+# no command needs them.
+WATCHED = ("argparse", "locale", "numpy.ma")
 
 
 class TestImportHygiene:
-    def test_only_the_curve_fits_load_scipy(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        """Watched modules after the import and after each command, from one process."""
+        tmp_path = tmp_path_factory.mktemp("hygiene")
         (tmp_path / "model.json").write_text(json.dumps(model_dict()))
         cfgs = {
             "windows": {"generator": "windows", "ladder": LADDER_CFG,
@@ -747,10 +890,21 @@ class TestImportHygiene:
         src = str(Path(fluxline.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-c", _HYGIENE_SCRIPT, json.dumps(calls)],
+        proc = subprocess.run([sys.executable, "-c", _HYGIENE_SCRIPT, json.dumps(calls),
+                               ",".join(WATCHED)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
+        assert len(report) == 2 + len(calls)
+        return report
+
+    def test_only_the_curve_fits_load_scipy(self, report):
+        report = dict(report)
         assert report.pop("fits") == [True, True, True]
-        assert len(report) == 1 + len(calls)
-        assert report == {step: [] for step in report}
+        assert {step: [m for m in mods if m not in WATCHED] for step, mods in report.items()} \
+            == {step: [] for step in report}
+
+    def test_no_command_loads_argparse_locale_or_numpy_ma(self, report):
+        steps = {step: mods for step, mods in report.items() if step != "fits"}
+        assert {step: [m for m in mods if m in WATCHED] for step, mods in steps.items()} \
+            == {step: [] for step in steps}
