@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -97,22 +96,32 @@ class GmmModel:
         return sorted(self.components, key=_label_sort_key)
 
 
-def _mahalanobis_sq(diff: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Squared Mahalanobis distance of each (n, 2) row, by the 2x2 closed form, and det(cov)."""
-    x, y = diff[:, 0], diff[:, 1]
+def _mahalanobis_sq(x: np.ndarray, y: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared Mahalanobis distance of each offset (x, y), by the 2x2 closed form, and det(cov)."""
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
     return (cov[1, 1] * x * x - (cov[0, 1] + cov[1, 0]) * x * y + cov[0, 0] * y * y) / det, det
+
+
+def _log_density(comp: GmmComponent, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Log of weight * normal density of one component at each shot (x, y)."""
+    maha, det = _mahalanobis_sq(x - comp.mean[0], y - comp.mean[1], comp.cov)
+    log_w = math.log(comp.weight) if comp.weight > 0 else -math.inf
+    return log_w - 0.5 * (maha + math.log(det)) - _LOG_2PI
+
+
+def _columns(xy) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous copies of the i and q columns of (n, 2) shots."""
+    xy = np.asarray(xy, dtype=float)
+    return xy[:, 0].copy(), xy[:, 1].copy()
 
 
 def _log_densities(model: GmmModel, xy: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Log of weight * normal density for every (shot, component)."""
     labels = model.labels
-    out = np.empty((xy.shape[0], len(labels)))
+    x, y = _columns(xy)
+    out = np.empty((x.size, len(labels)))
     for j, lab in enumerate(labels):
-        comp = model.components[lab]
-        maha, det = _mahalanobis_sq(xy - comp.mean, comp.cov)
-        log_w = math.log(comp.weight) if comp.weight > 0 else -math.inf
-        out[:, j] = log_w - 0.5 * (maha + math.log(det)) - _LOG_2PI
+        out[:, j] = _log_density(model.components[lab], x, y)
     return labels, out
 
 
@@ -213,11 +222,25 @@ def log_likelihood(model: GmmModel, xy: np.ndarray) -> float:
 def assign_indices(model: GmmModel, xy: np.ndarray) -> np.ndarray:
     """Maximum-likelihood component of each shot as an index into ``model.labels``.
 
-    Ties go to the earlier label in canonical order.  No posteriors are
-    computed.
+    The indices are the smallest unsigned integers that hold them.  Ties go
+    to the earlier label in canonical order, and a shot with a NaN density
+    (far enough out to overflow) goes to its first NaN component, as with
+    ``np.argmax`` over the log densities.  A running maximum over the
+    components replaces that (n, k) matrix; no posteriors are computed.
     """
-    _, log_dens = _log_densities(model, np.asarray(xy, dtype=float))
-    return np.argmax(log_dens, axis=1)
+    x, y = _columns(xy)
+    components = [model.components[lab] for lab in model.labels]
+    index = np.zeros(x.size, dtype=np.min_scalar_type(len(components) - 1))
+    best = _log_density(components[0], x, y)
+    for j, comp in enumerate(components[1:], start=1):
+        dens = _log_density(comp, x, y)
+        np.copyto(index, j, where=dens > best)
+        # NaN propagates, so ``best`` is NaN wherever any density was.
+        np.maximum(best, dens, out=best)
+    nan = np.flatnonzero(np.isnan(best))
+    if nan.size:
+        index[nan] = np.argmax(_log_densities(model, np.asarray(xy, dtype=float)[nan])[1], axis=1)
+    return index
 
 
 def window_counts(indices: np.ndarray, n_labels: int, window: int) -> np.ndarray:
@@ -227,9 +250,8 @@ def window_counts(indices: np.ndarray, n_labels: int, window: int) -> np.ndarray
     ignored.
     """
     n_win = indices.shape[0] // window
-    keyed = (indices[:n_win * window].reshape(n_win, window)
-             + (np.arange(n_win) * n_labels)[:, None])
-    return np.bincount(keyed.ravel(), minlength=n_win * n_labels).reshape(n_win, n_labels)
+    windows = indices[:n_win * window].reshape(n_win, window)
+    return np.stack([np.count_nonzero(windows == j, axis=1) for j in range(n_labels)], axis=1)
 
 
 def classify_shot(model: GmmModel, shot) -> tuple[str, dict[str, float]]:
@@ -277,6 +299,10 @@ def effective_binary_separation(epsilon: float) -> float:
 
     Inverse of ``bayes_error``: delta = -2 Phi^-1(epsilon).
     """
+    # Imported here: statistics loads fractions and decimal, a few ms that
+    # no command needs.
+    from statistics import NormalDist
+
     if not 0.0 < epsilon <= 0.5:
         raise OutOfRange(f"epsilon must lie in (0, 0.5], got {epsilon}")
     return -2.0 * NormalDist().inv_cdf(epsilon)
@@ -365,7 +391,8 @@ def truncate_to_sigma(model: GmmModel, xy: np.ndarray, n_sigma: float = 3.0) -> 
     for j, lab in enumerate(model.labels):
         sel = assigned == j
         comp = model.components[lab]
-        mask[sel] = _mahalanobis_sq(xy[sel] - comp.mean, comp.cov)[0] <= n_sigma**2
+        dx, dy = (xy[sel] - comp.mean).T
+        mask[sel] = _mahalanobis_sq(dx, dy, comp.cov)[0] <= n_sigma**2
     return mask
 
 

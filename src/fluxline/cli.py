@@ -152,14 +152,15 @@ def cmd_fit_curve(cfg: dict, out: str, seed) -> int:
 
 
 def cmd_fit_temp(cfg: dict, out: str, seed) -> int:
-    xy, _ = fio.read_shots_csv(cfg["shots_csv"])
     model = fio.model_from_dict(fio.load_json(cfg["model_json"]), "model_json")
     window, t_shot = cfg["window"], cfg["t_shot_us"]
-    n_win = xy.shape[0] // window
+    # The shots are classified a block at a time; one index per shot is kept.
+    indices = np.concatenate([cl.assign_indices(model, xy)
+                              for xy in fio.read_shot_blocks(cfg["shots_csv"])])
+    n_win = indices.size // window
     if n_win < 1:
-        raise ValueError(f"fewer shots ({xy.shape[0]}) than one window ({window})")
+        raise ValueError(f"fewer shots ({indices.size}) than one window ({window})")
 
-    indices = cl.assign_indices(model, xy[:n_win * window])
     counts = cl.window_counts(indices, len(model.labels), window)
     fit = th.fit_temperature_batch(cl.level_populations(counts, model.labels),
                                    th.LevelLadder(*cfg["ladder"].values()),
@@ -220,9 +221,8 @@ def cmd_generate(cfg: dict, out: str, seed) -> int:
         if kind == "thermal":
             xy = synth.gen_thermal_shots(gen_cfg, cfg["temperature_mk"], cfg["n_shots"])
         else:
-            windows = synth.gen_window_series(
+            xy = synth.iter_window_series(
                 gen_cfg, cfg["temperature_mk"], cfg["n_win"], cfg["n_shot"])
-            xy = np.vstack(windows)
         fio.write_shots_csv(out, xy)
     elif kind == "reset":
         t_grid = np.linspace(cfg["t_start_ns"], cfg["t_stop_ns"], cfg["t_points"])

@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterator
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -49,6 +50,8 @@ SWEEP_HEADER = ("flux_ratio,l_j_arr_H,f_f_Hz,gamma_qf_per_s,t1_ext_s,"
                 "t1_total_s,rabi_rel,i_peak_A,margin")
 # Rows formatted per write; the text of a whole table is never built.
 _WRITE_BLOCK_ROWS = 8192
+# Bytes of a CSV table read, checked and parsed at a time (whole lines).
+_READ_BLOCK_BYTES = 1 << 20
 
 
 def load_json(path) -> dict:
@@ -149,21 +152,21 @@ def read_config(cfg, schema: dict, path: str = "") -> dict:
 
 def write_flux_sweep_csv(path, sweep: np.recarray) -> None:
     """Write the float fields of a ``network.flux_sweep`` result; ``error`` is not written."""
-    _write_table(path, SWEEP_HEADER, [sweep[name] for name in SWEEP_FIELDS])
+    _write_table(path, SWEEP_HEADER, [([sweep[name] for name in SWEEP_FIELDS], None)])
 
 
 def write_reset_csv(path, data: ResetDataset) -> None:
     curves = [(prep, data.curves[prep]) for prep in sorted(data.curves)]
     table = np.vstack([np.empty((0, 5))]
                       + [np.column_stack([c.times, c.populations]) for _, c in curves])
-    _write_table(path, RESET_HEADER, table.T,
-                 chain.from_iterable(repeat(prep, c.times.size) for prep, c in curves))
+    _write_table(path, RESET_HEADER, [(table.T, chain.from_iterable(
+        repeat(prep, c.times.size) for prep, c in curves))])
 
 
 def read_reset_csv(path) -> ResetDataset:
     """Reset curves, in order of each prep's first row and sorted by time.
 
-    Rows are checked as in ``_read_table``.  Populations are not
+    Rows are checked as in ``_parse_block``.  Populations are not
     range-checked, since readout-corrected data can be slightly negative.
     """
     table, codes, preps = _read_table(path, "reset", (RESET_HEADER,), labelled=True)
@@ -176,10 +179,16 @@ def read_reset_csv(path) -> ResetDataset:
                          for prep, rows in zip(preps, groups)})
 
 
-def write_shots_csv(path, xy: np.ndarray, prep_labels=None) -> None:
-    xy = np.asarray(xy, dtype=float)
-    _write_table(path, SHOT_HEADER, xy.T,
-                 repeat("", len(xy)) if prep_labels is None else prep_labels)
+def write_shots_csv(path, xy, prep_labels=None) -> None:
+    """Write (n, 2) IQ points, with a prep label per row if given.
+
+    ``xy`` may also be an iterator of (n_i, 2) blocks, such as windows drawn
+    one at a time; they are written unlabelled, in turn, one held at a time.
+    """
+    blocks = ((b, None) for b in xy) if isinstance(xy, Iterator) else [(xy, prep_labels)]
+    _write_table(path, SHOT_HEADER, (
+        (np.asarray(points, dtype=float).T, repeat("", len(points)) if labels is None else labels)
+        for points, labels in blocks))
 
 
 def read_shots_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -188,8 +197,17 @@ def read_shots_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     return xy, None if codes is None else np.array(preps, dtype=object)[codes]
 
 
+def read_shot_blocks(path):
+    """Iterator over the (n_i, 2) IQ points of a shot CSV, one block at a time.
+
+    The blocks join to ``read_shots_csv(path)[0]``, checked as it checks
+    them; prep labels are checked, then dropped.
+    """
+    return (values for values, _, _ in _read_blocks(path, "shot", (SHOT_HEADER,), True))
+
+
 def write_curve_csv(path, x, y) -> None:
-    _write_table(path, "x,y", (x, y))
+    _write_table(path, "x,y", [((x, y), None)])
 
 
 def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -201,41 +219,109 @@ def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
 def _read_table(path, kind: str, headers: tuple[str, ...], labelled: bool):
     """(n, k) numeric columns of a CSV table under one of ``headers``, and its labels.
 
-    The body is parsed in one ``np.loadtxt`` call.  Every row must hold the
-    header's fields, all finite numbers but the leading label when
-    ``labelled``; the ``ValueError`` names the first row that does not.
-    The labels come as (n,) integer codes and the list of distinct labels
-    in order of first appearance, which the codes index; both are None
-    when there are no labels or all are empty (counted on the bytes).
+    The merge of ``_read_blocks``: labels come as (n,) integer codes and the
+    list of distinct labels in order of first appearance in the file, which
+    the codes index; both are None when there are no labels or all are empty.
+    """
+    values, codes, table = [], [], {}
+    for block_values, block_codes, block_labels in _read_blocks(path, kind, headers, labelled):
+        values.append(block_values)
+        if labelled:
+            # Each block's codes index its own first-appearance list.
+            remap = np.array([table.setdefault(label, len(table))
+                              for label in block_labels or [""]])
+            codes.append(remap[block_codes] if block_codes is not None
+                         else np.full(len(block_values), remap[0]))
+    values = np.concatenate(values)
+    if not labelled or list(table) == [""]:
+        return values, None, None
+    return values, np.concatenate(codes), list(table)
+
+
+def _read_blocks(path, kind: str, headers: tuple[str, ...], labelled: bool):
+    """Iterator over ``_parse_block`` of each block of whole lines of a CSV table.
+
+    The header must be one of ``headers``.  Blocks hold about
+    ``_READ_BLOCK_BYTES``; the first bad row and a table with no data rows
+    are ``ValueError``s.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode().rstrip("\r\n")
-        body = fh.read()
-    if header not in headers:
-        raise ValueError(f"unexpected {kind} CSV header: {header!r}")
-    if not body or body.isspace():
+        if header not in headers:
+            raise ValueError(f"unexpected {kind} CSV header: {header!r}")
+        rows, blank = 0, None
+        for block, first_line in _line_blocks(fh):
+            if block.isspace():
+                # Line ends hold no rows.  A line of other blanks is a bad
+                # row, unless every line of the table is blank.
+                if block.strip(b"\r\n"):
+                    blank = blank or (block, first_line)
+                if not (rows and blank):
+                    continue
+            if blank:
+                raise ValueError(_bad_row(blank[0], kind, header, labelled, blank[1],
+                                          f"{kind} CSV: blank line"))
+            parsed = _parse_block(block, kind, header, labelled, first_line)
+            rows += len(parsed[0])
+            yield parsed
+    if not rows:
         raise ValueError(f"{kind} CSV holds no data rows")
+
+
+def _line_blocks(fh):
+    """(block, number of its first line) for the rest of ``fh``, from line 2 on.
+
+    Each block holds the whole lines of about ``_READ_BLOCK_BYTES``; the
+    last may lack its line end.
+    """
+    line_no, rest = 2, b""
+    while chunk := fh.read(_READ_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            rest += chunk
+            continue
+        block, rest = rest + chunk[:cut], chunk[cut:]
+        yield block, line_no
+        line_no += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+    if rest:
+        yield rest, line_no
+
+
+def _parse_block(body: bytes, kind: str, header: str, labelled: bool, first_line: int):
+    """(n, k) numeric columns of the rows in ``body``, and their labels.
+
+    ``body`` holds whole lines of a table under ``header``, from line
+    ``first_line`` of its file on.  It is parsed in one ``np.loadtxt`` call.
+    Every row must hold the header's fields, all finite numbers but the
+    leading label when ``labelled``; the ``ValueError`` names the first row
+    that does not.  The labels come as (n,) integer codes and the list of
+    distinct labels in order of first appearance, which the codes index;
+    both are None when there are no labels or all are empty (counted on the
+    bytes).
+    """
     n_fields = header.count(",") + 1
     try:
         values = np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2, comments=None,
                             usecols=tuple(range(labelled, n_fields)))
     except ValueError as exc:
-        raise ValueError(_bad_row(body, kind, header, labelled, f"{kind} CSV: {exc}")) from None
+        raise ValueError(_bad_row(body, kind, header, labelled, first_line,
+                                  f"{kind} CSV: {exc}")) from None
     raw = np.frombuffer(body, dtype=np.uint8)
     # loadtxt rejects rows with too few fields and ignores extra ones, so
     # with it passing, n_fields - 1 commas per row means exactly n_fields.
     if (np.count_nonzero(raw == ord(",")) != (n_fields - 1) * values.shape[0]
             or not np.isfinite(values).all()):
-        raise ValueError(_bad_row(body, kind, header, labelled, f"{kind} CSV: malformed rows"))
+        raise ValueError(_bad_row(body, kind, header, labelled, first_line,
+                                  f"{kind} CSV: malformed rows"))
     if not labelled:
         return values, None, None
-    line_starts = np.flatnonzero(raw[:-1] == ord("\n")) + 1
-    empty_labels = (raw[0] == ord(",")) + np.count_nonzero(raw[line_starts] == ord(","))
+    line_ends = raw[:-1] == ord("\n")
+    empty_labels = (raw[0] == ord(",")) + np.count_nonzero(line_ends & (raw[1:] == ord(",")))
     if empty_labels == values.shape[0]:
         return values, None, None
     # A row's label runs from its line start to its first comma, which is
     # every (n_fields - 1)-th comma of the body.
-    line_starts = np.concatenate([[0], line_starts])
+    line_starts = np.concatenate([[0], np.flatnonzero(line_ends) + 1])
     ends = np.flatnonzero(raw == ord(","))[::n_fields - 1]
     starts = line_starts[np.searchsorted(line_starts, ends, side="right") - 1]
     # Distinct labels as distinct byte strings, each with its comma so that
@@ -257,15 +343,16 @@ def _read_table(path, kind: str, headers: tuple[str, ...], labelled: bool):
         try:
             labels.append(body[starts[row]:ends[row]].decode())
         except UnicodeDecodeError:
-            line_no = 2 + np.searchsorted(line_starts, starts[row])
+            line_no = first_line + np.searchsorted(line_starts, starts[row])
             raise ValueError(f"{kind} CSV line {line_no}: label is not UTF-8") from None
     return values, codes[group], labels
 
 
-def _bad_row(body: bytes, kind: str, header: str, labelled: bool, fallback: str) -> str:
-    """Message naming the first malformed data line of a CSV table body."""
+def _bad_row(body: bytes, kind: str, header: str, labelled: bool, first_line: int,
+             fallback: str) -> str:
+    """Message naming the first malformed line of ``body``, line ``first_line`` of its file."""
     n_fields = header.count(",") + 1
-    for line_no, line in enumerate(body.decode().split("\n"), start=2):
+    for line_no, line in enumerate(body.decode().split("\n"), start=first_line):
         if line in ("", "\r"):
             continue
         fields = line.split(",")
@@ -281,21 +368,33 @@ def _bad_row(body: bytes, kind: str, header: str, labelled: bool, fallback: str)
     return fallback
 
 
-def _write_table(path, header: str, columns, labels=None) -> None:
-    """Write ``header`` and the rows of equal-length float ``columns``.
+def _write_table(path, header: str, blocks) -> None:
+    """Write ``header``, then the rows of each ``(columns, labels)`` of ``blocks`` in turn.
 
-    A value is the ``repr`` of its float, the shortest string that round-trips
-    it; ``labels`` (an iterable, one per row) is a leading text column.
+    ``columns`` are equal-length float columns; a value is the ``repr`` of
+    its float, the shortest string that round-trips it.  ``labels`` (an
+    iterable, one per row, or None) is a leading text column.  Blocks may be
+    made as they are written; if making or writing one fails, a file this
+    call created is removed.
     """
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    labels = None if labels is None else iter(labels)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            fields = [map(repr, c[start:start + _WRITE_BLOCK_ROWS].tolist()) for c in columns]
-            if labels is not None:
-                fields.insert(0, map(str, islice(labels, _WRITE_BLOCK_ROWS)))
-            fh.write("".join(f"{row}\n" for row in map(",".join, zip(*fields, strict=True))))
+    created = not Path(path).exists()
+    try:
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            for columns, labels in blocks:
+                columns = [np.asarray(c, dtype=float) for c in columns]
+                labels = None if labels is None else iter(labels)
+                for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+                    fields = [map(repr, c[start:start + _WRITE_BLOCK_ROWS].tolist())
+                              for c in columns]
+                    if labels is not None:
+                        fields.insert(0, map(str, islice(labels, _WRITE_BLOCK_ROWS)))
+                    fh.write("\n".join(map(",".join, zip(*fields, strict=True))))
+                    fh.write("\n")
+    except BaseException:
+        if created:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 # --- model / matrix JSON --------------------------------------------------------

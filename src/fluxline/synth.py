@@ -205,11 +205,18 @@ def gen_window_series(cfg: ShotGenConfig, t_profile, n_win: int, n_shot: int,
 
     ``t_profile`` maps the window index to a temperature (a constant works
     too).  Windows are reproducible individually, so parallel generation
-    cannot reorder the aggregate output.
+    cannot reorder the aggregate output.  The list form of
+    ``iter_window_series``.
     """
+    return list(iter_window_series(cfg, t_profile, n_win, n_shot, seed))
+
+
+def iter_window_series(cfg: ShotGenConfig, t_profile, n_win: int, n_shot: int,
+                       seed: int | None = None):
+    """Iterator drawing the windows of ``gen_window_series`` one at a time."""
     if n_win < 2:
         raise ValueError("n_win must be >= 2")
     base_seed = cfg.seed if seed is None else seed
     profile = t_profile if callable(t_profile) else (lambda _w: float(t_profile))
     draw = _thermal_shot_sampler(cfg)
-    return [draw(profile(w), n_shot, window_rng(base_seed, w)) for w in range(n_win)]
+    return (draw(profile(w), n_shot, window_rng(base_seed, w)) for w in range(n_win))

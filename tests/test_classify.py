@@ -318,3 +318,138 @@ class TestTruncationAndCorrection:
         corrected = cl.apply_confusion_correction(counts, matrix)
         assert corrected["g"] == pytest.approx(700.0, rel=1e-9)
         assert corrected["e"] == pytest.approx(300.0, rel=1e-9)
+
+
+# --- the running argmax against the (n, k) matrix it replaced -------------------
+
+def reference_log_densities(model, xy):
+    """Log of weight * normal density for every (shot, component), as a matrix."""
+    labels = model.labels
+    out = np.empty((xy.shape[0], len(labels)))
+    for j, lab in enumerate(labels):
+        comp = model.components[lab]
+        diff = xy - comp.mean
+        x, y = diff[:, 0], diff[:, 1]
+        cov = comp.cov
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+        maha = (cov[1, 1] * x * x - (cov[0, 1] + cov[1, 0]) * x * y + cov[0, 0] * y * y) / det
+        log_w = math.log(comp.weight) if comp.weight > 0 else -math.inf
+        out[:, j] = log_w - 0.5 * (maha + math.log(det)) - cl._LOG_2PI
+    return labels, out
+
+
+def reference_indices(model, xy):
+    with np.errstate(all="ignore"):
+        return np.argmax(reference_log_densities(model, np.asarray(xy, dtype=float))[1], axis=1)
+
+
+def check_against_reference(model, xy):
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    with np.errstate(all="ignore"):
+        idx = cl.assign_indices(model, xy)
+        dens = cl._log_densities(model, xy)[1]
+        ref = reference_log_densities(model, xy)[1]
+    assert idx.dtype == np.uint8 and idx.shape == (len(xy),)
+    assert idx.tolist() == reference_indices(model, xy).tolist()
+    assert dens.tobytes() == ref.tobytes()
+    return idx
+
+
+# A diagonal, a correlated and an anti-correlated component.
+MIXED = cl.GmmModel({
+    "g": cl.GmmComponent([0.0, 0.0], np.eye(2), 0.4),
+    "e": cl.GmmComponent([3.0, 1.0], [[2.0, 0.5], [0.5, 1.0]], 0.3),
+    "f": cl.GmmComponent([-2.0, 4.0], [[1.0, -0.9], [-0.9, 1.5]], 0.3),
+    "h": cl.GmmComponent([1.0, -3.0], [[0.5, 0.2], [0.2, 0.3]], 0.0),
+})
+
+
+class TestRunningArgmax:
+    def test_shot_exactly_between_two_equal_components(self):
+        two = cl.GmmModel({"e": cl.GmmComponent([1.0, 0.0], np.eye(2), 0.5),
+                           "g": cl.GmmComponent([-1.0, 0.0], np.eye(2), 0.5)})
+        idx = check_against_reference(two, [[0.0, y] for y in (-3.0, 0.0, 0.5, 7.0)])
+        assert idx.tolist() == [two.labels.index("g")] * 4
+
+    def test_zero_weight_component_never_wins(self, ring_model):
+        comps = dict(ring_model.components)
+        comps["h"] = cl.GmmComponent(comps["h"].mean, comps["h"].cov, 0.0)
+        comps["g"] = cl.GmmComponent(comps["g"].mean, comps["g"].cov,
+                                     ring_model.components["g"].weight
+                                     + ring_model.components["h"].weight)
+        model = cl.GmmModel(comps)
+        xy, _ = cl.sample_from_model(ring_model, 300, seed=6)
+        idx = check_against_reference(model, xy)
+        assert model.labels.index("h") not in idx.tolist()
+
+    @pytest.mark.parametrize("big", [1e200, -1e200, 1e308])
+    def test_shots_far_out_give_inf_and_nan_densities(self, big):
+        # The diagonal component's density is -inf there; the correlated
+        # ones overflow to inf - inf = NaN at some of the corners, where
+        # the first NaN wins, as with np.argmax.
+        xy = [[big, big], [big, -big], [-big, big], [big, 0.0], [0.0, -big],
+              [0.0, 0.0], [3.0, 1.0]]
+        check_against_reference(MIXED, xy)
+        with np.errstate(all="ignore"):
+            dens = reference_log_densities(MIXED, np.array(xy))[1]
+        assert np.isnan(dens).any() and np.isneginf(dens).any()
+
+    def test_empty_input(self, ring_model):
+        assert check_against_reference(ring_model, np.empty((0, 2))).size == 0
+
+    @given(shots=st.lists(st.tuples(*[st.one_of(
+               st.floats(-20, 20), st.sampled_from([1e200, -1e200, 0.0, -0.0]))] * 2),
+               max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_any_shots_and_model_match_the_reference(self, shots, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 7))
+        weights = rng.dirichlet(np.ones(k)) * (rng.random(k) > 0.2)
+        weights = weights / weights.sum() if weights.sum() > 0 else np.full(k, 1.0 / k)
+        comps = {}
+        for j in range(k):
+            a = rng.normal(size=(2, 2))
+            # Ties between identical components show when k repeats a mean.
+            mean = rng.integers(-3, 4, 2).astype(float)
+            comps[cl.LABEL_ORDER[j] if j < 5 else f"x{j}"] = cl.GmmComponent(
+                mean, a @ a.T + 0.1 * np.eye(2), weights[j])
+        model = cl.GmmModel(comps)
+        check_against_reference(model, np.array(shots, dtype=float).reshape(-1, 2))
+
+    def test_no_n_by_k_matrix_is_allocated(self):
+        import tracemalloc
+        # Each of the running arrays holds n values; the matrix held n * k.
+        k, n = 32, 50_000
+        model = cl.GmmModel({f"c{j}": cl.GmmComponent([float(j), 0.0], np.eye(2), 1.0 / k)
+                             for j in range(k)})
+        xy = np.random.default_rng(1).normal(size=(n, 2)) * 4
+        tracemalloc.start()
+        try:
+            idx = cl.assign_indices(model, xy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx.tolist() == reference_indices(model, xy).tolist()
+        assert peak < n * k * 8 / 2
+
+    @pytest.mark.parametrize("init, seed", [("supervised", 0), ("random", 2)])
+    def test_em_iterations_and_model_unchanged(self, ring_model, monkeypatch, init, seed):
+        xy, labs = cl.sample_from_model(ring_model, 400, seed=11)
+        fits, calls = [], []
+        for log_densities in (cl._log_densities, reference_log_densities):
+            calls.append(0)
+
+            def counted(model, data, log_densities=log_densities):
+                calls[-1] += 1
+                return log_densities(model, data)
+
+            monkeypatch.setattr(cl, "_log_densities", counted)
+            fits.append(cl.fit_gmm(xy, ring_model.labels, init=init, prep_labels=labs,
+                                   seed=seed))
+        assert calls[0] == calls[1] > 2
+        new, ref = fits
+        for lab in ref.labels:
+            assert new.components[lab].mean.tobytes() == ref.components[lab].mean.tobytes()
+            assert new.components[lab].cov.tobytes() == ref.components[lab].cov.tobytes()
+            assert new.components[lab].weight == ref.components[lab].weight

@@ -454,6 +454,20 @@ class TestThermometryPipeline:
             "error: cluster_model has no 'k+' component, which level 4 needs\n")
         assert not out.exists()
 
+    def test_generate_windows_leaves_no_partial_file(self, tmp_path, capsys):
+        # Windows are written as drawn; the first level past h comes after
+        # some have been written, and the file is removed with the error.
+        model = fio.model_to_dict(make_ring_model(labels=("g", "e", "f", "h")))
+        gen_cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "windows", "ladder": LADDER_CFG, "cluster_model": model,
+            "temperature_mk": 90.0, "n_win": 400, "n_shot": 100, "seed": 1})
+        out = tmp_path / "shots.csv"
+        assert main(["generate", "--config", gen_cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cluster_model has no 'k+' component, which level")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 def fit_temp_cfg(tmp_path, shots_csv, window=2):
     (tmp_path / "model.json").write_text(json.dumps(model_dict()))
@@ -853,10 +867,11 @@ report["fits"] = [fits is by_attribute, hasattr(fits, "rb_fit"),
                   "scipy.optimize" in sys.modules]
 print(json.dumps(report))
 """
-# argparse (with the locale its first gettext call imports) and numpy.ma
-# (which a plain np.unique imports) each cost milliseconds of every run, and
-# no command needs them.
-WATCHED = ("argparse", "locale", "numpy.ma")
+# argparse (with the locale its first gettext call imports), numpy.ma
+# (which a plain np.unique imports) and statistics (with the fractions and
+# decimal it imports) each cost milliseconds of every run, and no command
+# needs them.
+WATCHED = ("argparse", "locale", "numpy.ma", "statistics", "fractions", "decimal")
 
 
 class TestImportHygiene:

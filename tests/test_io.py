@@ -1,0 +1,249 @@
+"""Tests of the block CSV reader: each table read in line-aligned blocks
+matches the whole-body reader it replaced, kept below as the reference."""
+
+import json
+import math
+import warnings
+from io import BytesIO
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fluxline import classify as cl
+from fluxline import io as fio
+from fluxline.cli import main
+
+from conftest import LADDER_A, make_ring_model
+
+
+# --- the whole-body reader, as it was before the block reader ------------------
+
+def reference_read_table(path, kind: str, headers: tuple[str, ...], labelled: bool):
+    """(n, k) numeric columns of a CSV table under one of ``headers``, and its labels.
+
+    The body is parsed in one ``np.loadtxt`` call.  Every row must hold the
+    header's fields, all finite numbers but the leading label when
+    ``labelled``; the ``ValueError`` names the first row that does not.
+    The labels come as (n,) integer codes and the list of distinct labels
+    in order of first appearance, which the codes index; both are None
+    when there are no labels or all are empty (counted on the bytes).
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode().rstrip("\r\n")
+        body = fh.read()
+    if header not in headers:
+        raise ValueError(f"unexpected {kind} CSV header: {header!r}")
+    if not body or body.isspace():
+        raise ValueError(f"{kind} CSV holds no data rows")
+    n_fields = header.count(",") + 1
+    try:
+        values = np.loadtxt(BytesIO(body), delimiter=",", ndmin=2, comments=None,
+                            usecols=tuple(range(labelled, n_fields)))
+    except ValueError as exc:
+        raise ValueError(reference_bad_row(body, kind, header, labelled,
+                                           f"{kind} CSV: {exc}")) from None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    # loadtxt rejects rows with too few fields and ignores extra ones, so
+    # with it passing, n_fields - 1 commas per row means exactly n_fields.
+    if (np.count_nonzero(raw == ord(",")) != (n_fields - 1) * values.shape[0]
+            or not np.isfinite(values).all()):
+        raise ValueError(reference_bad_row(body, kind, header, labelled,
+                                           f"{kind} CSV: malformed rows"))
+    if not labelled:
+        return values, None, None
+    line_starts = np.flatnonzero(raw[:-1] == ord("\n")) + 1
+    empty_labels = (raw[0] == ord(",")) + np.count_nonzero(raw[line_starts] == ord(","))
+    if empty_labels == values.shape[0]:
+        return values, None, None
+    # A row's label runs from its line start to its first comma, which is
+    # every (n_fields - 1)-th comma of the body.
+    line_starts = np.concatenate([[0], line_starts])
+    ends = np.flatnonzero(raw == ord(","))[::n_fields - 1]
+    starts = line_starts[np.searchsorted(line_starts, ends, side="right") - 1]
+    # Distinct labels as distinct byte strings, each with its comma so that
+    # none is empty.  Rows are compared among those of one label length, so
+    # a long label pads no other row's key.
+    sizes = ends - starts + 1
+    group, first = np.empty(ends.size, dtype=np.intp), []
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == size)
+        keys = raw[starts[rows, None] + np.arange(size)].view(np.dtype((np.void, size)))
+        _, first_rows, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        group[rows] = len(first) + inverse
+        first.extend(rows[first_rows].tolist())
+    order = np.argsort(first)
+    codes = np.empty_like(order)
+    codes[order] = np.arange(order.size)
+    labels = []
+    for row in sorted(first):
+        try:
+            labels.append(body[starts[row]:ends[row]].decode())
+        except UnicodeDecodeError:
+            line_no = 2 + np.searchsorted(line_starts, starts[row])
+            raise ValueError(f"{kind} CSV line {line_no}: label is not UTF-8") from None
+    return values, codes[group], labels
+
+
+def reference_bad_row(body: bytes, kind: str, header: str, labelled: bool, fallback: str) -> str:
+    """Message naming the first malformed data line of a CSV table body."""
+    n_fields = header.count(",") + 1
+    for line_no, line in enumerate(body.decode().split("\n"), start=2):
+        if line in ("", "\r"):
+            continue
+        fields = line.split(",")
+        where = f"{kind} CSV line {line_no}"
+        if len(fields) != n_fields:
+            return f"{where}: expected {n_fields} fields ({header}), got {len(fields)}"
+        try:
+            values = [float(v) for v in fields[labelled:]]
+        except ValueError:
+            return f"{where}: values are not numbers"
+        if not all(map(math.isfinite, values)):
+            return f"{where}: values must be finite"
+    return fallback
+
+
+# --- the block reader against it ------------------------------------------------
+
+SHOT = ("shot", (fio.SHOT_HEADER,), True)
+RESET = ("reset", (fio.RESET_HEADER,), True)
+CURVE = ("curve", ("x,y", "x,y,sigma"), False)
+
+
+def outcome(read, path, table):
+    """A reader's (shape, value bytes, codes, labels) for a table, or its error message."""
+    try:
+        values, codes, labels = read(path, *table)
+    except ValueError as exc:
+        return str(exc)
+    return values.shape, values.tobytes(), None if codes is None else codes.tolist(), labels
+
+
+def check_every_block_size(tmp_path, monkeypatch, body, table=SHOT, header=b"prep,i,q",
+                           sizes=None):
+    """The block reader's outcome at each block size equals the reference's; returns it.
+
+    A loadtxt warning (as on a block of blank lines) fails the check.
+    """
+    path = tmp_path / "t.csv"
+    path.write_bytes(header + b"\n" + body)
+    want = outcome(reference_read_table, path, table)
+    for size in sizes or range(1, len(body) + 2):
+        monkeypatch.setattr(fio, "_READ_BLOCK_BYTES", size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(fio._read_table, path, table) == want, size
+            if table is SHOT and not isinstance(want, str):
+                blocks = list(fio.read_shot_blocks(path))
+                assert np.concatenate(blocks).tobytes() == want[1]
+    return want
+
+
+class TestBlockReader:
+    def test_crlf_split_across_a_block_edge(self, tmp_path, monkeypatch):
+        body = b"g,1,2\r\ne,3,4\r\nf,5,6\r\n"
+        # Block size 6 ends the first read between the first \r and \n.
+        assert body[5:7] == b"\r\n"
+        shape, _, codes, labels = check_every_block_size(tmp_path, monkeypatch, body)
+        assert shape == (3, 2) and codes == [0, 1, 2] and labels == ["g", "e", "f"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_block_of_blank_lines_only(self, tmp_path, monkeypatch):
+        body = b"g,1,2\n" + b"\n" * 9 + b"\r\n" * 4 + b"e,3,4\n\n\n"
+        shape, _, codes, _ = check_every_block_size(tmp_path, monkeypatch, body)
+        assert shape == (2, 2) and codes == [0, 1]
+
+    @pytest.mark.parametrize("body, message", [
+        (b"g,1,2\ne,3,4\nf,5,6\nh,nan,8\nk+,9,10\n", "shot CSV line 5: values must be finite"),
+        (b"g,1,2\n\r\n\ne,3,4\nf,5\n", "shot CSV line 6: expected 3 fields (prep,i,q), got 2"),
+        (b"g,1,2\ne,3,4\n \nf,5,6\n", "shot CSV line 4: expected 3 fields (prep,i,q), got 1"),
+        (b"\n \n\t\ng,1,2\n", "shot CSV line 3: expected 3 fields (prep,i,q), got 1"),
+        (b"g,1,2\ne,3,4\n  \n\n", "shot CSV line 4: expected 3 fields (prep,i,q), got 1"),
+        (b" \n\t\x0b\x0c\n\r\n", "shot CSV holds no data rows"),
+    ])
+    def test_bad_row_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, body,
+                                                     message):
+        assert check_every_block_size(tmp_path, monkeypatch, body) == message
+
+    def test_last_row_without_a_line_end(self, tmp_path, monkeypatch):
+        body = b"g,1,2\ne,3,4\r\nf,5.5,-6e-300"
+        shape, data, _, labels = check_every_block_size(tmp_path, monkeypatch, body)
+        assert shape == (3, 2) and labels == ["g", "e", "f"]
+        assert np.frombuffer(data).tolist() == [1, 2, 3, 4, 5.5, -6e-300]
+
+    @pytest.mark.parametrize("body, codes, labels", [
+        (b",1,2\n,3,4\ng,5,6\ne,7,8\ng,9,10\n", [0, 0, 1, 2, 1], ["", "g", "e"]),
+        (b"h,1,2\nh,3,4\n,5,6\nh,7,8\nf,9,10\n", [0, 0, 1, 0, 2], ["h", "", "f"]),
+        (b",1,2\n,3,4\n\n,5,6\n", None, None),
+    ])
+    def test_label_first_seen_in_a_later_block(self, tmp_path, monkeypatch, body, codes,
+                                               labels):
+        got = check_every_block_size(tmp_path, monkeypatch, body)
+        assert got[2:] == (codes, labels)
+
+    def test_reset_and_curve_tables(self, tmp_path, monkeypatch):
+        reset = b"h,2.0,0,0,0,1\ne,3.0,0,1,0,0\nh,1.0,1,0,0,0\n\ne,0.5,0,0,1,0\n"
+        got = check_every_block_size(tmp_path, monkeypatch, reset, RESET,
+                                     fio.RESET_HEADER.encode())
+        assert got[2:] == ([0, 1, 0, 1], ["h", "e"])
+        curve = b"0.0,1.0,0.125\n1e-05,0.5,-0.0\r\n2,3,4"
+        got = check_every_block_size(tmp_path, monkeypatch, curve, CURVE, b"x,y,sigma")
+        assert got[0] == (3, 3) and got[2:] == (None, None)
+        x, y, sigma = fio.read_curve_csv(tmp_path / "t.csv")
+        assert sigma.tolist() == [0.125, -0.0, 4.0]
+
+    @given(rows=st.lists(st.tuples(
+               st.sampled_from(["", "g", "e", "k+", "État"]),
+               st.floats(allow_nan=False, allow_infinity=False),
+               st.floats(allow_nan=False, allow_infinity=False),
+               st.sampled_from(["", "", "", "\n", "\r\n", " \n", ",nan,1\n", ",1\n"])),
+               max_size=12),
+           crlf=st.booleans(), final_newline=st.booleans(), size=st.integers(1, 64))
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_table_matches_the_reference(self, tmp_path, monkeypatch, rows, crlf,
+                                             final_newline, size):
+        """Rows with blank, blank-looking and bad lines after them, at any block size."""
+        end = "\r\n" if crlf else "\n"
+        text = end.join(f"{lab},{i!r},{q!r}{extra}" for lab, i, q, extra in rows)
+        body = (text + (end if final_newline else "")).encode()
+        check_every_block_size(tmp_path, monkeypatch, body, sizes=[size])
+
+
+# --- the commands that read through it ------------------------------------------
+
+def write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["classify", "fit-temp"])
+def test_label_not_utf8_in_a_later_block_exit_1(tmp_path, monkeypatch, capsys, command):
+    data = tmp_path / "shots.csv"
+    data.write_bytes(b"prep,i,q\ng,0.5,1.5\ne,1,2\n\n\xe9t\xe9,0.5,1.5\ng,3,4\n")
+    model = write_json(tmp_path / "model.json", fio.model_to_dict(make_ring_model()))
+    cfg = {"shots_csv": str(data), "model_json": model}
+    if command == "fit-temp":
+        cfg.update(ladder=LADDER_A, window=1, t_shot_us=34.2)
+    monkeypatch.setattr(fio, "_READ_BLOCK_BYTES", 8)
+    assert main([command, "--config", write_json(tmp_path / "cfg.json", cfg),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == "error: shot CSV line 5: label is not UTF-8\n"
+
+
+def test_fit_temp_ignores_a_trailing_partial_window(tmp_path, monkeypatch):
+    """The same JSON from tiny blocks as from one block, with 2 shots past the windows."""
+    xy, _ = cl.sample_from_model(make_ring_model(), 10, seed=8)
+    fio.write_shots_csv(tmp_path / "shots.csv", xy[:47])
+    model = write_json(tmp_path / "model.json", fio.model_to_dict(make_ring_model()))
+    cfg = write_json(tmp_path / "cfg.json", {
+        "shots_csv": str(tmp_path / "shots.csv"), "model_json": model,
+        "ladder": LADDER_A, "window": 15, "t_shot_us": 34.2})
+    outputs = []
+    for size in (1 << 20, 40, 7):
+        monkeypatch.setattr(fio, "_READ_BLOCK_BYTES", size)
+        assert main(["fit-temp", "--config", cfg, "--out", str(tmp_path / "t.json")]) == 0
+        outputs.append((tmp_path / "t.json").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["n_win"] == 3

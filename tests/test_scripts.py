@@ -33,3 +33,15 @@ def test_filter_sweep_script_writes_the_sweep_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == fio.SWEEP_HEADER
     assert len(lines) == 1 + 201
+
+
+def test_fit_temp_memory_script_reports_each_child():
+    proc = _run_script("run_fit_temp_memory.py", "2e4")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "20000 shots in 20 windows of 1000"
+    assert [line.split()[0] for line in lines[1:]] == ["import", "generate", "fit-temp"]
+    for line in lines[1:]:
+        fields = line.split()
+        assert fields[1] == "peak" and float(fields[2]) > 0 and fields[3] == "MB"
+    assert all(len(line.split()[-1]) == 64 for line in lines[2:])
