@@ -44,19 +44,6 @@ def _label_sort_key(label: str):
 
 
 @dataclass(frozen=True)
-class IqShot:
-    """One complex readout outcome, optionally tagged with its preparation."""
-
-    i: float
-    q: float
-    prep_label: str | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.i) and math.isfinite(self.q)):
-            raise ValueError("IQ values must be finite")
-
-
-@dataclass(frozen=True)
 class GmmComponent:
     mean: np.ndarray
     cov: np.ndarray
@@ -255,12 +242,8 @@ def window_counts(indices: np.ndarray, n_labels: int, window: int) -> np.ndarray
 
 
 def classify_shot(model: GmmModel, shot) -> tuple[str, dict[str, float]]:
-    """Label (``assign_indices``) and posterior map for a single shot
-    (IqShot or (i, q) pair)."""
-    if isinstance(shot, IqShot):
-        xy = np.array([[shot.i, shot.q]])
-    else:
-        xy = np.asarray(shot, dtype=float).reshape(1, 2)
+    """Label (``assign_indices``) and posterior map for one (i, q) shot."""
+    xy = np.asarray(shot, dtype=float).reshape(1, 2)
     post = _posteriors(_log_densities(model, xy)[1])[0]
     return model.labels[int(assign_indices(model, xy)[0])], dict(zip(model.labels, post))
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import classify as cl
 from . import dynamics as dyn
+from . import fits
 from . import io as fio
 from . import network as nw
 from . import synth
@@ -50,10 +51,10 @@ _GENERATORS = {
     "rb": {"p_true": ("number", ...), "a": ("number", 0.5), "b": ("number", 0.5),
            "m_grid": ("numbers", list(range(0, 400, 10))), "shots_per_point": ("integer", 10000)},
 }
-# fit-curve model name -> function of fluxline.fits, imported on use.
-_FIT_MODELS = {"exponential": "fit_exponential", "decaying_cosine": "fit_decaying_cosine",
-               "stretched_exponential": "fit_stretched_exponential", "rb": "rb_fit",
-               "quadratic_minimum": "fit_quadratic_minimum"}
+# fit-curve model name -> function of fluxline.fits.
+_FIT_MODELS = {"exponential": fits.fit_exponential, "decaying_cosine": fits.fit_decaying_cosine,
+               "stretched_exponential": fits.fit_stretched_exponential, "rb": fits.rb_fit,
+               "quadratic_minimum": fits.fit_quadratic_minimum}
 _SCHEMAS = {
     "filter-sweep": {"geometry": (_GEOMETRY, ...), "squid_array": (_SQUID_ARRAY, ...),
                      "qubit": (_QUBIT, ...), "drive_freq_GHz": ("positive", ..., fio.GHZ),
@@ -130,7 +131,6 @@ def _fit_result_doc(res) -> dict:
 
 
 def cmd_fit_rb(cfg: dict, out: str, seed) -> int:
-    from . import fits  # the only scipy user; other commands skip its import
     x, y, _ = fio.read_curve_csv(cfg["curve_csv"])
     res = fits.rb_fit(x, y)
     k = cfg["pulses_per_clifford"]
@@ -144,10 +144,8 @@ def cmd_fit_rb(cfg: dict, out: str, seed) -> int:
 
 
 def cmd_fit_curve(cfg: dict, out: str, seed) -> int:
-    from . import fits
     x, y, _ = fio.read_curve_csv(cfg["curve_csv"])
-    fit = getattr(fits, _FIT_MODELS[cfg["model"]])
-    fio.dump_json(_fit_result_doc(fit(x, y)), out)
+    fio.dump_json(_fit_result_doc(_FIT_MODELS[cfg["model"]](x, y)), out)
     return 0
 
 

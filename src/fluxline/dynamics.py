@@ -17,8 +17,8 @@ instead of relying on cancellation.
 The closed forms are cross-checked against an in-house adaptive
 Dormand-Prince 4(5) integrator, ``populations_ode_batch``, whose one-row
 call ``populations_ode`` is also the truth behind synthetic reset curves.
-Measured reset curves are fitted to the closed forms by a small
-Levenberg-Marquardt solver, so the module needs numpy alone.
+Measured reset curves are fitted to the closed forms by
+``fits.levenberg_marquardt``, fluxline's one least-squares solver.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateUnhandled, FitDiverged, RankDeficient, StepFailure
+from .fits import levenberg_marquardt
 
 LEVELS = ("g", "e", "f", "h")
 _PREP_INDEX = {"e": 1, "f": 2, "h": 3}
@@ -454,60 +455,6 @@ def _seed_gamma(times: np.ndarray, p_g: np.ndarray) -> float:
     return 1.0 / max(times[-1] / 5.0, 1e-12)
 
 
-def _fd_jacobian(fun, x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian, step 1e-6 sign(x) max(1, |x|) per column."""
-    h = 1e-6 * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    jac = np.empty((f.size, x.size))
-    for i in range(x.size):
-        xi = x.copy()
-        xi[i] += h[i]
-        # Divided straight into the column: no temporary to copy there.  J
-        # stays row-major (n, p), so J^T f keeps its BLAS summation order.
-        np.divide(fun(xi) - f, xi[i] - x[i], out=jac[:, i])
-    return jac
-
-
-def _levenberg_marquardt(fun, x0, max_nfev: int):
-    """Minimise |fun(x)|^2; return x, fun(x) and the Jacobian at x.
-
-    Each step solves (J^T J + lam diag(J^T J)) dx = -J^T f, Marquardt's
-    scale-invariant damping, on a forward-difference J.  A step that lowers
-    the cost is taken and lam shrinks tenfold; otherwise lam grows tenfold
-    and J is kept.  The run stops when the step, scaled by the column norms
-    of J, or the relative cost decrease is <= 1e-14.  FitDiverged is raised
-    once max_nfev evaluations of fun (the difference columns included) are
-    spent, RankDeficient when the damped system is singular.
-    """
-    x = np.array(x0, dtype=float)
-    f = fun(x)
-    cost = f @ f
-    nfev, lam, jac = 1, 1e-3, None
-    while True:
-        if nfev >= max_nfev:
-            raise FitDiverged(f"reset fit did not converge within {max_nfev} evaluations")
-        if jac is None:
-            jac = _fd_jacobian(fun, x, f)
-            nfev += x.size
-            jtj, grad = jac.T @ jac, jac.T @ f
-            scale = np.sqrt(np.diag(jtj))
-        try:
-            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -grad)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient("Jacobian is rank deficient during the fit") from exc
-        f_new = fun(x + step)
-        nfev += 1
-        cost_new = f_new @ f_new
-        done = np.linalg.norm(scale * step) <= 1e-14 * np.linalg.norm(scale * x)
-        if cost_new < cost:
-            done = done or cost - cost_new <= 1e-14 * cost
-            x, f, cost, jac = x + step, f_new, cost_new, None
-            lam /= 10.0
-        else:
-            lam *= 10.0
-        if done:
-            return x, f, _fd_jacobian(fun, x, f) if jac is None else jac
-
-
 def fit_decay_rates(
     data: ResetDataset,
     fit_floor: bool = False,
@@ -520,7 +467,8 @@ def fit_decay_rates(
     the preparations' time grids, from which each preparation's rows are
     gathered, and the gathered floorless model is kept per rate triple, so
     the difference column of p_inf evaluates no closed form.  It is
-    minimised by ``_levenberg_marquardt``, stopping when the scaled step or
+    minimised by ``fits.levenberg_marquardt`` on a forward-difference
+    Jacobian with no bounds, stopping when the scaled step or
     the relative cost decrease falls to 1e-14, within 200 (p + 1) residual
     evaluations for p parameters.  Each prepared level seeds its own rate
     (prep e gamma_ge, f gamma_ef, h gamma_fh) from the log-linear decay of
@@ -591,7 +539,7 @@ def fit_decay_rates(
         return model.ravel() - measured
 
     n_params = len(theta0)
-    x, fun, jac = _levenberg_marquardt(residuals, theta0, max_nfev=200 * (n_params + 1))
+    x, fun, jac = levenberg_marquardt(residuals, theta0, max_nfev=200 * (n_params + 1))
     if not physical(x.tolist()):
         raise FitDiverged(f"reset fit left the physical region at {x.tolist()}")
 

@@ -1,6 +1,9 @@
-"""Shared nonlinear curve-fit primitives for coherence and benchmarking data.
+"""The least-squares solver and the curve fits built on it.
 
-Models:
+``levenberg_marquardt`` is fluxline's one nonlinear least-squares solver:
+the scale-invariant damped Gauss-Newton step of Marquardt 1963 (see Moré
+1978), with an optional analytic Jacobian and an optional box.  The reset
+fit in ``dynamics`` and the curve fits here run on it.  Models:
 
 * exponential decay        y = A exp(-t / tau) + B
 * decaying cosine          y = A cos(2 pi f t + phi) exp(-t / tau) + B
@@ -10,9 +13,9 @@ Models:
 plus the fidelity formulas derived from the benchmarking decay parameter
 and a quadratic-minimum helper for two-stage pulse calibrations.  Every
 fit seeds itself from the data (log-linear regression or the spectral
-peak), runs a least-squares refinement, and reports one-sigma parameter
-uncertainties from the residual-scaled inverse normal matrix when the
-Jacobian has full rank.
+peak), refines it on the model's analytic Jacobian within its bounds, and
+reports one-sigma parameter uncertainties from the residual-scaled
+inverse normal matrix when the Jacobian has full rank.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .errors import FitDiverged, NoOscillation
+from .errors import FitDiverged, NoOscillation, RankDeficient
 
 _ALPHA_BOUNDS = (0.3, 5.0)
 
@@ -41,26 +43,95 @@ class FitResult:
     rank_deficient: bool = False
 
 
-def _finish(res, names, n_points, at_bound=False) -> FitResult:
-    params = dict(zip(names, (float(v) for v in res.x)))
-    rms = math.sqrt(np.mean(res.fun**2)) if res.fun.size else math.nan
-    dof = n_points - len(names)
-    converged = bool(res.success) and not at_bound
-    sigmas = None
-    cov = None
-    rank_deficient = False
-    jtj = res.jac.T @ res.jac
-    if dof > 0 and np.all(np.isfinite(jtj)):
+def _fd_jacobian(fun, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian, step 1e-6 sign(x) max(1, |x|) per column."""
+    h = 1e-6 * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    jac = np.empty((f.size, x.size))
+    for i in range(x.size):
+        xi = x.copy()
+        xi[i] += h[i]
+        # Divided straight into the column: no temporary to copy there.  J
+        # stays row-major (n, p), so J^T f keeps its BLAS summation order.
+        np.divide(fun(xi) - f, xi[i] - x[i], out=jac[:, i])
+    return jac
+
+
+def levenberg_marquardt(fun, x0, max_nfev: int, jac=None, lo=-np.inf, hi=np.inf):
+    """Minimise |fun(x)|^2 over the box lo <= x <= hi; return x, fun(x), J(x).
+
+    Each step solves (J^T J + lam diag(J^T J)) dx = -J^T f, Marquardt's
+    scale-invariant damping, with J from ``jac(x)`` or, without it, forward
+    differences.  A step component that would cross a bound goes 99% of the
+    way to it instead, so every iterate stays strictly inside the box, and
+    the other components are solved again with it held there.  A step that
+    lowers the cost is taken and lam shrinks tenfold; otherwise lam grows
+    tenfold and J is kept.  The run stops when the step, scaled by the
+    column norms of J, or the relative cost decrease is <= 1e-14.
+    FitDiverged is raised once max_nfev evaluations of fun (difference
+    columns included, analytic Jacobians not) are spent, RankDeficient when
+    the damped system is singular.
+    """
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    cost = f @ f
+    nfev, lam, J = 1, 1e-3, None
+    while True:
+        if nfev >= max_nfev:
+            raise FitDiverged(f"least-squares fit did not converge within {max_nfev} evaluations")
+        if J is None:
+            if jac is None:
+                J = _fd_jacobian(fun, x, f)
+                nfev += x.size
+            else:
+                J = jac(x)
+            jtj, grad = J.T @ J, J.T @ f
+            scale = np.sqrt(np.diag(jtj))
+        damped = jtj + lam * np.diag(np.diag(jtj))
         try:
-            cov = np.linalg.inv(jtj) * (2.0 * res.cost / dof)
-            sigmas = {n: math.sqrt(max(cov[i, i], 0.0)) for i, n in enumerate(names)}
+            step = np.linalg.solve(damped, -grad)
+            trial = x + step
+            held = np.zeros(x.size, dtype=bool)
+            while (cross := ~held & ((trial < lo) | (trial > hi))).any():
+                held |= cross
+                step[cross] = 0.99 * (np.where(trial < lo, lo, hi) - x)[cross]
+                free = ~held
+                rhs = -grad[free] - damped[np.ix_(free, held)] @ step[held]
+                step[free] = np.linalg.solve(damped[np.ix_(free, free)], rhs)
+                trial = x + step
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient("Jacobian is rank deficient during the fit") from exc
+        f_new = fun(trial)
+        nfev += 1
+        cost_new = f_new @ f_new
+        done = np.linalg.norm(scale * step) <= 1e-14 * np.linalg.norm(scale * x)
+        if cost_new < cost:
+            done = done or cost - cost_new <= 1e-14 * cost
+            x, f, cost, J = trial, f_new, cost_new, None
+            lam /= 10.0
+        else:
+            lam *= 10.0
+        if done:
+            if J is None:
+                J = _fd_jacobian(fun, x, f) if jac is None else jac(x)
+            return x, f, J
+
+
+def _finish(x, fun, jac, names, n_points, at_bound=False) -> FitResult:
+    """The result at the solver's optimum; sigmas need full rank and no bound hit."""
+    dof = n_points - len(names)
+    jtj = jac.T @ jac
+    cov = sigmas = None
+    rank_deficient = dof <= 0 or not np.all(np.isfinite(jtj))
+    if not rank_deficient:
+        try:
+            cov = np.linalg.inv(jtj) * (fun @ fun / dof)
         except np.linalg.LinAlgError:
             rank_deficient = True
-    else:
-        rank_deficient = True
-    if rank_deficient or not converged:
-        sigmas = None
-    return FitResult(params, sigmas, cov, rms, converged, at_bound, rank_deficient)
+    if not (rank_deficient or at_bound):
+        sigmas = {n: math.sqrt(max(cov[i, i], 0.0)) for i, n in enumerate(names)}
+    params = dict(zip(names, (float(v) for v in x)))
+    return FitResult(params, sigmas, cov, math.sqrt(np.mean(fun**2)), not at_bound, at_bound,
+                     rank_deficient)
 
 
 def _validate_xy(t, y, n_min):
@@ -86,11 +157,8 @@ def fit_exponential(t, y) -> FitResult:
     names = ("A", "tau", "B")
     spread = float(np.ptp(y))
     if spread <= 1e-14 * max(1.0, abs(float(np.mean(y)))):
-        flat = least_squares(lambda th: th[0] * np.exp(-t / th[1]) + th[2] - y,
-                             [0.0, t[-1] - t[0], float(np.mean(y))], max_nfev=1)
-        result = _finish(flat, names, t.size)
-        return FitResult(result.params, None, None, result.residual_rms,
-                         True, False, True)
+        return FitResult({"A": 0.0, "tau": float(t[-1] - t[0]), "B": float(y.mean())},
+                         None, None, float(y.std()), True, False, True)
 
     b0 = float(y[-1])
     z = y - b0
@@ -105,16 +173,11 @@ def fit_exponential(t, y) -> FitResult:
         a0 = float(y[0] - b0)
     tau0 = min(max(tau0, 1e-3 * (t[-1] - t[0])), 1e3 * (t[-1] - t[0]))
 
-    def model(th, tt):
-        return th[0] * np.exp(-tt / th[1]) + th[2]
-
-    res = least_squares(lambda th: model(th, t) - y, [a0, tau0, b0],
-                        jac=lambda th: exponential_jacobian(th, t),
-                        bounds=([-np.inf, 1e-300, -np.inf], [np.inf, np.inf, np.inf]),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    if not res.success:
-        raise FitDiverged(f"exponential fit failed: {res.message}")
-    return _finish(res, names, t.size)
+    x, fun, jac = levenberg_marquardt(
+        lambda th: th[0] * np.exp(-t / th[1]) + th[2] - y, [a0, tau0, b0],
+        200 * (len(names) + 1), jac=lambda th: exponential_jacobian(th, t),
+        lo=[-np.inf, 1e-300, -np.inf])
+    return _finish(x, fun, jac, names, t.size)
 
 
 def exponential_jacobian(params, t):
@@ -158,13 +221,23 @@ def fit_decaying_cosine(t, y) -> FitResult:
         return (th[0] * np.cos(2.0 * math.pi * th[1] * t + th[2])
                 * np.exp(-t / th[3]) + th[4] - y)
 
-    res = least_squares(resid, [a0, f0, phi0, tau0, b0],
-                        bounds=([-np.inf, 0.0, -2 * math.pi, 1e-300, -np.inf],
-                                [np.inf, np.inf, 2 * math.pi, np.inf, np.inf]),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    if not res.success:
-        raise FitDiverged(f"decaying-cosine fit failed: {res.message}")
-    return _finish(res, names, t.size)
+    x, fun, jac = levenberg_marquardt(
+        resid, [a0, f0, phi0, tau0, b0], 200 * (len(names) + 1),
+        jac=lambda th: decaying_cosine_jacobian(th, t),
+        lo=[-np.inf, 0.0, -2 * math.pi, 1e-300, -np.inf],
+        hi=[np.inf, np.inf, 2 * math.pi, np.inf, np.inf])
+    return _finish(x, fun, jac, names, t.size)
+
+
+def decaying_cosine_jacobian(params, t):
+    """Analytic Jacobian of the decaying cosine, columns (A, f, phi, tau, B)."""
+    a, f, phi, tau, _ = params
+    t = np.asarray(t, dtype=float)
+    arg = 2.0 * math.pi * f * t + phi
+    e = np.exp(-t / tau)
+    c = np.cos(arg) * e
+    s = -a * np.sin(arg) * e
+    return np.column_stack([c, 2.0 * math.pi * t * s, s, a * t / tau**2 * c, np.ones_like(t)])
 
 
 def fit_stretched_exponential(t, y) -> FitResult:
@@ -189,18 +262,25 @@ def fit_stretched_exponential(t, y) -> FitResult:
         alpha0, t2_0 = 1.0, t[-1]
     t2_0 = min(max(t2_0, 1e-6 * t[-1]), 1e6 * t[-1])
 
-    def resid(th):
-        return np.exp(-((t / th[0]) ** th[1])) - y
+    x, fun, jac = levenberg_marquardt(
+        lambda th: np.exp(-((t / th[0]) ** th[1])) - y, [t2_0, alpha0], 200 * (len(names) + 1),
+        jac=lambda th: stretched_exponential_jacobian(th, t),
+        lo=[1e-300, _ALPHA_BOUNDS[0]], hi=[np.inf, _ALPHA_BOUNDS[1]])
+    at_bound = min(abs(x[1] - b) for b in _ALPHA_BOUNDS) < 1e-9
+    return _finish(x, fun, jac, names, t.size, at_bound=at_bound)
 
-    res = least_squares(resid, [t2_0, alpha0],
-                        bounds=([1e-300, _ALPHA_BOUNDS[0]], [np.inf, _ALPHA_BOUNDS[1]]),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    if not res.success:
-        raise FitDiverged(f"stretched-exponential fit failed: {res.message}")
-    alpha = res.x[1]
-    at_bound = (abs(alpha - _ALPHA_BOUNDS[0]) < 1e-9
-                or abs(alpha - _ALPHA_BOUNDS[1]) < 1e-9)
-    return _finish(res, names, t.size, at_bound=at_bound)
+
+def stretched_exponential_jacobian(params, t):
+    """Analytic Jacobian of exp(-(t / T2DD)^alpha), columns (T2DD, alpha).
+
+    u ln(t / T2DD) with u = (t / T2DD)^alpha is taken as its limit 0 at t = 0.
+    """
+    t2, alpha = params
+    r = np.asarray(t, dtype=float) / t2
+    u = r**alpha
+    y = np.exp(-u)
+    log_r = np.log(r, out=np.zeros_like(r), where=r > 0)
+    return np.column_stack([y * alpha * u / t2, -y * u * log_r])
 
 
 def rb_fit(m, p_g) -> FitResult:
@@ -213,10 +293,11 @@ def rb_fit(m, p_g) -> FitResult:
     p_g = np.asarray(p_g, dtype=float)
     if m.shape != p_g.shape or m.ndim != 1:
         raise ValueError("m and p_g must be 1-D arrays of equal length")
-    if np.unique(m).size < 5:
-        raise ValueError("need at least 5 distinct sequence lengths")
     order = np.argsort(m)
     m, p_g = m[order], p_g[order]
+    # Distinct lengths counted on the sorted grid: np.unique imports numpy.ma.
+    if np.count_nonzero(np.diff(m)) < 4:
+        raise ValueError("need at least 5 distinct sequence lengths")
     names = ("A", "p", "B")
 
     spread = float(np.ptp(p_g))
@@ -237,12 +318,10 @@ def rb_fit(m, p_g) -> FitResult:
     def resid(th):
         return th[0] * th[1] ** m + th[2] - p_g
 
-    res = least_squares(resid, [a0, p0, b0], jac=lambda th: rb_jacobian(th, m),
-                        bounds=([-np.inf, 1e-12, -np.inf], [np.inf, 1.0, np.inf]),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    if not res.success:
-        raise FitDiverged(f"benchmarking fit failed: {res.message}")
-    return _finish(res, names, m.size)
+    x, fun, jac = levenberg_marquardt(
+        resid, [a0, p0, b0], 200 * (len(names) + 1), jac=lambda th: rb_jacobian(th, m),
+        lo=[-np.inf, 1e-12, -np.inf], hi=[np.inf, 1.0, np.inf])
+    return _finish(x, fun, jac, names, m.size)
 
 
 def rb_jacobian(params, m):

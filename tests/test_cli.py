@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 import fluxline
 from fluxline import classify as cl
 from fluxline import dynamics as dyn
+from fluxline import fits
 from fluxline import io as fio
 from fluxline import network as nw
 from fluxline.cli import main
+from fluxline.errors import RankDeficient
 
 from conftest import LADDER_A, make_ring_model
 
@@ -237,14 +239,14 @@ class TestGenerateAndFitReset:
                      "--out", str(tmp_path / "x.json")]) == 1
 
     def test_fit_outside_physical_region_exit_2(self, tmp_path, capsys, monkeypatch):
-        real = dyn._levenberg_marquardt
+        real = dyn.levenberg_marquardt
 
         def negative_rate(*args, **kwargs):
             x, fun, jac = real(*args, **kwargs)
             x[0] = -x[0]
             return x, fun, jac
 
-        monkeypatch.setattr(dyn, "_levenberg_marquardt", negative_rate)
+        monkeypatch.setattr(dyn, "levenberg_marquardt", negative_rate)
         gen_cfg = write_cfg(tmp_path, "gen.json", {
             "generator": "reset",
             "rates": {"t1_ge_ns": 238.22, "t1_ef_ns": 136.80, "t1_fh_ns": 128.84},
@@ -329,6 +331,19 @@ class TestRbPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "p_ref" in err
 
+    def test_non_converging_fit_exit_2(self, tmp_path, capsys):
+        # The seed-106 curve of the scipy reference sweep in test_fits, on
+        # which scipy's least_squares does not converge either.
+        from fluxline import synth
+        p = np.random.default_rng(106).uniform(0.98, 0.9999)
+        m, y = synth.gen_rb_decay(p, 0.5, 0.5, np.arange(0.0, 400.0, 10.0), 2000, seed=106)
+        fio.write_curve_csv(tmp_path / "rb.csv", m, y)
+        cfg = write_cfg(tmp_path, "fit.json", {"curve_csv": str(tmp_path / "rb.csv")})
+        assert main(["fit-rb", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("solver error: FitDiverged: ") and "did not converge" in err
+
 
 class TestFitCurve:
     def test_exponential_model(self, tmp_path):
@@ -341,6 +356,27 @@ class TestFitCurve:
         assert main(["fit-curve", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["params"]["tau"] == pytest.approx(1e-4, rel=1e-6)
+
+    def test_constant_trace_decaying_cosine_exit_2(self, tmp_path, capsys):
+        fio.write_curve_csv(tmp_path / "c.csv", np.linspace(0, 4e-7, 64), np.full(64, 0.5))
+        cfg = write_cfg(tmp_path, "cfg.json", {"curve_csv": str(tmp_path / "c.csv"),
+                                               "model": "decaying_cosine"})
+        assert main(["fit-curve", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("solver error: NoOscillation: ")
+
+    def test_rank_deficient_solve_exit_2(self, tmp_path, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RankDeficient("Jacobian is rank deficient during the fit")
+
+        monkeypatch.setattr(fits, "levenberg_marquardt", singular)
+        t = np.linspace(0, 5e-4, 50)
+        fio.write_curve_csv(tmp_path / "c.csv", t, 0.7 * np.exp(-t / 1e-4) + 0.2)
+        cfg = write_cfg(tmp_path, "cfg.json", {"curve_csv": str(tmp_path / "c.csv"),
+                                               "model": "exponential"})
+        assert main(["fit-curve", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("solver error: RankDeficient: ")
 
     def test_unknown_model_exit_1(self, tmp_path):
         fio.write_curve_csv(tmp_path / "c.csv", [0, 1, 2], [1, 2, 3])
@@ -847,9 +883,9 @@ class TestWritersMatchPerRowReference:
 # Runs in a fresh interpreter: imports the CLI, runs each command named on
 # the command line (name, config path, output path), and prints the watched
 # modules (scipy's, and the costly imports in WATCHED) loaded after the
-# import and after each command.  Then it reaches the lazily imported fits
-# module as a package attribute (the module __getattr__) and by a
-# from-import, and checks that scipy is loaded now.
+# import and after each command.  Then it reaches the fits module as a
+# package attribute and by a from-import, and reports the watched modules
+# loaded after that too.
 _HYGIENE_SCRIPT = """
 import json, sys
 import fluxline.cli as cli
@@ -863,8 +899,7 @@ for name, cfg, out in json.loads(sys.argv[1]):
 import fluxline
 by_attribute = fluxline.fits
 from fluxline import fits
-report["fits"] = [fits is by_attribute, hasattr(fits, "rb_fit"),
-                  "scipy.optimize" in sys.modules]
+report["fits"] = [fits is by_attribute, hasattr(fits, "rb_fit"), loaded()]
 print(json.dumps(report))
 """
 # argparse (with the locale its first gettext call imports), numpy.ma
@@ -894,6 +929,9 @@ class TestImportHygiene:
             "fit": {"reset_csv": str(tmp_path / "reset.csv"), "fit_floor": True},
             "classify": {"shots_csv": str(tmp_path / "shots.csv"),
                          "model_json": str(tmp_path / "model.json")},
+            "rb": {"generator": "rb", "p_true": 0.995, "shots_per_point": 1000, "seed": 3},
+            "fit-rb": {"curve_csv": str(tmp_path / "rb.csv")},
+            "fit-curve": {"curve_csv": str(tmp_path / "rb.csv"), "model": "exponential"},
         }
         paths = {k: write_cfg(tmp_path, f"{k}.json", v) for k, v in cfgs.items()}
         calls = [("generate", paths["windows"], str(tmp_path / "shots.csv")),
@@ -901,7 +939,10 @@ class TestImportHygiene:
                  ("fit-temp", paths["temp"], str(tmp_path / "temp.json")),
                  ("filter-sweep", paths["sweep"], str(tmp_path / "sweep.csv")),
                  ("fit-reset", paths["fit"], str(tmp_path / "fit.json")),
-                 ("classify", paths["classify"], str(tmp_path / "counts.json"))]
+                 ("classify", paths["classify"], str(tmp_path / "counts.json")),
+                 ("generate", paths["rb"], str(tmp_path / "rb.csv")),
+                 ("fit-rb", paths["fit-rb"], str(tmp_path / "rb.json")),
+                 ("fit-curve", paths["fit-curve"], str(tmp_path / "curve.json"))]
         src = str(Path(fluxline.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -913,9 +954,10 @@ class TestImportHygiene:
         assert len(report) == 2 + len(calls)
         return report
 
-    def test_only_the_curve_fits_load_scipy(self, report):
+    def test_no_command_and_no_fits_access_loads_scipy(self, report):
         report = dict(report)
-        assert report.pop("fits") == [True, True, True]
+        same_module, has_rb_fit, report["fits"] = report.pop("fits")
+        assert same_module and has_rb_fit
         assert {step: [m for m in mods if m not in WATCHED] for step, mods in report.items()} \
             == {step: [] for step in report}
 

@@ -494,14 +494,14 @@ class TestFitDecayRates:
     @pytest.mark.parametrize("index, value", [(0, -1.0), (1, 0.0), (3, 1.2), (3, 0.0)])
     def test_optimum_outside_physical_region_raises(self, monkeypatch, reset_rates,
                                                     index, value):
-        real = dyn._levenberg_marquardt
+        real = dyn.levenberg_marquardt
 
         def stopped_outside(*args, **kwargs):
             x, fun, jac = real(*args, **kwargs)
             x[index] = value
             return x, fun, jac
 
-        monkeypatch.setattr(dyn, "_levenberg_marquardt", stopped_outside)
+        monkeypatch.setattr(dyn, "levenberg_marquardt", stopped_outside)
         t = np.linspace(20e-9, 2e-6, 20)
         data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 10000,
                                       floor_p_inf=0.985, seed=1)
@@ -527,14 +527,14 @@ class TestFitDecayRates:
     @staticmethod
     def _start_point(monkeypatch, data, fit_floor):
         """The rates the solver starts from in fit_decay_rates(data)."""
-        real = dyn._levenberg_marquardt
+        real = dyn.levenberg_marquardt
         starts = []
 
         def recording(fun, x0, *args, **kwargs):
             starts.append(list(x0[:3]))
             return real(fun, x0, *args, **kwargs)
 
-        monkeypatch.setattr(dyn, "_levenberg_marquardt", recording)
+        monkeypatch.setattr(dyn, "levenberg_marquardt", recording)
         dyn.fit_decay_rates(data, fit_floor=fit_floor)
         return np.array(starts[0])
 
@@ -574,7 +574,7 @@ class TestFitDecayRates:
 # The reset fit as it was before fluxline had its own solver: one
 # closed-form call per preparation, scipy's MINPACK Levenberg-Marquardt with
 # the same step and stop settings, and the same sandwich covariance.  It is
-# the reference that ``_levenberg_marquardt`` and the shared-grid residual
+# the reference that ``fits.levenberg_marquardt`` and the shared-grid residual
 # must reproduce.
 
 def _reference_fit(data, fit_floor):
@@ -650,22 +650,6 @@ class TestSolverMatchesScipyReference:
             assert got.shape == (len(inits), t.size, 4)
             for k, init in enumerate(inits):
                 assert np.abs(got[k] - dyn.populations_closed_form(t, rates, init)).max() <= 1e-15
-
-    def test_solver_reaches_rosenbrock_minimum(self):
-        def rosenbrock(x):
-            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-
-        x, fun, jac = dyn._levenberg_marquardt(rosenbrock, [-1.2, 1.0], max_nfev=600)
-        assert np.abs(x - 1.0).max() < 1e-7
-        assert np.abs(fun).max() < 1e-7
-        assert jac.shape == (2, 2)
-
-    def test_max_nfev_raises_fit_diverged(self):
-        def rosenbrock(x):
-            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-
-        with pytest.raises(FitDiverged, match="did not converge"):
-            dyn._levenberg_marquardt(rosenbrock, [-1.2, 1.0], max_nfev=10)
 
     def test_unconstrained_rate_raises_rank_deficient(self, reset_rates):
         # Without an h preparation gamma_fh leaves every residual unchanged.
