@@ -13,6 +13,10 @@ covariance is Phi(-delta/2).  A separation of 6 keeps that error near
 
 Levels above h are aggregated in an overflow component labeled ``k+``;
 ``exclude_overflow_and_renormalize`` drops it before temperature fitting.
+
+Labels are integer codes here: a prep label indexes a table of distinct
+labels, as ``io.read_shots_csv`` returns it, and an assigned state indexes
+``model.labels``, the component labels in canonical g, e, f, h, k+ order.
 """
 
 from __future__ import annotations
@@ -102,108 +106,105 @@ def _columns(xy) -> tuple[np.ndarray, np.ndarray]:
     return xy[:, 0].copy(), xy[:, 1].copy()
 
 
+def _log_density_matrix(x: np.ndarray, y: np.ndarray, means: np.ndarray, covs: np.ndarray,
+                        weights: np.ndarray) -> np.ndarray:
+    """(k, n) log of weight * normal density, components (rows) by shots (x, y).
+
+    Row j is ``_log_density`` of component j bit for bit, hence ``math.log``."""
+    maha, det = _mahalanobis_sq(x - means[:, :1], y - means[:, 1:],
+                                covs.transpose(1, 2, 0)[..., None])
+    log_w = np.array([[math.log(w) if w > 0 else -math.inf] for w in weights.tolist()])
+    log_det = np.array([[math.log(d)] for d in det.ravel().tolist()])
+    return log_w - 0.5 * (maha + log_det) - _LOG_2PI
+
+
 def _log_densities(model: GmmModel, xy: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Log of weight * normal density for every (shot, component)."""
-    labels = model.labels
-    x, y = _columns(xy)
-    out = np.empty((x.size, len(labels)))
-    for j, lab in enumerate(labels):
-        out[:, j] = _log_density(model.components[lab], x, y)
-    return labels, out
+    comps = [model.components[lab] for lab in model.labels]
+    means, covs, weights = (np.array([getattr(c, name) for c in comps])
+                            for name in ("mean", "cov", "weight"))
+    return model.labels, _log_density_matrix(*_columns(xy), means, covs, weights).T
 
 
-def _posteriors(log_dens: np.ndarray) -> np.ndarray:
-    shifted = log_dens - log_dens.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
+def _log_sum_exp(log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n,) log-likelihoods and (k, n) posteriors of shots from (k, n) log densities,
+    each shot's shifted by its maximum so that exp cannot overflow."""
+    shift = log_dens.max(axis=0)
+    w = np.exp(log_dens - shift)
+    total = w.sum(axis=0)
+    return shift + np.log(total), w / total
 
 
 def fit_gmm(
     xy: np.ndarray,
     labels,
+    codes=None,
     init: str = "supervised",
-    prep_labels=None,
     seed: int = 0,
     max_iter: int = 500,
     tol: float = 1e-9,
 ) -> GmmModel:
-    """Fit a labeled Gaussian mixture to IQ shots by EM.
+    """Fit a labeled Gaussian mixture to IQ shots by EM (Dempster, Laird and Rubin 1977).
 
-    ``init='supervised'`` seeds each component from the per-preparation
-    sample moments (requires ``prep_labels``); ``init='random'`` uses a
-    seeded k-means++-style draw of centers.  EM runs until the relative
-    log-likelihood change drops below ``tol`` or ``max_iter`` sweeps, is
-    deterministic given (data order, seed), and regularizes every
-    covariance update with 1e-6 * mean-variance * identity.
+    ``labels`` is a table of distinct labels, one component each, that
+    ``codes`` index per shot.  ``init='supervised'`` seeds each component
+    from its prep's sample moments, ``'random'`` by a seeded k-means++ draw.
+    EM stops when the relative log-likelihood change drops to ``tol``, and
+    adds 1e-6 * mean variance to each covariance's diagonal.  A sweep is one
+    log-sum-exp of the log densities and one product of the posteriors with
+    [1, x, y, x^2, xy, y^2] of the centred shots: every weight and moment.
     """
     xy = np.asarray(xy, dtype=float)
-    labels = sorted(set(labels), key=_label_sort_key)
-    k = len(labels)
-    n = xy.shape[0]
+    names = sorted(labels, key=_label_sort_key)
+    k, n = len(names), xy.shape[0]
     if n < 10 * k:
         raise ValueError(f"need >= 10 shots per component, got {n} for {k}")
-    mean_var = float(np.var(xy, axis=0).mean())
-    reg = _REG_SCALE * mean_var * np.eye(2)
-
+    reg = _REG_SCALE * float(np.var(xy, axis=0).mean()) * np.eye(2)
     if init == "supervised":
-        if prep_labels is None:
-            raise ValueError("supervised init requires prep_labels")
-        prep_labels = np.asarray(prep_labels)
-        means, covs, weights = [], [], []
-        for lab in labels:
-            sel = xy[prep_labels == lab]
-            if sel.shape[0] < 10:
+        if codes is None:
+            raise ValueError("supervised init requires prep codes")
+        groups = [xy[np.asarray(codes) == labels.index(lab)] for lab in names]
+        for lab, group in zip(names, groups):
+            if len(group) < 10:
                 raise ValueError(f"need >= 10 shots for component {lab!r}")
-            means.append(sel.mean(axis=0))
-            covs.append(np.cov(sel.T) + reg)
-            weights.append(sel.shape[0] / n)
+        means = np.array([group.mean(axis=0) for group in groups])
+        covs = np.array([np.cov(group.T) for group in groups]) + reg
+        weights = np.array([len(group) for group in groups]) / n
     elif init == "random":
         rng = np.random.default_rng(seed)
-        centers = [xy[rng.integers(n)]]
+        means = [xy[rng.integers(n)]]
         for _ in range(k - 1):
-            d2 = np.min([((xy - c) ** 2).sum(axis=1) for c in centers], axis=0)
-            centers.append(xy[rng.choice(n, p=d2 / d2.sum())])
-        means = centers
-        covs = [np.cov(xy.T) + reg for _ in range(k)]
-        weights = [1.0 / k] * k
+            d2 = np.min([((xy - c) ** 2).sum(axis=1) for c in means], axis=0)
+            means.append(xy[rng.choice(n, p=d2 / d2.sum())])
+        means, covs = np.array(means), np.tile(np.cov(xy.T) + reg, (k, 1, 1))
+        weights = np.full(k, 1.0 / k)
     else:
         raise ValueError(f"init must be 'supervised' or 'random', got {init!r}")
 
-    model = GmmModel({lab: GmmComponent(m, c, w)
-                      for lab, m, c, w in zip(labels, means, covs, weights)})
-
+    x, y = _columns(xy)
+    centre = xy.mean(axis=0)
+    xc, yc = (xy - centre).T
+    design = np.column_stack([np.ones(n), xc, yc, xc * xc, xc * yc, yc * yc])
     ll_prev = None
     for _ in range(max_iter):
-        _, log_dens = _log_densities(model, xy)
-        shift = log_dens.max(axis=1, keepdims=True)
-        ll = float((shift[:, 0] + np.log(np.exp(log_dens - shift).sum(axis=1))).sum())
-        resp = _posteriors(log_dens)
-
-        nk = resp.sum(axis=0)
+        lse, resp = _log_sum_exp(_log_density_matrix(x, y, means, covs, weights))
+        ll = float(lse.sum())
+        # Row j: n_j, the sum of component j's posteriors, then n_j times its centred moments.
+        moments = resp @ design
+        nk = moments[:, 0]
         if np.any(nk / n < _MIN_WEIGHT):
-            dead = labels[int(np.argmin(nk))]
+            dead = names[int(np.argmin(nk))]
             raise SingularComponent(f"component {dead!r} collapsed (weight < 1e-6)")
-        new = {}
-        for j, lab in enumerate(labels):
-            mu = resp[:, j] @ xy / nk[j]
-            diff = xy - mu
-            cov = (resp[:, j, None] * diff).T @ diff / nk[j] + reg
-            new[lab] = GmmComponent(mu, cov, nk[j] / n)
-        model = GmmModel(new)
-
+        means, second = moments[:, 1:3] / nk[:, None], moments[:, [3, 4, 4, 5]] / nk[:, None]
+        covs = (second - means[:, [0, 0, 1, 1]] * means[:, [0, 1, 0, 1]]).reshape(k, 2, 2) + reg
+        means, weights = means + centre, nk / n
         if ll_prev is not None and abs(ll - ll_prev) <= tol * abs(ll):
-            return model
+            return GmmModel({lab: GmmComponent(m, c, w)
+                             for lab, m, c, w in zip(names, means, covs, weights.tolist())})
         ll_prev = ll
     raise NotConverged(
         f"EM did not meet tol={tol} in {max_iter} iterations", log_likelihood=ll_prev
     )
-
-
-def log_likelihood(model: GmmModel, xy: np.ndarray) -> float:
-    """Total mixture log-likelihood of the shots under the model."""
-    _, log_dens = _log_densities(model, np.asarray(xy, dtype=float))
-    shift = log_dens.max(axis=1, keepdims=True)
-    return float((shift[:, 0] + np.log(np.exp(log_dens - shift).sum(axis=1))).sum())
 
 
 def assign_indices(model: GmmModel, xy: np.ndarray) -> np.ndarray:
@@ -244,7 +245,7 @@ def window_counts(indices: np.ndarray, n_labels: int, window: int) -> np.ndarray
 def classify_shot(model: GmmModel, shot) -> tuple[str, dict[str, float]]:
     """Label (``assign_indices``) and posterior map for one (i, q) shot."""
     xy = np.asarray(shot, dtype=float).reshape(1, 2)
-    post = _posteriors(_log_densities(model, xy)[1])[0]
+    post = _log_sum_exp(_log_densities(model, xy)[1].T)[1][:, 0]
     return model.labels[int(assign_indices(model, xy)[0])], dict(zip(model.labels, post))
 
 
@@ -312,43 +313,35 @@ class AssignmentMatrix:
                                  self.col_labels.index(assigned)])
 
 
-def assignment_matrix(model: GmmModel, xy: np.ndarray, prep_labels,
-                      row_labels=None) -> AssignmentMatrix:
-    """Fraction of prep-r shots assigned to each model component."""
-    xy = np.asarray(xy, dtype=float)
-    prep_labels = np.asarray(prep_labels)
-    rows = (sorted(set(prep_labels.tolist()), key=_label_sort_key)
-            if row_labels is None else list(row_labels))
-    cols = model.labels
+def assignment_matrix(model: GmmModel, xy: np.ndarray, codes, labels) -> AssignmentMatrix:
+    """Fraction of each prep's shots assigned to each model component.
+
+    ``codes`` index the label table ``labels``, whose labels are the rows in
+    canonical order; a label with no shots raises ``EmptyRow``."""
+    rows = sorted(range(len(labels)), key=lambda j: _label_sort_key(labels[j]))
+    k = len(model.labels)
     assigned = assign_indices(model, xy)
-    matrix = np.zeros((len(rows), len(cols)))
-    for r, prep in enumerate(rows):
-        sel = assigned[prep_labels == prep]
-        if sel.size == 0:
-            raise EmptyRow(f"no shots prepared as {prep!r}")
-        matrix[r] = np.bincount(sel, minlength=len(cols)) / sel.size
-    return AssignmentMatrix(rows, cols, matrix)
+    counts = np.bincount(np.asarray(codes, dtype=np.intp) * k + assigned,
+                         minlength=len(labels) * k).reshape(-1, k)[rows]
+    totals = counts.sum(axis=1)
+    if not totals.all():
+        raise EmptyRow(f"no shots prepared as {labels[rows[int(np.argmin(totals))]]!r}")
+    return AssignmentMatrix([labels[j] for j in rows], model.labels, counts / totals[:, None])
 
 
 def sample_from_model(model: GmmModel, n_per_state: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n shots from every component; returns (xy, true labels)."""
+    """Draw n shots from every component; returns (xy, codes into ``model.labels``)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    xs, labs = [], []
-    for lab in model.labels:
-        comp = model.components[lab]
-        chol = np.linalg.cholesky(comp.cov)
-        z = rng.standard_normal((n_per_state, 2))
-        xs.append(comp.mean + z @ chol.T)
-        labs.extend([lab] * n_per_state)
-    return np.vstack(xs), np.array(labs, dtype=object)
+    comps = [model.components[lab] for lab in model.labels]
+    return (np.vstack([c.mean + rng.standard_normal((n_per_state, 2)) @ np.linalg.cholesky(c.cov).T
+                       for c in comps]), np.repeat(np.arange(len(comps)), n_per_state))
 
 
 def synthetic_confusion(model: GmmModel, n_per_state: int, seed: int) -> AssignmentMatrix:
     """Confusion matrix from reclassifying model-generated synthetic shots."""
     if n_per_state < 100:
         raise ValueError("n_per_state must be >= 100")
-    xy, labs = sample_from_model(model, n_per_state, seed)
-    return assignment_matrix(model, xy, labs, row_labels=model.labels)
+    return assignment_matrix(model, *sample_from_model(model, n_per_state, seed), model.labels)
 
 
 def herald_filter(xy: np.ndarray, pre_readout_posteriors, threshold: float = 0.995

@@ -183,19 +183,20 @@ def cmd_fit_temp(cfg: dict, out: str, seed) -> int:
 
 
 def cmd_classify(cfg: dict, out: str, seed) -> int:
-    xy, prep = fio.read_shots_csv(cfg["shots_csv"])
+    xy, codes, labels = fio.read_shots_csv(cfg["shots_csv"])
+    if codes is not None and "" in labels:
+        raise ValueError(f"shot CSV: {np.count_nonzero(codes == labels.index(''))} of "
+                         f"{codes.size} rows have an empty prep label; label every row or none")
     if cfg["model_json"] is not None:
         model = fio.model_from_dict(fio.load_json(cfg["model_json"]), "model_json")
+    elif codes is None:
+        raise ValueError("fitting a model needs prep labels in the shot CSV")
     else:
-        if prep is None:
-            raise ValueError("fitting a model needs prep labels in the shot CSV")
-        model = cl.fit_gmm(xy, labels=sorted(set(prep.tolist())),
-                           init=cfg["init"], prep_labels=prep,
-                           seed=0 if seed is None else seed)
+        model = cl.fit_gmm(xy, labels, codes, init=cfg["init"], seed=0 if seed is None else seed)
     if cfg["save_model_json"] is not None:
         fio.dump_json(fio.model_to_dict(model), cfg["save_model_json"])
-    if prep is not None:
-        matrix = cl.assignment_matrix(model, xy, prep)
+    if codes is not None:
+        matrix = cl.assignment_matrix(model, xy, codes, labels)
         doc = fio.matrix_to_dict(matrix)
         doc["min_pairwise_separation"] = cl.min_pairwise_separation(model)
         fio.dump_json(doc, out)

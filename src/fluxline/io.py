@@ -11,7 +11,7 @@ Formats:
 * flux-sweep CSV    header flux_ratio,l_j_arr_H,f_f_Hz,gamma_qf_per_s,
                     t1_ext_s,t1_total_s,rabi_rel,i_peak_A,margin
 * reset CSV         header prep,time_s,p_g,p_e,p_f,p_h
-* shot CSV          header prep,i,q (prep may be empty)
+* shot CSV          header prep,i,q; preps as codes into a label table
 * curve CSV         header x,y[,sigma] when read, x,y when written
 * GMM model JSON    {"components": {label: {"mean": [i, q],
                     "cov": [[a, b], [b, c]], "weight": w}}}
@@ -179,22 +179,24 @@ def read_reset_csv(path) -> ResetDataset:
                          for prep, rows in zip(preps, groups)})
 
 
-def write_shots_csv(path, xy, prep_labels=None) -> None:
-    """Write (n, 2) IQ points, with a prep label per row if given.
+def write_shots_csv(path, xy, codes=None, labels=None) -> None:
+    """Write (n, 2) IQ points, labelled ``labels[codes[row]]`` if the codes are given.
 
     ``xy`` may also be an iterator of (n_i, 2) blocks, such as windows drawn
     one at a time; they are written unlabelled, in turn, one held at a time.
     """
-    blocks = ((b, None) for b in xy) if isinstance(xy, Iterator) else [(xy, prep_labels)]
+    if (codes is None) != (labels is None):
+        raise ValueError("prep codes and their label table must be given together")
+    blocks = ((b, None) for b in xy) if isinstance(xy, Iterator) else [(xy, codes)]
     _write_table(path, SHOT_HEADER, (
-        (np.asarray(points, dtype=float).T, repeat("", len(points)) if labels is None else labels)
-        for points, labels in blocks))
+        (np.asarray(points, dtype=float).T, repeat("", len(points)) if block_codes is None
+         else map(labels.__getitem__, np.asarray(block_codes).tolist()))
+        for points, block_codes in blocks))
 
 
-def read_shots_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """(n, 2) IQ points and prep labels, or None when every prep is empty."""
-    xy, codes, preps = _read_table(path, "shot", (SHOT_HEADER,), labelled=True)
-    return xy, None if codes is None else np.array(preps, dtype=object)[codes]
+def read_shots_csv(path) -> tuple[np.ndarray, np.ndarray | None, list[str] | None]:
+    """(n, 2) IQ points, (n,) prep codes and the label table they index; see ``_read_table``."""
+    return _read_table(path, "shot", (SHOT_HEADER,), labelled=True)
 
 
 def read_shot_blocks(path):

@@ -31,6 +31,9 @@ KB_OVER_H_CODATA = 1.380649e-23 / 6.62607015e-34 / 1e9
 
 # Thermal probabilities are floored here in the chi-square denominator.
 _P_TH_FLOOR = 1e-12
+# Rows seeded on the temperature grid at a time: the seed's cost matrix
+# holds this many rows, about 2 MB, however many windows are fitted.
+_SEED_ROWS = 1024
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -150,19 +153,17 @@ def fit_temperature_batch(
         row = int(np.argmin(valid))
         raise InvalidPopulations(f"populations of row {row} invalid: {p[row]}")
 
-    # Seed: cost on the grid accumulated level by level, so memory stays
-    # O(W * 256); the bracket is the best grid point's neighbours.
+    # Seed: cost on the grid accumulated level by level, _SEED_ROWS rows at
+    # a time; the bracket is the best grid point's neighbours.
     grid = np.geomspace(t_min, t_max, 256)
     p_grid = _boltzmann_array(grid, ladder)
     den = np.maximum(p_grid, _P_TH_FLOOR)
-    cost = np.zeros((p.shape[0], grid.size))
-    for j in range(4):
-        term = p[:, j, None] - p_grid[:, j]
-        term **= 2
-        term /= den[:, j]
-        cost += term
-    best = np.argmin(cost, axis=1)
-    del cost, term
+    best = np.empty(p.shape[0], dtype=np.intp)
+    for start in range(0, p.shape[0], _SEED_ROWS):
+        cost = 0.0
+        for j in range(4):
+            cost = cost + (p[start:start + _SEED_ROWS, j, None] - p_grid[:, j]) ** 2 / den[:, j]
+        best[start:start + _SEED_ROWS] = np.argmin(cost, axis=1)
     a = np.log(grid[np.maximum(best - 1, 0)])
     b = np.log(grid[np.minimum(best + 1, grid.size - 1)])
 

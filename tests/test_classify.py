@@ -21,9 +21,8 @@ from conftest import make_ring_model
 
 class TestFitGmm:
     def test_supervised_recovery(self, ring_model):
-        xy, labs = cl.sample_from_model(ring_model, 3000, seed=42)
-        fit = cl.fit_gmm(xy, labels=ring_model.labels, init="supervised",
-                         prep_labels=labs)
+        xy, codes = cl.sample_from_model(ring_model, 3000, seed=42)
+        fit = cl.fit_gmm(xy, ring_model.labels, codes, init="supervised")
         sigma_mean = 1.0 / math.sqrt(3000)
         for lab in ring_model.labels:
             err = np.linalg.norm(fit.components[lab].mean
@@ -42,9 +41,9 @@ class TestFitGmm:
             assert np.min(np.linalg.norm(got - mean, axis=1)) < 0.2
 
     def test_determinism(self, ring_model):
-        xy, labs = cl.sample_from_model(ring_model, 500, seed=3)
-        a = cl.fit_gmm(xy, labels=ring_model.labels, prep_labels=labs)
-        b = cl.fit_gmm(xy, labels=ring_model.labels, prep_labels=labs)
+        xy, codes = cl.sample_from_model(ring_model, 500, seed=3)
+        a = cl.fit_gmm(xy, ring_model.labels, codes)
+        b = cl.fit_gmm(xy, ring_model.labels, codes)
         for lab in a.labels:
             assert np.array_equal(a.components[lab].mean, b.components[lab].mean)
             assert np.array_equal(a.components[lab].cov, b.components[lab].cov)
@@ -54,26 +53,30 @@ class TestFitGmm:
         # run EM with an unreachable tolerance and increasing iteration
         # caps; the final likelihood carried by NotConverged must be
         # non-decreasing in the cap
-        xy, labs = cl.sample_from_model(ring_model, 400, seed=5)
+        xy, codes = cl.sample_from_model(ring_model, 400, seed=5)
         lls = []
         for n_iter in range(2, 10):
             with pytest.raises(NotConverged) as err:
-                cl.fit_gmm(xy, labels=ring_model.labels, prep_labels=labs,
-                           max_iter=n_iter, tol=1e-300)
+                cl.fit_gmm(xy, ring_model.labels, codes, max_iter=n_iter, tol=1e-300)
             lls.append(err.value.log_likelihood)
         assert all(v is not None for v in lls)
         assert all(b >= a - 1e-12 * abs(a) for a, b in zip(lls, lls[1:]))
 
     def test_degenerate_single_cluster(self):
+        # Four preps of one cluster: EM creeps along a flat likelihood and
+        # runs out of sweeps, here as in the reference EM.
         rng = np.random.default_rng(0)
         xy = rng.normal(0, 0.5, size=(400, 2))
-        prep = np.array((["g"] * 100 + ["e"] * 100 + ["f"] * 100 + ["h"] * 100))
-        with pytest.raises((SingularComponent, Exception)):
-            cl.fit_gmm(xy, labels=("g", "e", "f", "h"), prep_labels=prep)
+        labels = ["g", "e", "f", "h"]
+        codes = np.repeat(np.arange(4), 100)
+        with pytest.raises(NotConverged):
+            cl.fit_gmm(xy, labels, codes)
+        assert reference_fit_gmm(xy, labels, prep_labels=np.array(labels)[codes]) \
+            == (NotConverged, 500)
 
     def test_needs_enough_shots(self, ring_model):
         with pytest.raises(ValueError):
-            cl.fit_gmm(np.zeros((5, 2)), labels=("g", "e"), prep_labels=["g"] * 5)
+            cl.fit_gmm(np.zeros((5, 2)), ["g", "e"], np.zeros(5, dtype=int))
 
 
 class TestClassifyShot:
@@ -215,13 +218,27 @@ class TestBayesError:
 class TestAssignmentMatrix:
     def test_perfect_classification_identity(self, ring_model):
         means = np.array([ring_model.components[l].mean for l in ring_model.labels])
-        labels = np.array(ring_model.labels, dtype=object)
-        matrix = cl.assignment_matrix(ring_model, means, labels)
+        matrix = cl.assignment_matrix(ring_model, means, np.arange(5), ring_model.labels)
         assert np.allclose(matrix.matrix, np.eye(5))
 
+    def test_rows_in_canonical_order_from_any_table(self, ring_model):
+        # A first-appearance table, as the shot CSV reader returns it.
+        table = ["k+", "f", "g", "h", "e"]
+        xy, codes = cl.sample_from_model(ring_model, 300, seed=8)
+        remap = np.array([table.index(lab) for lab in ring_model.labels])
+        a = cl.assignment_matrix(ring_model, xy, remap[codes], table)
+        b = cl.assignment_matrix(ring_model, xy, codes, ring_model.labels)
+        assert a.row_labels == b.row_labels == ring_model.labels
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+        named = np.array(ring_model.labels)[codes]
+        for r, prep in enumerate(a.row_labels):
+            assigned = cl.assign_indices(ring_model, xy[named == prep])
+            assert a.matrix[r].tolist() == (np.bincount(assigned, minlength=5)
+                                            / assigned.size).tolist()
+
     def test_row_stochastic_and_diag_dominant(self, ring_model):
-        xy, labs = cl.sample_from_model(ring_model, 20000, seed=21)
-        matrix = cl.assignment_matrix(ring_model, xy, labs)
+        xy, codes = cl.sample_from_model(ring_model, 20000, seed=21)
+        matrix = cl.assignment_matrix(ring_model, xy, codes, ring_model.labels)
         assert np.allclose(matrix.matrix.sum(axis=1), 1.0, atol=1e-9)
         labels = matrix.row_labels
         for i, prep in enumerate(labels):
@@ -234,10 +251,10 @@ class TestAssignmentMatrix:
             assert matrix.matrix[i, i] >= bound
 
     def test_empty_row_raises(self, ring_model):
-        xy, labs = cl.sample_from_model(ring_model, 200, seed=2)
-        with pytest.raises(EmptyRow):
-            cl.assignment_matrix(ring_model, xy, labs,
-                                 row_labels=["g", "missing"])
+        # A table entry that no code names is a row with no shots.
+        xy, codes = cl.sample_from_model(ring_model, 200, seed=2)
+        with pytest.raises(EmptyRow, match="'missing'"):
+            cl.assignment_matrix(ring_model, xy, codes, ring_model.labels + ["missing"])
 
 
 class TestSyntheticConfusion:
@@ -435,21 +452,167 @@ class TestRunningArgmax:
 
     @pytest.mark.parametrize("init, seed", [("supervised", 0), ("random", 2)])
     def test_em_iterations_and_model_unchanged(self, ring_model, monkeypatch, init, seed):
-        xy, labs = cl.sample_from_model(ring_model, 400, seed=11)
-        fits, calls = [], []
-        for log_densities in (cl._log_densities, reference_log_densities):
-            calls.append(0)
+        xy, codes = cl.sample_from_model(ring_model, 400, seed=11)
+        outcome = em_outcome(monkeypatch, xy, ring_model.labels, codes, init, seed)
+        ref = reference_outcome(xy, ring_model.labels, codes, init, seed)
+        assert outcome[1] == ref[1] > 2
+        check_same_fit(outcome[0], ref[0])
 
-            def counted(model, data, log_densities=log_densities):
-                calls[-1] += 1
-                return log_densities(model, data)
 
-            monkeypatch.setattr(cl, "_log_densities", counted)
-            fits.append(cl.fit_gmm(xy, ring_model.labels, init=init, prep_labels=labs,
-                                   seed=seed))
-        assert calls[0] == calls[1] > 2
-        new, ref = fits
-        for lab in ref.labels:
-            assert new.components[lab].mean.tobytes() == ref.components[lab].mean.tobytes()
-            assert new.components[lab].cov.tobytes() == ref.components[lab].cov.tobytes()
-            assert new.components[lab].weight == ref.components[lab].weight
+# --- array EM against the per-component EM it replaced ----------------------------
+
+def reference_fit_gmm(xy, labels, init="supervised", prep_labels=None, seed=0,
+                      max_iter=500, tol=1e-9):
+    """The per-component EM: a model per sweep and a Python M-step over k.
+
+    ``labels`` name the components and ``prep_labels`` holds each shot's
+    label.  Returns (model, sweeps), or (NotConverged or SingularComponent,
+    sweeps) where the EM raises it.
+    """
+    xy = np.asarray(xy, dtype=float)
+    labels = sorted(set(labels), key=cl._label_sort_key)
+    k = len(labels)
+    n = xy.shape[0]
+    if n < 10 * k:
+        raise ValueError(f"need >= 10 shots per component, got {n} for {k}")
+    reg = cl._REG_SCALE * float(np.var(xy, axis=0).mean()) * np.eye(2)
+    if init == "supervised":
+        prep_labels = np.asarray(prep_labels)
+        means, covs, weights = [], [], []
+        for lab in labels:
+            sel = xy[prep_labels == lab]
+            if sel.shape[0] < 10:
+                raise ValueError(f"need >= 10 shots for component {lab!r}")
+            means.append(sel.mean(axis=0))
+            covs.append(np.cov(sel.T) + reg)
+            weights.append(sel.shape[0] / n)
+    else:
+        rng = np.random.default_rng(seed)
+        centers = [xy[rng.integers(n)]]
+        for _ in range(k - 1):
+            d2 = np.min([((xy - c) ** 2).sum(axis=1) for c in centers], axis=0)
+            centers.append(xy[rng.choice(n, p=d2 / d2.sum())])
+        means = centers
+        covs = [np.cov(xy.T) + reg for _ in range(k)]
+        weights = [1.0 / k] * k
+    model = cl.GmmModel({lab: cl.GmmComponent(m, c, w)
+                         for lab, m, c, w in zip(labels, means, covs, weights)})
+    ll_prev = None
+    for sweep in range(1, max_iter + 1):
+        log_dens = reference_log_densities(model, xy)[1]
+        shift = log_dens.max(axis=1, keepdims=True)
+        ll = float((shift[:, 0] + np.log(np.exp(log_dens - shift).sum(axis=1))).sum())
+        w = np.exp(log_dens - shift)
+        resp = w / w.sum(axis=1, keepdims=True)
+        nk = resp.sum(axis=0)
+        if np.any(nk / n < cl._MIN_WEIGHT):
+            return SingularComponent, sweep
+        new = {}
+        for j, lab in enumerate(labels):
+            mu = resp[:, j] @ xy / nk[j]
+            diff = xy - mu
+            cov = (resp[:, j, None] * diff).T @ diff / nk[j] + reg
+            new[lab] = cl.GmmComponent(mu, cov, nk[j] / n)
+        model = cl.GmmModel(new)
+        if ll_prev is not None and abs(ll - ll_prev) <= tol * abs(ll):
+            return model, sweep
+        ll_prev = ll
+    return NotConverged, max_iter
+
+
+def em_outcome(monkeypatch, xy, labels, codes, init, seed, max_iter=500):
+    """(model or exception type, sweeps) of ``fit_gmm``, counting its log-sum-exps."""
+    sweeps = []
+
+    def counted(log_dens, log_sum_exp=cl._log_sum_exp):
+        sweeps.append(None)
+        return log_sum_exp(log_dens)
+
+    monkeypatch.setattr(cl, "_log_sum_exp", counted)
+    try:
+        return cl.fit_gmm(xy, labels, codes, init=init, seed=seed, max_iter=max_iter), \
+            len(sweeps)
+    except (NotConverged, SingularComponent) as exc:
+        return type(exc), len(sweeps)
+    finally:
+        monkeypatch.undo()
+
+
+def reference_outcome(xy, labels, codes, init, seed, max_iter=500):
+    """``reference_fit_gmm`` on the same shots, with labels for codes."""
+    return reference_fit_gmm(xy, labels, init, np.array(labels)[codes], seed, max_iter)
+
+
+def check_same_fit(new, ref):
+    """Means and covariances within 1e-10, weights within 1e-12, same labels in order."""
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    assert list(new.components) == list(ref.components)
+    for lab, comp in ref.components.items():
+        got = new.components[lab]
+        assert np.max(np.abs(got.mean - comp.mean)) <= 1e-10
+        assert np.max(np.abs(got.cov - comp.cov)) <= 1e-10
+        assert abs(got.weight - comp.weight) <= 1e-12
+
+
+SHIFTED_RING = cl.GmmModel({
+    lab: cl.GmmComponent(c.mean + [1e3, -1e3], c.cov, c.weight)
+    for lab, c in make_ring_model().components.items()})
+SKEWED = cl.GmmModel({
+    "g": cl.GmmComponent([0.0, 0.0], [[1.0, 0.3], [0.3, 0.5]], 0.55),
+    "e": cl.GmmComponent([2.5, 1.0], [[0.6, -0.2], [-0.2, 1.4]], 0.3),
+    "f": cl.GmmComponent([0.5, 3.0], [[2.0, 0.0], [0.0, 0.2]], 0.15),
+})
+
+
+class TestArrayEmMatchesReference:
+    """Equal sweeps and outcomes; means and covariances within 1e-10, weights 1e-12."""
+
+    @pytest.mark.parametrize("name", ["ring", "shifted ring", "skewed"])
+    @pytest.mark.parametrize("init", ["supervised", "random"])
+    def test_seeded_sweep(self, monkeypatch, name, init):
+        # The ring shifted by (1e3, -1e3) exercises the centring of the moments.
+        model = {"ring": make_ring_model(), "shifted ring": SHIFTED_RING, "skewed": SKEWED}[name]
+        for seed in range(6):
+            xy, codes = cl.sample_from_model(model, 150 + 50 * seed, seed=seed)
+            new = em_outcome(monkeypatch, xy, model.labels, codes, init, seed)
+            ref = reference_outcome(xy, model.labels, codes, init, seed)
+            assert new[1] == ref[1]
+            check_same_fit(new[0], ref[0])
+
+    @pytest.mark.parametrize("seed, init", [(151, "supervised"), (319, "random")])
+    def test_collapse_on_lattice_shots(self, monkeypatch, seed, init):
+        # Shots on a 3 x 3 lattice with shuffled preps: a component collapses.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(10 * k, 30 * k))
+        xy = rng.integers(0, 3, size=(n, 2)).astype(float)
+        codes = np.repeat(np.arange(k), n // k + 1)[:n]
+        rng.shuffle(codes)
+        labels = list(cl.LABEL_ORDER[:k])
+        ref = reference_outcome(xy, labels, codes, init, seed)
+        assert ref[0] is SingularComponent
+        assert em_outcome(monkeypatch, xy, labels, codes, init, seed) == ref
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_sweep_cap_gives_not_converged_in_both(self, monkeypatch, max_iter):
+        model = make_ring_model()
+        xy, codes = cl.sample_from_model(model, 200, seed=4)
+        new = em_outcome(monkeypatch, xy, model.labels, codes, "supervised", 0, max_iter)
+        assert new == (NotConverged, max_iter)
+        assert reference_outcome(xy, model.labels, codes, "supervised", 0, max_iter) \
+            == (NotConverged, max_iter)
+
+    def test_first_appearance_table_fits_the_same_model(self):
+        model = make_ring_model()
+        xy, codes = cl.sample_from_model(model, 200, seed=5)
+        table = ["h", "g", "k+", "e", "f"]
+        remap = np.array([table.index(lab) for lab in model.labels])
+        a = cl.fit_gmm(xy, table, remap[codes])
+        b = cl.fit_gmm(xy, model.labels, codes)
+        assert list(a.components) == list(b.components) == model.labels
+        for lab in model.labels:
+            assert a.components[lab].mean.tobytes() == b.components[lab].mean.tobytes()
+            assert a.components[lab].cov.tobytes() == b.components[lab].cov.tobytes()
+            assert a.components[lab].weight == b.components[lab].weight

@@ -565,8 +565,8 @@ class TestShotCsvBoundary:
 class TestClassifyCommand:
     def test_fit_model_and_matrix(self, tmp_path):
         model = make_ring_model()
-        xy, labs = cl.sample_from_model(model, 800, seed=1)
-        fio.write_shots_csv(tmp_path / "cal.csv", xy, labs)
+        xy, codes = cl.sample_from_model(model, 800, seed=1)
+        fio.write_shots_csv(tmp_path / "cal.csv", xy, codes, model.labels)
         cfg = write_cfg(tmp_path, "cfg.json", {
             "shots_csv": str(tmp_path / "cal.csv"),
             "save_model_json": str(tmp_path / "model.json")})
@@ -591,6 +591,37 @@ class TestClassifyCommand:
         assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert sum(doc["counts"].values()) == 1000
+
+    def test_fit_out_of_iterations_exit_2(self, tmp_path, capsys):
+        # Four preps of one cluster: EM does not converge in 500 iterations.
+        xy = np.random.default_rng(0).normal(0, 0.5, size=(400, 2))
+        fio.write_shots_csv(tmp_path / "cal.csv", xy, np.repeat(np.arange(4), 100),
+                            ["g", "e", "f", "h"])
+        cfg = write_cfg(tmp_path, "cfg.json", {"shots_csv": str(tmp_path / "cal.csv")})
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("solver error: NotConverged: EM did not meet tol=1e-09 in 500")
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_partly_empty_prep_labels_exit_1(self, tmp_path, capsys, with_model):
+        # Every 7th label blanked: no "" component may be fitted or reported.
+        model = make_ring_model()
+        xy, codes = cl.sample_from_model(model, 100, seed=3)
+        table = model.labels + [""]
+        codes[::7] = len(model.labels)
+        fio.write_shots_csv(tmp_path / "cal.csv", xy, codes, table)
+        cfg = {"shots_csv": str(tmp_path / "cal.csv")}
+        if with_model:
+            (tmp_path / "model.json").write_text(json.dumps(fio.model_to_dict(model)))
+            cfg["model_json"] = str(tmp_path / "model.json")
+        out = tmp_path / "matrix.json"
+        assert main(["classify", "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: shot CSV: 72 of 500 rows have an empty prep label; "
+            "label every row or none\n")
+        assert not out.exists()
 
 
 def reference_labels(body: bytes) -> list[str]:
@@ -620,15 +651,13 @@ class TestLabelCodes:
 
     def check(self, path, body):
         ref = reference_labels(body)
-        _, codes, labels = fio._read_table(path, "shot", (fio.SHOT_HEADER,), labelled=True)
-        xy, labs = fio.read_shots_csv(path)
+        xy, codes, labels = fio.read_shots_csv(path)
         assert len(xy) == len(ref)
         if all(r == "" for r in ref):
-            assert codes is labels is labs is None
+            assert codes is labels is None
             return
         assert labels == list(dict.fromkeys(ref))
         assert codes.tolist() == [labels.index(r) for r in ref]
-        assert labs.dtype == object and labs.tolist() == ref
 
     @pytest.mark.parametrize("name", BODIES)
     def test_edge_case_bodies_match_the_reference(self, tmp_path, name):
@@ -680,10 +709,18 @@ class TestRoundTripFormats:
 
     def test_shots_csv_round_trip(self, tmp_path):
         xy = np.array([[0.125, -3.75], [1e-17, 2.0]])
-        fio.write_shots_csv(tmp_path / "s.csv", xy, ["g", "e"])
-        back, labs = fio.read_shots_csv(tmp_path / "s.csv")
+        fio.write_shots_csv(tmp_path / "s.csv", xy, [1, 0], ["e", "g"])
+        back, codes, labels = fio.read_shots_csv(tmp_path / "s.csv")
         assert np.array_equal(back, xy)
-        assert list(labs) == ["g", "e"]
+        assert codes.tolist() == [0, 1] and labels == ["g", "e"]
+
+    def test_shots_csv_codes_need_their_table(self, tmp_path):
+        # Codes alone would be written as the labels "0", "1", ...
+        xy, codes = cl.sample_from_model(make_ring_model(), 10, seed=1)
+        for args in ((codes,), (None, ["g"])):
+            with pytest.raises(ValueError, match="together"):
+                fio.write_shots_csv(tmp_path / "s.csv", xy, *args)
+        assert not (tmp_path / "s.csv").exists()
 
     @given(xy=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                                  st.floats(allow_nan=False, allow_infinity=False)),
@@ -693,22 +730,25 @@ class TestRoundTripFormats:
     def test_shots_csv_matches_dictreader(self, tmp_path, xy, labelled, data):
         """Shot, reset and curve files: writer, then reader against csv.DictReader."""
         xy = np.array(xy, dtype=float)
-        preps = None
+        table = ["g", "e", "f", "h", "k+", ""]
+        codes = preps = None
         if labelled:
-            preps = data.draw(st.lists(st.sampled_from(["g", "e", "f", "h", "k+", ""]),
+            codes = data.draw(st.lists(st.integers(0, len(table) - 1),
                                        min_size=len(xy), max_size=len(xy)))
+            preps = [table[c] for c in codes]
         path = tmp_path / "s.csv"
-        fio.write_shots_csv(path, xy, preps)
+        fio.write_shots_csv(path, xy, codes, table if labelled else None)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         ref_xy = np.array([[float(r["i"]), float(r["q"])] for r in rows])
         ref_preps = [r["prep"] for r in rows]
-        back, labs = fio.read_shots_csv(path)
+        back, back_codes, labels = fio.read_shots_csv(path)
         assert np.array_equal(back, ref_xy) and np.array_equal(back, xy)
         if all(p == "" for p in ref_preps):
-            assert labs is None
+            assert back_codes is labels is None
         else:
-            assert labs.tolist() == ref_preps
+            assert labels == list(dict.fromkeys(ref_preps))
+            assert [labels[c] for c in back_codes] == ref_preps == preps
 
         # Curve: the same points as x, y.
         fio.write_curve_csv(path, xy[:, 0], xy[:, 1])
@@ -836,10 +876,12 @@ class TestWritersMatchPerRowReference:
     @pytest.mark.parametrize("labelled", [False, True])
     def test_shots(self, tmp_path, n, labelled):
         xy = mixed_values(2 * n, n).reshape(n, 2)
-        preps = None
+        table = codes = preps = None
         if labelled:
-            preps = np.resize(np.array(["g", "e", "", "k+", "h"], dtype=object), n)
-        fio.write_shots_csv(tmp_path / "s.csv", xy, preps)
+            table = ["g", "e", "", "k+", "h"]
+            codes = np.resize(np.arange(len(table)), n)
+            preps = [table[c] for c in codes]
+        fio.write_shots_csv(tmp_path / "s.csv", xy, codes, table)
         assert (tmp_path / "s.csv").read_bytes() == _ref_shots_text(xy, preps).encode()
 
     @pytest.mark.parametrize("n", ROWS)
@@ -915,6 +957,11 @@ class TestImportHygiene:
         """Watched modules after the import and after each command, from one process."""
         tmp_path = tmp_path_factory.mktemp("hygiene")
         (tmp_path / "model.json").write_text(json.dumps(model_dict()))
+        # Labelled shots, so that classify also fits a model (EM) and
+        # builds an assignment matrix.
+        ring = make_ring_model()
+        fio.write_shots_csv(tmp_path / "labelled.csv",
+                            *cl.sample_from_model(ring, 100, seed=3), ring.labels)
         cfgs = {
             "windows": {"generator": "windows", "ladder": LADDER_CFG,
                         "cluster_model": model_dict(), "temperature_mk": 181.072,
@@ -929,6 +976,8 @@ class TestImportHygiene:
             "fit": {"reset_csv": str(tmp_path / "reset.csv"), "fit_floor": True},
             "classify": {"shots_csv": str(tmp_path / "shots.csv"),
                          "model_json": str(tmp_path / "model.json")},
+            "fit-model": {"shots_csv": str(tmp_path / "labelled.csv"),
+                          "save_model_json": str(tmp_path / "fitted.json")},
             "rb": {"generator": "rb", "p_true": 0.995, "shots_per_point": 1000, "seed": 3},
             "fit-rb": {"curve_csv": str(tmp_path / "rb.csv")},
             "fit-curve": {"curve_csv": str(tmp_path / "rb.csv"), "model": "exponential"},
@@ -940,6 +989,7 @@ class TestImportHygiene:
                  ("filter-sweep", paths["sweep"], str(tmp_path / "sweep.csv")),
                  ("fit-reset", paths["fit"], str(tmp_path / "fit.json")),
                  ("classify", paths["classify"], str(tmp_path / "counts.json")),
+                 ("classify", paths["fit-model"], str(tmp_path / "matrix.json")),
                  ("generate", paths["rb"], str(tmp_path / "rb.csv")),
                  ("fit-rb", paths["fit-rb"], str(tmp_path / "rb.json")),
                  ("fit-curve", paths["fit-curve"], str(tmp_path / "curve.json"))]

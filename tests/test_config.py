@@ -101,7 +101,8 @@ def write_inputs(work: Path) -> dict:
     fio.dump_json(MODEL, files["model"])
     gen_cfg = synth.ShotGenConfig(ladder=th.LevelLadder(**LADDER_A), cluster_model=model)
     fio.write_shots_csv(files["shots"], synth.gen_thermal_shots(gen_cfg, 0.181072, 400))
-    fio.write_shots_csv(files["labelled"], *cl.sample_from_model(model, 40, seed=1))
+    fio.write_shots_csv(files["labelled"], *cl.sample_from_model(model, 40, seed=1),
+                        model.labels)
     rates = dyn.DecayRates.from_t1(238.22e-9, 136.80e-9, 128.84e-9)
     t_grid = [k * 1e-7 for k in range(1, 21)]
     fio.write_reset_csv(files["reset"], synth.gen_reset_curves(

@@ -192,6 +192,38 @@ class TestFitTemperatureBatch:
         with pytest.raises(InvalidPopulations):
             th.fit_temperature_batch(pops, ladder_a)
 
+    @staticmethod
+    def sampled_windows(ladder, n_win, seed):
+        rng = np.random.default_rng(seed)
+        temps = rng.uniform(0.05, 0.5, n_win)
+        counts = np.array([rng.multinomial(1000, th.boltzmann_populations(t, ladder).as_array())
+                           for t in temps])
+        return counts / 1000.0
+
+    def test_seed_chunks_change_no_bit(self, ladder_a, monkeypatch):
+        pops = self.sampled_windows(ladder_a, 50, 1)
+        fits = []
+        for rows in (7, 50, 1024):
+            monkeypatch.setattr(th, "_SEED_ROWS", rows)
+            fits.append(th.fit_temperature_batch(pops, ladder_a))
+        for fit in fits[1:]:
+            for name in ("t_eff", "r_squared", "chi2_min", "at_boundary"):
+                assert getattr(fit, name).tobytes() == getattr(fits[0], name).tobytes()
+
+    def test_seed_memory_does_not_grow_with_windows(self, ladder_a):
+        import tracemalloc
+        n_win = 10_000
+        pops = self.sampled_windows(ladder_a, n_win, 2)
+        tracemalloc.start()
+        try:
+            th.fit_temperature_batch(pops, ladder_a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One (W, 256) cost grid holds 20 MB; seeding all rows at once
+        # peaked at 62 MB, in row chunks at 6.5 MB.
+        assert peak < n_win * 256 * 8 / 2
+
 
 class TestRatioTemperatures:
     def test_consistency_on_exact_populations(self, ladder_a):
