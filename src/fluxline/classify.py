@@ -12,7 +12,7 @@ covariance is Phi(-delta/2).  A separation of 6 keeps that error near
 1e-3, small against the shot noise of typical window sizes.
 
 Levels above h are aggregated in an overflow component labeled ``k+``;
-``exclude_overflow_and_renormalize`` drops it before temperature fitting.
+``level_populations`` drops it before temperature fitting.
 
 Labels are integer codes here: a prep label indexes a table of distinct
 labels, as ``io.read_shots_csv`` returns it, and an assigned state indexes
@@ -26,15 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LEVELS, PopulationVector
-from .errors import (
-    AllOverflow,
-    EmptyRow,
-    NotConverged,
-    OutOfRange,
-    SingularComponent,
-    SingularCovariance,
-)
+from .dynamics import LEVELS
+from .errors import AllOverflow, EmptyRow, NotConverged, SingularComponent, SingularCovariance
 
 LABEL_ORDER = ("g", "e", "f", "h", "k+")
 
@@ -87,16 +80,22 @@ class GmmModel:
         return sorted(self.components, key=_label_sort_key)
 
 
+def _parameters(model: GmmModel) -> tuple[list, list, list]:
+    """Means, covariances and weights of the components, in ``model.labels`` order."""
+    comps = [model.components[lab] for lab in model.labels]
+    return [c.mean for c in comps], [c.cov for c in comps], [c.weight for c in comps]
+
+
 def _mahalanobis_sq(x: np.ndarray, y: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Squared Mahalanobis distance of each offset (x, y), by the 2x2 closed form, and det(cov)."""
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
     return (cov[1, 1] * x * x - (cov[0, 1] + cov[1, 0]) * x * y + cov[0, 0] * y * y) / det, det
 
 
-def _log_density(comp: GmmComponent, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _log_density(mean, cov, weight: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Log of weight * normal density of one component at each shot (x, y)."""
-    maha, det = _mahalanobis_sq(x - comp.mean[0], y - comp.mean[1], comp.cov)
-    log_w = math.log(comp.weight) if comp.weight > 0 else -math.inf
+    maha, det = _mahalanobis_sq(x - mean[0], y - mean[1], cov)
+    log_w = math.log(weight) if weight > 0 else -math.inf
     return log_w - 0.5 * (maha + math.log(det)) - _LOG_2PI
 
 
@@ -106,24 +105,12 @@ def _columns(xy) -> tuple[np.ndarray, np.ndarray]:
     return xy[:, 0].copy(), xy[:, 1].copy()
 
 
-def _log_density_matrix(x: np.ndarray, y: np.ndarray, means: np.ndarray, covs: np.ndarray,
-                        weights: np.ndarray) -> np.ndarray:
-    """(k, n) log of weight * normal density, components (rows) by shots (x, y).
-
-    Row j is ``_log_density`` of component j bit for bit, hence ``math.log``."""
-    maha, det = _mahalanobis_sq(x - means[:, :1], y - means[:, 1:],
-                                covs.transpose(1, 2, 0)[..., None])
-    log_w = np.array([[math.log(w) if w > 0 else -math.inf] for w in weights.tolist()])
-    log_det = np.array([[math.log(d)] for d in det.ravel().tolist()])
-    return log_w - 0.5 * (maha + log_det) - _LOG_2PI
-
-
-def _log_densities(model: GmmModel, xy: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Log of weight * normal density for every (shot, component)."""
-    comps = [model.components[lab] for lab in model.labels]
-    means, covs, weights = (np.array([getattr(c, name) for c in comps])
-                            for name in ("mean", "cov", "weight"))
-    return model.labels, _log_density_matrix(*_columns(xy), means, covs, weights).T
+def _log_density_matrix(x: np.ndarray, y: np.ndarray, means, covs, weights) -> np.ndarray:
+    """(k, n) ``_log_density`` of each component (rows) at the shots (x, y)."""
+    out = np.empty((len(means), x.size))
+    for j, (mean, cov, weight) in enumerate(zip(means, covs, weights)):
+        out[j] = _log_density(mean, cov, weight, x, y)
+    return out
 
 
 def _log_sum_exp(log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,23 +122,16 @@ def _log_sum_exp(log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shift + np.log(total), w / total
 
 
-def fit_gmm(
-    xy: np.ndarray,
-    labels,
-    codes=None,
-    init: str = "supervised",
-    seed: int = 0,
-    max_iter: int = 500,
-    tol: float = 1e-9,
-) -> GmmModel:
+def fit_gmm(xy: np.ndarray, labels, codes, max_iter: int = 500,
+            tol: float = 1e-9) -> GmmModel:
     """Fit a labeled Gaussian mixture to IQ shots by EM (Dempster, Laird and Rubin 1977).
 
     ``labels`` is a table of distinct labels, one component each, that
-    ``codes`` index per shot.  ``init='supervised'`` seeds each component
-    from its prep's sample moments, ``'random'`` by a seeded k-means++ draw.
-    EM stops when the relative log-likelihood change drops to ``tol``, and
-    adds 1e-6 * mean variance to each covariance's diagonal.  A sweep is one
-    log-sum-exp of the log densities and one product of the posteriors with
+    ``codes`` index per shot.  Each component is seeded from its prep's
+    sample moments, so it keeps its prep's label.  EM stops when the
+    relative log-likelihood change drops to ``tol``, and adds 1e-6 * mean
+    variance to each covariance's diagonal.  A sweep is one log-sum-exp of
+    the log densities and one product of the posteriors with
     [1, x, y, x^2, xy, y^2] of the centred shots: every weight and moment.
     """
     xy = np.asarray(xy, dtype=float)
@@ -160,26 +140,13 @@ def fit_gmm(
     if n < 10 * k:
         raise ValueError(f"need >= 10 shots per component, got {n} for {k}")
     reg = _REG_SCALE * float(np.var(xy, axis=0).mean()) * np.eye(2)
-    if init == "supervised":
-        if codes is None:
-            raise ValueError("supervised init requires prep codes")
-        groups = [xy[np.asarray(codes) == labels.index(lab)] for lab in names]
-        for lab, group in zip(names, groups):
-            if len(group) < 10:
-                raise ValueError(f"need >= 10 shots for component {lab!r}")
-        means = np.array([group.mean(axis=0) for group in groups])
-        covs = np.array([np.cov(group.T) for group in groups]) + reg
-        weights = np.array([len(group) for group in groups]) / n
-    elif init == "random":
-        rng = np.random.default_rng(seed)
-        means = [xy[rng.integers(n)]]
-        for _ in range(k - 1):
-            d2 = np.min([((xy - c) ** 2).sum(axis=1) for c in means], axis=0)
-            means.append(xy[rng.choice(n, p=d2 / d2.sum())])
-        means, covs = np.array(means), np.tile(np.cov(xy.T) + reg, (k, 1, 1))
-        weights = np.full(k, 1.0 / k)
-    else:
-        raise ValueError(f"init must be 'supervised' or 'random', got {init!r}")
+    groups = [xy[np.asarray(codes) == labels.index(lab)] for lab in names]
+    for lab, group in zip(names, groups):
+        if len(group) < 10:
+            raise ValueError(f"need >= 10 shots for component {lab!r}")
+    means = np.array([group.mean(axis=0) for group in groups])
+    covs = np.array([np.cov(group.T) for group in groups]) + reg
+    weights = np.array([len(group) for group in groups]) / n
 
     x, y = _columns(xy)
     centre = xy.mean(axis=0)
@@ -217,17 +184,17 @@ def assign_indices(model: GmmModel, xy: np.ndarray) -> np.ndarray:
     components replaces that (n, k) matrix; no posteriors are computed.
     """
     x, y = _columns(xy)
-    components = [model.components[lab] for lab in model.labels]
-    index = np.zeros(x.size, dtype=np.min_scalar_type(len(components) - 1))
-    best = _log_density(components[0], x, y)
-    for j, comp in enumerate(components[1:], start=1):
-        dens = _log_density(comp, x, y)
+    means, covs, weights = _parameters(model)
+    index = np.zeros(x.size, dtype=np.min_scalar_type(len(means) - 1))
+    best = _log_density(means[0], covs[0], weights[0], x, y)
+    for j in range(1, len(means)):
+        dens = _log_density(means[j], covs[j], weights[j], x, y)
         np.copyto(index, j, where=dens > best)
         # NaN propagates, so ``best`` is NaN wherever any density was.
         np.maximum(best, dens, out=best)
     nan = np.flatnonzero(np.isnan(best))
     if nan.size:
-        index[nan] = np.argmax(_log_densities(model, np.asarray(xy, dtype=float)[nan])[1], axis=1)
+        index[nan] = np.argmax(_log_density_matrix(x[nan], y[nan], means, covs, weights), axis=0)
     return index
 
 
@@ -240,13 +207,6 @@ def window_counts(indices: np.ndarray, n_labels: int, window: int) -> np.ndarray
     n_win = indices.shape[0] // window
     windows = indices[:n_win * window].reshape(n_win, window)
     return np.stack([np.count_nonzero(windows == j, axis=1) for j in range(n_labels)], axis=1)
-
-
-def classify_shot(model: GmmModel, shot) -> tuple[str, dict[str, float]]:
-    """Label (``assign_indices``) and posterior map for one (i, q) shot."""
-    xy = np.asarray(shot, dtype=float).reshape(1, 2)
-    post = _log_sum_exp(_log_densities(model, xy)[1].T)[1][:, 0]
-    return model.labels[int(assign_indices(model, xy)[0])], dict(zip(model.labels, post))
 
 
 def pairwise_separation(model: GmmModel, label_i: str, label_j: str) -> float:
@@ -276,20 +236,6 @@ def bayes_error(delta: float) -> float:
     if delta < 0:
         raise ValueError("delta must be >= 0")
     return 0.5 * math.erfc(delta / (2.0 * math.sqrt(2.0)))
-
-
-def effective_binary_separation(epsilon: float) -> float:
-    """Equivalent two-Gaussian separation for a misclassification probability.
-
-    Inverse of ``bayes_error``: delta = -2 Phi^-1(epsilon).
-    """
-    # Imported here: statistics loads fractions and decimal, a few ms that
-    # no command needs.
-    from statistics import NormalDist
-
-    if not 0.0 < epsilon <= 0.5:
-        raise OutOfRange(f"epsilon must lie in (0, 0.5], got {epsilon}")
-    return -2.0 * NormalDist().inv_cdf(epsilon)
 
 
 @dataclass(frozen=True)
@@ -344,34 +290,6 @@ def synthetic_confusion(model: GmmModel, n_per_state: int, seed: int) -> Assignm
     return assignment_matrix(model, *sample_from_model(model, n_per_state, seed), model.labels)
 
 
-def herald_filter(xy: np.ndarray, pre_readout_posteriors, threshold: float = 0.995
-                  ) -> tuple[np.ndarray, float]:
-    """Retain shots whose pre-readout ground posterior strictly exceeds threshold."""
-    xy = np.asarray(xy)
-    post = np.asarray(pre_readout_posteriors, dtype=float)
-    if post.shape[0] != xy.shape[0]:
-        raise ValueError("posteriors must align with shots")
-    mask = post > threshold
-    return xy[mask], float(mask.mean()) if xy.shape[0] else 0.0
-
-
-def truncate_to_sigma(model: GmmModel, xy: np.ndarray, n_sigma: float = 3.0) -> np.ndarray:
-    """Mask of shots within n_sigma Mahalanobis radius of their component.
-
-    Optional pre-filter before refitting, mirroring the truncation used to
-    separate readout SNR limits from relaxation effects.
-    """
-    xy = np.asarray(xy, dtype=float)
-    assigned = assign_indices(model, xy)
-    mask = np.zeros(xy.shape[0], dtype=bool)
-    for j, lab in enumerate(model.labels):
-        sel = assigned == j
-        comp = model.components[lab]
-        dx, dy = (xy[sel] - comp.mean).T
-        mask[sel] = _mahalanobis_sq(dx, dy, comp.cov)[0] <= n_sigma**2
-    return mask
-
-
 def level_populations(counts: np.ndarray, labels) -> np.ndarray:
     """(W, 4) g, e, f, h populations from (W, k) counts, overflow dropped.
 
@@ -391,32 +309,3 @@ def level_populations(counts: np.ndarray, labels) -> np.ndarray:
         window = int(np.flatnonzero(total[:, 0] == 0)[0])
         raise AllOverflow(f"all shots of window {window} fell in the overflow cluster")
     return four / total
-
-
-def exclude_overflow_and_renormalize(counts: dict[str, float]) -> PopulationVector:
-    """Drop the overflow cluster and renormalize the four-level counts."""
-    row = level_populations(np.array([list(counts.values())], dtype=float), counts)
-    return PopulationVector.from_array(row[0])
-
-
-def apply_confusion_correction(counts: dict[str, float],
-                               matrix: AssignmentMatrix) -> dict[str, float]:
-    """Invert an assignment matrix to correct observed counts.
-
-    Linear inversion observed = A^T true; only advisable when the matrix is
-    well conditioned (separations not far below 6).  Negative corrected
-    counts are clipped to zero before renormalization, which biases the
-    result when the correction is large; treat the output as a diagnostic.
-    """
-    labels = matrix.row_labels
-    if matrix.col_labels[:len(labels)] != labels:
-        raise ValueError("matrix rows and columns must cover the same labels")
-    observed = np.array([counts[lab] for lab in labels], dtype=float)
-    square = matrix.matrix[:, :len(labels)]
-    corrected = np.linalg.solve(square.T, observed)
-    corrected = np.clip(corrected, 0.0, None)
-    total = corrected.sum()
-    if total == 0:
-        raise AllOverflow("confusion correction annihilated all counts")
-    corrected *= observed.sum() / total
-    return dict(zip(labels, corrected))

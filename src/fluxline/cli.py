@@ -71,8 +71,7 @@ _SCHEMAS = {
                "p_ref": ("number", None)},
     "fit-curve": {"curve_csv": ("string", ...), "model": (tuple(_FIT_MODELS), ...)},
     "classify": {"shots_csv": ("string", ...), "model_json": ("string", None),
-                 "save_model_json": ("string", None),
-                 "init": (("supervised", "random"), "supervised")},
+                 "save_model_json": ("string", None)},
     "generate": {"generator": (tuple(_GENERATORS), ...), "seed": ("integer", 0)},
 }
 
@@ -192,7 +191,7 @@ def cmd_classify(cfg: dict, out: str, seed) -> int:
     elif codes is None:
         raise ValueError("fitting a model needs prep labels in the shot CSV")
     else:
-        model = cl.fit_gmm(xy, labels, codes, init=cfg["init"], seed=0 if seed is None else seed)
+        model = cl.fit_gmm(xy, labels, codes)
     if cfg["save_model_json"] is not None:
         fio.dump_json(fio.model_to_dict(model), cfg["save_model_json"])
     if codes is not None:

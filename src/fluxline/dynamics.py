@@ -122,24 +122,6 @@ class PopulationVector:
 
 
 @dataclass(frozen=True)
-class PointerCalibration:
-    """Complex pointer value of each level in the IQ plane."""
-
-    s_g: complex
-    s_e: complex
-    s_f: complex
-    s_h: complex
-
-    def __post_init__(self):
-        vals = (self.s_g, self.s_e, self.s_f, self.s_h)
-        if len({complex(v) for v in vals}) < 2:
-            raise ValueError("at least two pointer values must be distinct")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s_g, self.s_e, self.s_f, self.s_h], dtype=complex)
-
-
-@dataclass(frozen=True)
 class ResetCurve:
     """Measured populations versus time for one preparation."""
 
@@ -396,17 +378,6 @@ def populations_ode_batch(
         if h <= 0.0 or not math.isfinite(h):
             raise StepFailure(f"step size collapsed at t = {t:.3e}")
     return out
-
-
-def averaged_signal(
-    t_grid,
-    rates: DecayRates,
-    init: PopulationVector,
-    cal: PointerCalibration,
-) -> np.ndarray:
-    """Complex averaged readout signal S(t) = sum_i P_i(t) s_i."""
-    populations = populations_closed_form(t_grid, rates, init)
-    return populations @ cal.as_array()
 
 
 def apply_thermal_floor(populations: np.ndarray, p_inf: float) -> np.ndarray:

@@ -80,10 +80,6 @@ class SingularCovariance(FluxlineError):
     """Pooled covariance is singular; Mahalanobis distance undefined."""
 
 
-class OutOfRange(FluxlineError):
-    """Argument outside the mathematical domain of the operation."""
-
-
 class EmptyRow(FluxlineError):
     """An assignment-matrix row has no shots."""
 

@@ -9,15 +9,15 @@ Boltzmann factors.  The working value of k_B / h is the rounded
 
 The temperature estimate minimizes a chi-square-like cost between the
 measured and thermal populations over a bounded interval, and the module
-also provides per-ratio temperatures, the quantum Cramer-Rao lower bound
-on the normalized single-measurement precision, and windowed precision
-statistics (mean, standard deviation, noise-equivalent temperature).
+also provides the quantum Cramer-Rao lower bound on the normalized
+single-measurement precision, and windowed precision statistics (mean,
+standard deviation, noise-equivalent temperature).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,17 +61,6 @@ class LevelLadder:
             self.f_ge_ghz + self.f_ef_ghz,
             self.f_ge_ghz + self.f_ef_ghz + self.f_fh_ghz,
         ])
-
-
-@dataclass(frozen=True)
-class TemperatureEstimate:
-    """Best-fit effective temperature with quality metrics."""
-
-    t_eff: float
-    r_squared: float
-    chi2_min: float
-    at_boundary: bool
-    ratio_temps: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -190,44 +179,6 @@ def fit_temperature_batch(
         r_squared = np.where(ss_tot > 0.0, 1.0 - ss_res / ss_tot,
                              np.where(ss_res <= 1e-24, 1.0, -np.inf))
     return TemperatureFits(t_eff, r_squared, chi2_min, at_boundary)
-
-
-def fit_temperature(
-    meas: PopulationVector,
-    ladder: LevelLadder,
-    bounds: tuple[float, float] = (1e-3, 20.0),
-) -> TemperatureEstimate:
-    """Effective temperature of one population vector; see ``fit_temperature_batch``.
-
-    Per-ratio temperatures are attached when P_g > 0.
-    """
-    p = meas.as_array()
-    fit = fit_temperature_batch(p[None, :], ladder, bounds)
-    ratios = ratio_temperatures(meas, ladder) if p[0] > 0 else {}
-    return TemperatureEstimate(float(fit.t_eff[0]), float(fit.r_squared[0]),
-                               float(fit.chi2_min[0]), bool(fit.at_boundary[0]), ratios)
-
-
-def ratio_temperatures(meas: PopulationVector, ladder: LevelLadder) -> dict[str, float]:
-    """Independent temperature from each excited-to-ground population ratio.
-
-    T_i = -E_i / ((k_B/h) ln(P_i / P_g)); levels with zero population are
-    omitted rather than reported.
-    """
-    p = meas.as_array()
-    if p[0] <= 0:
-        raise InvalidPopulations("ratio temperatures need P_g > 0")
-    energies = ladder.energies_ghz
-    out = {}
-    for idx, label in ((1, "e"), (2, "f"), (3, "h")):
-        if p[idx] <= 0:
-            continue
-        log_ratio = math.log(p[idx] / p[0])
-        if log_ratio == 0.0:
-            out[label] = math.inf
-        else:
-            out[label] = -energies[idx] / (ladder.kb_over_h_ghz_per_k * log_ratio)
-    return out
 
 
 def qcrb_bound(temperature: float, ladder: LevelLadder, n_levels: int) -> float:

@@ -58,7 +58,7 @@ def base_configs(files: dict) -> dict:
                    "p_ref": 0.995},
         "fit-curve": {"curve_csv": files["curve"], "model": "exponential"},
         "classify": {"shots_csv": files["labelled"], "model_json": files["model"],
-                     "save_model_json": "saved-model.json", "init": "supervised"},
+                     "save_model_json": "saved-model.json"},
         "generate thermal": dict(SHOT_GENERATOR, generator="thermal", n_shots=200),
         "generate windows": dict(SHOT_GENERATOR, generator="windows", n_win=2, n_shot=100),
         "generate reset": {
@@ -122,6 +122,7 @@ NAMED_CASES = [
     ("fit-temp", ("window",), True, "window must be an integer >= 1, got True"),
     ("fit-temp", ("shots_csv",), True, "shots_csv must be a string, got True"),
     ("fit-temp", ("t_min_mK",), 1.0, "config has unknown key 't_min_mK'"),
+    ("classify", ("init",), "random", "config has unknown key 'init'"),
     ("filter-sweep", ("squid_array", "n_squids"), 2.5,
      "squid_array.n_squids must be an integer, got 2.5"),
     ("filter-sweep", ("geometry", "z0_ohm"), None,

@@ -58,10 +58,6 @@ class TestTypes:
         r = dyn.DecayRates(1e6, 2e6, 3e6, gamma_gf=5e4, gamma_gh=6e4, gamma_eh=7e4)
         assert np.allclose(r.rate_matrix().sum(axis=0), 0.0, atol=1e-10)
 
-    def test_pointer_calibration_needs_distinct_values(self):
-        with pytest.raises(ValueError):
-            dyn.PointerCalibration(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
-
     def test_reset_curve_validation(self):
         with pytest.raises(ValueError):
             dyn.ResetCurve(np.array([1e-6, 1e-6]), np.zeros((2, 4)))
@@ -388,40 +384,6 @@ class TestOde:
             single = dyn.populations_ode(t, r, dyn.PopulationVector.pure("h"),
                                          rtol=1e-12, atol=1e-14)
             assert np.abs(batch[i] - single).max() < 1e-10
-
-
-class TestAveragedSignal:
-    CAL = dyn.PointerCalibration(0.1 + 0.9j, 1.0 + 0.2j, -0.5 - 0.4j, 0.8 - 1.1j)
-
-    def test_pure_ground_constant(self, reset_rates):
-        t = np.linspace(0, 2e-6, 10)
-        s = dyn.averaged_signal(t, reset_rates,
-                                dyn.PopulationVector(1, 0, 0, 0), self.CAL)
-        assert np.allclose(s, self.CAL.s_g)
-
-    def test_full_relaxation_reaches_ground_pointer(self, reset_rates):
-        s = dyn.averaged_signal(np.array([1e-3]), reset_rates,
-                                dyn.PopulationVector.pure("h"), self.CAL)
-        assert abs(s[0] - self.CAL.s_g) < 1e-12
-
-    def test_single_lifetime_value(self, reset_rates):
-        t1 = 1.0 / reset_rates.gamma_ge
-        s = dyn.averaged_signal(np.array([t1]), reset_rates,
-                                dyn.PopulationVector.pure("e"), self.CAL)
-        expected = self.CAL.s_g + (self.CAL.s_e - self.CAL.s_g) * math.exp(-1.0)
-        assert abs(s[0] - expected) < 1e-12
-
-    def test_stays_in_convex_hull(self, reset_rates):
-        # for this square of pointer values the hull check reduces to the
-        # bounding box plus positivity of the mixture weights
-        t = np.geomspace(1e-9, 1e-5, 40)
-        s = dyn.averaged_signal(t, reset_rates, dyn.PopulationVector.pure("h"),
-                                self.CAL)
-        pts = self.CAL.as_array()
-        assert s.real.min() >= pts.real.min() - 1e-12
-        assert s.real.max() <= pts.real.max() + 1e-12
-        assert s.imag.min() >= pts.imag.min() - 1e-12
-        assert s.imag.max() <= pts.imag.max() + 1e-12
 
 
 class TestThermalFloor:

@@ -1,0 +1,65 @@
+"""Every public function and class of fluxline is reached from outside its unit tests.
+
+A name counts as reached when the code (an AST ``Name`` or ``Attribute``,
+not text in a docstring or comment) of ``src/``, of ``scripts/`` or of the
+acceptance suite uses it.  A public name that only its own unit tests call
+is dead weight: delete it, or reach it from a command, a script or an
+acceptance criterion.
+"""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import fluxline
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(fluxline.__file__).resolve().parent
+
+# network's one-row physics functions stay as the references that
+# tests/test_network.py checks the batched sweep and the filter root against:
+# coupling_figures (test_single_point_matches_individual_ops), perturbative_pull
+# (test_inductor_near_open_end), current_profile (TestCurrentProfile, with
+# _inductor_current_factor), input_impedance (its sign change at the root of
+# filter_frequency_exact) and squid_critical_current (the SQUID's Ic(flux)).
+REFERENCES = {"network.coupling_figures", "network.perturbative_pull",
+              "network.current_profile", "network.input_impedance",
+              "network.squid_critical_current"}
+
+
+def exempt(qualname: str) -> bool:
+    # A command is reached through cli._COMMANDS, which looks up cmd_<name> by string.
+    return qualname.startswith("cli.cmd_") or qualname in REFERENCES
+
+
+def used_names() -> set:
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def public_api():
+    for name in (info.name for info in pkgutil.iter_modules(fluxline.__path__)):
+        module = importlib.import_module(f"fluxline.{name}")
+        for attr, obj in vars(module).items():
+            if (not attr.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__):
+                yield f"{name}.{attr}", attr
+
+
+def test_every_public_name_is_reached():
+    api = dict(public_api())
+    assert REFERENCES <= set(api)
+    used = used_names()
+    orphans = [qualname for qualname, attr in api.items()
+               if attr not in used and not exempt(qualname)]
+    assert not orphans, f"public names no command, script or acceptance criterion uses: {orphans}"
