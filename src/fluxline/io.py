@@ -24,7 +24,6 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -152,15 +151,17 @@ def read_config(cfg, schema: dict, path: str = "") -> dict:
 
 def write_flux_sweep_csv(path, sweep: np.recarray) -> None:
     """Write the float fields of a ``network.flux_sweep`` result; ``error`` is not written."""
-    _write_table(path, SWEEP_HEADER, [([sweep[name] for name in SWEEP_FIELDS], None)])
+    table = np.column_stack([sweep[name] for name in SWEEP_FIELDS])
+    _write_table(path, SWEEP_HEADER, [(table, None)], labelled=False)
 
 
 def write_reset_csv(path, data: ResetDataset) -> None:
     curves = [(prep, data.curves[prep]) for prep in sorted(data.curves)]
     table = np.vstack([np.empty((0, 5))]
                       + [np.column_stack([c.times, c.populations]) for _, c in curves])
-    _write_table(path, RESET_HEADER, [(table.T, chain.from_iterable(
-        repeat(prep, c.times.size) for prep, c in curves))])
+    preps = np.repeat(np.array([prep for prep, _ in curves], dtype=object),
+                      [c.times.size for _, c in curves])
+    _write_table(path, RESET_HEADER, [(table, preps)], labelled=True)
 
 
 def read_reset_csv(path) -> ResetDataset:
@@ -183,15 +184,19 @@ def write_shots_csv(path, xy, codes=None, labels=None) -> None:
     """Write (n, 2) IQ points, labelled ``labels[codes[row]]`` if the codes are given.
 
     ``xy`` may also be an iterator of (n_i, 2) blocks, such as windows drawn
-    one at a time; they are written unlabelled, in turn, one held at a time.
+    one at a time; they are written unlabelled, in turn, one held at a time,
+    and giving codes with them is a ``ValueError``.
     """
     if (codes is None) != (labels is None):
         raise ValueError("prep codes and their label table must be given together")
-    blocks = ((b, None) for b in xy) if isinstance(xy, Iterator) else [(xy, codes)]
-    _write_table(path, SHOT_HEADER, (
-        (np.asarray(points, dtype=float).T, repeat("", len(points)) if block_codes is None
-         else map(labels.__getitem__, np.asarray(block_codes).tolist()))
-        for points, block_codes in blocks))
+    if isinstance(xy, Iterator):
+        if codes is not None:
+            raise ValueError("an iterator of blocks is written unlabelled;"
+                             " give its points as one array with their codes")
+        blocks = ((points, None) for points in xy)
+    else:
+        blocks = [(xy, None if codes is None else np.array(labels, dtype=object)[codes])]
+    _write_table(path, SHOT_HEADER, blocks, labelled=True)
 
 
 def read_shots_csv(path) -> tuple[np.ndarray, np.ndarray | None, list[str] | None]:
@@ -209,7 +214,7 @@ def read_shot_blocks(path):
 
 
 def write_curve_csv(path, x, y) -> None:
-    _write_table(path, "x,y", [((x, y), None)])
+    _write_table(path, "x,y", [(np.column_stack((x, y)), None)], labelled=False)
 
 
 def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -370,29 +375,40 @@ def _bad_row(body: bytes, kind: str, header: str, labelled: bool, first_line: in
     return fallback
 
 
-def _write_table(path, header: str, blocks) -> None:
-    """Write ``header``, then the rows of each ``(columns, labels)`` of ``blocks`` in turn.
+def _write_table(path, header: str, blocks, labelled: bool) -> None:
+    """Write ``header``, then the rows of each ``(table, labels)`` of ``blocks`` in turn.
 
-    ``columns`` are equal-length float columns; a value is the ``repr`` of
-    its float, the shortest string that round-trips it.  ``labels`` (an
-    iterable, one per row, or None) is a leading text column.  Blocks may be
-    made as they are written; if making or writing one fails, a file this
-    call created is removed.
+    ``table`` is an (n, k) array of floats; a value is the ``repr`` of its
+    float, the shortest string that round-trips it.  When ``labelled``, a
+    leading text column holds ``labels`` (n strings), or is empty in each
+    row when they are None.  Each ``_WRITE_BLOCK_ROWS`` rows are formatted
+    with one ``%`` of a repeated row template.  Blocks may be made as they
+    are written; if making or writing one fails, a file this call created is
+    removed.
     """
+    n_values = header.count(",") + 1 - labelled
+    # The template's only constant text is commas, so nothing needs a %% escape.
+    values = ",".join(["%r"] * n_values) + "\n"
+    unlabelled_row, labelled_row = "," * labelled + values, "%s," + values
     created = not Path(path).exists()
     try:
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for columns, labels in blocks:
-                columns = [np.asarray(c, dtype=float) for c in columns]
-                labels = None if labels is None else iter(labels)
-                for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-                    fields = [map(repr, c[start:start + _WRITE_BLOCK_ROWS].tolist())
-                              for c in columns]
+            for table, labels in blocks:
+                table = np.asarray(table, dtype=float)
+                if table.ndim != 2 or table.shape[1] != n_values:
+                    raise ValueError(f"expected (n, {n_values}) values, got {table.shape}")
+                if labels is not None and len(labels) != len(table):
+                    raise ValueError(f"{len(labels)} labels for {len(table)} rows")
+                row = unlabelled_row if labels is None else labelled_row
+                for start in range(0, len(table), _WRITE_BLOCK_ROWS):
+                    block = table[start:start + _WRITE_BLOCK_ROWS]
                     if labels is not None:
-                        fields.insert(0, map(str, islice(labels, _WRITE_BLOCK_ROWS)))
-                    fh.write("\n".join(map(",".join, zip(*fields, strict=True))))
-                    fh.write("\n")
+                        fields = np.empty((len(block), n_values + 1), dtype=object)
+                        fields[:, 0] = labels[start:start + _WRITE_BLOCK_ROWS]
+                        fields[:, 1:] = block
+                        block = fields
+                    fh.write(row * len(block) % tuple(block.ravel().tolist()))
     except BaseException:
         if created:
             Path(path).unlink(missing_ok=True)

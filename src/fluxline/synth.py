@@ -139,16 +139,25 @@ def _thermal_shot_sampler(cfg: ShotGenConfig):
             levels = _gillespie_levels(levels, cfg.readout_decay, rng)
 
         z = rng.standard_normal((n, 2))
-        xy = np.empty((n, 2))
         comp_idx = np.minimum(levels, 4)
-        for k in np.flatnonzero(np.bincount(comp_idx)).tolist():
-            sel = comp_idx == k
+        # Shots grouped by component; the stable sort keeps each group's rows
+        # in window order, so each product sees the rows a mask would select.
+        order = np.argsort(comp_idx, kind="stable")
+        zs = np.take(z, order, axis=0)
+        ends = np.cumsum(np.bincount(comp_idx)).tolist()
+        for k, (start, stop) in enumerate(zip([0, *ends], ends)):
+            if start == stop:
+                continue
             if k not in factors:
                 raise ValueError(f"cluster_model has no {_COMPONENTS[k]!r} component,"
-                                 f" which level {levels[sel].min()} needs")
+                                 f" which level {levels[order[start:stop]].min()} needs")
             mean, chol = factors[k]
-            xy[sel] = mean + z[sel] @ chol.T
-        return xy
+            zs[start:stop] = mean + zs[start:stop] @ chol.T
+        # Back to window order by the inverse permutation; np.take gathers
+        # rows faster than a fancy-indexed assignment scatters them.
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(n)
+        return np.take(zs, inverse, axis=0)
 
     return draw
 

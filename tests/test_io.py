@@ -1,10 +1,14 @@
-"""Tests of the block CSV reader: each table read in line-aligned blocks
-matches the whole-body reader it replaced, kept below as the reference."""
+"""Tests of the block CSV reader and writer: each table read in line-aligned
+blocks matches the whole-body reader it replaced, and each table written
+with one row template per block matches the per-value writer it replaced;
+both are kept below as the references."""
 
 import json
 import math
 import warnings
 from io import BytesIO
+from itertools import chain, islice, repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fluxline import classify as cl
+from fluxline import dynamics as dyn
 from fluxline import io as fio
+from fluxline import network as nw
 from fluxline.cli import main
 
 from conftest import LADDER_A, make_ring_model
@@ -209,6 +215,134 @@ class TestBlockReader:
         text = end.join(f"{lab},{i!r},{q!r}{extra}" for lab, i, q, extra in rows)
         body = (text + (end if final_newline else "")).encode()
         check_every_block_size(tmp_path, monkeypatch, body, sizes=[size])
+
+
+# --- the per-value writer, as it was before the row template ------------------
+
+def reference_write_table(path, header: str, blocks) -> None:
+    """Write ``header``, then the rows of each ``(columns, labels)`` of ``blocks`` in turn.
+
+    ``columns`` are equal-length float columns; a value is the ``repr`` of
+    its float, the shortest string that round-trips it.  ``labels`` (an
+    iterable, one per row, or None) is a leading text column.  Blocks may be
+    made as they are written; if making or writing one fails, a file this
+    call created is removed.
+    """
+    created = not Path(path).exists()
+    try:
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            for columns, labels in blocks:
+                columns = [np.asarray(c, dtype=float) for c in columns]
+                labels = None if labels is None else iter(labels)
+                for start in range(0, len(columns[0]), fio._WRITE_BLOCK_ROWS):
+                    fields = [map(repr, c[start:start + fio._WRITE_BLOCK_ROWS].tolist())
+                              for c in columns]
+                    if labels is not None:
+                        fields.insert(0, map(str, islice(labels, fio._WRITE_BLOCK_ROWS)))
+                    fh.write("\n".join(map(",".join, zip(*fields, strict=True))))
+                    fh.write("\n")
+    except BaseException:
+        if created:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
+# --- the template writer against it ---------------------------------------------
+
+AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1]
+values = st.one_of(st.sampled_from(AWKWARD), st.floats())
+# Labels with % and non-ASCII text; none holds a comma or a line end.
+LABELS = ["", "g", "k+", "50%", "%s", "%r%%", "État", "温度"]
+
+
+def table_of(data, n_rows: int, n_columns: int) -> np.ndarray:
+    return np.array(data.draw(st.lists(values, min_size=n_rows * n_columns,
+                                       max_size=n_rows * n_columns)),
+                    dtype=float).reshape(n_rows, n_columns)
+
+
+def same_bytes(tmp_path, write, reference_blocks, header) -> bytes:
+    """The bytes ``write(path)`` leaves, checked equal to the reference writer's."""
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    reference_write_table(want, header, reference_blocks)
+    write(got)
+    assert got.read_bytes() == want.read_bytes()
+    return got.read_bytes()
+
+
+class TestWriterMatchesPerValueReference:
+    @given(data=st.data(), n=st.integers(0, 12), block_rows=st.integers(1, 5))
+    @settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_table(self, tmp_path, monkeypatch, data, n, block_rows):
+        """Shot, reset, sweep and curve tables, across block edges."""
+        monkeypatch.setattr(fio, "_WRITE_BLOCK_ROWS", block_rows)
+        xy = table_of(data, n, 2)
+        same_bytes(tmp_path, lambda p: fio.write_shots_csv(p, xy),
+                   [(xy.T, repeat("", n))], fio.SHOT_HEADER)
+
+        labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=1, unique=True))
+        codes = np.array(data.draw(st.lists(st.integers(0, len(labels) - 1),
+                                            min_size=n, max_size=n)), dtype=int)
+        same_bytes(tmp_path, lambda p: fio.write_shots_csv(p, xy, codes, labels),
+                   [(xy.T, map(labels.__getitem__, codes.tolist()))], fio.SHOT_HEADER)
+
+        windows = [table_of(data, size, 2) for size in
+                   data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=4))]
+        same_bytes(tmp_path, lambda p: fio.write_shots_csv(p, iter(windows)),
+                   [(w.T, repeat("", len(w))) for w in windows], fio.SHOT_HEADER)
+
+        curves = {}
+        for prep in data.draw(st.lists(st.sampled_from(["e", "f", "h"]), unique=True)):
+            times = sorted(data.draw(st.lists(st.floats(allow_nan=False), min_size=1,
+                                              max_size=6, unique=True)))
+            curves[prep] = dyn.ResetCurve(np.array(times), table_of(data, len(times), 4))
+        reset = dyn.ResetDataset(curves)
+        ordered = [(prep, curves[prep]) for prep in sorted(curves)]
+        same_bytes(tmp_path, lambda p: fio.write_reset_csv(p, reset), [(
+            np.vstack([np.empty((0, 5))] + [np.column_stack([c.times, c.populations])
+                                            for _, c in ordered]).T,
+            chain.from_iterable(repeat(prep, c.times.size) for prep, c in ordered))],
+            fio.RESET_HEADER)
+
+        sweep_table = table_of(data, n, len(nw.SWEEP_FIELDS))
+        sweep = np.rec.fromarrays([*sweep_table.T, np.full(n, None, dtype=object)],
+                                  names=nw.SWEEP_FIELDS + ("error",))
+        same_bytes(tmp_path, lambda p: fio.write_flux_sweep_csv(p, sweep),
+                   [([sweep[name] for name in nw.SWEEP_FIELDS], None)], fio.SWEEP_HEADER)
+
+        x, y = xy[:, 0], xy[:, 1]
+        same_bytes(tmp_path, lambda p: fio.write_curve_csv(p, x, y), [((x, y), None)], "x,y")
+
+    def test_percent_and_non_ascii_labels(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fio, "_WRITE_BLOCK_ROWS", 2)
+        xy = np.array(AWKWARD).reshape(4, 2)
+        codes = [5, 4, 3, 6]
+        text = same_bytes(tmp_path, lambda p: fio.write_shots_csv(p, xy, codes, LABELS),
+                          [(xy.T, map(LABELS.__getitem__, codes))], fio.SHOT_HEADER)
+        assert text.decode() == ("prep,i,q\n%r%%,nan,inf\n%s,-inf,-0.0\n"
+                                 "50%,5e-324,1e+16\nÉtat,1e-05,0.1\n")
+
+    @pytest.mark.parametrize("n_codes", [4, 6])
+    def test_label_count_must_match_row_count(self, tmp_path, n_codes):
+        xy = np.zeros((5, 2))
+        with pytest.raises(ValueError, match=f"^{n_codes} labels for 5 rows$"):
+            fio.write_shots_csv(tmp_path / "s.csv", xy, [0] * n_codes, ["g"])
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 4, 2)])
+    def test_points_must_be_n_by_2(self, tmp_path, shape):
+        """An (n, 3) array was once written as rows of 4 fields under prep,i,q."""
+        with pytest.raises(ValueError, match=r"^expected \(n, 2\) values"):
+            fio.write_shots_csv(tmp_path / "s.csv", np.zeros(shape))
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_labelled_iterator_of_blocks_raises(self, tmp_path):
+        """Codes given with blocks drawn one at a time were once dropped unsaid."""
+        blocks = iter([np.zeros((2, 2)), np.ones((3, 2))])
+        with pytest.raises(ValueError, match="written unlabelled"):
+            fio.write_shots_csv(tmp_path / "s.csv", blocks, [0] * 5, ["g"])
+        assert not (tmp_path / "s.csv").exists()
 
 
 # --- the commands that read through it ------------------------------------------

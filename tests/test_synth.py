@@ -92,6 +92,57 @@ class TestThermalShots:
         assert 2e-3 < sigma < 5e-3
 
 
+def reference_draw(cfg, temperature, n, rng):
+    """One window of thermal shots, each component emitted through a boolean mask.
+
+    The draw as it was before ``_thermal_shot_sampler`` grouped the shots
+    by a sort; also returns the shots drawn per component.
+    """
+    levels = rng.choice(cfg.n_model_levels, size=n,
+                        p=synth.thermal_level_probabilities(cfg, temperature))
+    if cfg.readout_decay is not None:
+        levels = synth._gillespie_levels(levels, cfg.readout_decay, rng)
+    z = rng.standard_normal((n, 2))
+    xy = np.empty((n, 2))
+    comp_idx = np.minimum(levels, 4)
+    for k in np.flatnonzero(np.bincount(comp_idx)).tolist():
+        sel = comp_idx == k
+        comp = cfg.cluster_model.components[synth._COMPONENTS[k]]
+        xy[sel] = comp.mean + z[sel] @ np.linalg.cholesky(comp.cov).T
+    return xy, np.bincount(comp_idx, minlength=5)
+
+
+def random_cluster_model(seed: int) -> cl.GmmModel:
+    """Five clusters with random means and random correlated covariances."""
+    rng = np.random.default_rng(seed)
+    comps = {}
+    for lab in ("g", "e", "f", "h", "k+"):
+        a = rng.standard_normal((2, 2))
+        comps[lab] = cl.GmmComponent(6.0 * rng.standard_normal(2),
+                                     a @ a.T + 0.1 * np.eye(2), 0.2)
+    return cl.GmmModel(comps)
+
+
+class TestDrawMatchesMaskedReference:
+    @pytest.mark.parametrize("decay", [False, True])
+    def test_random_covariances_bit_for_bit(self, ladder_a, reset_rates, decay):
+        readout_decay = synth.GillespieDecay(reset_rates, 1e-6, 0.4e-6) if decay else None
+        counts = []
+        for seed in range(20):
+            cfg = synth.ShotGenConfig(ladder=ladder_a, cluster_model=random_cluster_model(seed),
+                                      readout_decay=readout_decay, seed=seed)
+            draw = synth._thermal_shot_sampler(cfg)
+            for w, temperature in enumerate((0.05, 0.181072, 0.4, 1.5)):
+                want, per_component = reference_draw(cfg, temperature, 300,
+                                                     synth.window_rng(seed, w))
+                got = draw(temperature, 300, synth.window_rng(seed, w))
+                assert got.tobytes() == want.tobytes(), (seed, temperature)
+                counts.append(per_component)
+        counts = np.array(counts)
+        # Windows where some component drew no shot, and where each drew some.
+        assert (counts == 0).any(axis=1).any() and (counts > 0).all(axis=1).any()
+
+
 class TestGillespie:
     def test_decay_shifts_population_down(self, ladder_a, ring_model, reset_rates):
         decay = synth.GillespieDecay(reset_rates, 1e-6, 0.5e-6)
