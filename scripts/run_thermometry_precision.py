@@ -45,7 +45,7 @@ print(f"{'N_shot':>7} {'N_win':>6} {'mu_T (mK)':>10} {'sigma_T (mK)':>13} "
 
 bound4 = th.qcrb_bound(T_TRUE, ladder, 4)
 for n_shot, n_win in ((1000, 400), (2000, 400), (5000, 300), (10000, 200)):
-    xy = np.vstack(synth.gen_window_series(cfg, T_TRUE, n_win, n_shot))
+    xy = np.vstack(list(synth.iter_window_series(cfg, T_TRUE, n_win, n_shot)))
     model = cfg.cluster_model
     counts = cl.window_counts(cl.assign_indices(model, xy), len(model.labels), n_shot)
     fit = th.fit_temperature_batch(cl.level_populations(counts, model.labels), ladder)

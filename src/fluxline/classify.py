@@ -32,6 +32,9 @@ from .errors import AllOverflow, EmptyRow, NotConverged, SingularComponent, Sing
 LABEL_ORDER = ("g", "e", "f", "h", "k+")
 
 _MIN_WEIGHT = 1e-6
+# EM stops at this relative log-likelihood change, and gives up after this many sweeps.
+_EM_TOL = 1e-9
+_EM_MAX_ITER = 500
 _REG_SCALE = 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -122,17 +125,17 @@ def _log_sum_exp(log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return shift + np.log(total), w / total
 
 
-def fit_gmm(xy: np.ndarray, labels, codes, max_iter: int = 500,
-            tol: float = 1e-9) -> GmmModel:
+def fit_gmm(xy: np.ndarray, labels, codes) -> GmmModel:
     """Fit a labeled Gaussian mixture to IQ shots by EM (Dempster, Laird and Rubin 1977).
 
     ``labels`` is a table of distinct labels, one component each, that
     ``codes`` index per shot.  Each component is seeded from its prep's
     sample moments, so it keeps its prep's label.  EM stops when the
-    relative log-likelihood change drops to ``tol``, and adds 1e-6 * mean
-    variance to each covariance's diagonal.  A sweep is one log-sum-exp of
-    the log densities and one product of the posteriors with
-    [1, x, y, x^2, xy, y^2] of the centred shots: every weight and moment.
+    relative log-likelihood change drops to 1e-9 (NotConverged after 500
+    sweeps without), and adds 1e-6 * mean variance to each covariance's
+    diagonal.  A sweep is one log-sum-exp of the log densities and one
+    product of the posteriors with [1, x, y, x^2, xy, y^2] of the centred
+    shots: every weight and moment.
     """
     xy = np.asarray(xy, dtype=float)
     names = sorted(labels, key=_label_sort_key)
@@ -153,7 +156,7 @@ def fit_gmm(xy: np.ndarray, labels, codes, max_iter: int = 500,
     xc, yc = (xy - centre).T
     design = np.column_stack([np.ones(n), xc, yc, xc * xc, xc * yc, yc * yc])
     ll_prev = None
-    for _ in range(max_iter):
+    for _ in range(_EM_MAX_ITER):
         lse, resp = _log_sum_exp(_log_density_matrix(x, y, means, covs, weights))
         ll = float(lse.sum())
         # Row j: n_j, the sum of component j's posteriors, then n_j times its centred moments.
@@ -165,12 +168,12 @@ def fit_gmm(xy: np.ndarray, labels, codes, max_iter: int = 500,
         means, second = moments[:, 1:3] / nk[:, None], moments[:, [3, 4, 4, 5]] / nk[:, None]
         covs = (second - means[:, [0, 0, 1, 1]] * means[:, [0, 1, 0, 1]]).reshape(k, 2, 2) + reg
         means, weights = means + centre, nk / n
-        if ll_prev is not None and abs(ll - ll_prev) <= tol * abs(ll):
+        if ll_prev is not None and abs(ll - ll_prev) <= _EM_TOL * abs(ll):
             return GmmModel({lab: GmmComponent(m, c, w)
                              for lab, m, c, w in zip(names, means, covs, weights.tolist())})
         ll_prev = ll
     raise NotConverged(
-        f"EM did not meet tol={tol} in {max_iter} iterations", log_likelihood=ll_prev
+        f"EM did not meet tol={_EM_TOL} in {_EM_MAX_ITER} iterations", log_likelihood=ll_prev
     )
 
 

@@ -66,10 +66,6 @@ class DecayRates:
         """Total depopulation rate of level h."""
         return self.gamma_gh + self.gamma_eh + self.gamma_fh
 
-    @property
-    def is_sequential(self) -> bool:
-        return self.gamma_gf == self.gamma_gh == self.gamma_eh == 0.0
-
     def rate_matrix(self) -> np.ndarray:
         """Generator M of dP/dt = M P in (g, e, f, h) ordering."""
         m = np.zeros((4, 4))
@@ -255,27 +251,16 @@ def populations_closed_form(t_grid, rates: DecayRates, init: PopulationVector) -
     return _populations_closed(t_grid, rates, init.as_array()[None])[0]
 
 
-def ground_population_closed_form(
-    t: float,
-    rates: DecayRates,
-    prep: str,
-    mode: str = "sequential",
-) -> float:
+def ground_population_closed_form(t: float, rates: DecayRates, prep: str) -> float:
     """Ground-state population at time t after preparing 'e', 'f' or 'h'.
 
-    ``mode='sequential'`` requires the non-sequential rates to vanish and
-    evaluates the pure-cascade solution; ``mode='general'`` admits direct
-    f -> g, h -> g and h -> e channels through the same A_f / A_h forms.
+    One formula for every rate set: the direct f -> g, h -> g and h -> e
+    channels enter through A_f and A_h, and vanish for a pure cascade.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     if prep not in _PREP_INDEX:
         raise ValueError(f"prep must be one of {sorted(_PREP_INDEX)}, got {prep!r}")
-    if mode == "sequential":
-        if not rates.is_sequential:
-            raise ValueError("sequential mode requires the non-sequential rates to be 0")
-    elif mode != "general":
-        raise ValueError(f"mode must be 'sequential' or 'general', got {mode!r}")
     p_g = populations_closed_form(t, rates, PopulationVector.pure(prep))[0, 0]
     return min(max(float(p_g), 0.0), 1.0)
 
@@ -426,11 +411,7 @@ def _seed_gamma(times: np.ndarray, p_g: np.ndarray) -> float:
     return 1.0 / max(times[-1] / 5.0, 1e-12)
 
 
-def fit_decay_rates(
-    data: ResetDataset,
-    fit_floor: bool = False,
-    initial_guess: DecayRates | None = None,
-) -> DecayRatesFit:
+def fit_decay_rates(data: ResetDataset, fit_floor: bool = False) -> DecayRatesFit:
     """Global nonlinear least squares of the sequential cascade to reset data.
 
     All four populations of every preparation enter one unweighted
@@ -469,17 +450,14 @@ def fit_decay_rates(
                            [t.size for t in t_grids]) + time_index
     inits = np.array([PopulationVector.pure(p).as_array() for p in preps])
 
-    if initial_guess is not None:
-        theta0 = [initial_guess.gamma_ge, initial_guess.gamma_ef, initial_guess.gamma_fh]
-    else:
-        first = data.curves[preps[0]]
-        g0 = _seed_gamma(first.times, first.populations[:, 0])
-        theta0 = [g0, 1.7 * g0, 2.5 * g0]
-        # A prepared level k empties at its own rate gamma_{k-1,k} alone.
-        for prep in preps:
-            k = _PREP_INDEX[prep]
-            curve = data.curves[prep]
-            theta0[k - 1] = _seed_gamma(curve.times, -curve.populations[:, k])
+    first = data.curves[preps[0]]
+    g0 = _seed_gamma(first.times, first.populations[:, 0])
+    theta0 = [g0, 1.7 * g0, 2.5 * g0]
+    # A prepared level k empties at its own rate gamma_{k-1,k} alone.
+    for prep in preps:
+        k = _PREP_INDEX[prep]
+        curve = data.curves[prep]
+        theta0[k - 1] = _seed_gamma(curve.times, -curve.populations[:, k])
     if fit_floor:
         p_late = max(data.curves[p].populations[-1, 0] for p in preps)
         theta0 = theta0 + [min(max(p_late, 0.5), 1.0)]
@@ -510,7 +488,7 @@ def fit_decay_rates(
         return model.ravel() - measured
 
     n_params = len(theta0)
-    x, fun, jac = levenberg_marquardt(residuals, theta0, max_nfev=200 * (n_params + 1))
+    x, fun, jac = levenberg_marquardt(residuals, theta0)
     if not physical(x.tolist()):
         raise FitDiverged(f"reset fit left the physical region at {x.tolist()}")
 

@@ -11,10 +11,6 @@ class HalfFluxDivergence(FluxlineError):
     """SQUID inductance diverges: |cos(pi*flux)| below clamp_epsilon in strict mode."""
 
 
-class OverCritical(FluxlineError):
-    """AC current amplitude reaches or exceeds the SQUID critical current."""
-
-
 class TangentPole(FluxlineError):
     """A line-section tangent was evaluated too close to one of its poles.
 

@@ -28,6 +28,8 @@ import numpy as np
 from .errors import FitDiverged, NoOscillation, RankDeficient
 
 _ALPHA_BOUNDS = (0.3, 5.0)
+# A fit of p parameters may spend this many times p + 1 evaluations of its residuals.
+_NFEV_PER_PARAM = 200
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ def _fd_jacobian(fun, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return jac
 
 
-def levenberg_marquardt(fun, x0, max_nfev: int, jac=None, lo=-np.inf, hi=np.inf):
+def levenberg_marquardt(fun, x0, jac=None, lo=-np.inf, hi=np.inf):
     """Minimise |fun(x)|^2 over the box lo <= x <= hi; return x, fun(x), J(x).
 
     Each step solves (J^T J + lam diag(J^T J)) dx = -J^T f, Marquardt's
@@ -67,11 +69,13 @@ def levenberg_marquardt(fun, x0, max_nfev: int, jac=None, lo=-np.inf, hi=np.inf)
     lowers the cost is taken and lam shrinks tenfold; otherwise lam grows
     tenfold and J is kept.  The run stops when the step, scaled by the
     column norms of J, or the relative cost decrease is <= 1e-14.
-    FitDiverged is raised once max_nfev evaluations of fun (difference
-    columns included, analytic Jacobians not) are spent, RankDeficient when
-    the damped system is singular.
+    FitDiverged is raised once ``_NFEV_PER_PARAM`` (p + 1) = 200 (p + 1)
+    evaluations of fun are spent for p parameters (difference columns
+    included, analytic Jacobians not), RankDeficient when the damped system
+    is singular.
     """
     x = np.array(x0, dtype=float)
+    max_nfev = _NFEV_PER_PARAM * (x.size + 1)
     f = fun(x)
     cost = f @ f
     nfev, lam, J = 1, 1e-3, None
@@ -175,7 +179,7 @@ def fit_exponential(t, y) -> FitResult:
 
     x, fun, jac = levenberg_marquardt(
         lambda th: th[0] * np.exp(-t / th[1]) + th[2] - y, [a0, tau0, b0],
-        200 * (len(names) + 1), jac=lambda th: exponential_jacobian(th, t),
+        jac=lambda th: exponential_jacobian(th, t),
         lo=[-np.inf, 1e-300, -np.inf])
     return _finish(x, fun, jac, names, t.size)
 
@@ -222,7 +226,7 @@ def fit_decaying_cosine(t, y) -> FitResult:
                 * np.exp(-t / th[3]) + th[4] - y)
 
     x, fun, jac = levenberg_marquardt(
-        resid, [a0, f0, phi0, tau0, b0], 200 * (len(names) + 1),
+        resid, [a0, f0, phi0, tau0, b0],
         jac=lambda th: decaying_cosine_jacobian(th, t),
         lo=[-np.inf, 0.0, -2 * math.pi, 1e-300, -np.inf],
         hi=[np.inf, np.inf, 2 * math.pi, np.inf, np.inf])
@@ -263,7 +267,7 @@ def fit_stretched_exponential(t, y) -> FitResult:
     t2_0 = min(max(t2_0, 1e-6 * t[-1]), 1e6 * t[-1])
 
     x, fun, jac = levenberg_marquardt(
-        lambda th: np.exp(-((t / th[0]) ** th[1])) - y, [t2_0, alpha0], 200 * (len(names) + 1),
+        lambda th: np.exp(-((t / th[0]) ** th[1])) - y, [t2_0, alpha0],
         jac=lambda th: stretched_exponential_jacobian(th, t),
         lo=[1e-300, _ALPHA_BOUNDS[0]], hi=[np.inf, _ALPHA_BOUNDS[1]])
     at_bound = min(abs(x[1] - b) for b in _ALPHA_BOUNDS) < 1e-9
@@ -319,7 +323,7 @@ def rb_fit(m, p_g) -> FitResult:
         return th[0] * th[1] ** m + th[2] - p_g
 
     x, fun, jac = levenberg_marquardt(
-        resid, [a0, p0, b0], 200 * (len(names) + 1), jac=lambda th: rb_jacobian(th, m),
+        resid, [a0, p0, b0], jac=lambda th: rb_jacobian(th, m),
         lo=[-np.inf, 1e-12, -np.inf], hi=[np.inf, 1.0, np.inf])
     return _finish(x, fun, jac, names, m.size)
 

@@ -43,7 +43,6 @@ from .errors import (
     FluxlineError,
     HalfFluxDivergence,
     NoRootFound,
-    OverCritical,
     TangentPole,
 )
 
@@ -52,6 +51,10 @@ PHI0 = 2.067833848e-15
 
 # |tan| beyond this counts as sitting on a pole of the line tangent.
 _POLE_TAN = 1e9
+# The filter root is bracketed on this many scan points over [0.3 f0, 1.2 f0]
+# and bisected to this relative width.
+_N_SCAN = 4096
+_ROOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,29 +174,18 @@ def squid_critical_current(arr: SquidArray, flux_ratio: float) -> float:
     return float(_inductances(arr, flux_ratio, "strict")[1])  # strict: never clamped
 
 
-def squid_array_inductance(
-    arr: SquidArray,
-    flux_ratio: float,
-    i_ac: float = 0.0,
-    mode: str = "strict",
-) -> float:
+def squid_array_inductance(arr: SquidArray, flux_ratio: float, mode: str = "strict") -> float:
     """Series inductance of the SQUID array at a given flux bias (H).
 
-    Linear part N (L_fixed + Phi0 / (2 pi Ic_sq)); a nonzero AC current
-    amplitude adds the per-SQUID Kerr correction
-    (Phi0 / 4 pi) I^2 / Ic_sq^3 summed over the array.
+    The linear part N (L_fixed + Phi0 / (2 pi Ic_sq)) alone: the drive is
+    kept small, and the sweep gates it with ``nonlinearity_margin``.
     """
     l_arr, ic_sq, below = _inductances(arr, flux_ratio, mode)
     if below and mode == "strict":
         raise HalfFluxDivergence(
             f"|cos(pi*flux)| = {ic_sq / (2.0 * arr.ic_junction):.3e} < clamp_epsilon = "
             f"{arr.clamp_epsilon:.3e} at flux_ratio = {flux_ratio}")
-    l_arr, ic_sq = float(l_arr), float(ic_sq)
-    if i_ac != 0.0:
-        if abs(i_ac) >= ic_sq:
-            raise OverCritical(f"|i_ac| = {abs(i_ac):.3e} A >= Ic_sq = {ic_sq:.3e} A")
-        l_arr += arr.n_squids * (PHI0 / (4.0 * math.pi)) * i_ac**2 / ic_sq**3
-    return l_arr
+    return float(l_arr)
 
 
 def _line_terms(geom: FilterGeometry, omega):
@@ -264,26 +256,25 @@ def filter_frequency_first_order(f0: float, l_s: float, z0: float) -> float:
     return f0 / (1.0 + 4.0 * f0 * l_s / z0)
 
 
-def _filter_frequencies(geom: FilterGeometry, l_s, n_scan: int = 4096,
-                        rtol: float = 1e-12):
+def _filter_frequencies(geom: FilterGeometry, l_s):
     """Lowest filter frequency (Hz) in [0.3 f0, 1.2 f0] per entry of an
     ``l_s`` array, nan where there is none.
 
     The pole-free condition G = A l_s + B (``_condition_terms``) is scanned
-    at ``n_scan`` points and changes sign exactly at the roots of F.  Where A
+    at ``_N_SCAN`` points and changes sign exactly at the roots of F.  Where A
     keeps its sign, G = A (l_s - L) with L = -B/A, and Foster's reactance
     theorem (dX/dw >= |X|/w for a lossless X) makes L = -X/w fall strictly,
     so one ``searchsorted`` per run of constant sign finds the interval that
     brackets every entry.  An interval across a zero of A (a pole of F) is
     tested on G directly.  Each entry's lowest bracket is bisected on G to
-    ``b - a <= rtol |b|``, returning early on G == 0.
+    ``b - a <= _ROOT_RTOL |b|``, returning early on G == 0.
     """
     l_s = np.asarray(l_s, dtype=float)
-    freqs = np.linspace(0.3 * geom.f0, 1.2 * geom.f0, n_scan)
+    freqs = np.linspace(0.3 * geom.f0, 1.2 * geom.f0, _N_SCAN)
     slope, offset = _condition_terms(geom, 2.0 * math.pi * freqs)
     # With A == 0 (x_s = l_f, c_g = 0) G = B brackets the same root for every l_s.
     rows = l_s if slope.any() else np.zeros(min(l_s.size, 1))
-    none = n_scan - 1  # no interval has this index
+    none = _N_SCAN - 1  # no interval has this index
 
     sign = np.sign(slope)
     in_run = (sign[:-1] == sign[1:]) & (sign[1:] != 0)
@@ -300,7 +291,7 @@ def _filter_frequencies(geom: FilterGeometry, l_s, n_scan: int = 4096,
         first = np.where(inside, np.minimum(first, start + k - 1), first)
 
     # Bisect every bracket [a, b] at once: an endpoint or midpoint with G == 0
-    # is the root, else halve until b - a <= rtol |b| and take the midpoint.
+    # is the root, else halve until b - a <= _ROOT_RTOL |b| and take the midpoint.
     found = np.flatnonzero(first < none)
     cols, l_live = first[found], rows[found]
     a, b = freqs[cols], freqs[cols + 1]
@@ -311,7 +302,7 @@ def _filter_frequencies(geom: FilterGeometry, l_s, n_scan: int = 4096,
     a, b, fa, l_live = a[live], b[live], fa[live], l_live[live]
     while live.size:
         mid = 0.5 * (a + b)
-        wide = b - a > rtol * np.abs(b)
+        wide = b - a > _ROOT_RTOL * np.abs(b)
         if not wide.all():
             roots[live[~wide]] = mid[~wide]
             live, a, b, fa, l_live, mid = (v[wide] for v in (live, a, b, fa, l_live, mid))
@@ -329,25 +320,20 @@ def _filter_frequencies(geom: FilterGeometry, l_s, n_scan: int = 4096,
     return f_f if rows is l_s else np.where(np.isfinite(l_s), f_f, math.nan)
 
 
-def filter_frequency_exact(
-    geom: FilterGeometry,
-    l_s: float,
-    n_scan: int = 4096,
-    rtol: float = 1e-12,
-) -> float:
+def filter_frequency_exact(geom: FilterGeometry, l_s: float) -> float:
     """Filter frequency from the transcendental shunt-short condition (Hz).
 
-    The lowest root in [0.3 f0, 1.2 f0], found on an ``n_scan``-point scan
-    and bisected to relative tolerance ``rtol`` (see ``_filter_frequencies``);
+    The lowest root in [0.3 f0, 1.2 f0], found on a 4096-point scan and
+    bisected to a relative width of 1e-12 (see ``_filter_frequencies``);
     raises NoRootFound when the window holds none.
     """
-    f_f = _filter_frequencies(geom, np.array([l_s], dtype=float), n_scan, rtol)[0]
+    f_f = _filter_frequencies(geom, np.array([l_s], dtype=float))[0]
     if math.isnan(f_f):
         f0 = geom.f0
         # Every sign change of the pole-free condition on the scan brackets a root.
         raise NoRootFound(
             f"no filter-frequency root in [{0.3 * f0:.4e}, {1.2 * f0:.4e}] Hz",
-            diagnostics={"window_hz": (0.3 * f0, 1.2 * f0), "n_scan": n_scan,
+            diagnostics={"window_hz": (0.3 * f0, 1.2 * f0), "n_scan": _N_SCAN,
                          "n_sign_changes": 0})
     return float(f_f)
 

@@ -32,34 +32,20 @@ _COMPONENTS = ("g", "e", "f", "h", "k+")
 
 
 @dataclass(frozen=True)
-class GillespieDecay:
-    """In-window relaxation model: sequential jumps read at sample_instant."""
-
-    rates: DecayRates
-    t_readout: float
-    sample_instant: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.sample_instant <= self.t_readout:
-            raise ValueError("need 0 <= sample_instant <= t_readout")
-
-
-@dataclass(frozen=True)
 class ShotGenConfig:
     """Configuration for thermal single-shot generation.
 
     ``n_model_levels`` extends the Boltzmann distribution past h by
     continuing the transition-frequency ladder with a constant
     anharmonicity step; any occupation above h is emitted from the
-    overflow cluster.  ``readout_decay=None`` keeps estimator tests exact;
-    a GillespieDecay reproduces the reduced-fidelity regime of in-window
-    relaxation qualitatively.
+    overflow cluster.  Each shot is emitted from the cluster of the level
+    it was drawn in, so the estimators see no in-window relaxation.
+    ``seed`` seeds every generator that takes the configuration.
     """
 
     ladder: LevelLadder
     cluster_model: GmmModel
     n_model_levels: int = 6
-    readout_decay: GillespieDecay | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -92,52 +78,24 @@ def thermal_level_probabilities(cfg: ShotGenConfig, temperature: float) -> np.nd
     return w / w.sum()
 
 
-def _gillespie_levels(levels: np.ndarray, decay: GillespieDecay,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Relax levels <= h sequentially and read the state at sample_instant."""
-    seq = np.array([decay.rates.gamma_ge, decay.rates.gamma_ef, decay.rates.gamma_fh])
-    lvl = levels.copy()
-    t = np.zeros(lvl.size)
-    done = np.zeros(lvl.size, dtype=bool)
-    for _ in range(3):
-        active = ~done & (lvl >= 1) & (lvl <= 3)
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        rate = seq[lvl[idx] - 1]
-        with np.errstate(divide="ignore"):
-            dt = rng.exponential(1.0, idx.size) / rate
-        t_new = t[idx] + dt
-        hop = t_new <= decay.sample_instant
-        t[idx] = t_new
-        lvl[idx[hop]] -= 1
-        done[idx[~hop]] = True
-    return lvl
+def _thermal_shot_sampler(cfg: ShotGenConfig, temperature: float):
+    """``draw(n, rng)``, the (n, 2) thermal IQ shots of one window at ``temperature``.
 
-
-def _thermal_shot_sampler(cfg: ShotGenConfig):
-    """``draw(temperature, n, rng)``, the (n, 2) thermal IQ shots of one window.
-
-    Levels are sampled from the extended Boltzmann distribution, optionally
-    relaxed by the Gillespie walk, then emitted from the matching cluster
-    Gaussian (levels >= 4 from the overflow component).  The per-run setup,
-    each component's Cholesky factor and each temperature's level
-    probabilities, is done once per sampler, not once per window.
+    Levels are sampled from the extended Boltzmann distribution, then
+    emitted from the matching cluster Gaussian (levels >= 4 from the
+    overflow component).  The per-run setup, the level probabilities and
+    each component's Cholesky factor, is done once per sampler, not once
+    per window.
     """
+    probs = thermal_level_probabilities(cfg, temperature)
     factors = {k: (comp.mean, np.linalg.cholesky(comp.cov))
                for k, name in enumerate(_COMPONENTS)
                if (comp := cfg.cluster_model.components.get(name)) is not None}
-    probs = {}
 
-    def draw(temperature: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be >= 1")
-        if temperature not in probs:
-            probs[temperature] = thermal_level_probabilities(cfg, temperature)
-        levels = rng.choice(cfg.n_model_levels, size=n, p=probs[temperature])
-        if cfg.readout_decay is not None:
-            levels = _gillespie_levels(levels, cfg.readout_decay, rng)
-
+        levels = rng.choice(cfg.n_model_levels, size=n, p=probs)
         z = rng.standard_normal((n, 2))
         comp_idx = np.minimum(levels, 4)
         # Shots grouped by component; the stable sort keeps each group's rows
@@ -162,12 +120,10 @@ def _thermal_shot_sampler(cfg: ShotGenConfig):
     return draw
 
 
-def gen_thermal_shots(cfg: ShotGenConfig, temperature: float, n: int,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
+def gen_thermal_shots(cfg: ShotGenConfig, temperature: float, n: int) -> np.ndarray:
     """Draw n thermal IQ shots; returns an (n, 2) array (see ``_thermal_shot_sampler``)."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    return _thermal_shot_sampler(cfg)(temperature, n, rng)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    return _thermal_shot_sampler(cfg, temperature)(n, rng)
 
 
 def gen_reset_curves(rates: DecayRates, preps, t_grid, n_shots_per_point: int,
@@ -208,24 +164,14 @@ def gen_rb_decay(p_true: float, a: float, b: float, m_grid, shots_per_point: int
     return m_grid, survived / shots_per_point
 
 
-def gen_window_series(cfg: ShotGenConfig, t_profile, n_win: int, n_shot: int,
-                      seed: int | None = None) -> list[np.ndarray]:
-    """Raw shot sets for n_win windows, one independent substream each.
+def iter_window_series(cfg: ShotGenConfig, temperature: float, n_win: int, n_shot: int):
+    """Iterator drawing the raw shot sets of n_win windows at one temperature.
 
-    ``t_profile`` maps the window index to a temperature (a constant works
-    too).  Windows are reproducible individually, so parallel generation
-    cannot reorder the aggregate output.  The list form of
-    ``iter_window_series``.
+    Window w is drawn from its own substream ``window_rng(cfg.seed, w)``, so
+    each window is reproducible alone and parallel generation cannot
+    reorder the aggregate output.
     """
-    return list(iter_window_series(cfg, t_profile, n_win, n_shot, seed))
-
-
-def iter_window_series(cfg: ShotGenConfig, t_profile, n_win: int, n_shot: int,
-                       seed: int | None = None):
-    """Iterator drawing the windows of ``gen_window_series`` one at a time."""
     if n_win < 2:
         raise ValueError("n_win must be >= 2")
-    base_seed = cfg.seed if seed is None else seed
-    profile = t_profile if callable(t_profile) else (lambda _w: float(t_profile))
-    draw = _thermal_shot_sampler(cfg)
-    return (draw(profile(w), n_shot, window_rng(base_seed, w)) for w in range(n_win))
+    draw = _thermal_shot_sampler(cfg, temperature)
+    return (draw(n_shot, window_rng(cfg.seed, w)) for w in range(n_win))

@@ -32,15 +32,17 @@ class TestFitGmm:
             assert np.array_equal(a.components[lab].cov, b.components[lab].cov)
             assert a.components[lab].weight == b.components[lab].weight
 
-    def test_em_monotone_log_likelihood(self, ring_model):
+    def test_em_monotone_log_likelihood(self, monkeypatch, ring_model):
         # run EM with an unreachable tolerance and increasing iteration
         # caps; the final likelihood carried by NotConverged must be
         # non-decreasing in the cap
         xy, codes = cl.sample_from_model(ring_model, 400, seed=5)
         lls = []
         for n_iter in range(2, 10):
-            with pytest.raises(NotConverged) as err:
-                cl.fit_gmm(xy, ring_model.labels, codes, max_iter=n_iter, tol=1e-300)
+            with monkeypatch.context() as patch, pytest.raises(NotConverged) as err:
+                patch.setattr(cl, "_EM_MAX_ITER", n_iter)
+                patch.setattr(cl, "_EM_TOL", 1e-300)
+                cl.fit_gmm(xy, ring_model.labels, codes)
             lls.append(err.value.log_likelihood)
         assert all(v is not None for v in lls)
         assert all(b >= a - 1e-12 * abs(a) for a, b in zip(lls, lls[1:]))
@@ -375,7 +377,7 @@ class TestRunningArgmax:
 
 # --- array EM against the per-component EM it replaced ----------------------------
 
-def reference_fit_gmm(xy, labels, prep_labels, max_iter=500, tol=1e-9):
+def reference_fit_gmm(xy, labels, prep_labels, max_iter=500):
     """The per-component EM: a model per sweep and a Python M-step over k.
 
     ``labels`` name the components and ``prep_labels`` holds each shot's
@@ -417,7 +419,7 @@ def reference_fit_gmm(xy, labels, prep_labels, max_iter=500, tol=1e-9):
             cov = (resp[:, j, None] * diff).T @ diff / nk[j] + reg
             new[lab] = cl.GmmComponent(mu, cov, nk[j] / n)
         model = cl.GmmModel(new)
-        if ll_prev is not None and abs(ll - ll_prev) <= tol * abs(ll):
+        if ll_prev is not None and abs(ll - ll_prev) <= cl._EM_TOL * abs(ll):
             return model, sweep
         ll_prev = ll
     return NotConverged, max_iter
@@ -432,8 +434,9 @@ def em_outcome(monkeypatch, xy, labels, codes, max_iter=500):
         return log_sum_exp(log_dens)
 
     monkeypatch.setattr(cl, "_log_sum_exp", counted)
+    monkeypatch.setattr(cl, "_EM_MAX_ITER", max_iter)
     try:
-        return cl.fit_gmm(xy, labels, codes, max_iter=max_iter), len(sweeps)
+        return cl.fit_gmm(xy, labels, codes), len(sweeps)
     except (NotConverged, SingularComponent) as exc:
         return type(exc), len(sweeps)
     finally:

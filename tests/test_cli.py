@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from fluxline.cli import main
 from fluxline.errors import RankDeficient
 
 from conftest import LADDER_A, make_ring_model
+from test_io import same_bytes
 
 LADDER_CFG = LADDER_A
 
@@ -817,44 +819,11 @@ class TestRoundTripFormats:
                                   model.components[lab].cov)
 
 
-# --- per-row writers: the reference for the block writer's bytes ---------------
-
-def _ref_fmt(x):
-    return repr(float(x))
-
-
-def _ref_sweep_text(rows):
-    lines = [fio.SWEEP_HEADER]
-    for r in rows:
-        lines.append(",".join(_ref_fmt(v) for v in (
-            r.flux_ratio, r.l_j_arr, r.f_f, r.gamma_qf, r.t1_ext,
-            r.t1_total, r.rabi_rel, r.i_peak, r.margin)))
-    return "\n".join(lines) + "\n"
-
-
-def _ref_reset_text(data):
-    lines = [",".join(["prep", "time_s", "p_g", "p_e", "p_f", "p_h"])]
-    for prep in sorted(data.curves):
-        curve = data.curves[prep]
-        for t, p in zip(curve.times, curve.populations):
-            lines.append(",".join([prep] + [_ref_fmt(v) for v in (t, *p)]))
-    return "\n".join(lines) + "\n"
-
-
-def _ref_shots_text(xy, prep_labels=None):
-    lines = ["prep,i,q"]
-    for k, (i, q) in enumerate(np.asarray(xy, dtype=float)):
-        prep = "" if prep_labels is None else str(prep_labels[k])
-        lines.append(f"{prep},{_ref_fmt(i)},{_ref_fmt(q)}")
-    return "\n".join(lines) + "\n"
-
-
-def _ref_curve_text(x, y):
-    lines = ["x,y"]
-    for k in range(len(x)):
-        lines.append(",".join([_ref_fmt(x[k]), _ref_fmt(y[k])]))
-    return "\n".join(lines) + "\n"
-
+# --- the block writer at its real block size -----------------------------------
+#
+# tests/test_io.py holds the one reference for the writer's bytes,
+# ``reference_write_table``; its hypothesis test shrinks the block to a few
+# rows, and these cases cross the real 8192-row block edge.
 
 SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
 
@@ -868,7 +837,7 @@ def mixed_values(n, seed):
 
 
 class TestWritersMatchPerRowReference:
-    """Block writer against the per-row writers, across the block boundary."""
+    """Each block writer against the per-value reference, across the block edge."""
 
     ROWS = [0, 1, 8191, 8192, 8193]
 
@@ -876,23 +845,27 @@ class TestWritersMatchPerRowReference:
     @pytest.mark.parametrize("labelled", [False, True])
     def test_shots(self, tmp_path, n, labelled):
         xy = mixed_values(2 * n, n).reshape(n, 2)
-        table = codes = preps = None
-        if labelled:
-            table = ["g", "e", "", "k+", "h"]
-            codes = np.resize(np.arange(len(table)), n)
-            preps = [table[c] for c in codes]
-        fio.write_shots_csv(tmp_path / "s.csv", xy, codes, table)
-        assert (tmp_path / "s.csv").read_bytes() == _ref_shots_text(xy, preps).encode()
+        table = ["g", "e", "", "k+", "h"] if labelled else None
+        codes = np.resize(np.arange(5), n) if labelled else None
+        labels = map(table.__getitem__, codes.tolist()) if labelled else repeat("", n)
+        same_bytes(tmp_path, lambda p: fio.write_shots_csv(p, xy, codes, table),
+                   [(xy.T, labels)], fio.SHOT_HEADER)
 
     @pytest.mark.parametrize("n", ROWS)
     def test_curve(self, tmp_path, n):
         x, y = mixed_values(n, 1), mixed_values(n, 2)
-        fio.write_curve_csv(tmp_path / "c.csv", x, y)
-        assert (tmp_path / "c.csv").read_bytes() == _ref_curve_text(x, y).encode()
+        same_bytes(tmp_path, lambda p: fio.write_curve_csv(p, x, y), [((x, y), None)], "x,y")
 
     def test_curve_from_integer_lists(self, tmp_path):
         fio.write_curve_csv(tmp_path / "c.csv", [0, 1, 2], [1, 2, 3])
         assert (tmp_path / "c.csv").read_text() == "x,y\n0.0,1.0\n1.0,2.0\n2.0,3.0\n"
+
+    @staticmethod
+    def check_reset(tmp_path, data):
+        same_bytes(tmp_path, lambda p: fio.write_reset_csv(p, data), [
+            (np.column_stack([curve.times, curve.populations]).T,
+             repeat(prep, curve.times.size))
+            for prep, curve in sorted(data.curves.items())], fio.RESET_HEADER)
 
     @pytest.mark.parametrize("n", ROWS)
     def test_reset(self, tmp_path, n):
@@ -901,25 +874,21 @@ class TestWritersMatchPerRowReference:
         split = n // 2
         times = np.concatenate([[-math.inf, -0.0, 5e-324, 1e-5],
                                 np.linspace(1e-4, 1e16, n)])[:n]
-        data = dyn.ResetDataset({
+        self.check_reset(tmp_path, dyn.ResetDataset({
             "h": dyn.ResetCurve(times[:n - split], pops[:n - split]),
             "e": dyn.ResetCurve(times[:split], pops[n - split:]),
-        })
-        fio.write_reset_csv(tmp_path / "r.csv", data)
-        assert (tmp_path / "r.csv").read_bytes() == _ref_reset_text(data).encode()
+        }))
 
     def test_reset_without_curves(self, tmp_path):
-        data = dyn.ResetDataset({})
-        fio.write_reset_csv(tmp_path / "r.csv", data)
-        assert (tmp_path / "r.csv").read_bytes() == _ref_reset_text(data).encode()
+        self.check_reset(tmp_path, dyn.ResetDataset({}))
 
     @pytest.mark.parametrize("n", ROWS)
     def test_flux_sweep(self, tmp_path, n):
         table = mixed_values(9 * n, 5).reshape(n, 9)
         errors = np.resize(np.array([None, "NoRootFound"], dtype=object), n)
         sweep = np.rec.fromarrays([*table.T, errors], names=nw.SWEEP_FIELDS + ("error",))
-        fio.write_flux_sweep_csv(tmp_path / "f.csv", sweep)
-        assert (tmp_path / "f.csv").read_bytes() == _ref_sweep_text(sweep).encode()
+        same_bytes(tmp_path, lambda p: fio.write_flux_sweep_csv(p, sweep),
+                   [(table.T, None)], fio.SWEEP_HEADER)
 
 
 # Runs in a fresh interpreter: imports the CLI, runs each command named on

@@ -51,8 +51,6 @@ class TestTypes:
         r = dyn.DecayRates(1e6, 2e6, 3e6, gamma_gf=1e4, gamma_eh=2e4)
         assert r.a_f == 2e6 + 1e4
         assert r.a_h == 3e6 + 2e4
-        assert not r.is_sequential
-        assert dyn.DecayRates(1e6, 2e6, 3e6).is_sequential
 
     def test_rate_matrix_columns_sum_to_zero(self):
         r = dyn.DecayRates(1e6, 2e6, 3e6, gamma_gf=5e4, gamma_gh=6e4, gamma_eh=7e4)
@@ -91,11 +89,14 @@ class TestClosedForm:
                     for t in np.linspace(0, 3e-6, 200)]
             assert np.all(np.diff(vals) >= -1e-12)
 
-    def test_sequential_mode_rejects_nonsequential_rates(self):
-        r = dyn.DecayRates(1e6, 2e6, 3e6, gamma_gf=1e3)
-        with pytest.raises(ValueError):
-            dyn.ground_population_closed_form(1e-6, r, "f", mode="sequential")
-        assert dyn.ground_population_closed_form(1e-6, r, "f", mode="general") > 0
+    def test_nonsequential_rates_are_evaluated(self):
+        # A direct f -> g channel adds to the cascade through e.
+        r = dyn.DecayRates(1e6, 2e6, 3e6, gamma_gf=1e5)
+        value = dyn.ground_population_closed_form(1e-6, r, "f")
+        ode = dyn.populations_ode([1e-6], r, dyn.PopulationVector.pure("f"))[0, 0]
+        assert value == pytest.approx(ode, rel=1e-9)
+        cascade = dyn.ground_population_closed_form(1e-6, dyn.DecayRates(1e6, 2e6, 3e6), "f")
+        assert value > cascade
 
     def test_degenerate_rates_finite(self):
         r = dyn.DecayRates(2e6, 2e6, 2e6)

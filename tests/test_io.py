@@ -281,7 +281,8 @@ class TestWriterMatchesPerValueReference:
         same_bytes(tmp_path, lambda p: fio.write_shots_csv(p, xy),
                    [(xy.T, repeat("", n))], fio.SHOT_HEADER)
 
-        labels = data.draw(st.lists(st.sampled_from(LABELS), min_size=1, unique=True))
+        # The empty label is always in the table: it writes a row that starts with a comma.
+        labels = ["", *data.draw(st.lists(st.sampled_from(LABELS[1:]), unique=True))]
         codes = np.array(data.draw(st.lists(st.integers(0, len(labels) - 1),
                                             min_size=n, max_size=n)), dtype=int)
         same_bytes(tmp_path, lambda p: fio.write_shots_csv(p, xy, codes, labels),
@@ -306,7 +307,10 @@ class TestWriterMatchesPerValueReference:
             fio.RESET_HEADER)
 
         sweep_table = table_of(data, n, len(nw.SWEEP_FIELDS))
-        sweep = np.rec.fromarrays([*sweep_table.T, np.full(n, None, dtype=object)],
+        # The error markers are not written.
+        markers = data.draw(st.lists(st.sampled_from([None, "NoRootFound", "TangentPole"]),
+                                     min_size=n, max_size=n))
+        sweep = np.rec.fromarrays([*sweep_table.T, np.array(markers, dtype=object)],
                                   names=nw.SWEEP_FIELDS + ("error",))
         same_bytes(tmp_path, lambda p: fio.write_flux_sweep_csv(p, sweep),
                    [([sweep[name] for name in nw.SWEEP_FIELDS], None)], fio.SWEEP_HEADER)

@@ -2,10 +2,10 @@
 
 Seeded generators must write byte-identical files (ROADMAP aim 2), so a
 rewrite of a generator or of the CSV writer has to leave these hashes as
-they are.  Each hash was computed with the writer that formatted every
-value with ``repr`` and joined the fields row by row, and the draw that
-emitted each cluster component through a boolean mask; the rewrites must
-not move them.  The window model has non-identity covariances, so a
+they are.  Each generate hash was computed with the writer that formatted
+every value with ``repr`` and joined the fields row by row, and the draw
+that emitted each cluster component through a boolean mask; the rewrites
+must not move them.  The window model has non-identity covariances, so a
 changed rounding order in the draw would show.
 """
 
@@ -48,23 +48,46 @@ CASES = {
         "flux_points": 41, "mode": "clamped"}),
 }
 
+# The fits of those outputs, pinned the same way: a change that should leave
+# a fit's result as it is must not move a byte of its JSON.  Each reads the
+# output of a generate case above: name -> (command, config key of the
+# input, generate case, rest of the config).
+ANALYSES = {
+    "fit-reset": ("fit-reset", "reset_csv", "generate reset", {"fit_floor": False}),
+    "fit-reset floor": ("fit-reset", "reset_csv", "generate reset", {"fit_floor": True}),
+    "fit-rb": ("fit-rb", "curve_csv", "generate rb", {}),
+    "fit-curve exponential": ("fit-curve", "curve_csv", "generate rb", {"model": "exponential"}),
+}
+
 SHA256 = {
     "generate windows": "817af8d4d6f0c58b1c3b707e3186d16f98bab9be7dbf14672b35befdc46fffd0",
     "generate thermal": "2beccf9471a0f398c63fad358db84cc8171a5578bae4d0cf079444304a658fea",
     "generate reset": "cdb56a3bf3c3c3d34e48eadcc63f9f686f730a55b9b05d6003145e5c3502b776",
     "generate rb": "9715e4cf6cf0709730e6a1319089b702375b5e68ded2224c90e05cf257749f32",
     "filter-sweep": "5be08e4fe132366a0e4111a9eff0949bd681094f8e974b763e633ad5639318c8",
+    "fit-reset": "482d6909fda874fa268b0d6bd09af1a83591473f29d0376a0596e7312381cf2a",
+    "fit-reset floor": "6516f99c2f24464f816c08a6b8e12cb4d44423107302d2a18c409a6b1b381697",
+    "fit-rb": "47b051328d1da57cc87cd7f8c06fbdd654c2c530c3535eacd17214ef07ef3de6",
+    "fit-curve exponential": "a2dbb699372f5a0c08cfb1329162a27345181c2571486d734851b35c921e3e8d",
 }
 
 
-def output_sha256(tmp_path, name: str) -> str:
-    command, cfg = CASES[name]
-    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+def run(tmp_path, command: str, cfg: dict, stem: str):
+    path, out = tmp_path / f"{stem}.json", tmp_path / f"{stem}.out"
     path.write_text(json.dumps(cfg))
     assert main([command, "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return out
 
 
-@pytest.mark.parametrize("name", CASES)
+def output_sha256(tmp_path, name: str) -> str:
+    if name in ANALYSES:
+        command, key, source, cfg = ANALYSES[name]
+        cfg = {**cfg, key: str(run(tmp_path, *CASES[source], "input"))}
+    else:
+        command, cfg = CASES[name]
+    return hashlib.sha256(run(tmp_path, command, cfg, "output").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", [*CASES, *ANALYSES])
 def test_seeded_output_bytes_are_pinned(tmp_path, name):
     assert output_sha256(tmp_path, name) == SHA256[name]

@@ -2,9 +2,10 @@
 
 A name counts as reached when the code (an AST ``Name`` or ``Attribute``,
 not text in a docstring or comment) of ``src/``, of ``scripts/`` or of the
-acceptance suite uses it.  A public name that only its own unit tests call
-is dead weight: delete it, or reach it from a command, a script or an
-acceptance criterion.
+acceptance suite uses it.  Annotations do not count: a class that only
+types an argument, a return or a field is built by nothing.  A public
+name that only its own unit tests call is dead weight: delete it, or
+reach it from a command, a script or an acceptance criterion.
 """
 
 import ast
@@ -34,12 +35,25 @@ def exempt(qualname: str) -> bool:
     return qualname.startswith("cli.cmd_") or qualname in REFERENCES
 
 
+def without_annotations(tree: ast.AST) -> ast.AST:
+    """``tree`` with its argument, return and ``AnnAssign`` annotations cut."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.returns = None
+        elif isinstance(node, ast.AnnAssign):
+            node.annotation = ast.Constant(None)
+    return tree
+
+
 def used_names() -> set:
     files = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
              ROOT / "tests" / "test_acceptance.py"]
     names = set()
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = without_annotations(ast.parse(path.read_text(), str(path)))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):

@@ -45,3 +45,24 @@ def test_fit_temp_memory_script_reports_each_child():
         fields = line.split()
         assert fields[1] == "peak" and float(fields[2]) > 0 and fields[3] == "MB"
     assert all(len(line.split()[-1]) == 64 for line in lines[2:])
+
+
+# The study's report at its default 181.072 mK (seed 42): the window generator
+# and the fit pipeline must reproduce it to the printed digit.
+THERMOMETRY_PRECISION_REPORT = """\
+target temperature 181.072 mK, shot time 34.2 us
+ N_shot  N_win  mu_T (mK)  sigma_T (mK)  NET (mK/rtHz)  (dT/T)_SM
+   1000    400    182.359         7.294         1.3490      1.265
+   2000    400    181.913         5.296         1.3851      1.302
+   5000    300    181.507         3.199         1.3230      1.246
+  10000    200    181.650         2.530         1.4794      1.393
+
+four-level quantum Cramer-Rao bound on (dT/T)_SM: 1.252
+two-level bound for comparison:                 2.178
+"""
+
+
+def test_thermometry_precision_script_reports_the_study():
+    proc = _run_script("run_thermometry_precision.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == THERMOMETRY_PRECISION_REPORT

@@ -83,7 +83,7 @@ class TestThermalShots:
             assert abs(observed - expected[k]) < tol
 
     def test_window_pipeline_matches_target_temperature(self, gen_config, ladder_a):
-        windows = synth.gen_window_series(gen_config, 0.181072, 120, 5000)
+        windows = list(synth.iter_window_series(gen_config, 0.181072, 120, 5000))
         temps = _window_temperatures(gen_config.cluster_model, windows, ladder_a)
         series = th.WindowSeries(temps, 5000, 34.2e-6)
         mu, sigma, sigma_mu = th.window_statistics(series)
@@ -100,8 +100,6 @@ def reference_draw(cfg, temperature, n, rng):
     """
     levels = rng.choice(cfg.n_model_levels, size=n,
                         p=synth.thermal_level_probabilities(cfg, temperature))
-    if cfg.readout_decay is not None:
-        levels = synth._gillespie_levels(levels, cfg.readout_decay, rng)
     z = rng.standard_normal((n, 2))
     xy = np.empty((n, 2))
     comp_idx = np.minimum(levels, 4)
@@ -124,62 +122,20 @@ def random_cluster_model(seed: int) -> cl.GmmModel:
 
 
 class TestDrawMatchesMaskedReference:
-    @pytest.mark.parametrize("decay", [False, True])
-    def test_random_covariances_bit_for_bit(self, ladder_a, reset_rates, decay):
-        readout_decay = synth.GillespieDecay(reset_rates, 1e-6, 0.4e-6) if decay else None
+    def test_random_covariances_bit_for_bit(self, ladder_a):
         counts = []
         for seed in range(20):
             cfg = synth.ShotGenConfig(ladder=ladder_a, cluster_model=random_cluster_model(seed),
-                                      readout_decay=readout_decay, seed=seed)
-            draw = synth._thermal_shot_sampler(cfg)
+                                      seed=seed)
             for w, temperature in enumerate((0.05, 0.181072, 0.4, 1.5)):
                 want, per_component = reference_draw(cfg, temperature, 300,
                                                      synth.window_rng(seed, w))
-                got = draw(temperature, 300, synth.window_rng(seed, w))
+                got = synth._thermal_shot_sampler(cfg, temperature)(300, synth.window_rng(seed, w))
                 assert got.tobytes() == want.tobytes(), (seed, temperature)
                 counts.append(per_component)
         counts = np.array(counts)
         # Windows where some component drew no shot, and where each drew some.
         assert (counts == 0).any(axis=1).any() and (counts > 0).all(axis=1).any()
-
-
-class TestGillespie:
-    def test_decay_shifts_population_down(self, ladder_a, ring_model, reset_rates):
-        decay = synth.GillespieDecay(reset_rates, 1e-6, 0.5e-6)
-        hot = synth.ShotGenConfig(ladder=ladder_a, cluster_model=ring_model, seed=3)
-        cold = synth.ShotGenConfig(ladder=ladder_a, cluster_model=ring_model,
-                                   readout_decay=decay, seed=3)
-        xy_hot = synth.gen_thermal_shots(hot, 0.4, 20000)
-        xy_cold = synth.gen_thermal_shots(cold, 0.4, 20000)
-        g = ring_model.labels.index("g")
-        assert (np.count_nonzero(cl.assign_indices(ring_model, xy_cold) == g)
-                > np.count_nonzero(cl.assign_indices(ring_model, xy_hot) == g))
-
-    def test_matches_rate_equation_prediction(self, ladder_a, ring_model):
-        # single decay channel from e: survival should match the ODE
-        rates = dyn.DecayRates(2e6, 1e-3, 1e-3)
-        instant = 0.4e-6
-        decay = synth.GillespieDecay(rates, 1e-6, instant)
-        cfg = synth.ShotGenConfig(ladder=ladder_a, cluster_model=ring_model,
-                                  readout_decay=decay, seed=8)
-        # hot enough to put substantial weight in e
-        n = 200000
-        xy = synth.gen_thermal_shots(cfg, 0.5, n)
-        indices = cl.assign_indices(ring_model, xy)
-        probs = synth.thermal_level_probabilities(cfg, 0.5)
-        # e-survival after the walk: P_e(0) exp(-G t) plus feeding from f, h
-        traj = dyn.populations_ode(
-            np.array([instant]), rates,
-            dyn.PopulationVector.from_array(
-                np.array([probs[0], probs[1], probs[2], probs[3]]) / probs[:4].sum()))
-        expected_e = traj[0, 1] * probs[:4].sum()
-        observed_e = np.count_nonzero(indices == ring_model.labels.index("e")) / n
-        tol = 4 * math.sqrt(expected_e * (1 - expected_e) / n) + 2e-3
-        assert abs(observed_e - expected_e) < tol
-
-    def test_sample_instant_validation(self, reset_rates):
-        with pytest.raises(ValueError):
-            synth.GillespieDecay(reset_rates, 1e-6, 2e-6)
 
 
 class TestResetCurves:
@@ -235,13 +191,14 @@ class TestRbDecay:
 
 class TestWindowSeries:
     def test_minimal_series(self, gen_config):
-        windows = synth.gen_window_series(gen_config, 0.2, 2, 50)
+        windows = list(synth.iter_window_series(gen_config, 0.2, 2, 50))
         assert len(windows) == 2
         assert windows[0].shape == (50, 2)
 
     def test_step_profile_tracked(self, gen_config, ladder_a):
-        profile = lambda w: 0.12 if w < 5 else 0.30
-        windows = synth.gen_window_series(gen_config, profile, 10, 4000)
+        # A step between two runs, each at one temperature.
+        windows = [*synth.iter_window_series(gen_config, 0.12, 5, 4000),
+                   *synth.iter_window_series(gen_config, 0.30, 5, 4000)]
         temps = _window_temperatures(gen_config.cluster_model, windows, ladder_a)
         assert np.all(temps[:5] < 0.2)
         assert np.all(temps[5:] > 0.2)
@@ -263,8 +220,8 @@ class TestWindowSeries:
         assert abs(slope + 0.5) < 0.05
 
     def test_substreams_independent_of_other_windows(self, gen_config):
-        full = synth.gen_window_series(gen_config, 0.2, 6, 40)
+        full = list(synth.iter_window_series(gen_config, 0.2, 6, 40))
         # regenerating window 4 alone must reproduce the same shots
-        alone = synth.gen_thermal_shots(gen_config, 0.2, 40,
-                                        rng=synth.window_rng(gen_config.seed, 4))
+        alone = synth._thermal_shot_sampler(gen_config, 0.2)(
+            40, synth.window_rng(gen_config.seed, 4))
         assert np.array_equal(full[4], alone)
