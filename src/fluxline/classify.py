@@ -216,13 +216,10 @@ def pairwise_separation(model: GmmModel, label_i: str, label_j: str) -> float:
     """Symmetric Mahalanobis separation between two components."""
     ci = model.components[label_i]
     cj = model.components[label_j]
-    pooled = 0.5 * (ci.cov + cj.cov)
     diff = ci.mean - cj.mean
-    try:
-        sol = np.linalg.solve(pooled, diff)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"pooled covariance of ({label_i}, {label_j}) singular") from exc
-    d2 = float(diff @ sol)
+    # A singular pooled covariance divides by a zero determinant.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2 = float(_mahalanobis_sq(diff[0], diff[1], 0.5 * (ci.cov + cj.cov))[0])
     if not math.isfinite(d2) or d2 < 0:
         raise SingularCovariance(f"invalid separation for ({label_i}, {label_j})")
     return math.sqrt(d2)

@@ -1,16 +1,16 @@
-"""Four-level downward-transition rate equations and reset-curve fitting.
+"""Four-level reset cascade rate equations and reset-curve fitting.
 
-Level populations P = (P_g, P_e, P_f, P_h) obey dP/dt = M P with only
-downward rates Gamma_ij from level j to level i < j::
+Level populations P = (P_g, P_e, P_f, P_h) obey dP/dt = M P for the
+sequential g <- e <- f <- h cascade, each level decaying only to the one
+below it at the rate Gamma_ij from level j to level i::
 
-    dP_g/dt =  G_ge P_e + G_gf P_f + G_gh P_h
-    dP_e/dt = -G_ge P_e + G_ef P_f + G_eh P_h
-    dP_f/dt = -(G_gf + G_ef) P_f + G_fh P_h
-    dP_h/dt = -(G_gh + G_eh + G_fh) P_h
+    dP_g/dt =  G_ge P_e
+    dP_e/dt = -G_ge P_e + G_ef P_f
+    dP_f/dt = -G_ef P_f + G_fh P_h
+    dP_h/dt = -G_fh P_h
 
-with the shorthand A_f = G_gf + G_ef and A_h = G_gh + G_eh + G_fh.  The
-matrix is lower triangular, so the solution is a sum of exponentials with
-removable 1/(Gamma_i - Gamma_j) poles at rate degeneracies; those are
+The matrix is lower triangular, so the solution is a sum of exponentials
+with removable 1/(Gamma_i - Gamma_j) poles at rate degeneracies; those are
 evaluated through divided-difference helpers that switch to series limits
 instead of relying on cancellation.
 
@@ -41,43 +41,26 @@ _SERIES_CUT = 1e-6
 
 @dataclass(frozen=True)
 class DecayRates:
-    """Downward transition rates in 1/s; non-sequential rates default to 0."""
+    """Rates of the sequential cascade in 1/s."""
 
     gamma_ge: float
     gamma_ef: float
     gamma_fh: float
-    gamma_gf: float = 0.0
-    gamma_gh: float = 0.0
-    gamma_eh: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma_ge", "gamma_ef", "gamma_fh",
-                     "gamma_gf", "gamma_gh", "gamma_eh"):
+        for name in ("gamma_ge", "gamma_ef", "gamma_fh"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def a_f(self) -> float:
-        """Total depopulation rate of level f."""
-        return self.gamma_gf + self.gamma_ef
-
-    @property
-    def a_h(self) -> float:
-        """Total depopulation rate of level h."""
-        return self.gamma_gh + self.gamma_eh + self.gamma_fh
 
     def rate_matrix(self) -> np.ndarray:
         """Generator M of dP/dt = M P in (g, e, f, h) ordering."""
         m = np.zeros((4, 4))
         m[0, 1] = self.gamma_ge
-        m[0, 2] = self.gamma_gf
-        m[0, 3] = self.gamma_gh
         m[1, 1] = -self.gamma_ge
         m[1, 2] = self.gamma_ef
-        m[1, 3] = self.gamma_eh
-        m[2, 2] = -self.a_f
+        m[2, 2] = -self.gamma_ef
         m[2, 3] = self.gamma_fh
-        m[3, 3] = -self.a_h
+        m[3, 3] = -self.gamma_fh
         return m
 
     @classmethod
@@ -226,19 +209,18 @@ def _populations_closed(t: np.ndarray, rates: DecayRates, init: np.ndarray) -> n
     The exponentials and divided differences depend on the rates and t
     alone, so they are computed once and shared by every initial state.
     """
-    g = rates.gamma_ge
-    af = rates.a_f
-    ah = rates.a_h
+    g, ef, fh = rates.gamma_ge, rates.gamma_ef, rates.gamma_fh
     e0, f0, h0 = (init[:, k, None] for k in (1, 2, 3))
 
     out = np.empty((init.shape[0], t.size, 4))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[..., 3] = p_h = h0 * np.exp(-ah * t)
-        out[..., 2] = p_f = f0 * np.exp(-af * t) + h0 * rates.gamma_fh * _dd1(af, ah, t)
+        out[..., 3] = p_h = h0 * np.exp(-fh * t)
+        out[..., 2] = p_f = f0 * np.exp(-ef * t) + h0 * fh * _dd1(ef, fh, t)
         out[..., 1] = p_e = (e0 * np.exp(-g * t)
-                             + rates.gamma_ef * f0 * _dd1(g, af, t)
-                             + h0 * (rates.gamma_ef * rates.gamma_fh * _dd2(g, af, ah, t)
-                                     + rates.gamma_eh * _dd1(g, ah, t)))
+                             + ef * f0 * _dd1(g, ef, t)
+                             # h0 scales the whole product: the rounding the
+                             # pinned fit-reset outputs were computed with.
+                             + h0 * (ef * fh * _dd2(g, ef, fh, t)))
     out[..., 0] = 1.0 - p_e - p_f - p_h
     if not np.isfinite(out).all():
         raise DegenerateUnhandled("closed-form evaluation produced non-finite values")
@@ -254,8 +236,8 @@ def populations_closed_form(t_grid, rates: DecayRates, init: PopulationVector) -
 def ground_population_closed_form(t: float, rates: DecayRates, prep: str) -> float:
     """Ground-state population at time t after preparing 'e', 'f' or 'h'.
 
-    One formula for every rate set: the direct f -> g, h -> g and h -> e
-    channels enter through A_f and A_h, and vanish for a pure cascade.
+    One formula for every cascade: P_g = 1 - P_e - P_f - P_h of the closed
+    form, clipped to [0, 1].
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -390,9 +372,9 @@ class DecayRatesFit:
     rates: DecayRates
     sigmas: dict[str, float]
     covariance: np.ndarray
-    floor: float | None = None
-    residual_rms: float = math.nan
-    n_points: int = 0
+    floor: float | None
+    residual_rms: float
+    n_points: int
 
 
 def _seed_gamma(times: np.ndarray, p_g: np.ndarray) -> float:

@@ -41,8 +41,8 @@ class FitResult:
     covariance: np.ndarray | None
     residual_rms: float
     converged: bool
-    at_bound: bool = False
-    rank_deficient: bool = False
+    at_bound: bool
+    rank_deficient: bool
 
 
 def _fd_jacobian(fun, x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -336,7 +336,7 @@ def rb_jacobian(params, m):
     return np.column_stack([pm, a * m * p ** np.maximum(m - 1, 0.0), np.ones_like(m)])
 
 
-def clifford_fidelity(p_ref: float, k: float = 45.0 / 24.0) -> float:
+def clifford_fidelity(p_ref: float, k: float) -> float:
     """Average fidelity per Clifford, 1 - (1 - p_ref) / (2 k).
 
     ``k`` is the average number of primitive pulses per Clifford in the
@@ -379,4 +379,4 @@ def fit_quadratic_minimum(x, y) -> FitResult:
     y0 = c - b**2 / (4 * a)
     rms = math.sqrt(res_info[0] / x.size) if res_info.size else 0.0
     return FitResult({"x0": float(x0), "y0": float(y0), "curvature": float(2 * a)},
-                     None, None, float(rms), True)
+                     None, None, float(rms), True, False, False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import GmmModel
+from .classify import LABEL_ORDER, GmmModel
 from .dynamics import (
     DecayRates,
     PopulationVector,
@@ -25,20 +25,16 @@ from .dynamics import (
     apply_thermal_floor,
     populations_ode,
 )
-from .thermometry import LevelLadder
-
-# Cluster component of each level index: g, e, f, h, then k+ for >= 4.
-_COMPONENTS = ("g", "e", "f", "h", "k+")
+from .thermometry import LevelLadder, boltzmann_array
 
 
 @dataclass(frozen=True)
 class ShotGenConfig:
     """Configuration for thermal single-shot generation.
 
-    ``n_model_levels`` extends the Boltzmann distribution past h by
-    continuing the transition-frequency ladder with a constant
-    anharmonicity step; any occupation above h is emitted from the
-    overflow cluster.  Each shot is emitted from the cluster of the level
+    ``n_model_levels`` extends the Boltzmann distribution past h along
+    ``thermometry.level_energies``; any occupation above h is emitted from
+    the overflow cluster.  Each shot is emitted from the cluster of the level
     it was drawn in, so the estimators see no in-window relaxation.
     ``seed`` seeds every generator that takes the configuration.
     """
@@ -58,24 +54,11 @@ def window_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def extended_level_energies(ladder: LevelLadder, n_levels: int) -> np.ndarray:
-    """Level energies (GHz) extended past h with a constant anharmonicity step."""
-    transitions = [ladder.f_ge_ghz, ladder.f_ef_ghz, ladder.f_fh_ghz]
-    step = ladder.f_ef_ghz - ladder.f_fh_ghz
-    while len(transitions) < n_levels - 1:
-        transitions.append(transitions[-1] - step)
-    if any(f <= 0 for f in transitions):
-        raise ValueError("ladder extension produced non-positive transition frequency")
-    return np.concatenate([[0.0], np.cumsum(transitions)])
-
-
 def thermal_level_probabilities(cfg: ShotGenConfig, temperature: float) -> np.ndarray:
     """Boltzmann occupation over the extended n-level manifold."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    energies = extended_level_energies(cfg.ladder, cfg.n_model_levels)
-    w = np.exp(-energies / (cfg.ladder.kb_over_h_ghz_per_k * temperature))
-    return w / w.sum()
+    return boltzmann_array(np.array([temperature]), cfg.ladder, cfg.n_model_levels)[0]
 
 
 def _thermal_shot_sampler(cfg: ShotGenConfig, temperature: float):
@@ -89,7 +72,7 @@ def _thermal_shot_sampler(cfg: ShotGenConfig, temperature: float):
     """
     probs = thermal_level_probabilities(cfg, temperature)
     factors = {k: (comp.mean, np.linalg.cholesky(comp.cov))
-               for k, name in enumerate(_COMPONENTS)
+               for k, name in enumerate(LABEL_ORDER)
                if (comp := cfg.cluster_model.components.get(name)) is not None}
 
     def draw(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,7 +90,7 @@ def _thermal_shot_sampler(cfg: ShotGenConfig, temperature: float):
             if start == stop:
                 continue
             if k not in factors:
-                raise ValueError(f"cluster_model has no {_COMPONENTS[k]!r} component,"
+                raise ValueError(f"cluster_model has no {LABEL_ORDER[k]!r} component,"
                                  f" which level {levels[order[start:stop]].min()} needs")
             mean, chol = factors[k]
             zs[start:stop] = mean + zs[start:stop] @ chol.T

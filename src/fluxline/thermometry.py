@@ -3,9 +3,10 @@
 Level energies are built from the three measured transition frequencies,
 E0 = 0, E1 = f_ge, E2 = f_ge + f_ef, E3 = f_ge + f_ef + f_fh, expressed in
 GHz so that k_B / h converts between temperature and dimensionless
-Boltzmann factors.  The working value of k_B / h is the rounded
-20.84 GHz/K carried by the device analysis; construct a ladder with
-``kb_over_h_ghz_per_k=KB_OVER_H_CODATA`` for the CODATA constant.
+Boltzmann factors; ``level_energies`` continues the ladder past h for the
+shot generator's extended manifold.  The working value of k_B / h is the
+rounded 20.84 GHz/K carried by the device analysis; construct a ladder
+with ``kb_over_h_ghz_per_k=KB_OVER_H_CODATA`` for the CODATA constant.
 
 The temperature estimate minimizes a chi-square-like cost between the
 measured and thermal populations over a bounded interval, and the module
@@ -52,15 +53,20 @@ class LevelLadder:
         if self.kb_over_h_ghz_per_k <= 0:
             raise ValueError("kb_over_h_ghz_per_k must be positive")
 
-    @property
-    def energies_ghz(self) -> np.ndarray:
-        """Level energies (E0, E1, E2, E3) in GHz above the ground state."""
-        return np.array([
-            0.0,
-            self.f_ge_ghz,
-            self.f_ge_ghz + self.f_ef_ghz,
-            self.f_ge_ghz + self.f_ef_ghz + self.f_fh_ghz,
-        ])
+
+def level_energies(ladder: LevelLadder, n_levels: int) -> np.ndarray:
+    """Energies (GHz) of the lowest ``n_levels`` >= 4 levels above the ground state.
+
+    Past h the transition frequencies keep falling by the constant
+    anharmonicity step f_ef - f_fh.
+    """
+    transitions = [ladder.f_ge_ghz, ladder.f_ef_ghz, ladder.f_fh_ghz]
+    step = ladder.f_ef_ghz - ladder.f_fh_ghz
+    while len(transitions) < n_levels - 1:
+        transitions.append(transitions[-1] - step)
+    if any(f <= 0 for f in transitions):
+        raise ValueError("ladder extension produced non-positive transition frequency")
+    return np.cumsum([0.0, *transitions])
 
 
 @dataclass(frozen=True)
@@ -91,19 +97,20 @@ def boltzmann_populations(temperature: float, ladder: LevelLadder) -> Population
     """Thermal populations of the truncated four-level manifold."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    p = _boltzmann_array(np.array([temperature]), ladder)[0]
+    p = boltzmann_array(np.array([temperature]), ladder, 4)[0]
     return PopulationVector.from_array(p)
 
 
-def _boltzmann_array(temps: np.ndarray, ladder: LevelLadder) -> np.ndarray:
-    """Thermal populations for an array of temperatures, shape (n, 4)."""
+def boltzmann_array(temps: np.ndarray, ladder: LevelLadder, n_levels: int) -> np.ndarray:
+    """Thermal populations of the lowest ``n_levels`` levels for an array of
+    temperatures, shape (len(temps), n_levels)."""
     beta = 1.0 / (ladder.kb_over_h_ghz_per_k * np.asarray(temps, dtype=float))
-    w = np.exp(-np.outer(beta, ladder.energies_ghz))
+    w = np.exp(-np.outer(beta, level_energies(ladder, n_levels)))
     return w / w.sum(axis=1, keepdims=True)
 
 
 def _chi2(meas: np.ndarray, temps: np.ndarray, ladder: LevelLadder) -> np.ndarray:
-    p_th = _boltzmann_array(temps, ladder)
+    p_th = boltzmann_array(temps, ladder, 4)
     return (((meas - p_th) ** 2) / np.maximum(p_th, _P_TH_FLOOR)).sum(axis=1)
 
 
@@ -145,7 +152,7 @@ def fit_temperature_batch(
     # Seed: cost on the grid accumulated level by level, _SEED_ROWS rows at
     # a time; the bracket is the best grid point's neighbours.
     grid = np.geomspace(t_min, t_max, 256)
-    p_grid = _boltzmann_array(grid, ladder)
+    p_grid = boltzmann_array(grid, ladder, 4)
     den = np.maximum(p_grid, _P_TH_FLOOR)
     best = np.empty(p.shape[0], dtype=np.intp)
     for start in range(0, p.shape[0], _SEED_ROWS):
@@ -173,7 +180,7 @@ def fit_temperature_batch(
 
     at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) | (t_eff >= t_max * (1.0 - 1e-6))
     chi2_min = _chi2(p, t_eff, ladder)
-    ss_res = ((p - _boltzmann_array(t_eff, ladder)) ** 2).sum(axis=1)
+    ss_res = ((p - boltzmann_array(t_eff, ladder, 4)) ** 2).sum(axis=1)
     ss_tot = ((p - p.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r_squared = np.where(ss_tot > 0.0, 1.0 - ss_res / ss_tot,
@@ -195,7 +202,7 @@ def qcrb_bound(temperature: float, ladder: LevelLadder, n_levels: int) -> float:
         raise ValueError("temperature must be positive")
     if n_levels not in (2, 3, 4):
         raise ValueError("n_levels must be 2, 3 or 4")
-    x = ladder.energies_ghz[1:n_levels] / (
+    x = level_energies(ladder, 4)[1:n_levels] / (
         ladder.kb_over_h_ghz_per_k * temperature)
 
     explicit = math.sqrt(_explicit_bound_sq(x))

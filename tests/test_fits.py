@@ -183,23 +183,27 @@ class TestRbFit:
         assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
 
+# Primitive pulses per Clifford of the standard single-qubit set.
+K_STD = 45.0 / 24.0
+
+
 class TestFidelities:
     def test_clifford_reference_point(self):
-        assert fits.clifford_fidelity(0.995125) == pytest.approx(0.9987, abs=5e-5)
+        assert fits.clifford_fidelity(0.995125, K_STD) == pytest.approx(0.9987, abs=5e-5)
 
     def test_clifford_endpoints(self):
-        assert fits.clifford_fidelity(1.0) == 1.0
-        assert fits.clifford_fidelity(0.0) == pytest.approx(1 - 1 / 3.75, rel=1e-12)
+        assert fits.clifford_fidelity(1.0, K_STD) == 1.0
+        assert fits.clifford_fidelity(0.0, K_STD) == pytest.approx(1 - 1 / 3.75, rel=1e-12)
 
     @given(p=st.floats(0, 1), dp=st.floats(1e-6, 0.1))
     @settings(max_examples=50)
     def test_clifford_affine_increasing(self, p, dp):
         hi = min(p + dp, 1.0)
-        assert fits.clifford_fidelity(hi) >= fits.clifford_fidelity(p)
+        assert fits.clifford_fidelity(hi, K_STD) >= fits.clifford_fidelity(p, K_STD)
         # affine: midpoint value is the mean of the endpoint values
         mid = 0.5 * (p + hi)
-        assert fits.clifford_fidelity(mid) == pytest.approx(
-            0.5 * (fits.clifford_fidelity(p) + fits.clifford_fidelity(hi)), rel=1e-12)
+        ends = fits.clifford_fidelity(p, K_STD) + fits.clifford_fidelity(hi, K_STD)
+        assert fits.clifford_fidelity(mid, K_STD) == pytest.approx(0.5 * ends, rel=1e-12)
 
     def test_interleaved_identities(self):
         assert fits.interleaved_fidelity(0.9952, 0.9952) == 1.0

@@ -57,6 +57,9 @@ ANALYSES = {
     "fit-reset floor": ("fit-reset", "reset_csv", "generate reset", {"fit_floor": True}),
     "fit-rb": ("fit-rb", "curve_csv", "generate rb", {}),
     "fit-curve exponential": ("fit-curve", "curve_csv", "generate rb", {"model": "exponential"}),
+    # The model that drew the windows classifies them; it is written to its own file.
+    "fit-temp": ("fit-temp", "shots_csv", "generate windows", {
+        "model_json": SKEWED_MODEL, "ladder": LADDER_A, "window": 250, "t_shot_us": 1.0}),
 }
 
 SHA256 = {
@@ -69,6 +72,7 @@ SHA256 = {
     "fit-reset floor": "6516f99c2f24464f816c08a6b8e12cb4d44423107302d2a18c409a6b1b381697",
     "fit-rb": "47b051328d1da57cc87cd7f8c06fbdd654c2c530c3535eacd17214ef07ef3de6",
     "fit-curve exponential": "a2dbb699372f5a0c08cfb1329162a27345181c2571486d734851b35c921e3e8d",
+    "fit-temp": "8f1351ace494a52587165e8de942c69f5db6307dc16670a66047da451695b977",
 }
 
 
@@ -83,6 +87,10 @@ def output_sha256(tmp_path, name: str) -> str:
     if name in ANALYSES:
         command, key, source, cfg = ANALYSES[name]
         cfg = {**cfg, key: str(run(tmp_path, *CASES[source], "input"))}
+        if "model_json" in cfg:
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(cfg["model_json"]))
+            cfg["model_json"] = str(model)
     else:
         command, cfg = CASES[name]
     return hashlib.sha256(run(tmp_path, command, cfg, "output").read_bytes()).hexdigest()

@@ -25,15 +25,16 @@ def _window_temperatures(model, windows, ladder):
 
 class TestLadderExtension:
     def test_constant_anharmonicity_step(self, ladder_a):
-        energies = synth.extended_level_energies(ladder_a, 6)
+        energies = th.level_energies(ladder_a, 6)
         transitions = np.diff(energies)
         step = ladder_a.f_ef_ghz - ladder_a.f_fh_ghz
         assert transitions[3] == pytest.approx(ladder_a.f_fh_ghz - step, rel=1e-12)
         assert transitions[4] == pytest.approx(ladder_a.f_fh_ghz - 2 * step, rel=1e-12)
 
     def test_four_levels_match_base_ladder(self, ladder_a):
-        energies = synth.extended_level_energies(ladder_a, 4)
-        assert np.allclose(energies, ladder_a.energies_ghz)
+        ge, ef, fh = ladder_a.f_ge_ghz, ladder_a.f_ef_ghz, ladder_a.f_fh_ghz
+        assert np.array_equal(th.level_energies(ladder_a, 4),
+                              [0.0, ge, ge + ef, ge + ef + fh])
 
     def test_probabilities_normalized(self, gen_config):
         p = synth.thermal_level_probabilities(gen_config, 0.3)
@@ -105,7 +106,7 @@ def reference_draw(cfg, temperature, n, rng):
     comp_idx = np.minimum(levels, 4)
     for k in np.flatnonzero(np.bincount(comp_idx)).tolist():
         sel = comp_idx == k
-        comp = cfg.cluster_model.components[synth._COMPONENTS[k]]
+        comp = cfg.cluster_model.components[cl.LABEL_ORDER[k]]
         xy[sel] = comp.mean + z[sel] @ np.linalg.cholesky(comp.cov).T
     return xy, np.bincount(comp_idx, minlength=5)
 
@@ -180,7 +181,7 @@ class TestRbDecay:
         m = np.arange(0, 400, 10, dtype=float)
         mm, y = synth.gen_rb_decay(0.995125, 0.5, 0.5, m, 10000, seed=12)
         res = fits.rb_fit(mm, y)
-        f_est = fits.clifford_fidelity(res.params["p"])
+        f_est = fits.clifford_fidelity(res.params["p"], 45.0 / 24.0)
         assert f_est == pytest.approx(0.9987, abs=5e-4)
 
     def test_determinism(self):

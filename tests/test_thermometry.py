@@ -136,7 +136,7 @@ def scalar_fit_reference(p, ladder, bounds=(1e-3, 20.0)):
             fd = cost(d)
     t_eff = min(max(float(np.exp(0.5 * (a + b))), t_min), t_max)
     at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) or (t_eff >= t_max * (1.0 - 1e-6))
-    p_fit = th._boltzmann_array(np.array([t_eff]), ladder)[0]
+    p_fit = th.boltzmann_array(np.array([t_eff]), ladder, 4)[0]
     chi2_min = float(th._chi2(p, np.array([t_eff]), ladder)[0])
     ss_res = float(((p - p_fit) ** 2).sum())
     ss_tot = float(((p - p.mean()) ** 2).sum())
