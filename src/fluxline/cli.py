@@ -53,7 +53,7 @@ _GENERATORS = {
 }
 # fit-curve model name -> function of fluxline.fits.
 _FIT_MODELS = {"exponential": fits.fit_exponential, "decaying_cosine": fits.fit_decaying_cosine,
-               "stretched_exponential": fits.fit_stretched_exponential, "rb": fits.rb_fit,
+               "stretched_exponential": fits.fit_stretched_exponential,
                "quadratic_minimum": fits.fit_quadratic_minimum}
 _SCHEMAS = {
     "filter-sweep": {"geometry": (_GEOMETRY, ...), "squid_array": (_SQUID_ARRAY, ...),

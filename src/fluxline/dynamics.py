@@ -401,21 +401,22 @@ def fit_decay_rates(data: ResetDataset, fit_floor: bool = False) -> DecayRatesFi
     the preparations' time grids, from which each preparation's rows are
     gathered, and the gathered floorless model is kept per rate triple, so
     the difference column of p_inf evaluates no closed form.  It is
-    minimised by ``fits.levenberg_marquardt`` on a forward-difference
-    Jacobian with no bounds, stopping when the scaled step or
-    the relative cost decrease falls to 1e-14, within 200 (p + 1) residual
-    evaluations for p parameters.  Each prepared level seeds its own rate
-    (prep e gamma_ge, f gamma_ef, h gamma_fh) from the log-linear decay of
-    its population towards the last value; a level not prepared keeps the
-    guess (g0, 1.7 g0, 2.5 g0), g0 from the ground-population rise of the
-    first preparation.
+    minimised by ``fits.levenberg_marquardt`` on a one-sided difference
+    Jacobian within the box of rates > 0 and a floor in (0, 1], stopping
+    when the scaled step or the relative cost decrease falls to 1e-14,
+    within 200 (p + 1) residual evaluations for p parameters.  Each
+    prepared level seeds its own rate (prep e gamma_ge, f gamma_ef, h
+    gamma_fh) from the log-linear decay of its population towards the last
+    value; a level not prepared keeps the guess (g0, 1.7 g0, 2.5 g0), g0
+    from the ground-population rise of the first preparation.
     Uncertainties come from the cluster-robust (sandwich) covariance
     (J^T J)^-1 (sum_b s_b s_b^T) (J^T J)^-1 * B / (B - p), with J the
-    forward-difference Jacobian at the optimum and one score
+    difference Jacobian at the optimum, taken backward where a forward step
+    would leave the box (a floor within 1e-6 of 1), and one score
     s_b = J_b^T r_b per (preparation, time) block of four populations.  With
     ``fit_floor`` a shared saturation parameter p_inf is added through
-    ``apply_thermal_floor``.  A fit that runs out of evaluations, or stops
-    at a rate <= 0 or a floor outside (0, 1], raises FitDiverged.
+    ``apply_thermal_floor``.  FitDiverged is raised only when the fit runs
+    out of evaluations or returns a point outside the box.
     """
     preps = sorted(data.curves, key=lambda s: _PREP_INDEX[s])
     if len(preps) < 2:
@@ -445,10 +446,7 @@ def fit_decay_rates(data: ResetDataset, fit_floor: bool = False) -> DecayRatesFi
         theta0 = theta0 + [min(max(p_late, 0.5), 1.0)]
 
     names = ["gamma_ge", "gamma_ef", "gamma_fh"] + (["p_inf"] if fit_floor else [])
-
-    def physical(theta: list) -> bool:
-        return (theta[0] > 0 and theta[1] > 0 and theta[2] > 0
-                and (not fit_floor or 0.0 < theta[3] <= 1.0))
+    lo, hi = np.zeros(len(names)), np.array([np.inf, np.inf, np.inf, 1.0][:len(names)])
 
     # The difference column of p_inf moves only the floor and reuses the
     # model at x; four entries hold x and the three rate columns' points.
@@ -462,16 +460,14 @@ def fit_decay_rates(data: ResetDataset, fit_floor: bool = False) -> DecayRatesFi
 
     def residuals(x):
         theta = x.tolist()
-        if not physical(theta):
-            return np.full(measured.size, 1e3)
         model = floorless(*theta[:3])
         if fit_floor:
             model = apply_thermal_floor(model, theta[3])
         return model.ravel() - measured
 
     n_params = len(theta0)
-    x, fun, jac = levenberg_marquardt(residuals, theta0)
-    if not physical(x.tolist()):
+    x, fun, jac = levenberg_marquardt(residuals, theta0, lo=lo, hi=hi)
+    if not ((x > lo) & (x <= hi)).all():
         raise FitDiverged(f"reset fit left the physical region at {x.tolist()}")
 
     dof = measured.size - n_params

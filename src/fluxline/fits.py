@@ -45,9 +45,11 @@ class FitResult:
     rank_deficient: bool
 
 
-def _fd_jacobian(fun, x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian, step 1e-6 sign(x) max(1, |x|) per column."""
+def _fd_jacobian(fun, x: np.ndarray, f: np.ndarray, lo, hi) -> np.ndarray:
+    """One-sided difference Jacobian, step 1e-6 sign(x) max(1, |x|) per
+    column, reversed where it would leave the box lo <= x <= hi."""
     h = 1e-6 * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    h = np.where((x + h < lo) | (x + h > hi), -h, h)
     jac = np.empty((f.size, x.size))
     for i in range(x.size):
         xi = x.copy()
@@ -63,7 +65,8 @@ def levenberg_marquardt(fun, x0, jac=None, lo=-np.inf, hi=np.inf):
 
     Each step solves (J^T J + lam diag(J^T J)) dx = -J^T f, Marquardt's
     scale-invariant damping, with J from ``jac(x)`` or, without it, forward
-    differences.  A step component that would cross a bound goes 99% of the
+    differences, each taken backward where the forward point would leave
+    the box.  A step component that would cross a bound goes 99% of the
     way to it instead, so every iterate stays strictly inside the box, and
     the other components are solved again with it held there.  A step that
     lowers the cost is taken and lam shrinks tenfold; otherwise lam grows
@@ -84,7 +87,7 @@ def levenberg_marquardt(fun, x0, jac=None, lo=-np.inf, hi=np.inf):
             raise FitDiverged(f"least-squares fit did not converge within {max_nfev} evaluations")
         if J is None:
             if jac is None:
-                J = _fd_jacobian(fun, x, f)
+                J = _fd_jacobian(fun, x, f, lo, hi)
                 nfev += x.size
             else:
                 J = jac(x)
@@ -116,7 +119,7 @@ def levenberg_marquardt(fun, x0, jac=None, lo=-np.inf, hi=np.inf):
             lam *= 10.0
         if done:
             if J is None:
-                J = _fd_jacobian(fun, x, f) if jac is None else jac(x)
+                J = _fd_jacobian(fun, x, f, lo, hi) if jac is None else jac(x)
             return x, f, J
 
 

@@ -39,12 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FluxlineError,
-    HalfFluxDivergence,
-    NoRootFound,
-    TangentPole,
-)
+from .errors import HalfFluxDivergence, NoRootFound, TangentPole
 
 #: Magnetic flux quantum (Wb).
 PHI0 = 2.067833848e-15
@@ -143,16 +138,6 @@ class QubitLoad:
             raise ValueError("c_q and f_q must be positive")
         if self.t1_internal is not None and self.t1_internal <= 0:
             raise ValueError("t1_internal must be positive when present")
-
-
-@dataclass(frozen=True)
-class CouplingFigures:
-    """Coupling figures of merit at one flux bias and drive frequency."""
-
-    gamma_qf: float
-    t1_ext: float
-    t1_total: float
-    rabi_relative: float
 
 
 def _inductances(arr: SquidArray, flux, mode: str):
@@ -429,8 +414,14 @@ def qubit_admittance(geom: FilterGeometry, l_s: float, omega: float) -> complex:
 
 
 def _coupling_columns(qubit: QubitLoad, y, y_ref: complex):
-    """gamma_qf, t1_ext, t1_total and rabi_rel from admittances (see
-    coupling_figures); rabi_rel is nan unless gamma_ref > 0."""
+    """Coupling figures from the qubit admittances y at the drive frequency.
+
+    gamma_qf = Re Y_q / c_q; t1_ext is its reciprocal (inf at exact
+    cancellation) and t1_total folds in the internal loss channel in
+    parallel.  The relative Rabi rate rabi_rel is sqrt(gamma_qf / gamma_ref),
+    gamma_ref = Re y_ref / c_q at the reference flux, and nan unless
+    gamma_ref > 0.
+    """
     gamma = np.maximum(np.real(y) / qubit.c_q, 0.0)
     with np.errstate(divide="ignore"):
         t1_ext = np.where(gamma == 0.0, math.inf, 1.0 / gamma)
@@ -440,30 +431,6 @@ def _coupling_columns(qubit: QubitLoad, y, y_ref: complex):
     gamma_ref = y_ref.real / qubit.c_q
     rabi = np.sqrt(gamma / gamma_ref) if gamma_ref > 0.0 else np.full(np.shape(gamma), math.nan)
     return gamma, t1_ext, t1_total, rabi
-
-
-def coupling_figures(
-    geom: FilterGeometry,
-    arr: SquidArray,
-    qubit: QubitLoad,
-    flux_ratio: float,
-    drive_freq: float,
-    mode: str = "strict",
-    reference_flux: float = 0.0,
-) -> CouplingFigures:
-    """Qubit-filter coupling gamma_qf and derived figures at one bias.
-
-    gamma_qf = Re Y_q(w, L_arr(flux)) / c_q evaluated at the drive
-    frequency; t1_ext is its reciprocal (inf at exact cancellation) and
-    t1_total folds in the internal loss channel in parallel.  The relative
-    Rabi rate is sqrt(gamma_qf / gamma_ref) with the reference taken at
-    ``reference_flux`` (zero flux by convention).
-    """
-    omega = 2.0 * math.pi * drive_freq
-    y = qubit_admittance(geom, squid_array_inductance(arr, flux_ratio, mode=mode), omega)
-    y_ref = qubit_admittance(
-        geom, squid_array_inductance(arr, reference_flux, mode=mode), omega)
-    return CouplingFigures(*(float(col) for col in _coupling_columns(qubit, y, y_ref)))
 
 
 # The float fields of a flux_sweep record, in the column order of the sweep CSV.
@@ -494,24 +461,26 @@ def flux_sweep(
     (TangentPole).  Fields before that stage keep their values, the rest are
     nan.  Each field is a column (``sweep.f_f``); iterating the array yields
     rows with the same attributes (``row.f_f``, ``row.error``).  Points are
-    independent and deterministic.  ``i_node`` is the node drive current for
-    the peak-current and margin fields (0.2 uA: about -80 dBm on 50 ohm).
+    independent and deterministic.  The coupling fields are defined in
+    ``_coupling_columns``, rabi_rel against the coupling at
+    ``reference_flux``.  ``i_node`` is the node drive current for the
+    peak-current and margin fields (0.2 uA: about -80 dBm on 50 ohm).
     """
     flux = np.array(list(flux_grid), dtype=float)
     if flux.size == 0:
         raise ValueError("flux_grid must be non-empty")
     omega = 2.0 * math.pi * drive_freq
+    if not 0.0 < omega < math.inf:
+        raise ValueError("drive_freq must be positive and finite")
 
-    try:
-        y_ref = qubit_admittance(
-            geom, squid_array_inductance(arr, reference_flux, mode=mode), omega)
-    except FluxlineError:
-        y_ref = complex(math.nan, 0.0)
-
-    l_j, ic_sq, half = _inductances(arr, flux, mode)
-    half &= mode == "strict"
+    # The reference flux rides as one more row through the inductance and
+    # admittance kernels; a half-flux or pole reference leaves y_ref nan.
+    l_all, ic_all, half_all = _inductances(arr, np.append(flux, reference_flux), mode)
+    half_all &= mode == "strict"
+    y_all, pole_all = _admittances(geom, l_all, omega)
+    y_ref = complex(math.nan, 0.0) if half_all[-1] or pole_all[-1] else complex(y_all[-1])
+    l_j, ic_sq, half, y, y_pole = (v[:-1] for v in (l_all, ic_all, half_all, y_all, pole_all))
     f_f = _filter_frequencies(geom, l_j)
-    y, y_pole = _admittances(geom, l_j, omega)
     factor, i_pole = _inductor_current_factor(geom, l_j, omega)
     i_peak = np.abs(i_node * factor)
     stage = np.select([half, np.isnan(f_f), y_pole, i_pole], [1, 2, 3, 4], 5)

@@ -115,7 +115,9 @@ def gen_reset_curves(rates: DecayRates, preps, t_grid, n_shots_per_point: int,
 
     The underlying truth comes from ``populations_ode`` (itself verified
     against the closed forms), so the round trip through
-    ``fit_decay_rates`` exercises both solution paths.
+    ``fit_decay_rates`` exercises both solution paths.  Its rows are
+    non-negative and sum to 1, ``apply_thermal_floor`` keeps both, and the
+    rows are sampled unchanged.
     """
     if n_shots_per_point < 1:
         raise ValueError("n_shots_per_point must be >= 1")
@@ -126,8 +128,6 @@ def gen_reset_curves(rates: DecayRates, preps, t_grid, n_shots_per_point: int,
         p = populations_ode(t_grid, rates, PopulationVector.pure(prep))
         if floor_p_inf is not None:
             p = apply_thermal_floor(p, floor_p_inf)
-        p = np.clip(p, 0.0, None)
-        p /= p.sum(axis=1, keepdims=True)
         counts = np.array([rng.multinomial(n_shots_per_point, row) for row in p])
         curves[prep] = ResetCurve(t_grid, counts / n_shots_per_point)
     return ResetDataset(curves)

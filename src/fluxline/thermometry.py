@@ -58,14 +58,15 @@ def level_energies(ladder: LevelLadder, n_levels: int) -> np.ndarray:
     """Energies (GHz) of the lowest ``n_levels`` >= 4 levels above the ground state.
 
     Past h the transition frequencies keep falling by the constant
-    anharmonicity step f_ef - f_fh.
+    anharmonicity step f_ef - f_fh; the first that is not positive raises
+    ValueError before any further level is built.
     """
     transitions = [ladder.f_ge_ghz, ladder.f_ef_ghz, ladder.f_fh_ghz]
     step = ladder.f_ef_ghz - ladder.f_fh_ghz
     while len(transitions) < n_levels - 1:
         transitions.append(transitions[-1] - step)
-    if any(f <= 0 for f in transitions):
-        raise ValueError("ladder extension produced non-positive transition frequency")
+        if transitions[-1] <= 0:
+            raise ValueError("ladder extension produced non-positive transition frequency")
     return np.cumsum([0.0, *transitions])
 
 

@@ -387,6 +387,17 @@ class TestFitCurve:
         assert main(["fit-curve", "--config", cfg,
                      "--out", str(tmp_path / "x.json")]) == 1
 
+    def test_rb_model_left_to_fit_rb_exit_1(self, tmp_path, capsys):
+        # fit-rb fits the benchmarking decay and reports its fidelities too.
+        fio.write_curve_csv(tmp_path / "c.csv", [0, 1, 2], [1, 2, 3])
+        cfg = write_cfg(tmp_path, "cfg.json", {"curve_csv": str(tmp_path / "c.csv"),
+                                               "model": "rb"})
+        assert main(["fit-curve", "--config", cfg,
+                     "--out", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: model must be 'exponential' or 'decaying_cosine' or "
+            "'stretched_exponential' or 'quadratic_minimum', got 'rb'\n")
+
 
 @pytest.mark.parametrize("command", ["fit-curve", "fit-rb"])
 class TestCurveCsvBoundary:

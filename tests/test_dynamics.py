@@ -440,6 +440,20 @@ class TestFitDecayRates:
         fit = dyn.fit_decay_rates(data, fit_floor=True)
         assert fit.floor == pytest.approx(0.985, abs=2e-3)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_floor_fit_without_floor_in_data_has_honest_sigmas(self, reset_rates, seed):
+        # The generate-reset defaults with no floor: the fitted floor sits at
+        # its bound 1, where a forward difference of p_inf would leave the box.
+        t = np.linspace(10e-9, 2000e-9, 40)
+        data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 10000, seed=seed)
+        fit = dyn.fit_decay_rates(data, fit_floor=True)
+        x = np.array([fit.rates.gamma_ge, fit.rates.gamma_ef, fit.rates.gamma_fh, fit.floor])
+        assert fit.sigmas["p_inf"] > 1e-6
+        # Forward and backward quotients of a rate column differ by their
+        # O(h) truncation, 1.3e-6 to 2.2e-6 relative on these seeds.
+        sigmas = [fit.sigmas[n] for n in ("gamma_ge", "gamma_ef", "gamma_fh")]
+        assert _rel(sigmas, _backward_sandwich_sigmas(data, x)[:3]).max() < 1e-5
+
     @pytest.mark.parametrize("index, value", [(0, -1.0), (1, 0.0), (3, 1.2), (3, 0.0)])
     def test_optimum_outside_physical_region_raises(self, monkeypatch, reset_rates,
                                                     index, value):
@@ -557,6 +571,33 @@ def _reference_fit(data, fit_floor):
 
 def _rel(a, b):
     return np.abs(np.asarray(a) - np.asarray(b)) / np.maximum(np.abs(a), np.abs(b))
+
+
+def _backward_sandwich_sigmas(data, x):
+    """Sandwich sigmas of the floor fit at ``x`` from per-preparation closed
+    forms and a backward-difference Jacobian, step 1e-6 max(1, |x|), which
+    never steps past the floor's bound 1."""
+    preps = sorted(data.curves, key="efh".index)
+    measured = np.concatenate([data.curves[p].populations.ravel() for p in preps])
+
+    def residuals(theta):
+        rates = dyn.DecayRates(*theta[:3])
+        model = np.concatenate([dyn.populations_closed_form(
+            data.curves[p].times, rates, dyn.PopulationVector.pure(p)) for p in preps])
+        return dyn.apply_thermal_floor(model, theta[3]).ravel() - measured
+
+    fun = residuals(x)
+    jac = np.empty((fun.size, x.size))
+    for i in range(x.size):
+        xi = x.copy()
+        xi[i] -= 1e-6 * max(1.0, abs(x[i]))
+        jac[:, i] = (residuals(xi) - fun) / (xi[i] - x[i])
+    n_blocks, n_params = fun.size // 4, x.size
+    bread = np.linalg.inv(jac.T @ jac)
+    scores = np.einsum("bip,bi->bp", jac.reshape(n_blocks, 4, n_params),
+                       fun.reshape(n_blocks, 4))
+    cov = bread @ scores.T @ scores @ bread * (n_blocks / (n_blocks - n_params))
+    return np.sqrt(np.diag(cov))
 
 
 class TestSolverMatchesScipyReference:

@@ -291,6 +291,20 @@ class TestLevenbergMarquardt:
         assert min(points) > 0.0
         assert 0.0 < x[0] < 1e-12
 
+    def test_difference_jacobian_never_steps_out_of_the_box(self):
+        # x0 sits 1e-10 below hi, where a forward step of 1e-6 would leave the
+        # box and fun raises; the difference column is taken backward instead.
+        lo, hi = np.zeros(2), np.ones(2)
+
+        def fun(x):
+            if ((x < lo) | (x > hi)).any():
+                raise ValueError(f"evaluated outside the box at {x}")
+            return np.array([x[0] - 2.0, x[1] - 0.5, x[0] * x[1]])
+
+        x, _, jac = fits.levenberg_marquardt(fun, [1.0 - 1e-10, 0.3], lo=lo, hi=hi)
+        assert np.isfinite(jac).all()
+        assert 1.0 - 1e-9 < x[0] <= 1.0
+
 
 # --- scipy reference fits ----------------------------------------------------
 #

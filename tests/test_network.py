@@ -311,33 +311,35 @@ class TestQubitAdmittance:
 
 
 class TestCouplingFigures:
+    # The coupling figures of one flux point: a one-point flux_sweep row.
     def test_reciprocal_t1(self, geometry, squid_array):
         qubit = nw.QubitLoad(f_q=3.9e9, c_q=143e-15)
-        figs = nw.coupling_figures(geometry, squid_array, qubit, 0.3, 4.2e9)
-        assert figs.t1_ext == pytest.approx(1.0 / figs.gamma_qf, rel=1e-12)
-        assert figs.t1_total == figs.t1_ext  # no internal loss channel
+        row = nw.flux_sweep(geometry, squid_array, qubit, [0.3], 4.2e9)[0]
+        assert row.t1_ext == pytest.approx(1.0 / row.gamma_qf, rel=1e-12)
+        assert row.t1_total == row.t1_ext  # no internal loss channel
 
     def test_total_t1_capped_by_internal(self, geometry, squid_array, qubit):
-        figs = nw.coupling_figures(geometry, squid_array, qubit, 0.3, 4.2e9)
-        assert figs.t1_total <= min(figs.t1_ext, qubit.t1_internal) * (1 + 1e-12)
-        expected = 1.0 / (1.0 / figs.t1_ext + 1.0 / qubit.t1_internal)
-        assert figs.t1_total == pytest.approx(expected, rel=1e-12)
+        row = nw.flux_sweep(geometry, squid_array, qubit, [0.3], 4.2e9)[0]
+        assert row.t1_total <= min(row.t1_ext, qubit.t1_internal) * (1 + 1e-12)
+        expected = 1.0 / (1.0 / row.t1_ext + 1.0 / qubit.t1_internal)
+        assert row.t1_total == pytest.approx(expected, rel=1e-12)
 
     def test_drive_at_filter_frequency_restores_internal_t1(
             self, geometry, squid_array, qubit):
         l_s = nw.squid_array_inductance(squid_array, 0.25)
         f_f = nw.filter_frequency_exact(geometry, l_s)
-        figs = nw.coupling_figures(geometry, squid_array, qubit, 0.25, f_f)
-        assert figs.gamma_qf < 1e-15 / qubit.c_q
-        assert figs.t1_total == pytest.approx(qubit.t1_internal, rel=1e-6)
+        row = nw.flux_sweep(geometry, squid_array, qubit, [0.25], f_f)[0]
+        assert row.gamma_qf < 1e-15 / qubit.c_q
+        assert row.t1_total == pytest.approx(qubit.t1_internal, rel=1e-6)
 
     def test_rabi_normalized_at_reference(self, geometry, squid_array, qubit):
-        figs = nw.coupling_figures(geometry, squid_array, qubit, 0.0, 4.2e9)
-        assert figs.rabi_relative == pytest.approx(1.0, rel=1e-12)
+        row = nw.flux_sweep(geometry, squid_array, qubit, [0.0], 4.2e9)[0]
+        assert row.rabi_rel == pytest.approx(1.0, rel=1e-12)
 
     def test_strict_mode_propagates_half_flux(self, geometry, squid_array, qubit):
-        with pytest.raises(HalfFluxDivergence):
-            nw.coupling_figures(geometry, squid_array, qubit, 0.5, 4.2e9, mode="strict")
+        row = nw.flux_sweep(geometry, squid_array, qubit, [0.5], 4.2e9, mode="strict")[0]
+        assert row.error == "HalfFluxDivergence"
+        assert math.isnan(row.gamma_qf) and math.isnan(row.rabi_rel)
 
 
 class TestFluxSweep:
@@ -345,11 +347,10 @@ class TestFluxSweep:
         rows = nw.flux_sweep(geometry, squid_array, qubit, [0.0], 4.2e9)
         assert len(rows) == 1
         row = rows[0]
-        figs = nw.coupling_figures(geometry, squid_array, qubit, 0.0, 4.2e9,
-                                   mode="clamped")
-        assert row.gamma_qf == pytest.approx(figs.gamma_qf, rel=1e-12)
-        assert row.l_j_arr == pytest.approx(
-            nw.squid_array_inductance(squid_array, 0.0), rel=1e-12)
+        l_s = nw.squid_array_inductance(squid_array, 0.0)
+        y = nw.qubit_admittance(geometry, l_s, 2 * math.pi * 4.2e9)
+        assert row.gamma_qf == pytest.approx(y.real / qubit.c_q, rel=1e-12)
+        assert row.l_j_arr == pytest.approx(l_s, rel=1e-12)
         assert row.f_f == pytest.approx(
             nw.filter_frequency_exact(geometry, row.l_j_arr), rel=1e-12)
 
@@ -403,8 +404,10 @@ class TestFluxSweep:
         for func in (nw.input_impedance, nw.qubit_admittance):
             with pytest.raises(ValueError):
                 func(geometry, 0.1e-9, math.inf)
-        with pytest.raises(ValueError):
-            nw.flux_sweep(geometry, squid_array, qubit, [0.1], math.inf)
+        # A nan drive is no drive frequency either.
+        for drive in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="drive_freq"):
+                nw.flux_sweep(geometry, squid_array, qubit, [0.1], drive)
 
     def test_invalid_mode_rejected(self, geometry, squid_array, qubit):
         with pytest.raises(ValueError, match="mode"):

@@ -1,6 +1,7 @@
 """Tests of the seeded synthetic-data generators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ class TestLadderExtension:
         ge, ef, fh = ladder_a.f_ge_ghz, ladder_a.f_ef_ghz, ladder_a.f_fh_ghz
         assert np.array_equal(th.level_energies(ladder_a, 4),
                               [0.0, ge, ge + ef, ge + ef + fh])
+
+    def test_non_positive_transition_raises_before_the_rest_is_built(self, ladder_a):
+        # ladder_a's transitions fall by 0.1437 GHz a level and pass zero at
+        # the 29th; the rest of the 999999 are never built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="non-positive transition"):
+                th.level_energies(ladder_a, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_probabilities_normalized(self, gen_config):
         p = synth.thermal_level_probabilities(gen_config, 0.3)
