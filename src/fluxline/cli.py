@@ -9,7 +9,6 @@ README), so each ``cmd_*`` takes checked values, in SI, under their keys.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import numpy as np
@@ -303,9 +302,8 @@ def read_argv(argv) -> tuple[str, str, str, int | None]:
 def main(argv=None) -> int:
     command, config, out, seed = read_argv(sys.argv[1:] if argv is None else argv)
     try:
-        with open(config) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        cfg = fio.load_json(config)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8 or too deep
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:

@@ -126,7 +126,11 @@ class ResetDataset:
     curves: dict[str, ResetCurve]
 
     def __post_init__(self):
-        for label in self.curves:
+        self.check_labels(self.curves)
+
+    @staticmethod
+    def check_labels(labels):
+        for label in labels:
             if label not in _PREP_INDEX:
                 raise ValueError(f"unknown preparation label {label!r}")
 

@@ -21,9 +21,9 @@ class TangentPole(FluxlineError):
 class NoRootFound(FluxlineError):
     """The filter-frequency scan window contains no root."""
 
-    def __init__(self, message, diagnostics=None):
+    def __init__(self, message, diagnostics):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = diagnostics
 
 
 # --- dynamics ----------------------------------------------------------------
@@ -67,7 +67,7 @@ class SingularComponent(FluxlineError):
 class NotConverged(FluxlineError):
     """EM hit the iteration cap before meeting the likelihood tolerance."""
 
-    def __init__(self, message, log_likelihood=None):
+    def __init__(self, message, log_likelihood):
         super().__init__(message)
         self.log_likelihood = log_likelihood
 

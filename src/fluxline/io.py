@@ -54,8 +54,10 @@ _READ_BLOCK_BYTES = 1 << 20
 
 
 def load_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:  # a ValueError, as any other unreadable JSON
+        raise ValueError(f"JSON in {path} is nested too deeply") from None
 
 
 def dump_json(obj, path) -> None:

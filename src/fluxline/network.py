@@ -27,9 +27,10 @@ and a capacitor ``1/(i w C)``.  All quantities are strict SI; unit
 conversion belongs at the I/O boundary.
 
 The private kernels work on arrays of flux points (or of ``l_s``) at one
-drive frequency and return pole masks instead of raising; the public
-scalar functions are their one-row calls, and ``flux_sweep`` runs them over
-the whole grid in one pass.
+drive frequency and return pole masks instead of raising; ``flux_sweep``
+runs them over the whole grid in one pass.  The scalar
+``squid_array_inductance``, ``filter_frequency_exact`` and
+``qubit_admittance`` are one-row calls of them that raise on a mask.
 """
 
 from __future__ import annotations
@@ -114,10 +115,6 @@ class FilterGeometry:
         """Bare quarter-wave frequency v_p / (4 l_f) in Hz."""
         return self.v_p / (4.0 * self.l_f)
 
-    @property
-    def omega0(self) -> float:
-        return 2.0 * math.pi * self.f0
-
 
 @dataclass(frozen=True)
 class QubitLoad:
@@ -154,16 +151,11 @@ def _inductances(arr: SquidArray, flux, mode: str):
     return arr.n_squids * (arr.l_fixed_per_squid + PHI0 / (2.0 * math.pi * ic_sq)), ic_sq, below
 
 
-def squid_critical_current(arr: SquidArray, flux_ratio: float) -> float:
-    """Flux-dependent SQUID critical current 2 Ic |cos(pi * flux_ratio)|."""
-    return float(_inductances(arr, flux_ratio, "strict")[1])  # strict: never clamped
-
-
 def squid_array_inductance(arr: SquidArray, flux_ratio: float, mode: str = "strict") -> float:
     """Series inductance of the SQUID array at a given flux bias (H).
 
     The linear part N (L_fixed + Phi0 / (2 pi Ic_sq)) alone: the drive is
-    kept small, and the sweep gates it with ``nonlinearity_margin``.
+    kept small, and the sweep reports how small in its ``margin`` field.
     """
     l_arr, ic_sq, below = _inductances(arr, flux_ratio, mode)
     if below and mode == "strict":
@@ -214,22 +206,6 @@ def _input_reactances(geom: FilterGeometry, l_s, omega: float):
         x_in = np.where(open_end, -z0 / t_l, z0 * (x1 + z0 * t_l) / (z0 - x1 * t_l))
     # A zero denominator in either transform leaves X_in non-finite.
     return x_in, (np.abs(s_l) > _POLE_TAN * np.abs(c_l)) | ~np.isfinite(x_in)
-
-
-def input_impedance(geom: FilterGeometry, l_s: float, omega: float) -> complex:
-    """Impedance of the stub seen from the node at angular frequency omega.
-
-    Purely imaginary for this lossless network.  Raises TangentPole when a
-    line tangent sits within tolerance of one of its poles, or when the
-    transform itself lands on an impedance pole; the caller should perturb
-    omega.
-    """
-    if omega <= 0 or omega == math.inf:
-        raise ValueError("omega must be positive and finite")
-    x_in, pole = _input_reactances(geom, l_s, omega)
-    if pole:
-        raise TangentPole(f"input impedance at a pole for omega = {omega:.6e}")
-    return complex(0.0, float(x_in))
 
 
 def filter_frequency_first_order(f0: float, l_s: float, z0: float) -> float:
@@ -323,18 +299,6 @@ def filter_frequency_exact(geom: FilterGeometry, l_s: float) -> float:
     return float(f_f)
 
 
-def perturbative_pull(geom: FilterGeometry, l_s: float) -> float:
-    """First-order fractional frequency pull, position dependence included.
-
-    df / f0 = -(2/pi) (w0 l_s / z0) cos^2(pi x_s / (2 l_f)); zero when the
-    inductor sits at the open-end current node, maximal at the voltage node.
-    """
-    if l_s < 0:
-        raise ValueError("l_s must be >= 0")
-    leverage = math.cos(math.pi * geom.x_s / (2.0 * geom.l_f)) ** 2
-    return -(2.0 / math.pi) * (geom.omega0 * l_s / geom.z0) * leverage
-
-
 def _inductor_current_factor(geom: FilterGeometry, l_s, omega: float):
     """I_s / I(0) (inductor current per unit node current) over an ``l_s``
     array, from the ideal-open standing wave (c_g neglected), and its pole
@@ -343,48 +307,6 @@ def _inductor_current_factor(geom: FilterGeometry, l_s, omega: float):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = c_l + (c_r / s_r - omega * np.asarray(l_s, dtype=float) / geom.z0) * s_l
         return 1.0 / d, (np.abs(c_r) > _POLE_TAN * np.abs(s_r)) | (d == 0.0) | ~np.isfinite(d)
-
-
-def current_profile(
-    geom: FilterGeometry,
-    l_s: float,
-    omega: float,
-    i0: float,
-    n_points: int = 201,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standing-wave current along the stub, normalized to I(0) = i0.
-
-    Returns ``(x, current)`` arrays.  The open boundary enforces a current
-    node at x = l_f; the current is continuous across the series inductor
-    while the voltage steps by i w l_s I_s.  Derived for the ideal open end
-    (c_g = 0); with l_s = 0 at exact quarter wave it reduces to
-    I(x) = I(0) sin(b (l_f - x)) / sin(b l_f).
-    """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
-    factor, pole = _inductor_current_factor(geom, l_s, omega)
-    if pole:
-        raise TangentPole(f"current-profile pole at the drive point, omega = {omega:.6e}")
-    # A pole-free factor needs sin(b l_r) != 0, so x_s < l_f, and sin(0)
-    # makes the open end an exact current node.
-    i_s = i0 * float(factor)
-    beta = omega / geom.v_p
-    _, _, s_r, c_r = _line_terms(geom, omega)
-    x = np.linspace(0.0, geom.l_f, n_points)
-    coeff = c_r / s_r - omega * l_s / geom.z0
-    left = i_s * (np.cos(beta * (geom.x_s - x)) + coeff * np.sin(beta * (geom.x_s - x)))
-    right = i_s * np.sin(beta * (geom.l_f - x)) / s_r
-    return x, np.where(x <= geom.x_s, left, right).astype(complex)
-
-
-def nonlinearity_margin(i_peak, ic_sq):
-    """Linear-response margin 5 I_peak / Ic_sq and its < 0.25 design gate (elementwise)."""
-    if np.any(np.less_equal(ic_sq, 0)):
-        raise ValueError("ic_sq must be positive")
-    if np.any(np.less(i_peak, 0)):
-        raise ValueError("i_peak must be >= 0")
-    margin = 5.0 * i_peak / ic_sq
-    return margin, margin < 0.25
 
 
 def _admittances(geom: FilterGeometry, l_s, omega: float):
@@ -463,8 +385,8 @@ def flux_sweep(
     rows with the same attributes (``row.f_f``, ``row.error``).  Points are
     independent and deterministic.  The coupling fields are defined in
     ``_coupling_columns``, rabi_rel against the coupling at
-    ``reference_flux``.  ``i_node`` is the node drive current for the
-    peak-current and margin fields (0.2 uA: about -80 dBm on 50 ohm).
+    ``reference_flux``.  ``i_node`` is the node drive current for i_peak
+    (0.2 uA: about -80 dBm on 50 ohm); margin is 5 i_peak / Ic_sq.
     """
     flux = np.array(list(flux_grid), dtype=float)
     if flux.size == 0:
@@ -491,5 +413,5 @@ def flux_sweep(
     coupling = [kept(col, 3) for col in _coupling_columns(qubit, y, y_ref)]
     return np.rec.fromarrays(
         [flux, kept(l_j, 1), kept(f_f, 2), *coupling, kept(i_peak, 4),
-         kept(nonlinearity_margin(i_peak, ic_sq)[0], 4), _STAGE_ERRORS[stage]],
+         kept(5.0 * i_peak / ic_sq, 4), _STAGE_ERRORS[stage]],
         names=SWEEP_FIELDS + ("error",))

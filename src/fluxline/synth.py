@@ -121,6 +121,7 @@ def gen_reset_curves(rates: DecayRates, preps, t_grid, n_shots_per_point: int,
     """
     if n_shots_per_point < 1:
         raise ValueError("n_shots_per_point must be >= 1")
+    ResetDataset.check_labels(preps)  # before any integration
     t_grid = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     curves = {}

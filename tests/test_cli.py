@@ -20,6 +20,7 @@ from fluxline import dynamics as dyn
 from fluxline import fits
 from fluxline import io as fio
 from fluxline import network as nw
+from fluxline import synth
 from fluxline.cli import main
 from fluxline.errors import RankDeficient
 
@@ -183,6 +184,35 @@ class TestFilterSweep:
                      "--out", str(tmp_path / "x.csv")]) == 1
 
 
+class TestDeeplyNestedJson:
+    # Past the interpreter's recursion limit json.load raises RecursionError;
+    # the file must read as any other unreadable JSON: exit 1, one line.
+    DEEP = "[" * 1000 + "]" * 1000
+
+    def check(self, capsys, argv, out):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith("is nested too deeply\n")
+        assert not out.exists()
+
+    def test_config(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(self.DEEP)
+        self.check(capsys, ["filter-sweep", "--config", str(tmp_path / "cfg.json")],
+                   tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("command", ["fit-temp", "classify"])
+    def test_model_json(self, tmp_path, capsys, command):
+        (tmp_path / "shots.csv").write_text("prep,i,q\n,0.5,1.5\n,2.0,-1.0\n")
+        (tmp_path / "model.json").write_text(self.DEEP)
+        cfg = {"shots_csv": str(tmp_path / "shots.csv"),
+               "model_json": str(tmp_path / "model.json")}
+        if command == "fit-temp":
+            cfg.update({"ladder": LADDER_CFG, "window": 2, "t_shot_us": 34.2})
+        self.check(capsys, [command, "--config", write_cfg(tmp_path, "cfg.json", cfg)],
+                   tmp_path / "out.json")
+
+
 class TestGenerateAndFitReset:
     def test_round_trip(self, tmp_path):
         gen_cfg = write_cfg(tmp_path, "gen.json", {
@@ -264,6 +294,23 @@ class TestGenerateAndFitReset:
         gen_cfg = write_cfg(tmp_path, "gen.json", {"generator": "bogus"})
         assert main(["generate", "--config", gen_cfg,
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("prep", ["x", "", "g"])
+    def test_unknown_prep_exit_1_before_integrating(self, tmp_path, capsys, monkeypatch,
+                                                    prep):
+        # "g" is a level but no preparation; no trajectory may be integrated.
+        def integrated(*args, **kwargs):
+            raise AssertionError("integrated before checking the preparation labels")
+
+        monkeypatch.setattr(synth, "populations_ode", integrated)
+        gen_cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "reset",
+            "rates": {"t1_ge_ns": 238.22, "t1_ef_ns": 136.80, "t1_fh_ns": 128.84},
+            "preps": ["e", prep]})
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--config", gen_cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unknown preparation label {prep!r}\n"
+        assert not out.exists()
 
 
 class TestResetCsvBoundary:

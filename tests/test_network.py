@@ -17,23 +17,29 @@ from fluxline.errors import (
 )
 
 
+def critical_current(arr, flux):
+    """The SQUID critical current 2 Ic |cos(pi flux)| that the sweep's
+    margin divides by: strict mode never clamps it."""
+    return float(nw._inductances(arr, flux, "strict")[1])
+
+
 class TestSquidArray:
     def test_critical_current_zero_flux(self, squid_array):
-        assert nw.squid_critical_current(squid_array, 0.0) == pytest.approx(20e-6)
+        assert critical_current(squid_array, 0.0) == pytest.approx(20e-6)
 
     def test_critical_current_half_flux(self, squid_array):
-        assert nw.squid_critical_current(squid_array, 0.5) == pytest.approx(0.0, abs=1e-20)
+        assert critical_current(squid_array, 0.5) == pytest.approx(0.0, abs=1e-20)
 
     def test_critical_current_third_flux(self, squid_array):
         # 2 * 10 uA * cos(pi/3) = 10 uA
-        assert nw.squid_critical_current(squid_array, 1.0 / 3.0) == pytest.approx(10e-6)
+        assert critical_current(squid_array, 1.0 / 3.0) == pytest.approx(10e-6)
 
     @given(flux=st.floats(-3, 3), shift=st.integers(-2, 2))
     def test_critical_current_periodic_and_even(self, flux, shift):
         arr = nw.SquidArray(**{"n_squids": 5, "ic_junction": 10e-6})
-        a = nw.squid_critical_current(arr, flux)
-        assert nw.squid_critical_current(arr, flux + shift) == pytest.approx(a, rel=1e-9, abs=1e-18)
-        assert nw.squid_critical_current(arr, -flux) == pytest.approx(a, rel=1e-12, abs=1e-30)
+        a = critical_current(arr, flux)
+        assert critical_current(arr, flux + shift) == pytest.approx(a, rel=1e-9, abs=1e-18)
+        assert critical_current(arr, -flux) == pytest.approx(a, rel=1e-12, abs=1e-30)
 
     def test_inductance_zero_flux(self, squid_array):
         # 5 * Phi0 / (4 pi * 10 uA)
@@ -82,41 +88,57 @@ class TestSquidArray:
             nw.SquidArray(n_squids=5, ic_junction=10e-6, clamp_epsilon=0.5)
 
 
+def input_reactance(geom, l_s, omega):
+    """X_in of the stub at one l_s, from the kernel behind the sweep's
+    admittance column; the point must be off every pole."""
+    x_in, pole = nw._input_reactances(geom, np.array([l_s]), omega)
+    assert not pole[0]
+    return float(x_in[0])
+
+
 class TestInputImpedance:
+    # The stub is lossless, so its impedance is i X_in with X_in real.
     def test_quarter_wave_short(self, geometry):
         geom = replace(geometry, x_s=0.0)
-        z = nw.input_impedance(geom, 0.0, geometry.omega0)
-        assert abs(z) < 1e-6
+        assert abs(input_reactance(geom, 0.0, 2 * math.pi * geometry.f0)) < 1e-6
 
     def test_short_independent_of_xs(self, geometry):
-        z = nw.input_impedance(geometry, 0.0, geometry.omega0)
-        assert abs(z) < 1e-6
+        assert abs(input_reactance(geometry, 0.0, 2 * math.pi * geometry.f0)) < 1e-6
+        # With no inductance the stub is one open line of length l_f at any
+        # drive: X_in = -z0 cot(b l_f), wherever x_s splits it.
+        for f in (2.1e9, 3.7e9, 5.2e9):
+            beta = 2 * math.pi * f / geometry.v_p
+            assert input_reactance(geometry, 0.0, 2 * math.pi * f) == pytest.approx(
+                -geometry.z0 / math.tan(beta * geometry.l_f), rel=1e-9)
 
     def test_half_frequency_value(self, geometry):
         # Open stub at half the quarter-wave frequency: the tan-transform
         # chain gives -i z0 cot(pi/4) = -i z0 (capacitive below resonance).
         geom = replace(geometry, x_s=0.0)
-        z = nw.input_impedance(geom, 0.0, geometry.omega0 / 2)
-        assert z.real == 0.0
-        assert z.imag == pytest.approx(-geometry.z0, rel=1e-12)
+        x_in = input_reactance(geom, 0.0, math.pi * geometry.f0)
+        assert x_in == pytest.approx(-geometry.z0, rel=1e-12)
 
     def test_purely_imaginary(self, geometry):
+        # The kernel returns a real reactance: no resistive part to carry.
         for f in (2.1e9, 3.7e9, 5.2e9):
-            z = nw.input_impedance(geometry, 0.075e-9, 2 * math.pi * f)
-            assert z.real == 0.0
+            x_in, pole = nw._input_reactances(geometry, np.array([0.075e-9]), 2 * math.pi * f)
+            assert x_in.dtype == np.float64 and np.isfinite(x_in).all() and not pole.any()
 
     def test_sign_change_across_root(self, geometry):
         l_s = 0.075e-9
         f_root = nw.filter_frequency_exact(geometry, l_s)
-        below = nw.input_impedance(geometry, l_s, 2 * math.pi * f_root * (1 - 1e-6))
-        above = nw.input_impedance(geometry, l_s, 2 * math.pi * f_root * (1 + 1e-6))
-        assert below.imag * above.imag < 0
+        below = input_reactance(geometry, l_s, 2 * math.pi * f_root * (1 - 1e-6))
+        above = input_reactance(geometry, l_s, 2 * math.pi * f_root * (1 + 1e-6))
+        assert below * above < 0
 
     def test_tangent_pole_raises(self, geometry):
-        # beta * x_s = pi/2 puts tan at its pole
+        # beta * x_s = pi/2 puts tan at its pole: the kernel masks the point,
+        # and the admittance through c_d > 0 raises on that mask.
         omega = math.pi * geometry.v_p / (2 * geometry.x_s)
+        assert nw._input_reactances(geometry, np.zeros(1), omega)[1][0]
+        assert geometry.c_d > 0
         with pytest.raises(TangentPole):
-            nw.input_impedance(geometry, 0.0, omega)
+            nw.qubit_admittance(geometry, 0.0, omega)
 
     def test_end_cap_shifts_down(self, geometry):
         with_cap = replace(geometry, c_g=5e-15)
@@ -169,7 +191,7 @@ class TestFilterFrequency:
         geom = replace(geometry, z0=120.0, x_s=(1.0 - gap) * geometry.l_f)
         assert abs(nw.filter_frequency_exact(geom, 0.0) - geom.f0) / geom.f0 < 1e-9
         pull = (nw.filter_frequency_exact(geom, 1e-9) - geom.f0) / geom.f0
-        expected = nw.perturbative_pull(geom, 1e-9)
+        expected = first_order_pull(geom, 1e-9)
         assert abs(pull - expected) <= 0.1 * abs(expected) + 1e-12
 
     def test_monotone_pull_in_inductance(self, geometry):
@@ -197,53 +219,72 @@ class TestFilterFrequency:
         assert abs(f - geom.f0) / geom.f0 < 1e-9
 
 
+def first_order_pull(geom, l_s):
+    """First-order fractional pull of the filter frequency by a series l_s
+    at x_s: -(2/pi) (w0 l_s / z0) cos^2(pi x_s / (2 l_f)), zero when the
+    inductor sits at the open-end current node, largest at the node."""
+    leverage = math.cos(math.pi * geom.x_s / (2.0 * geom.l_f)) ** 2
+    return -(2.0 / math.pi) * (2.0 * math.pi * geom.f0 * l_s / geom.z0) * leverage
+
+
+def exact_pull(geom, l_s):
+    return (nw.filter_frequency_exact(geom, l_s) - geom.f0) / geom.f0
+
+
 class TestPerturbativePull:
     def test_zero_at_open_end(self, geometry):
         geom = replace(geometry, x_s=geometry.l_f)
-        assert nw.perturbative_pull(geom, 0.075e-9) == pytest.approx(0.0, abs=1e-15)
+        assert first_order_pull(geom, 0.075e-9) == pytest.approx(0.0, abs=1e-15)
+        assert exact_pull(geom, 0.075e-9) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_first_order_at_node(self, geometry):
         # At x_s = 0 the leverage is 1 and the pull reduces to
-        # -(2/pi) w0 l_s / z0 = -4 f0 l_s / z0.
+        # -(2/pi) w0 l_s / z0 = -4 f0 l_s / z0; the exact root agrees to
+        # second order in that pull (3.6e-4 here).
         geom = replace(geometry, x_s=0.0)
         l_s = 1e-12
-        assert nw.perturbative_pull(geom, l_s) == pytest.approx(
+        assert first_order_pull(geom, l_s) == pytest.approx(
             -4 * geom.f0 * l_s / geom.z0, rel=1e-12)
+        assert exact_pull(geom, l_s) == pytest.approx(first_order_pull(geom, l_s), rel=1e-3)
 
     def test_against_exact_root_small_inductance(self, geometry):
         # 4 f0 l_s / z0 = 0.05
         l_s = 0.05 * geometry.z0 / (4 * geometry.f0)
-        exact_shift = (nw.filter_frequency_exact(geometry, l_s) - geometry.f0) / geometry.f0
-        pull = nw.perturbative_pull(geometry, l_s)
+        exact_shift = exact_pull(geometry, l_s)
+        pull = first_order_pull(geometry, l_s)
         assert pull < 0
         assert abs(pull - exact_shift) / abs(exact_shift) <= 0.10
 
     def test_non_increasing_magnitude_in_position(self, geometry):
-        pulls = [abs(nw.perturbative_pull(replace(geometry, x_s=x), 0.075e-9))
+        # Moving the inductor from the node to the open end lowers the
+        # current through it, so the exact pull never grows.
+        pulls = [abs(exact_pull(replace(geometry, x_s=x), 0.075e-9))
                  for x in np.linspace(0, geometry.l_f, 30)]
-        assert np.all(np.diff(pulls) <= 1e-18)
+        assert np.all(np.diff(pulls) <= 1e-12)
 
 
 class TestCurrentProfile:
+    # _inductor_current_factor is I_s / I(0), the sweep's i_peak per unit
+    # node current.
     def test_open_end_node_and_normalization(self, geometry):
+        # With the inductor at the node it carries the node current itself.
         geom = replace(geometry, x_s=0.0)
-        x, cur = nw.current_profile(geom, 0.0, geometry.omega0, i0=1e-6, n_points=64)
-        assert abs(cur[-1]) == 0.0
-        assert cur[0] == pytest.approx(1e-6, rel=1e-12)
+        for l_s in (0.0, 0.3e-9):
+            for f in (geometry.f0, 3.7e9):
+                factor, pole = nw._inductor_current_factor(geom, np.array([l_s]),
+                                                           2 * math.pi * f)
+                assert factor[0] == 1.0 and not pole[0]
 
     def test_quarter_wave_profile_shape(self, geometry):
-        x, cur = nw.current_profile(geometry, 0.0, geometry.omega0, i0=1.0, n_points=200)
-        beta = geometry.omega0 / geometry.v_p
-        expected = np.sin(beta * (geometry.l_f - x)) / math.sin(beta * geometry.l_f)
-        assert np.allclose(cur.real, expected, atol=1e-9)
-
-    def test_continuity_across_inductor(self, geometry):
-        l_s = 0.3e-9
-        omega = 2 * math.pi * 4.0e9
-        x, cur = nw.current_profile(geometry, l_s, omega, i0=1.0, n_points=100001)
-        k = np.searchsorted(x, geometry.x_s)
-        step = abs(cur[k + 1] - cur[k - 1]) / max(abs(cur[k]), 1e-300)
-        assert step < 1e-3  # grid-spacing-limited, no jump at the inductor
+        # At l_s = 0 the standing wave I(x) = I(0) sin(b (l_f - x)) / sin(b l_f)
+        # holds along the whole stub, so at x_s the factor is its value there.
+        l_r = geometry.l_f - geometry.x_s
+        for f in (geometry.f0, 3.7e9, 5.2e9):
+            beta = 2 * math.pi * f / geometry.v_p
+            factor, pole = nw._inductor_current_factor(geometry, np.zeros(1), 2 * math.pi * f)
+            assert not pole[0]
+            assert factor[0] == pytest.approx(
+                math.sin(beta * l_r) / math.sin(beta * geometry.l_f), rel=1e-12)
 
     def test_branch_values_agree_at_junction(self, geometry):
         # evaluate both branch expressions exactly at x_s
@@ -258,25 +299,21 @@ class TestCurrentProfile:
         right = factor * math.sin(beta * l_r) / math.sin(beta * l_r)
         assert left == pytest.approx(right, rel=1e-12)
 
-    def test_max_open_end_leak_over_sweep(self, geometry):
-        worst = 0.0
-        for f in np.linspace(3.6e9, 4.4e9, 7):
-            x, cur = nw.current_profile(geometry, 0.2e-9, 2 * math.pi * f, i0=1.0)
-            worst = max(worst, abs(cur[-1]) / abs(cur[0]))
-        assert worst < 1e-9
-
 
 class TestNonlinearityMargin:
-    def test_values(self):
-        assert nw.nonlinearity_margin(0.5e-6, 20e-6) == (pytest.approx(0.125), True)
-        assert nw.nonlinearity_margin(0.0, 20e-6) == (pytest.approx(0.0), True)
-        margin, ok = nw.nonlinearity_margin(2e-6, 20e-6)
-        assert margin == pytest.approx(0.5)
-        assert not ok
-
-    def test_requires_positive_ic(self):
-        with pytest.raises(ValueError):
-            nw.nonlinearity_margin(1e-6, 0.0)
+    def test_values(self, geometry, squid_array, qubit):
+        # The sweep's margin is 5 i_peak / Ic_sq.  With the inductor at the
+        # node, i_peak is the node drive itself, and Ic_sq is 20 uA at zero flux.
+        geom = replace(geometry, x_s=0.0)
+        for i_node, margin in ((0.5e-6, 0.125), (0.0, 0.0), (2e-6, 0.5)):
+            row = nw.flux_sweep(geom, squid_array, qubit, [0.0], 4.2e9, i_node=i_node)[0]
+            assert row.error is None
+            assert row.i_peak == i_node
+            assert row.margin == pytest.approx(margin, rel=1e-12)
+        # Off the node and off zero flux it is still that ratio.
+        row = nw.flux_sweep(geometry, squid_array, qubit, [0.3], 4.2e9)[0]
+        assert row.margin == pytest.approx(
+            5.0 * row.i_peak / critical_current(squid_array, 0.3), rel=1e-12)
 
 
 class TestQubitAdmittance:
@@ -401,9 +438,8 @@ class TestFluxSweep:
             nw.flux_sweep(geometry, squid_array, qubit, [0.1, math.inf], 4.2e9)
         with pytest.raises(ValueError):
             nw.squid_array_inductance(squid_array, -math.inf, mode="clamped")
-        for func in (nw.input_impedance, nw.qubit_admittance):
-            with pytest.raises(ValueError):
-                func(geometry, 0.1e-9, math.inf)
+        with pytest.raises(ValueError):
+            nw.qubit_admittance(geometry, 0.1e-9, math.inf)
         # A nan drive is no drive frequency either.
         for drive in (math.inf, math.nan):
             with pytest.raises(ValueError, match="drive_freq"):

@@ -5,8 +5,10 @@ not text in a docstring or comment) of ``src/``, of ``scripts/`` or of the
 acceptance suite uses it.  Annotations do not count: a class that only
 types an argument, a return or a field is built by nothing.  A public
 name that only its own unit tests call is dead weight: delete it, or
-reach it from a command, a script or an acceptance criterion.  The count
-of settable values in ``src/`` is pinned as well.
+reach it from a command, a script or an acceptance criterion.  Every
+private module-level name must be read in ``src/`` itself, so a kernel
+cannot outlive its last caller behind a test.  The count of settable
+values in ``src/`` is pinned as well.
 """
 
 import ast
@@ -20,19 +22,12 @@ import fluxline
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(fluxline.__file__).resolve().parent
 
-# network's one-row physics functions stay as the references that
-# tests/test_network.py checks the batched sweep and the filter root against:
-# perturbative_pull (test_inductor_near_open_end), current_profile
-# (TestCurrentProfile, with _inductor_current_factor), input_impedance (its
-# sign change at the root of filter_frequency_exact) and
-# squid_critical_current (the SQUID's Ic(flux)).
-REFERENCES = {"network.perturbative_pull", "network.current_profile",
-              "network.input_impedance", "network.squid_critical_current"}
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def exempt(qualname: str) -> bool:
     # A command is reached through cli._COMMANDS, which looks up cmd_<name> by string.
-    return qualname.startswith("cli.cmd_") or qualname in REFERENCES
+    return qualname.startswith("cli.cmd_")
 
 
 def without_annotations(tree: ast.AST) -> ast.AST:
@@ -47,16 +42,16 @@ def without_annotations(tree: ast.AST) -> ast.AST:
     return tree
 
 
-def used_names() -> set:
-    files = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
-             ROOT / "tests" / "test_acceptance.py"]
+def used_names(files) -> set:
+    """The names that the code of ``files`` reads: load-context ``Name`` ids
+    and ``Attribute`` attrs."""
     names = set()
     for path in files:
         tree = without_annotations(ast.parse(path.read_text(), str(path)))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
 
@@ -72,23 +67,48 @@ def public_api():
 
 def test_every_public_name_is_reached():
     api = dict(public_api())
-    assert REFERENCES <= set(api)
-    used = used_names()
+    used = used_names([*SOURCES, *(ROOT / "scripts").glob("*.py"),
+                       ROOT / "tests" / "test_acceptance.py"])
     orphans = [qualname for qualname, attr in api.items()
                if attr not in used and not exempt(qualname)]
     assert not orphans, f"public names no command, script or acceptance criterion uses: {orphans}"
+
+
+def private_module_names():
+    """(module.name, name) of every function, class and assigned name at the
+    top level of a module in src/ that starts with "_" and is no dunder."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    yield f"{path.stem}.{name}", name
+
+
+def test_every_private_name_is_read_in_src():
+    names = list(private_module_names())
+    assert len(names) > 20  # the walk finds the kernels at all
+    used = used_names(SOURCES)
+    unread = [qualname for qualname, name in names if name not in used]
+    assert not unread, f"private names that nothing in src/ reads: {unread}"
 
 
 # Settable values: the defaulted parameters of every function and lambda in
 # src/ plus the defaulted fields of its dataclasses.  Each is an option a
 # caller may set; an added one shows here as a changed number, to be
 # justified by a caller that needs a second value.
-SETTABLE_VALUES = 36
+SETTABLE_VALUES = 33
 
 
 def settable_values() -> int:
     count = 0
-    for path in PACKAGE.glob("*.py"):
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults)
