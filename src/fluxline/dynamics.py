@@ -245,8 +245,7 @@ def ground_population_closed_form(t: float, rates: DecayRates, prep: str) -> flo
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if prep not in _PREP_INDEX:
-        raise ValueError(f"prep must be one of {sorted(_PREP_INDEX)}, got {prep!r}")
+    ResetDataset.check_labels([prep])
     p_g = populations_closed_form(t, rates, PopulationVector.pure(prep))[0, 0]
     return min(max(float(p_g), 0.0), 1.0)
 

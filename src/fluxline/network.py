@@ -20,7 +20,8 @@ Impedance chain, referenced at the node::
 with ``b = w / v_p`` and ``l_r = l_f - x_s``.  The filter frequency is the
 lowest root in [0.3 f0, 1.2 f0] of the shunt-short condition
 ``Z_1 + i z0 tan(b x_s) = 0``, bracketed on a pole-free form of it with
-Foster's reactance theorem (see ``_filter_frequencies``).
+Foster's reactance theorem and narrowed by Illinois regula falsi to a
+relative width of 1e-12 (see ``_filter_frequencies``).
 
 Phasor convention is ``exp(+i w t)``: an inductor has impedance ``i w L``
 and a capacitor ``1/(i w C)``.  All quantities are strict SI; unit
@@ -48,7 +49,7 @@ PHI0 = 2.067833848e-15
 # |tan| beyond this counts as sitting on a pole of the line tangent.
 _POLE_TAN = 1e9
 # The filter root is bracketed on this many scan points over [0.3 f0, 1.2 f0]
-# and bisected to this relative width.
+# and narrowed by regula falsi to this relative width.
 _N_SCAN = 4096
 _ROOT_RTOL = 1e-12
 
@@ -227,8 +228,9 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
     theorem (dX/dw >= |X|/w for a lossless X) makes L = -X/w fall strictly,
     so one ``searchsorted`` per run of constant sign finds the interval that
     brackets every entry.  An interval across a zero of A (a pole of F) is
-    tested on G directly.  Each entry's lowest bracket is bisected on G to
-    ``b - a <= _ROOT_RTOL |b|``, returning early on G == 0.
+    tested on G directly.  Each entry's lowest bracket is narrowed on G by
+    Illinois regula falsi to ``b - a <= _ROOT_RTOL |b|`` and its midpoint
+    returned, or the point where G == 0.
     """
     l_s = np.asarray(l_s, dtype=float)
     freqs = np.linspace(0.3 * geom.f0, 1.2 * geom.f0, _N_SCAN)
@@ -251,8 +253,11 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
         inside = (k > 0) & (k <= stop - start)  # nan and +-inf fall outside
         first = np.where(inside, np.minimum(first, start + k - 1), first)
 
-    # Bisect every bracket [a, b] at once: an endpoint or midpoint with G == 0
-    # is the root, else halve until b - a <= _ROOT_RTOL |b| and take the midpoint.
+    # Illinois regula falsi (Dowell & Jarratt 1971) on every bracket at once:
+    # two steps in a row that move the same end halve G at the other, so both
+    # ends close in.  Each step keeps half the stop width from either end
+    # (Dekker's minimum step), so one landing nearer the root closes the
+    # bracket; where G(a) - G(b) overflows, it is the midpoint.
     found = np.flatnonzero(first < none)
     cols, l_live = first[found], rows[found]
     a, b = freqs[cols], freqs[cols + 1]
@@ -260,21 +265,26 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
     fb = slope[cols + 1] * l_live + offset[cols + 1]
     roots = np.where(fa == 0.0, a, b)
     live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
-    a, b, fa, l_live = a[live], b[live], fa[live], l_live[live]
+    a, b, fa, fb, l_live = a[live], b[live], fa[live], fb[live], l_live[live]
+    side = np.zeros(live.size)  # +1 after a step that moved a, -1 after one that moved b
     while live.size:
-        mid = 0.5 * (a + b)
-        wide = b - a > _ROOT_RTOL * np.abs(b)
-        if not wide.all():
-            roots[live[~wide]] = mid[~wide]
-            live, a, b, fa, l_live, mid = (v[wide] for v in (live, a, b, fa, l_live, mid))
-        slope_m, offset_m = _condition_terms(geom, 2.0 * math.pi * mid)
-        fm = slope_m * l_live + offset_m
-        same = (fm > 0) == (fa > 0)
-        a, fa, b = np.where(same, mid, a), np.where(same, fm, fa), np.where(same, b, mid)
-        zero = fm == 0.0
-        if zero.any():
-            roots[live[zero]] = mid[zero]
-            live, a, b, fa, l_live = (v[~zero] for v in (live, a, b, fa, l_live))
+        with np.errstate(invalid="ignore", over="ignore"):
+            gap = fa - fb
+            x = a + (b - a) * np.where(np.isfinite(gap), fa / gap, 0.5)
+        half_tol = 0.5 * _ROOT_RTOL * np.abs(b)
+        x = np.clip(x, a + half_tol, b - half_tol)
+        slope_x, offset_x = _condition_terms(geom, 2.0 * math.pi * x)
+        fx = slope_x * l_live + offset_x
+        move_a = (fx > 0) == (fa > 0)
+        a, b = np.where(move_a, x, a), np.where(move_a, b, x)
+        fa = np.where(move_a, fx, np.where(side < 0, 0.5 * fa, fa))
+        fb = np.where(move_a, np.where(side > 0, 0.5 * fb, fb), fx)
+        side = np.where(move_a, 1.0, -1.0)
+        done = (fx == 0.0) | (b - a <= _ROOT_RTOL * np.abs(b))
+        if done.any():
+            roots[live[done]] = np.where(fx == 0.0, x, 0.5 * (a + b))[done]
+            live, a, b, fa, fb, l_live, side = (
+                v[~done] for v in (live, a, b, fa, fb, l_live, side))
 
     f_f = np.full(rows.size, math.nan)
     f_f[found] = roots
@@ -284,9 +294,9 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
 def filter_frequency_exact(geom: FilterGeometry, l_s: float) -> float:
     """Filter frequency from the transcendental shunt-short condition (Hz).
 
-    The lowest root in [0.3 f0, 1.2 f0], found on a 4096-point scan and
-    bisected to a relative width of 1e-12 (see ``_filter_frequencies``);
-    raises NoRootFound when the window holds none.
+    The lowest root in [0.3 f0, 1.2 f0], bracketed on a 4096-point scan and
+    narrowed by regula falsi to a relative width of 1e-12 (see
+    ``_filter_frequencies``); raises NoRootFound when the window holds none.
     """
     f_f = _filter_frequencies(geom, np.array([l_s], dtype=float))[0]
     if math.isnan(f_f):

@@ -72,6 +72,10 @@ class TestClosedForm:
         for prep in ("e", "f", "h"):
             assert dyn.ground_population_closed_form(0.0, reset_rates, prep) == 0.0
 
+    def test_unknown_preparation_uses_the_dataset_message(self, reset_rates):
+        with pytest.raises(ValueError, match="^unknown preparation label 'x'$"):
+            dyn.ground_population_closed_form(1e-7, reset_rates, "x")
+
     def test_single_exponential_from_e(self, reset_rates):
         t1 = 1.0 / reset_rates.gamma_ge
         value = dyn.ground_population_closed_form(t1, reset_rates, "e")

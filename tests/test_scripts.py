@@ -33,6 +33,9 @@ def test_filter_sweep_script_writes_the_sweep_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == fio.SWEEP_HEADER
     assert len(lines) == 1 + 201
+    # Neighbouring biases set the suppression, not rounding at the parked one.
+    rabi = next(line for line in proc.stdout.splitlines() if line.startswith("Rabi"))
+    assert 10.0 < float(rabi.split(":")[1].split()[0]) < 1e4
 
 
 def test_fit_temp_memory_script_reports_each_child():
