@@ -8,8 +8,9 @@ tuning range and coupling suppression.
 The drive is parked on the filter frequency of one bias, so there the
 drive equals f_f to the root solver's 1e-12 and gamma_qf is whatever
 rounding leaves of a zero, about 1e-18 1/s, and moves with the solver's
-last step.  The Rabi suppression is therefore taken against the smallest
-gamma_qf at the other biases, which the physics sets.
+last step.  The printed gamma_qf range and the Rabi suppression therefore
+start from the smallest gamma_qf at the other biases, which the physics
+sets.
 
 Usage: python scripts/run_filter_sweep.py [out.csv]
 """
@@ -42,7 +43,7 @@ f_f, gamma, margin = sweep.f_f, sweep.gamma_qf, sweep.margin
 print(f"wrote {OUT} ({len(sweep)} biases, drive {drive / 1e9:.4f} GHz)")
 print(f"bare quarter-wave frequency : {geom.f0 / 1e9:.4f} GHz")
 print(f"filter frequency range      : {f_f.min() / 1e9:.4f} - {f_f.max() / 1e9:.4f} GHz")
-print(f"coupling gamma_qf range     : {gamma.min():.3e} - {gamma.max():.3e} 1/s")
 gamma_off = np.delete(gamma, PARKED).min()
+print(f"coupling gamma_qf range     : {gamma_off:.3e} - {gamma.max():.3e} 1/s off the parked bias")
 print(f"Rabi suppression sqrt ratio : {math.sqrt(gamma.max() / gamma_off):.3e} off the parked bias")
 print(f"worst nonlinearity margin   : {margin.max():.3f} (design gate < 0.25)")

@@ -15,8 +15,9 @@ evaluated through divided-difference helpers that switch to series limits
 instead of relying on cancellation.
 
 The closed forms are cross-checked against an in-house adaptive
-Dormand-Prince 4(5) integrator, ``populations_ode_batch``, whose one-row
-call ``populations_ode`` is also the truth behind synthetic reset curves.
+Dormand-Prince 4(5) integrator, ``populations_ode``, which steps many
+(rates, initial state) systems at once and is also the truth behind
+synthetic reset curves.
 Measured reset curves are fitted to the closed forms by
 ``fits.levenberg_marquardt``, fluxline's one least-squares solver.
 """
@@ -250,27 +251,6 @@ def ground_population_closed_form(t: float, rates: DecayRates, prep: str) -> flo
     return min(max(float(p_g), 0.0), 1.0)
 
 
-def populations_ode(
-    t_grid,
-    rates: DecayRates,
-    init: PopulationVector,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-) -> np.ndarray:
-    """Populations from adaptive Dormand-Prince 4(5) integration.
-
-    Independent numerical oracle for the closed forms: the one-row call of
-    ``populations_ode_batch``.  Returns an array of shape (len(t_grid), 4).
-    Raises StepFailure if the integrator cannot meet its tolerance.
-    """
-    out = populations_ode_batch(t_grid, [rates], init, rtol=rtol, atol=atol)[0]
-    # Integration noise can push fully decayed levels marginally negative.
-    tiny = (out < 0.0) & (out > -1e-9)
-    out[tiny] = 0.0
-    out /= out.sum(axis=1, keepdims=True)
-    return out
-
-
 # Dormand-Prince 4(5) tableau, FSAL form.
 _DP_A = np.array([
     [0, 0, 0, 0, 0, 0],
@@ -283,23 +263,23 @@ _DP_A = np.array([
 _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                   -17253 / 339200, 22 / 525, -1 / 40])
+# Step-controller tolerances of the oracle, relative and absolute.
+_ODE_RTOL = 1e-12
+_ODE_ATOL = 1e-14
 
 
-def populations_ode_batch(
-    t_grid,
-    rates_list,
-    init: PopulationVector,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-) -> np.ndarray:
+def populations_ode(t_grid, rates_list, init) -> np.ndarray:
     """Adaptive Dormand-Prince 4(5) integration of many rate triples at once.
 
-    Steps all systems on a shared adaptive grid (the step controller obeys
-    the worst per-system error), which amortizes the solver overhead when
-    validating thousands of rate sets.  Steps land exactly on the requested
-    times, so no interpolation enters the oracle.  Returns shape
-    (len(rates_list), len(t_grid), 4).  Raises StepFailure if the step size
-    collapses.
+    System s integrates ``rates_list[s]`` from row s of the (len(rates_list),
+    4) ``init`` matrix; a (4,) ``init`` starts every system.  All systems
+    step on a shared adaptive grid (the step controller obeys the worst
+    per-system error, to _ODE_RTOL and _ODE_ATOL), which amortizes the
+    solver overhead over thousands of rate sets.  Steps land exactly on the
+    requested times, so no interpolation enters the oracle.  Integration
+    noise that pushes a fully decayed level marginally negative is set to
+    0 and each row is renormalised.  Returns shape (len(rates_list),
+    len(t_grid), 4).  Raises StepFailure if the step size collapses.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     # Positive tests, so that NaN times fail them; a NaN or infinite grid
@@ -311,7 +291,7 @@ def populations_ode_batch(
         raise ValueError("t_grid must be non-negative")
     mats = np.stack([r.rate_matrix() for r in rates_list])
     n_sys = mats.shape[0]
-    y = np.tile(init.as_array(), (n_sys, 1))
+    y = np.broadcast_to(init, (n_sys, 4))
     out = np.empty((n_sys, t_grid.size, 4))
 
     t = 0.0
@@ -332,7 +312,7 @@ def populations_ode_batch(
         y_new = y + h * np.einsum("r,rsi->si", _DP_B[:6], k[:6])
         k[6] = np.einsum("sij,sj->si", mats, y_new)
         err = h * np.einsum("r,rsi->si", _DP_E, k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = _ODE_ATOL + _ODE_RTOL * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = np.sqrt(np.mean((err / scale) ** 2, axis=1)).max()
         if err_norm <= 1.0:
             t = t + h
@@ -347,6 +327,9 @@ def populations_ode_batch(
         h *= factor
         if h <= 0.0 or not math.isfinite(h):
             raise StepFailure(f"step size collapsed at t = {t:.3e}")
+    # Integration noise can push fully decayed levels marginally negative.
+    out[(out < 0.0) & (out > -1e-9)] = 0.0
+    out /= out.sum(axis=2, keepdims=True)
     return out
 
 

@@ -194,6 +194,12 @@ def _condition_terms(geom: FilterGeometry, omega):
     return omega * c_l * den, c_l * num + geom.z0 * s_l * den
 
 
+def _condition(slope, offset, l_s):
+    """G = A l_s + B; A l_s may overflow to +-inf, whose sign is still G's."""
+    with np.errstate(over="ignore"):
+        return slope * l_s + offset
+
+
 def _input_reactances(geom: FilterGeometry, l_s, omega: float):
     """Input reactance X_in over an ``l_s`` array, and its pole mask."""
     s_l, c_l, s_r, c_r = _line_terms(geom, omega)
@@ -242,8 +248,8 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
     sign = np.sign(slope)
     in_run = (sign[:-1] == sign[1:]) & (sign[1:] != 0)
     across = np.flatnonzero(~in_run)
-    g = slope[across] * rows[:, None] + offset[across]
-    g_next = slope[across + 1] * rows[:, None] + offset[across + 1]
+    g = _condition(slope[across], offset[across], rows[:, None])
+    g_next = _condition(slope[across + 1], offset[across + 1], rows[:, None])
     hit = (np.sign(g) != np.sign(g_next)) & np.isfinite(rows)[:, None]
     first = np.where(hit, across, none).min(axis=1, initial=none)
     edges = np.flatnonzero(np.diff(np.concatenate(([0], in_run, [0]))))
@@ -261,8 +267,8 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
     found = np.flatnonzero(first < none)
     cols, l_live = first[found], rows[found]
     a, b = freqs[cols], freqs[cols + 1]
-    fa = slope[cols] * l_live + offset[cols]
-    fb = slope[cols + 1] * l_live + offset[cols + 1]
+    fa = _condition(slope[cols], offset[cols], l_live)
+    fb = _condition(slope[cols + 1], offset[cols + 1], l_live)
     roots = np.where(fa == 0.0, a, b)
     live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
     a, b, fa, fb, l_live = a[live], b[live], fa[live], fb[live], l_live[live]
@@ -273,8 +279,7 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
             x = a + (b - a) * np.where(np.isfinite(gap), fa / gap, 0.5)
         half_tol = 0.5 * _ROOT_RTOL * np.abs(b)
         x = np.clip(x, a + half_tol, b - half_tol)
-        slope_x, offset_x = _condition_terms(geom, 2.0 * math.pi * x)
-        fx = slope_x * l_live + offset_x
+        fx = _condition(*_condition_terms(geom, 2.0 * math.pi * x), l_live)
         move_a = (fx > 0) == (fa > 0)
         a, b = np.where(move_a, x, a), np.where(move_a, b, x)
         fa = np.where(move_a, fx, np.where(side < 0, 0.5 * fa, fa))

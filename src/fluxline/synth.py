@@ -113,25 +113,25 @@ def gen_reset_curves(rates: DecayRates, preps, t_grid, n_shots_per_point: int,
                      floor_p_inf: float | None = None, seed: int = 0) -> ResetDataset:
     """Multinomial samples around the integrated reset trajectories.
 
-    The underlying truth comes from ``populations_ode`` (itself verified
+    The underlying truth comes from one ``populations_ode`` call that
+    integrates every preparation at once (the integrator is itself verified
     against the closed forms), so the round trip through
     ``fit_decay_rates`` exercises both solution paths.  Its rows are
-    non-negative and sum to 1, ``apply_thermal_floor`` keeps both, and the
-    rows are sampled unchanged.
+    non-negative and sum to 1, ``apply_thermal_floor`` keeps both, and all
+    rows are sampled unchanged in one multinomial draw, preparation by
+    preparation in the order given.
     """
     if n_shots_per_point < 1:
         raise ValueError("n_shots_per_point must be >= 1")
     ResetDataset.check_labels(preps)  # before any integration
     t_grid = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    curves = {}
-    for prep in preps:
-        p = populations_ode(t_grid, rates, PopulationVector.pure(prep))
-        if floor_p_inf is not None:
-            p = apply_thermal_floor(p, floor_p_inf)
-        counts = np.array([rng.multinomial(n_shots_per_point, row) for row in p])
-        curves[prep] = ResetCurve(t_grid, counts / n_shots_per_point)
-    return ResetDataset(curves)
+    inits = np.array([PopulationVector.pure(prep).as_array() for prep in preps])
+    p = populations_ode(t_grid, [rates] * len(preps), inits)
+    if floor_p_inf is not None:
+        p = apply_thermal_floor(p, floor_p_inf)
+    fractions = rng.multinomial(n_shots_per_point, p) / n_shots_per_point
+    return ResetDataset({prep: ResetCurve(t_grid, f) for prep, f in zip(preps, fractions)})
 
 
 def gen_rb_decay(p_true: float, a: float, b: float, m_grid, shots_per_point: int,

@@ -146,6 +146,26 @@ class TestFilterSweep:
             assert all(math.isfinite(float(rows[1][k])) for k in header[:cut]), mode
             assert all(math.isnan(float(rows[1][k])) for k in header[cut:]), mode
 
+    def test_overflowing_condition_writes_only_the_marker_line(self, tmp_path):
+        # l_j_arr near 1e303 H: A l_s in the filter condition overflows to
+        # +-inf, whose sign still brackets the root.  numpy's RuntimeWarning
+        # goes to the process's stderr, so the command runs in its own process.
+        cfg = dict(SWEEP_CFG, geometry=dict(SWEEP_CFG["geometry"], x_s_mm=5.525),
+                   squid_array={"n_squids": 5, "ic_junction_uA": 1e-312}, flux_points=5)
+        path, out = write_cfg(tmp_path, "cfg.json", cfg), tmp_path / "sweep.csv"
+        src = str(Path(fluxline.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "fluxline.cli", "filter-sweep",
+                               "--config", path, "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == "5/5 flux points carry error markers\n"
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(float(row["l_j_arr_H"]) > 1e302 for row in rows)
+        assert all(math.isfinite(float(row["f_f_Hz"])) for row in rows)
+
     @pytest.mark.parametrize("change", [
         {"drive_freq_GHz": math.nan},
         {"drive_freq_GHz": math.inf},

@@ -31,6 +31,11 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def ode_one(t, rates, init):
+    """The (len(t), 4) ODE populations of one system."""
+    return dyn.populations_ode(t, [rates], init.as_array())[0]
+
+
 def rate_triple():
     return st.tuples(
         st.floats(1e4, 1e8), st.floats(1e4, 1e8), st.floats(1e4, 1e8))
@@ -312,18 +317,18 @@ class TestOde:
     def test_no_dynamics(self):
         r = dyn.DecayRates(0.0, 0.0, 0.0)
         init = dyn.PopulationVector(0.1, 0.2, 0.3, 0.4)
-        out = dyn.populations_ode(np.array([1e-9, 1e-6, 1e-3]), r, init)
+        out = ode_one(np.array([1e-9, 1e-6, 1e-3]), r, init)
         assert np.allclose(out, init.as_array(), atol=1e-12)
 
     def test_normalization_and_conservation(self, reset_rates):
         t = np.geomspace(1e-9, 1e-4, 50)
-        out = dyn.populations_ode(t, reset_rates, dyn.PopulationVector.pure("h"))
+        out = ode_one(t, reset_rates, dyn.PopulationVector.pure("h"))
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-10
         assert out.min() >= 0.0
 
     def test_downward_only(self, reset_rates):
         t = np.linspace(1e-9, 3e-6, 80)
-        out = dyn.populations_ode(t, reset_rates, dyn.PopulationVector.pure("h"))
+        out = ode_one(t, reset_rates, dyn.PopulationVector.pure("h"))
         assert np.all(np.diff(out[:, 3]) <= 1e-12)   # P_h non-increasing
         assert np.all(np.diff(out[:, 0]) >= -1e-12)  # P_g non-decreasing
 
@@ -331,7 +336,7 @@ class TestOde:
         t = np.geomspace(1e-9, 1e-4, 100)
         for prep in ("e", "f", "h"):
             init = dyn.PopulationVector.pure(prep)
-            ode = dyn.populations_ode(t, reset_rates, init)
+            ode = ode_one(t, reset_rates, init)
             closed = dyn.populations_closed_form(t, reset_rates, init)
             assert np.abs(ode - closed).max() < 1e-9
 
@@ -341,7 +346,7 @@ class TestOde:
     def test_oracle_equivalence_random_rates(self, gammas):
         rates = dyn.DecayRates(*gammas)
         t = np.geomspace(1e-9, 1e-4, 30)
-        ode = dyn.populations_ode(t, rates, dyn.PopulationVector.pure("h"))
+        ode = ode_one(t, rates, dyn.PopulationVector.pure("h"))
         closed = dyn.populations_closed_form(t, rates, dyn.PopulationVector.pure("h"))
         assert np.abs(ode - closed).max() < 1e-9
 
@@ -350,7 +355,7 @@ class TestOde:
         for eps in (1e-6, 1e-9, 1e-13, 0.0):
             rates = dyn.DecayRates(base, base * (1 + eps), base * (1 + 2 * eps))
             t = np.geomspace(1e-9, 1e-4, 40)
-            ode = dyn.populations_ode(t, rates, dyn.PopulationVector.pure("h"))
+            ode = ode_one(t, rates, dyn.PopulationVector.pure("h"))
             closed = dyn.populations_closed_form(t, rates,
                                                  dyn.PopulationVector.pure("h"))
             assert np.abs(ode - closed).max() < 1e-9
@@ -360,7 +365,7 @@ class TestOde:
     def test_bad_grid_raises_instead_of_hanging(self, reset_rates, t_grid):
         init = dyn.PopulationVector.pure("h")
         with _deadline(10), pytest.raises(ValueError, match="t_grid"):
-            dyn.populations_ode(np.array(t_grid), reset_rates, init)
+            ode_one(np.array(t_grid), reset_rates, init)
         with _deadline(10), pytest.raises(ValueError, match="t_grid"):
             synth.gen_reset_curves(reset_rates, ("h",), t_grid, 100)
 
@@ -369,12 +374,16 @@ class TestOde:
         rng = np.random.default_rng(2)
         rates_list = [dyn.DecayRates(*(10 ** rng.uniform(5, 7.5, 3)))
                       for _ in range(10)]
-        batch = dyn.populations_ode_batch(t, rates_list,
-                                          dyn.PopulationVector.pure("h"))
+        h = dyn.PopulationVector.pure("h")
+        batch = dyn.populations_ode(t, rates_list, h.as_array())
         for i, r in enumerate(rates_list):
-            single = dyn.populations_ode(t, r, dyn.PopulationVector.pure("h"),
-                                         rtol=1e-12, atol=1e-14)
-            assert np.abs(batch[i] - single).max() < 1e-10
+            assert np.abs(batch[i] - ode_one(t, r, h)).max() < 1e-10
+        # Per-system initial states: one rate triple from the e, f and h inits.
+        inits = [dyn.PopulationVector.pure(prep) for prep in "efh"]
+        joint = dyn.populations_ode(t, [reset_rates] * 3,
+                                    np.array([i.as_array() for i in inits]))
+        for row, init in zip(joint, inits):
+            assert np.abs(row - ode_one(t, reset_rates, init)).max() < 1e-10
 
 
 class TestThermalFloor:
@@ -397,7 +406,7 @@ class TestFitDecayRates:
         t = np.linspace(20e-9, 2e-6, 40)
         curves = {
             prep: dyn.ResetCurve(
-                t, dyn.populations_ode(t, reset_rates, dyn.PopulationVector.pure(prep)))
+                t, ode_one(t, reset_rates, dyn.PopulationVector.pure(prep)))
             for prep in ("e", "f", "h")
         }
         fit = dyn.fit_decay_rates(dyn.ResetDataset(curves))
@@ -420,8 +429,7 @@ class TestFitDecayRates:
         t = np.linspace(20e-9, 2e-6, 40)
         truth = {n: getattr(reset_rates, n)
                  for n in ("gamma_ge", "gamma_ef", "gamma_fh")}
-        clean = {prep: dyn.populations_ode(t, reset_rates,
-                                           dyn.PopulationVector.pure(prep))
+        clean = {prep: ode_one(t, reset_rates, dyn.PopulationVector.pure(prep))
                  for prep in ("e", "f", "h")}
         rng = np.random.default_rng(123)
         hits = {n: 0 for n in truth}
@@ -531,7 +539,7 @@ class TestFitDecayRates:
 
     def test_requires_enough_data(self, reset_rates):
         t = np.linspace(1e-8, 1e-6, 5)
-        p = dyn.populations_ode(t, reset_rates, dyn.PopulationVector.pure("e"))
+        p = ode_one(t, reset_rates, dyn.PopulationVector.pure("e"))
         with pytest.raises(ValueError):
             dyn.fit_decay_rates(dyn.ResetDataset({"e": dyn.ResetCurve(t, p)}))
 

@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts in scripts/."""
 
+import math
 import os
 import subprocess
 import sys
@@ -34,8 +35,15 @@ def test_filter_sweep_script_writes_the_sweep_csv(tmp_path):
     assert lines[0] == fio.SWEEP_HEADER
     assert len(lines) == 1 + 201
     # Neighbouring biases set the suppression, not rounding at the parked one.
-    rabi = next(line for line in proc.stdout.splitlines() if line.startswith("Rabi"))
-    assert 10.0 < float(rabi.split(":")[1].split()[0]) < 1e4
+    report = {line.split(":")[0].strip(): line.split(":")[1].split()
+              for line in proc.stdout.splitlines() if ":" in line}
+    rabi = float(report["Rabi suppression sqrt ratio"][0])
+    assert 10.0 < rabi < 1e4
+    # The range starts off the parked bias too, so it gives the suppression
+    # back within the rounding of the three 4-digit numbers (about 5e-4).
+    low, high = (float(report["coupling gamma_qf range"][k]) for k in (0, 2))
+    assert low > 1.0
+    assert abs(math.sqrt(high / low) - rabi) <= 1e-3 * rabi
 
 
 def test_fit_temp_memory_script_reports_each_child():

@@ -182,6 +182,22 @@ class TestResetCurves:
         b = synth.gen_reset_curves(reset_rates, ("e",), t, 1000, seed=5)
         assert np.array_equal(a.curves["e"].populations, b.curves["e"].populations)
 
+    def test_one_integration_for_every_preparation(self, reset_rates, monkeypatch):
+        calls = []
+
+        def integrate(t_grid, rates_list, init):
+            calls.append((list(rates_list), np.array(init)))
+            return dyn.populations_ode(t_grid, rates_list, init)
+
+        monkeypatch.setattr(synth, "populations_ode", integrate)
+        t = np.linspace(1e-8, 1e-6, 10)
+        data = synth.gen_reset_curves(reset_rates, ("h", "e", "f"), t, 1000, seed=5)
+        assert len(calls) == 1
+        rates_list, inits = calls[0]
+        assert rates_list == [reset_rates] * 3
+        assert np.array_equal(inits, np.eye(4)[[3, 1, 2]])
+        assert list(data.curves) == ["h", "e", "f"]
+
 
 class TestRbDecay:
     def test_flat_at_unity_p(self):
