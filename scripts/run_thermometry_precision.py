@@ -28,12 +28,9 @@ ladder = th.LevelLadder(f_ge_ghz=3.9514, f_ef_ghz=3.8167, f_fh_ghz=3.6730)
 def separated_clusters(separation=6.0):
     labels = ("g", "e", "f", "h", "k+")
     radius = separation / (2 * math.sin(math.pi / len(labels)))
-    return cl.GmmModel({
-        lab: cl.GmmComponent(
-            np.array([radius * math.cos(2 * math.pi * i / len(labels)),
-                      radius * math.sin(2 * math.pi * i / len(labels))]),
-            np.eye(2), 1.0 / len(labels))
-        for i, lab in enumerate(labels)})
+    angles = [2 * math.pi * i / len(labels) for i in range(len(labels))]
+    return cl.GmmModel(labels, [[radius * math.cos(a), radius * math.sin(a)] for a in angles],
+                       [np.eye(2)] * len(labels), [1.0 / len(labels)] * len(labels))
 
 
 cfg = synth.ShotGenConfig(ladder=ladder, cluster_model=separated_clusters(),
@@ -49,9 +46,8 @@ for n_shot, n_win in ((1000, 400), (2000, 400), (5000, 300), (10000, 200)):
     model = cfg.cluster_model
     counts = cl.window_counts(cl.assign_indices(model, xy), len(model.labels), n_shot)
     fit = th.fit_temperature_batch(cl.level_populations(counts, model.labels), ladder)
-    series = th.WindowSeries(fit.t_eff, n_shot, T_SHOT)
-    mu, sigma, sigma_mu = th.window_statistics(series)
-    net = th.net(sigma, series.t_meas)
+    mu, sigma, sigma_mu = th.window_statistics(fit.t_eff)
+    net = th.net(sigma, n_shot * T_SHOT)
     precision = sigma / mu * math.sqrt(n_shot)
     print(f"{n_shot:>7} {n_win:>6} {mu * 1e3:>10.3f} {sigma * 1e3:>13.3f} "
           f"{net * 1e3:>14.4f} {precision:>10.3f}")

@@ -16,7 +16,9 @@ Levels above h are aggregated in an overflow component labeled ``k+``;
 
 Labels are integer codes here: a prep label indexes a table of distinct
 labels, as ``io.read_shots_csv`` returns it, and an assigned state indexes
-``model.labels``, the component labels in canonical g, e, f, h, k+ order.
+``model.labels``, the component labels in canonical g, e, f, h, k+ order,
+which also index the rows of the model's stacked arrays; only ``io`` sees
+a model per label.
 """
 
 from __future__ import annotations
@@ -44,49 +46,36 @@ def _label_sort_key(label: str):
 
 
 @dataclass(frozen=True)
-class GmmComponent:
-    mean: np.ndarray
-    cov: np.ndarray
-    weight: float
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (2,) or cov.shape != (2, 2):
-            raise ValueError("mean must be 2-vector, cov 2x2")
-        if not np.allclose(cov, cov.T):
-            raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise ValueError("covariance must be positive definite")
-        if self.weight < 0:
-            raise ValueError("weight must be >= 0")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-
-@dataclass(frozen=True)
 class GmmModel:
-    """Labeled 2-D Gaussian mixture; weights sum to one."""
+    """Labeled 2-D Gaussian mixture: row j of ``means`` (k, 2), ``covs`` (k, 2, 2)
+    and ``weights`` (k,) is component ``labels[j]``, rows in canonical label order."""
 
-    components: dict[str, GmmComponent]
+    labels: tuple[str, ...]
+    means: np.ndarray
+    covs: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("model needs at least one component")
-        total = sum(c.weight for c in self.components.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-
-    @property
-    def labels(self) -> list[str]:
-        """Component labels in canonical (g, e, f, h, k+) order."""
-        return sorted(self.components, key=_label_sort_key)
-
-
-def _parameters(model: GmmModel) -> tuple[list, list, list]:
-    """Means, covariances and weights of the components, in ``model.labels`` order."""
-    comps = [model.components[lab] for lab in model.labels]
-    return [c.mean for c in comps], [c.cov for c in comps], [c.weight for c in comps]
+        order = sorted(range(len(self.labels)), key=lambda j: _label_sort_key(self.labels[j]))
+        labels, k = tuple(self.labels[j] for j in order), len(order)
+        for a, b in zip(labels, labels[1:]):
+            if a == b:
+                raise ValueError(f"duplicate component label {a!r}")
+        means, covs, weights = (np.asarray(v, dtype=float)
+                                for v in (self.means, self.covs, self.weights))
+        if means.shape != (k, 2) or covs.shape != (k, 2, 2) or weights.shape != (k,):
+            raise ValueError(f"{k} labels need ({k}, 2) means, ({k}, 2, 2) covs, ({k},) weights")
+        means, covs, weights = means[order], covs[order], weights[order]
+        bad = (~np.isclose(covs, covs.transpose(0, 2, 1)).all(axis=(1, 2))
+               | (np.linalg.eigvalsh(covs)[:, 0] <= 0))
+        if bad.any():
+            raise ValueError(f"component {labels[int(np.argmax(bad))]!r}:"
+                             " covariance must be symmetric positive definite")
+        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+            raise ValueError(f"weights must be >= 0 and sum to 1, got {weights.tolist()!r}")
+        for name, value in zip(("labels", "means", "covs", "weights"),
+                               (labels, means, covs, weights)):
+            object.__setattr__(self, name, value)
 
 
 def _mahalanobis_sq(x: np.ndarray, y: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -169,8 +158,7 @@ def fit_gmm(xy: np.ndarray, labels, codes) -> GmmModel:
         covs = (second - means[:, [0, 0, 1, 1]] * means[:, [0, 1, 0, 1]]).reshape(k, 2, 2) + reg
         means, weights = means + centre, nk / n
         if ll_prev is not None and abs(ll - ll_prev) <= _EM_TOL * abs(ll):
-            return GmmModel({lab: GmmComponent(m, c, w)
-                             for lab, m, c, w in zip(names, means, covs, weights.tolist())})
+            return GmmModel(tuple(names), means, covs, weights)
         ll_prev = ll
     raise NotConverged(
         f"EM did not meet tol={_EM_TOL} in {_EM_MAX_ITER} iterations", log_likelihood=ll_prev
@@ -187,7 +175,7 @@ def assign_indices(model: GmmModel, xy: np.ndarray) -> np.ndarray:
     components replaces that (n, k) matrix; no posteriors are computed.
     """
     x, y = _columns(xy)
-    means, covs, weights = _parameters(model)
+    means, covs, weights = model.means, model.covs, model.weights
     index = np.zeros(x.size, dtype=np.min_scalar_type(len(means) - 1))
     best = _log_density(means[0], covs[0], weights[0], x, y)
     for j in range(1, len(means)):
@@ -214,12 +202,12 @@ def window_counts(indices: np.ndarray, n_labels: int, window: int) -> np.ndarray
 
 def pairwise_separation(model: GmmModel, label_i: str, label_j: str) -> float:
     """Symmetric Mahalanobis separation between two components."""
-    ci = model.components[label_i]
-    cj = model.components[label_j]
-    diff = ci.mean - cj.mean
+    i, j = model.labels.index(label_i), model.labels.index(label_j)
+    diff = model.means[i] - model.means[j]
+    pooled = 0.5 * (model.covs[i] + model.covs[j])
     # A singular pooled covariance divides by a zero determinant.
     with np.errstate(divide="ignore", invalid="ignore"):
-        d2 = float(_mahalanobis_sq(diff[0], diff[1], 0.5 * (ci.cov + cj.cov))[0])
+        d2 = float(_mahalanobis_sq(diff[0], diff[1], pooled)[0])
     if not math.isfinite(d2) or d2 < 0:
         raise SingularCovariance(f"invalid separation for ({label_i}, {label_j})")
     return math.sqrt(d2)
@@ -272,15 +260,16 @@ def assignment_matrix(model: GmmModel, xy: np.ndarray, codes, labels) -> Assignm
     totals = counts.sum(axis=1)
     if not totals.all():
         raise EmptyRow(f"no shots prepared as {labels[rows[int(np.argmin(totals))]]!r}")
-    return AssignmentMatrix([labels[j] for j in rows], model.labels, counts / totals[:, None])
+    return AssignmentMatrix([labels[j] for j in rows], list(model.labels),
+                            counts / totals[:, None])
 
 
 def sample_from_model(model: GmmModel, n_per_state: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw n shots from every component; returns (xy, codes into ``model.labels``)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    comps = [model.components[lab] for lab in model.labels]
-    return (np.vstack([c.mean + rng.standard_normal((n_per_state, 2)) @ np.linalg.cholesky(c.cov).T
-                       for c in comps]), np.repeat(np.arange(len(comps)), n_per_state))
+    return (np.vstack([mean + rng.standard_normal((n_per_state, 2)) @ chol.T
+                       for mean, chol in zip(model.means, np.linalg.cholesky(model.covs))]),
+            np.repeat(np.arange(len(model.labels)), n_per_state))
 
 
 def synthetic_confusion(model: GmmModel, n_per_state: int, seed: int) -> AssignmentMatrix:
@@ -297,7 +286,6 @@ def level_populations(counts: np.ndarray, labels) -> np.ndarray:
     levels (the ``k+`` overflow cluster) are excluded and each row is
     renormalized over the rest.
     """
-    labels = list(labels)
     missing = [lab for lab in LEVELS if lab not in labels]
     if missing:
         raise ValueError(f"counts missing labels {missing}")

@@ -168,13 +168,12 @@ def cmd_fit_temp(cfg: dict, out: str, seed) -> int:
     doc = {"n_win": n_win, "n_shot": window, "t_shot_s": t_shot,
            "n_at_bound": int(fit.at_boundary.sum()), "per_window": per_window}
     if n_win >= 2:
-        series = th.WindowSeries(fit.t_eff, window, t_shot)
-        mu, sigma, sigma_mu = th.window_statistics(series)
+        mu, sigma, sigma_mu = th.window_statistics(fit.t_eff)
         doc.update({
             "mu_T_K": mu,
             "sigma_T_K": sigma,
             "sigma_mu_K": sigma_mu,
-            "net_K_per_sqrtHz": th.net(sigma, series.t_meas),
+            "net_K_per_sqrtHz": th.net(sigma, window * t_shot),
         })
     fio.dump_json(doc, out)
     return 0

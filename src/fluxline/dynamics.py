@@ -127,13 +127,15 @@ class ResetDataset:
     curves: dict[str, ResetCurve]
 
     def __post_init__(self):
-        self.check_labels(self.curves)
+        self.check_labels(list(self.curves))
 
     @staticmethod
     def check_labels(labels):
-        for label in labels:
+        for j, label in enumerate(labels):
             if label not in _PREP_INDEX:
                 raise ValueError(f"unknown preparation label {label!r}")
+            if label in labels[:j]:
+                raise ValueError(f"duplicate preparation label {label!r}")
 
 
 # --- degeneracy-safe exponential helpers --------------------------------------

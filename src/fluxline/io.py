@@ -14,7 +14,8 @@ Formats:
 * shot CSV          header prep,i,q; preps as codes into a label table
 * curve CSV         header x,y[,sigma] when read, x,y when written
 * GMM model JSON    {"components": {label: {"mean": [i, q],
-                    "cov": [[a, b], [b, c]], "weight": w}}}
+                    "cov": [[a, b], [b, c]], "weight": w}}}, the only
+                    per-label form of a ``classify.GmmModel``
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import AssignmentMatrix, GmmComponent, GmmModel
+from .classify import AssignmentMatrix, GmmModel
 from .dynamics import ResetCurve, ResetDataset
 from .network import SWEEP_FIELDS
 from .thermometry import KB_OVER_H_CODATA, KB_OVER_H_ROUNDED
@@ -421,21 +422,21 @@ def _write_table(path, header: str, blocks, labelled: bool) -> None:
 
 def model_to_dict(model: GmmModel) -> dict:
     return {"components": {
-        lab: {"mean": comp.mean.tolist(),
-              "cov": comp.cov.tolist(),
-              "weight": comp.weight}
-        for lab, comp in model.components.items()}}
+        lab: {"mean": mean, "cov": cov, "weight": weight}
+        for lab, mean, cov, weight in zip(model.labels, model.means.tolist(),
+                                          model.covs.tolist(), model.weights.tolist())}}
 
 
+# One component's keys, in the order of GmmModel's means, covs and weights.
 _COMPONENT = {"mean": ("pair", ...), "cov": ("2x2", ...), "weight": ("number", ...)}
 
 
-def model_from_dict(doc, path: str = "model") -> GmmModel:
+def model_from_dict(doc, path: str) -> GmmModel:
     """GmmModel from the model JSON schema; errors name the keys under ``path``."""
     components = read_config(doc, {"components": ("object", ...)}, path)["components"]
-    return GmmModel({
-        lab: GmmComponent(**read_config(params, _COMPONENT, f"{path}.components.{lab}"))
-        for lab, params in components.items()})
+    return GmmModel(tuple(components), *zip(*(
+        read_config(params, _COMPONENT, f"{path}.components.{lab}").values()
+        for lab, params in components.items())))
 
 
 def matrix_to_dict(matrix: AssignmentMatrix) -> dict:

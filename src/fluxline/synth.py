@@ -71,9 +71,10 @@ def _thermal_shot_sampler(cfg: ShotGenConfig, temperature: float):
     per window.
     """
     probs = thermal_level_probabilities(cfg, temperature)
-    factors = {k: (comp.mean, np.linalg.cholesky(comp.cov))
-               for k, name in enumerate(LABEL_ORDER)
-               if (comp := cfg.cluster_model.components.get(name)) is not None}
+    model = cfg.cluster_model
+    factors = {LABEL_ORDER.index(lab): (mean, chol) for lab, mean, chol
+               in zip(model.labels, model.means, np.linalg.cholesky(model.covs))
+               if lab in LABEL_ORDER}
 
     def draw(n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:

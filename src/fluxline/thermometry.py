@@ -70,30 +70,6 @@ def level_energies(ladder: LevelLadder, n_levels: int) -> np.ndarray:
     return np.cumsum([0.0, *transitions])
 
 
-@dataclass(frozen=True)
-class WindowSeries:
-    """Per-window temperature estimates plus the windowing parameters."""
-
-    temps: np.ndarray
-    n_shot_per_window: int
-    t_shot: float
-
-    def __post_init__(self):
-        temps = np.asarray(self.temps, dtype=float)
-        if temps.size == 0:
-            raise ValueError("temps must be non-empty")
-        if self.n_shot_per_window < 1:
-            raise ValueError("n_shot_per_window must be >= 1")
-        if self.t_shot <= 0:
-            raise ValueError("t_shot must be positive")
-        object.__setattr__(self, "temps", temps)
-
-    @property
-    def t_meas(self) -> float:
-        """Measurement time per window, n_shot * t_shot (s)."""
-        return self.n_shot_per_window * self.t_shot
-
-
 def boltzmann_populations(temperature: float, ladder: LevelLadder) -> PopulationVector:
     """Thermal populations of the truncated four-level manifold."""
     if temperature <= 0:
@@ -105,13 +81,19 @@ def boltzmann_populations(temperature: float, ladder: LevelLadder) -> Population
 def boltzmann_array(temps: np.ndarray, ladder: LevelLadder, n_levels: int) -> np.ndarray:
     """Thermal populations of the lowest ``n_levels`` levels for an array of
     temperatures, shape (len(temps), n_levels)."""
+    return _boltzmann(temps, ladder, level_energies(ladder, n_levels))
+
+
+def _boltzmann(temps: np.ndarray, ladder: LevelLadder, energies: np.ndarray) -> np.ndarray:
+    """(len(temps), len(energies)) thermal populations of levels at ``energies`` (GHz)."""
     beta = 1.0 / (ladder.kb_over_h_ghz_per_k * np.asarray(temps, dtype=float))
-    w = np.exp(-np.outer(beta, level_energies(ladder, n_levels)))
+    w = np.exp(-np.outer(beta, energies))
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _chi2(meas: np.ndarray, temps: np.ndarray, ladder: LevelLadder) -> np.ndarray:
-    p_th = boltzmann_array(temps, ladder, 4)
+def _chi2(meas: np.ndarray, temps: np.ndarray, ladder: LevelLadder,
+          energies: np.ndarray) -> np.ndarray:
+    p_th = _boltzmann(temps, ladder, energies)
     return (((meas - p_th) ** 2) / np.maximum(p_th, _P_TH_FLOOR)).sum(axis=1)
 
 
@@ -150,10 +132,12 @@ def fit_temperature_batch(
         row = int(np.argmin(valid))
         raise InvalidPopulations(f"populations of row {row} invalid: {p[row]}")
 
+    # The four level energies, built once for every cost of the fit.
+    energies = level_energies(ladder, 4)
     # Seed: cost on the grid accumulated level by level, _SEED_ROWS rows at
     # a time; the bracket is the best grid point's neighbours.
     grid = np.geomspace(t_min, t_max, 256)
-    p_grid = boltzmann_array(grid, ladder, 4)
+    p_grid = _boltzmann(grid, ladder, energies)
     den = np.maximum(p_grid, _P_TH_FLOOR)
     best = np.empty(p.shape[0], dtype=np.intp)
     for start in range(0, p.shape[0], _SEED_ROWS):
@@ -166,7 +150,7 @@ def fit_temperature_batch(
 
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = _chi2(p, np.exp(c), ladder), _chi2(p, np.exp(d), ladder)
+    fc, fd = _chi2(p, np.exp(c), ladder, energies), _chi2(p, np.exp(d), ladder, energies)
     while (active := b - a > 1e-10).any():
         left = active & (fc < fd)  # the minimum lies in [a, d]
         right = active & ~left
@@ -174,14 +158,14 @@ def fit_temperature_batch(
         d, c = np.where(left, c, d), np.where(right, d, c)
         fd, fc = np.where(left, fc, fd), np.where(right, fd, fc)
         probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        f_probe = _chi2(p, np.exp(probe), ladder)
+        f_probe = _chi2(p, np.exp(probe), ladder, energies)
         c, fc = np.where(left, probe, c), np.where(left, f_probe, fc)
         d, fd = np.where(right, probe, d), np.where(right, f_probe, fd)
     t_eff = np.clip(np.exp(0.5 * (a + b)), t_min, t_max)
 
     at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) | (t_eff >= t_max * (1.0 - 1e-6))
-    chi2_min = _chi2(p, t_eff, ladder)
-    ss_res = ((p - boltzmann_array(t_eff, ladder, 4)) ** 2).sum(axis=1)
+    chi2_min = _chi2(p, t_eff, ladder, energies)
+    ss_res = ((p - _boltzmann(t_eff, ladder, energies)) ** 2).sum(axis=1)
     ss_tot = ((p - p.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r_squared = np.where(ss_tot > 0.0, 1.0 - ss_res / ss_tot,
@@ -245,12 +229,12 @@ def _explicit_bound_sq(x: np.ndarray) -> float:
     return num / den
 
 
-def window_statistics(series: WindowSeries) -> tuple[float, float, float]:
-    """Sample mean, unbiased standard deviation and standard error.
+def window_statistics(temps) -> tuple[float, float, float]:
+    """Sample mean, unbiased standard deviation and standard error of window temperatures.
 
     Returns (mu_T, sigma_T, sigma_mu) with sigma_mu = sigma_T / sqrt(N_win).
     """
-    temps = series.temps
+    temps = np.asarray(temps, dtype=float)
     if temps.size < 2:
         raise TooFewWindows("window statistics need at least 2 windows")
     mu = float(temps.mean())

@@ -62,13 +62,10 @@ def make_ring_model(labels=("g", "e", "f", "h", "k+"), separation=6.0,
     radius = separation * sigma / (2.0 * math.sin(math.pi / k))
     if weights is None:
         weights = [1.0 / k] * k
-    comps = {}
-    for i, lab in enumerate(labels):
-        angle = 2.0 * math.pi * i / k
-        comps[lab] = cl.GmmComponent(
-            np.array([radius * math.cos(angle), radius * math.sin(angle)]),
-            sigma**2 * np.eye(2), weights[i])
-    return cl.GmmModel(comps)
+    angles = [2.0 * math.pi * i / k for i in range(k)]
+    return cl.GmmModel(tuple(labels),
+                       [[radius * math.cos(a), radius * math.sin(a)] for a in angles],
+                       [sigma**2 * np.eye(2)] * k, weights)
 
 
 @pytest.fixture

@@ -199,8 +199,7 @@ def test_criterion_07_thermometry_round_trip_and_precision():
     probs = synth.thermal_level_probabilities(cfg, t_true)
     temps = th.fit_temperature_batch(
         multinomial_windows(21, n_win, n_shot, probs), ladder).t_eff
-    series = th.WindowSeries(temps, n_shot, 34.2e-6)
-    mu, sigma, sigma_mu = th.window_statistics(series)
+    mu, sigma, sigma_mu = th.window_statistics(temps)
     mean_ok = abs(mu - t_true) <= 3 * sigma_mu
 
     # multinomial-theory prediction via finite differences of the
@@ -266,10 +265,7 @@ def test_criterion_09_classification():
     eps = cl.bayes_error(6.0)
     bayes_ok = abs(eps - 1.3499e-3) <= 1e-7
 
-    two = cl.GmmModel({
-        "g": cl.GmmComponent([0.0, 0.0], np.eye(2), 0.5),
-        "e": cl.GmmComponent([6.0, 0.0], np.eye(2), 0.5),
-    })
+    two = cl.GmmModel(("g", "e"), [[0.0, 0.0], [6.0, 0.0]], [np.eye(2)] * 2, [0.5, 0.5])
     conf = cl.synthetic_confusion(two, 100000, seed=7)
     tol = 3 * math.sqrt(eps * (1 - eps) / 100000)
     confusion_ok = (abs(conf.entry("g", "e") - eps) <= tol
@@ -281,9 +277,8 @@ def test_criterion_09_classification():
     for _ in range(25):
         a = rng.normal(size=(2, 2)) + 2.5 * np.eye(2)
         b = rng.normal(size=2)
-        moved = cl.GmmModel({
-            lab: cl.GmmComponent(a @ c.mean + b, a @ c.cov @ a.T, c.weight)
-            for lab, c in model.components.items()})
+        moved = cl.GmmModel(model.labels, model.means @ a.T + b, a @ model.covs @ a.T,
+                            model.weights)
         for pair in (("g", "e"), ("e", "f"), ("g", "f")):
             affine_worst = max(affine_worst, abs(
                 cl.pairwise_separation(model, *pair)

@@ -13,24 +13,48 @@ from fluxline.errors import AllOverflow, EmptyRow, NotConverged, SingularCompone
 from conftest import make_ring_model
 
 
+class TestGmmModel:
+    @given(order=st.permutations(range(7)))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_in_canonical_order_from_any_order(self, order):
+        # The levels, the overflow cluster and two other labels, alphabetical last.
+        labels = ("g", "e", "f", "h", "k+", "a", "b")
+        ring = make_ring_model(labels, weights=[0.3, 0.2, 0.15, 0.1, 0.1, 0.1, 0.05])
+        rows = [ring.labels.index(labels[j]) for j in order]
+        model = cl.GmmModel(tuple(ring.labels[r] for r in rows), ring.means[rows],
+                            ring.covs[rows], ring.weights[rows])
+        assert model.labels == ring.labels == labels
+        for name in ("means", "covs", "weights"):
+            assert getattr(model, name).tobytes() == getattr(ring, name).tobytes()
+
+    @pytest.mark.parametrize("labels, means, cov_1, message", [
+        (("g", "e", "g"), [[0.0, 0.0]] * 3, np.eye(2), "duplicate component label 'g'"),
+        (("g", "e", "f"), [[0.0, 0.0]] * 2, np.eye(2), r"\(3, 2\) means"),
+        # Row 1, "g", is row 0 in canonical order; the error names its label.
+        (("f", "g", "e"), [[0.0, 0.0]] * 3, [[1.0, 2.0], [2.0, 1.0]],
+         "component 'g': covariance must be symmetric positive definite"),
+    ])
+    def test_bad_rows_rejected(self, labels, means, cov_1, message):
+        covs = [np.eye(2), cov_1, np.eye(2)]
+        with pytest.raises(ValueError, match=message):
+            cl.GmmModel(labels, means, covs, [0.5, 0.25, 0.25])
+
+
 class TestFitGmm:
     def test_supervised_recovery(self, ring_model):
         xy, codes = cl.sample_from_model(ring_model, 3000, seed=42)
         fit = cl.fit_gmm(xy, ring_model.labels, codes)
         sigma_mean = 1.0 / math.sqrt(3000)
-        for lab in ring_model.labels:
-            err = np.linalg.norm(fit.components[lab].mean
-                                 - ring_model.components[lab].mean)
-            assert err < 4 * sigma_mean
+        assert fit.labels == ring_model.labels
+        assert np.linalg.norm(fit.means - ring_model.means, axis=1).max() < 4 * sigma_mean
 
     def test_determinism(self, ring_model):
         xy, codes = cl.sample_from_model(ring_model, 500, seed=3)
         a = cl.fit_gmm(xy, ring_model.labels, codes)
         b = cl.fit_gmm(xy, ring_model.labels, codes)
-        for lab in a.labels:
-            assert np.array_equal(a.components[lab].mean, b.components[lab].mean)
-            assert np.array_equal(a.components[lab].cov, b.components[lab].cov)
-            assert a.components[lab].weight == b.components[lab].weight
+        assert a.labels == b.labels
+        for name in ("means", "covs", "weights"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_em_monotone_log_likelihood(self, monkeypatch, ring_model):
         # run EM with an unreachable tolerance and increasing iteration
@@ -66,29 +90,23 @@ class TestFitGmm:
 def posteriors(model, xy):
     """(k, n) posteriors of the model's components, in label order, at the shots xy."""
     x, y = np.asarray(xy, dtype=float).reshape(-1, 2).T
-    return cl._log_sum_exp(cl._log_density_matrix(x, y, *cl._parameters(model)))[1]
+    return cl._log_sum_exp(cl._log_density_matrix(x, y, model.means, model.covs,
+                                                  model.weights))[1]
 
 
 class TestClassifyShot:
     def test_component_mean_high_posterior(self, ring_model):
-        means = [ring_model.components[lab].mean for lab in ring_model.labels]
-        assert cl.assign_indices(ring_model, means).tolist() == list(range(5))
-        assert np.diag(posteriors(ring_model, means)).min() > 0.99
+        assert cl.assign_indices(ring_model, ring_model.means).tolist() == list(range(5))
+        assert np.diag(posteriors(ring_model, ring_model.means)).min() > 0.99
 
     def test_tie_breaks_to_lower_canonical_order(self):
-        two = cl.GmmModel({
-            "e": cl.GmmComponent([2.0, 0.0], np.eye(2), 0.5),
-            "g": cl.GmmComponent([0.0, 0.0], np.eye(2), 0.5),
-        })
+        two = cl.GmmModel(("e", "g"), [[2.0, 0.0], [0.0, 0.0]], [np.eye(2)] * 2, [0.5, 0.5])
         assert cl.assign_indices(two, [[1.0, 0.0]])[0] == two.labels.index("g")
         assert posteriors(two, (1.0, 0.0))[:, 0].tolist() == pytest.approx([0.5, 0.5])
 
     def test_bulk_confusion_matches_bayes(self):
         delta = 4.0
-        two = cl.GmmModel({
-            "g": cl.GmmComponent([0.0, 0.0], np.eye(2), 0.5),
-            "e": cl.GmmComponent([delta, 0.0], np.eye(2), 0.5),
-        })
+        two = cl.GmmModel(("g", "e"), [[0.0, 0.0], [delta, 0.0]], [np.eye(2)] * 2, [0.5, 0.5])
         n = 200000
         conf = cl.synthetic_confusion(two, n, seed=13)
         eps = cl.bayes_error(delta)
@@ -99,10 +117,7 @@ class TestClassifyShot:
 
 class TestIndexPath:
     def test_tie_breaks_to_lower_canonical_order(self):
-        two = cl.GmmModel({
-            "e": cl.GmmComponent([2.0, 0.0], np.eye(2), 0.5),
-            "g": cl.GmmComponent([0.0, 0.0], np.eye(2), 0.5),
-        })
+        two = cl.GmmModel(("e", "g"), [[2.0, 0.0], [0.0, 0.0]], [np.eye(2)] * 2, [0.5, 0.5])
         assert cl.assign_indices(two, np.array([[1.0, 0.0]]))[0] == two.labels.index("g")
 
     @pytest.mark.parametrize("n_shots, window", [(6000, 1000), (6999, 1000), (17, 1)])
@@ -137,17 +152,12 @@ class TestIndexPath:
 
 class TestSeparation:
     def test_identical_means_zero(self):
-        m = cl.GmmModel({
-            "g": cl.GmmComponent([1.0, 1.0], np.eye(2), 0.5),
-            "e": cl.GmmComponent([1.0, 1.0], 2 * np.eye(2), 0.5),
-        })
+        m = cl.GmmModel(("g", "e"), [[1.0, 1.0], [1.0, 1.0]], [np.eye(2), 2 * np.eye(2)],
+                        [0.5, 0.5])
         assert cl.pairwise_separation(m, "g", "e") == 0.0
 
     def test_unit_covariance_axis_separation(self):
-        m = cl.GmmModel({
-            "g": cl.GmmComponent([0.0, 0.0], np.eye(2), 0.5),
-            "e": cl.GmmComponent([6.0, 0.0], np.eye(2), 0.5),
-        })
+        m = cl.GmmModel(("g", "e"), [[0.0, 0.0], [6.0, 0.0]], [np.eye(2)] * 2, [0.5, 0.5])
         assert cl.pairwise_separation(m, "g", "e") == pytest.approx(6.0, rel=1e-12)
 
     def test_design_gate_maps_to_error_rate(self, ring_model):
@@ -162,9 +172,8 @@ class TestSeparation:
         a = rng.normal(size=(2, 2))
         a += np.sign(np.linalg.det(a) or 1.0) * 2.0 * np.eye(2)
         b = rng.normal(size=2)
-        transformed = cl.GmmModel({
-            lab: cl.GmmComponent(a @ c.mean + b, a @ c.cov @ a.T, c.weight)
-            for lab, c in model.components.items()})
+        transformed = cl.GmmModel(model.labels, model.means @ a.T + b, a @ model.covs @ a.T,
+                                  model.weights)
         d0 = cl.pairwise_separation(model, "g", "e")
         d1 = cl.pairwise_separation(transformed, "g", "e")
         assert d1 == pytest.approx(d0, rel=1e-9, abs=1e-9)
@@ -188,8 +197,8 @@ class TestBayesError:
 
 class TestAssignmentMatrix:
     def test_perfect_classification_identity(self, ring_model):
-        means = np.array([ring_model.components[l].mean for l in ring_model.labels])
-        matrix = cl.assignment_matrix(ring_model, means, np.arange(5), ring_model.labels)
+        matrix = cl.assignment_matrix(ring_model, ring_model.means, np.arange(5),
+                                      ring_model.labels)
         assert np.allclose(matrix.matrix, np.eye(5))
 
     def test_rows_in_canonical_order_from_any_table(self, ring_model):
@@ -199,7 +208,7 @@ class TestAssignmentMatrix:
         remap = np.array([table.index(lab) for lab in ring_model.labels])
         a = cl.assignment_matrix(ring_model, xy, remap[codes], table)
         b = cl.assignment_matrix(ring_model, xy, codes, ring_model.labels)
-        assert a.row_labels == b.row_labels == ring_model.labels
+        assert a.row_labels == b.row_labels == list(ring_model.labels)
         assert a.matrix.tobytes() == b.matrix.tobytes()
         named = np.array(ring_model.labels)[codes]
         for r, prep in enumerate(a.row_labels):
@@ -225,7 +234,7 @@ class TestAssignmentMatrix:
         # A table entry that no code names is a row with no shots.
         xy, codes = cl.sample_from_model(ring_model, 200, seed=2)
         with pytest.raises(EmptyRow, match="'missing'"):
-            cl.assignment_matrix(ring_model, xy, codes, ring_model.labels + ["missing"])
+            cl.assignment_matrix(ring_model, xy, codes, [*ring_model.labels, "missing"])
 
 
 class TestSyntheticConfusion:
@@ -241,10 +250,7 @@ class TestSyntheticConfusion:
     def test_identical_components_tie_break(self):
         # two bit-identical components produce exact posterior ties, which
         # the deterministic contract sends to the lower canonical label
-        dup = cl.GmmModel({
-            "g": cl.GmmComponent([0.0, 0.0], np.eye(2), 0.5),
-            "e": cl.GmmComponent([0.0, 0.0], np.eye(2), 0.5),
-        })
+        dup = cl.GmmModel(("g", "e"), [[0.0, 0.0], [0.0, 0.0]], [np.eye(2)] * 2, [0.5, 0.5])
         conf = cl.synthetic_confusion(dup, 1000, seed=1)
         assert np.allclose(conf.matrix[:, 0], 1.0)
         assert posteriors(dup, (0.3, -0.2))[0, 0] == pytest.approx(0.5)
@@ -260,14 +266,12 @@ def reference_log_densities(model, xy):
     """Log of weight * normal density for every (shot, component), as a matrix."""
     labels = model.labels
     out = np.empty((xy.shape[0], len(labels)))
-    for j, lab in enumerate(labels):
-        comp = model.components[lab]
-        diff = xy - comp.mean
+    for j, (mean, cov, weight) in enumerate(zip(model.means, model.covs, model.weights)):
+        diff = xy - mean
         x, y = diff[:, 0], diff[:, 1]
-        cov = comp.cov
         det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
         maha = (cov[1, 1] * x * x - (cov[0, 1] + cov[1, 0]) * x * y + cov[0, 0] * y * y) / det
-        log_w = math.log(comp.weight) if comp.weight > 0 else -math.inf
+        log_w = math.log(weight) if weight > 0 else -math.inf
         out[:, j] = log_w - 0.5 * (maha + math.log(det)) - cl._LOG_2PI
     return labels, out
 
@@ -281,7 +285,7 @@ def check_against_reference(model, xy):
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     with np.errstate(all="ignore"):
         idx = cl.assign_indices(model, xy)
-        dens = cl._log_density_matrix(*xy.T, *cl._parameters(model))
+        dens = cl._log_density_matrix(*xy.T, model.means, model.covs, model.weights)
         ref = reference_log_densities(model, xy)[1]
     assert idx.dtype == np.uint8 and idx.shape == (len(xy),)
     assert idx.tolist() == reference_indices(model, xy).tolist()
@@ -290,28 +294,23 @@ def check_against_reference(model, xy):
 
 
 # A diagonal, a correlated and an anti-correlated component.
-MIXED = cl.GmmModel({
-    "g": cl.GmmComponent([0.0, 0.0], np.eye(2), 0.4),
-    "e": cl.GmmComponent([3.0, 1.0], [[2.0, 0.5], [0.5, 1.0]], 0.3),
-    "f": cl.GmmComponent([-2.0, 4.0], [[1.0, -0.9], [-0.9, 1.5]], 0.3),
-    "h": cl.GmmComponent([1.0, -3.0], [[0.5, 0.2], [0.2, 0.3]], 0.0),
-})
+MIXED = cl.GmmModel(
+    ("g", "e", "f", "h"), [[0.0, 0.0], [3.0, 1.0], [-2.0, 4.0], [1.0, -3.0]],
+    [np.eye(2), [[2.0, 0.5], [0.5, 1.0]], [[1.0, -0.9], [-0.9, 1.5]], [[0.5, 0.2], [0.2, 0.3]]],
+    [0.4, 0.3, 0.3, 0.0])
 
 
 class TestRunningArgmax:
     def test_shot_exactly_between_two_equal_components(self):
-        two = cl.GmmModel({"e": cl.GmmComponent([1.0, 0.0], np.eye(2), 0.5),
-                           "g": cl.GmmComponent([-1.0, 0.0], np.eye(2), 0.5)})
+        two = cl.GmmModel(("e", "g"), [[1.0, 0.0], [-1.0, 0.0]], [np.eye(2)] * 2, [0.5, 0.5])
         idx = check_against_reference(two, [[0.0, y] for y in (-3.0, 0.0, 0.5, 7.0)])
         assert idx.tolist() == [two.labels.index("g")] * 4
 
     def test_zero_weight_component_never_wins(self, ring_model):
-        comps = dict(ring_model.components)
-        comps["h"] = cl.GmmComponent(comps["h"].mean, comps["h"].cov, 0.0)
-        comps["g"] = cl.GmmComponent(comps["g"].mean, comps["g"].cov,
-                                     ring_model.components["g"].weight
-                                     + ring_model.components["h"].weight)
-        model = cl.GmmModel(comps)
+        weights = ring_model.weights.copy()
+        g, h = ring_model.labels.index("g"), ring_model.labels.index("h")
+        weights[g], weights[h] = weights[g] + weights[h], 0.0
+        model = cl.GmmModel(ring_model.labels, ring_model.means, ring_model.covs, weights)
         xy, _ = cl.sample_from_model(ring_model, 300, seed=6)
         idx = check_against_reference(model, xy)
         assert model.labels.index("h") not in idx.tolist()
@@ -341,22 +340,23 @@ class TestRunningArgmax:
         k = int(rng.integers(1, 7))
         weights = rng.dirichlet(np.ones(k)) * (rng.random(k) > 0.2)
         weights = weights / weights.sum() if weights.sum() > 0 else np.full(k, 1.0 / k)
-        comps = {}
+        means, covs = [], []
         for j in range(k):
             a = rng.normal(size=(2, 2))
             # Ties between identical components show when k repeats a mean.
-            mean = rng.integers(-3, 4, 2).astype(float)
-            comps[cl.LABEL_ORDER[j] if j < 5 else f"x{j}"] = cl.GmmComponent(
-                mean, a @ a.T + 0.1 * np.eye(2), weights[j])
-        model = cl.GmmModel(comps)
+            means.append(rng.integers(-3, 4, 2).astype(float))
+            covs.append(a @ a.T + 0.1 * np.eye(2))
+        labels = [cl.LABEL_ORDER[j] if j < 5 else f"x{j}" for j in range(k)]
+        model = cl.GmmModel(tuple(labels), means, covs, weights)
         check_against_reference(model, np.array(shots, dtype=float).reshape(-1, 2))
 
     def test_no_n_by_k_matrix_is_allocated(self):
         import tracemalloc
         # Each of the running arrays holds n values; the matrix held n * k.
         k, n = 32, 50_000
-        model = cl.GmmModel({f"c{j}": cl.GmmComponent([float(j), 0.0], np.eye(2), 1.0 / k)
-                             for j in range(k)})
+        model = cl.GmmModel(tuple(f"c{j}" for j in range(k)),
+                            [[float(j), 0.0] for j in range(k)], [np.eye(2)] * k,
+                            [1.0 / k] * k)
         xy = np.random.default_rng(1).normal(size=(n, 2)) * 4
         tracemalloc.start()
         try:
@@ -400,8 +400,7 @@ def reference_fit_gmm(xy, labels, prep_labels, max_iter=500):
         means.append(sel.mean(axis=0))
         covs.append(np.cov(sel.T) + reg)
         weights.append(sel.shape[0] / n)
-    model = cl.GmmModel({lab: cl.GmmComponent(m, c, w)
-                         for lab, m, c, w in zip(labels, means, covs, weights)})
+    model = cl.GmmModel(tuple(labels), means, covs, weights)
     ll_prev = None
     for sweep in range(1, max_iter + 1):
         log_dens = reference_log_densities(model, xy)[1]
@@ -412,13 +411,13 @@ def reference_fit_gmm(xy, labels, prep_labels, max_iter=500):
         nk = resp.sum(axis=0)
         if np.any(nk / n < cl._MIN_WEIGHT):
             return SingularComponent, sweep
-        new = {}
-        for j, lab in enumerate(labels):
+        means, covs = [], []
+        for j in range(k):
             mu = resp[:, j] @ xy / nk[j]
             diff = xy - mu
-            cov = (resp[:, j, None] * diff).T @ diff / nk[j] + reg
-            new[lab] = cl.GmmComponent(mu, cov, nk[j] / n)
-        model = cl.GmmModel(new)
+            means.append(mu)
+            covs.append((resp[:, j, None] * diff).T @ diff / nk[j] + reg)
+        model = cl.GmmModel(tuple(labels), means, covs, nk / n)
         if ll_prev is not None and abs(ll - ll_prev) <= cl._EM_TOL * abs(ll):
             return model, sweep
         ll_prev = ll
@@ -453,22 +452,18 @@ def check_same_fit(new, ref):
     if isinstance(ref, type):
         assert new is ref
         return
-    assert list(new.components) == list(ref.components)
-    for lab, comp in ref.components.items():
-        got = new.components[lab]
-        assert np.max(np.abs(got.mean - comp.mean)) <= 1e-10
-        assert np.max(np.abs(got.cov - comp.cov)) <= 1e-10
-        assert abs(got.weight - comp.weight) <= 1e-12
+    assert new.labels == ref.labels
+    assert np.max(np.abs(new.means - ref.means)) <= 1e-10
+    assert np.max(np.abs(new.covs - ref.covs)) <= 1e-10
+    assert np.max(np.abs(new.weights - ref.weights)) <= 1e-12
 
 
-SHIFTED_RING = cl.GmmModel({
-    lab: cl.GmmComponent(c.mean + [1e3, -1e3], c.cov, c.weight)
-    for lab, c in make_ring_model().components.items()})
-SKEWED = cl.GmmModel({
-    "g": cl.GmmComponent([0.0, 0.0], [[1.0, 0.3], [0.3, 0.5]], 0.55),
-    "e": cl.GmmComponent([2.5, 1.0], [[0.6, -0.2], [-0.2, 1.4]], 0.3),
-    "f": cl.GmmComponent([0.5, 3.0], [[2.0, 0.0], [0.0, 0.2]], 0.15),
-})
+RING = make_ring_model()
+SHIFTED_RING = cl.GmmModel(RING.labels, RING.means + [1e3, -1e3], RING.covs, RING.weights)
+SKEWED = cl.GmmModel(
+    ("g", "e", "f"), [[0.0, 0.0], [2.5, 1.0], [0.5, 3.0]],
+    [[[1.0, 0.3], [0.3, 0.5]], [[0.6, -0.2], [-0.2, 1.4]], [[2.0, 0.0], [0.0, 0.2]]],
+    [0.55, 0.3, 0.15])
 
 
 class TestArrayEmMatchesReference:
@@ -513,8 +508,6 @@ class TestArrayEmMatchesReference:
         remap = np.array([table.index(lab) for lab in model.labels])
         a = cl.fit_gmm(xy, table, remap[codes])
         b = cl.fit_gmm(xy, model.labels, codes)
-        assert list(a.components) == list(b.components) == model.labels
-        for lab in model.labels:
-            assert a.components[lab].mean.tobytes() == b.components[lab].mean.tobytes()
-            assert a.components[lab].cov.tobytes() == b.components[lab].cov.tobytes()
-            assert a.components[lab].weight == b.components[lab].weight
+        assert a.labels == b.labels == model.labels
+        for name in ("means", "covs", "weights"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()

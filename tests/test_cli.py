@@ -332,6 +332,17 @@ class TestGenerateAndFitReset:
         assert capsys.readouterr().err == f"error: unknown preparation label {prep!r}\n"
         assert not out.exists()
 
+    def test_repeated_prep_exit_1_writing_nothing(self, tmp_path, capsys):
+        # A second "e" draw would replace the first in the dataset's dict.
+        gen_cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "reset",
+            "rates": {"t1_ge_ns": 238.22, "t1_ef_ns": 136.80, "t1_fh_ns": 128.84},
+            "t_points": 10, "preps": ["e", "e", "h"]})
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--config", gen_cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: duplicate preparation label 'e'\n"
+        assert not out.exists()
+
 
 class TestResetCsvBoundary:
     GOOD = ("prep,time_s,p_g,p_e,p_f,p_h\n"
@@ -656,7 +667,7 @@ class TestClassifyCommand:
         entries = np.array(doc["entries"])
         assert np.allclose(entries.sum(axis=1), 1.0, atol=1e-9)
         assert entries.diagonal().min() > 0.98
-        saved = fio.model_from_dict(json.loads((tmp_path / "model.json").read_text()))
+        saved = fio.model_from_dict(json.loads((tmp_path / "model.json").read_text()), "model")
         assert cl.min_pairwise_separation(saved) > 5.0
 
     def test_classify_unlabeled_counts(self, tmp_path):
@@ -688,7 +699,7 @@ class TestClassifyCommand:
         # Every 7th label blanked: no "" component may be fitted or reported.
         model = make_ring_model()
         xy, codes = cl.sample_from_model(model, 100, seed=3)
-        table = model.labels + [""]
+        table = [*model.labels, ""]
         codes[::7] = len(model.labels)
         fio.write_shots_csv(tmp_path / "cal.csv", xy, codes, table)
         cfg = {"shots_csv": str(tmp_path / "cal.csv")}
@@ -887,14 +898,19 @@ class TestRoundTripFormats:
             fio.read_reset_csv(path)
 
     def test_model_json_round_trip(self, tmp_path):
-        model = make_ring_model()
+        # Rows given out of canonical order are written and read back in it,
+        # every value bit for bit, whatever the key order of the file.
+        model = make_ring_model(labels=("h", "k+", "e", "g", "f"),
+                                weights=[0.1, 0.3, 0.2, 0.15, 0.25])
         fio.dump_json(fio.model_to_dict(model), tmp_path / "m.json")
-        back = fio.model_from_dict(fio.load_json(tmp_path / "m.json"))
-        for lab in model.labels:
-            assert np.array_equal(back.components[lab].mean,
-                                  model.components[lab].mean)
-            assert np.array_equal(back.components[lab].cov,
-                                  model.components[lab].cov)
+        doc = fio.load_json(tmp_path / "m.json")
+        assert list(doc["components"]) == list(cl.LABEL_ORDER)
+        reversed_doc = {"components": dict(reversed(doc["components"].items()))}
+        for back in (fio.model_from_dict(doc, "model"),
+                     fio.model_from_dict(reversed_doc, "model")):
+            assert back.labels == model.labels == cl.LABEL_ORDER
+            for name in ("means", "covs", "weights"):
+                assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
 
 
 # --- the block writer at its real block size -----------------------------------

@@ -60,7 +60,8 @@ class TestThermalShots:
         # every shot must come from the ground cluster; check positions,
         # since even perfect emission leaves the classifier its Bayes error
         xy = synth.gen_thermal_shots(gen_config, 1e-3, 500)
-        g_mean = gen_config.cluster_model.components["g"].mean
+        model = gen_config.cluster_model
+        g_mean = model.means[model.labels.index("g")]
         assert np.linalg.norm(xy - g_mean, axis=1).max() < 6.0
 
     def test_determinism(self, gen_config):
@@ -69,11 +70,12 @@ class TestThermalShots:
         assert np.array_equal(a, b)
 
     def test_missing_component_named_with_its_level(self, gen_config):
-        comps = gen_config.cluster_model.components
-        kept = {lab: cl.GmmComponent(c.mean, c.cov, c.weight / (1.0 - comps["k+"].weight))
-                for lab, c in comps.items() if lab != "k+"}
+        full = gen_config.cluster_model
+        k_plus = full.labels.index("k+")
+        kept = cl.GmmModel(full.labels[:k_plus], full.means[:k_plus], full.covs[:k_plus],
+                           full.weights[:k_plus] / (1.0 - full.weights[k_plus]))
         cfg = synth.ShotGenConfig(ladder=gen_config.ladder, seed=gen_config.seed,
-                                  cluster_model=cl.GmmModel(kept))
+                                  cluster_model=kept)
         # Cold enough that no level above h is drawn: the overflow cluster
         # is never needed and the shots equal those of the full model.
         assert np.array_equal(synth.gen_thermal_shots(cfg, 0.05, 2000),
@@ -99,8 +101,7 @@ class TestThermalShots:
     def test_window_pipeline_matches_target_temperature(self, gen_config, ladder_a):
         windows = list(synth.iter_window_series(gen_config, 0.181072, 120, 5000))
         temps = _window_temperatures(gen_config.cluster_model, windows, ladder_a)
-        series = th.WindowSeries(temps, 5000, 34.2e-6)
-        mu, sigma, sigma_mu = th.window_statistics(series)
+        mu, sigma, sigma_mu = th.window_statistics(temps)
         # classification cross-talk at separation 6 biases mu by about +0.4 mK
         assert abs(mu - 0.181072) < 1e-3
         assert 2e-3 < sigma < 5e-3
@@ -119,20 +120,21 @@ def reference_draw(cfg, temperature, n, rng):
     comp_idx = np.minimum(levels, 4)
     for k in np.flatnonzero(np.bincount(comp_idx)).tolist():
         sel = comp_idx == k
-        comp = cfg.cluster_model.components[cl.LABEL_ORDER[k]]
-        xy[sel] = comp.mean + z[sel] @ np.linalg.cholesky(comp.cov).T
+        j = cfg.cluster_model.labels.index(cl.LABEL_ORDER[k])
+        xy[sel] = (cfg.cluster_model.means[j]
+                   + z[sel] @ np.linalg.cholesky(cfg.cluster_model.covs[j]).T)
     return xy, np.bincount(comp_idx, minlength=5)
 
 
 def random_cluster_model(seed: int) -> cl.GmmModel:
     """Five clusters with random means and random correlated covariances."""
     rng = np.random.default_rng(seed)
-    comps = {}
-    for lab in ("g", "e", "f", "h", "k+"):
+    means, covs = [], []
+    for _ in range(5):
         a = rng.standard_normal((2, 2))
-        comps[lab] = cl.GmmComponent(6.0 * rng.standard_normal(2),
-                                     a @ a.T + 0.1 * np.eye(2), 0.2)
-    return cl.GmmModel(comps)
+        means.append(6.0 * rng.standard_normal(2))
+        covs.append(a @ a.T + 0.1 * np.eye(2))
+    return cl.GmmModel(("g", "e", "f", "h", "k+"), means, covs, [0.2] * 5)
 
 
 class TestDrawMatchesMaskedReference:
@@ -219,7 +221,7 @@ class TestRbDecay:
         assert np.array_equal(a[1], b[1])
 
 
-class TestWindowSeries:
+class TestIterWindows:
     def test_minimal_series(self, gen_config):
         windows = list(synth.iter_window_series(gen_config, 0.2, 2, 50))
         assert len(windows) == 2

@@ -112,13 +112,14 @@ def scalar_fit_reference(p, ladder, bounds=(1e-3, 20.0)):
     r_squared, chi2_min, at_boundary).
     """
     t_min, t_max = bounds
+    energies = th.level_energies(ladder, 4)
     grid = np.geomspace(t_min, t_max, 256)
-    best = int(np.argmin(th._chi2(p, grid, ladder)))
+    best = int(np.argmin(th._chi2(p, grid, ladder, energies)))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
 
     def cost(log_t):
-        return float(th._chi2(p, np.array([np.exp(log_t)]), ladder)[0])
+        return float(th._chi2(p, np.array([np.exp(log_t)]), ladder, energies)[0])
 
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(np.log(lo)), float(np.log(hi))
@@ -137,7 +138,7 @@ def scalar_fit_reference(p, ladder, bounds=(1e-3, 20.0)):
     t_eff = min(max(float(np.exp(0.5 * (a + b))), t_min), t_max)
     at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) or (t_eff >= t_max * (1.0 - 1e-6))
     p_fit = th.boltzmann_array(np.array([t_eff]), ladder, 4)[0]
-    chi2_min = float(th._chi2(p, np.array([t_eff]), ladder)[0])
+    chi2_min = float(th._chi2(p, np.array([t_eff]), ladder, energies)[0])
     ss_res = float(((p - p_fit) ** 2).sum())
     ss_tot = float(((p - p.mean()) ** 2).sum())
     if ss_tot > 0.0:
@@ -199,6 +200,18 @@ class TestFitTemperatureBatch:
             for name in ("t_eff", "r_squared", "chi2_min", "at_boundary"):
                 assert getattr(fit, name).tobytes() == getattr(fits[0], name).tobytes()
 
+    def test_level_energies_built_once_per_fit(self, ladder_a, monkeypatch):
+        pops = self.sampled_windows(ladder_a, 50, 3)
+        calls = []
+
+        def counted(ladder, n_levels, level_energies=th.level_energies):
+            calls.append(n_levels)
+            return level_energies(ladder, n_levels)
+
+        monkeypatch.setattr(th, "level_energies", counted)
+        th.fit_temperature_batch(pops, ladder_a)
+        assert calls == [4]
+
     def test_seed_memory_does_not_grow_with_windows(self, ladder_a):
         import tracemalloc
         n_win = 10_000
@@ -258,8 +271,7 @@ class TestQcrb:
 
 class TestWindowStatistics:
     def test_constant_series(self):
-        s = th.WindowSeries(np.full(10, 0.18), 5000, 34.2e-6)
-        mu, sigma, sigma_mu = th.window_statistics(s)
+        mu, sigma, sigma_mu = th.window_statistics(np.full(10, 0.18))
         assert mu == pytest.approx(0.18)
         assert sigma == 0.0
         assert sigma_mu == 0.0
@@ -267,22 +279,21 @@ class TestWindowStatistics:
     def test_gaussian_recovery(self):
         rng = np.random.default_rng(8)
         temps = rng.normal(0.181, 3.5e-3, 5000)
-        s = th.WindowSeries(temps, 5000, 34.2e-6)
-        mu, sigma, sigma_mu = th.window_statistics(s)
+        mu, sigma, sigma_mu = th.window_statistics(temps)
         assert abs(mu - 0.181) < 3 * sigma_mu
         assert abs(sigma - 3.5e-3) < 3 * 3.5e-3 / math.sqrt(2 * (5000 - 1))
 
     def test_sigma_mu_scaling(self):
         temps = np.linspace(0.17, 0.19, 5000)
-        s = th.WindowSeries(temps, 5000, 34.2e-6)
-        mu, sigma, sigma_mu = th.window_statistics(s)
+        mu, sigma, sigma_mu = th.window_statistics(temps)
         assert sigma_mu == pytest.approx(sigma / math.sqrt(5000), rel=1e-12)
         # reference arithmetic: sigma 3.540 mK over 5000 windows
         assert 3.540e-3 / math.sqrt(5000) == pytest.approx(5.01e-5, rel=1e-2)
 
     def test_too_few_windows(self):
-        with pytest.raises(TooFewWindows):
-            th.window_statistics(th.WindowSeries(np.array([0.18]), 10, 1e-6))
+        for temps in ([], [0.18]):
+            with pytest.raises(TooFewWindows):
+                th.window_statistics(np.array(temps))
 
 
 class TestNet:
