@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LEVELS
 from .errors import AllOverflow, EmptyRow, NotConverged, SingularComponent, SingularCovariance
 
 LABEL_ORDER = ("g", "e", "f", "h", "k+")
+LEVELS = LABEL_ORDER[:4]
 
 _MIN_WEIGHT = 1e-6
 # EM stops at this relative log-likelihood change, and gives up after this many sweeps.

@@ -14,6 +14,10 @@ with removable 1/(Gamma_i - Gamma_j) poles at rate degeneracies; those are
 evaluated through divided-difference helpers that switch to series limits
 instead of relying on cancellation.
 
+A state is a (4,) numpy row of these populations.  A preparation 'e',
+'f' or 'h' starts in level 1, 2 or 3; ``ResetDataset.check_labels`` maps
+the labels to those levels, whose initial rows are ``np.eye(4)[levels]``.
+
 The closed forms are cross-checked against an in-house adaptive
 Dormand-Prince 4(5) integrator, ``populations_ode``, which steps many
 (rates, initial state) systems at once and is also the truth behind
@@ -33,7 +37,6 @@ import numpy as np
 from .errors import DegenerateUnhandled, FitDiverged, RankDeficient, StepFailure
 from .fits import levenberg_marquardt
 
-LEVELS = ("g", "e", "f", "h")
 _PREP_INDEX = {"e": 1, "f": 2, "h": 3}
 
 # |delta| * t below this switches divided differences to series limits.
@@ -71,37 +74,6 @@ class DecayRates:
 
 
 @dataclass(frozen=True)
-class PopulationVector:
-    """Normalized occupation of the four lowest levels."""
-
-    p_g: float
-    p_e: float
-    p_f: float
-    p_h: float
-
-    def __post_init__(self):
-        vals = (self.p_g, self.p_e, self.p_f, self.p_h)
-        if any(v < 0.0 or v > 1.0 for v in vals):
-            raise ValueError(f"populations must lie in [0, 1], got {vals}")
-        if abs(sum(vals) - 1.0) > 1e-12:
-            raise ValueError(f"populations must sum to 1, got {sum(vals)!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_g, self.p_e, self.p_f, self.p_h])
-
-    @classmethod
-    def from_array(cls, p) -> "PopulationVector":
-        p = np.asarray(p, dtype=float)
-        return cls(*p)
-
-    @classmethod
-    def pure(cls, level: str) -> "PopulationVector":
-        vals = [0.0, 0.0, 0.0, 0.0]
-        vals[LEVELS.index(level)] = 1.0
-        return cls(*vals)
-
-
-@dataclass(frozen=True)
 class ResetCurve:
     """Measured populations versus time for one preparation."""
 
@@ -130,12 +102,15 @@ class ResetDataset:
         self.check_labels(list(self.curves))
 
     @staticmethod
-    def check_labels(labels):
+    def check_labels(labels) -> list[int]:
+        """Level (1, 2 or 3) of each preparation label; an unknown or a
+        repeated label raises ValueError."""
         for j, label in enumerate(labels):
             if label not in _PREP_INDEX:
                 raise ValueError(f"unknown preparation label {label!r}")
             if label in labels[:j]:
                 raise ValueError(f"duplicate preparation label {label!r}")
+        return [_PREP_INDEX[label] for label in labels]
 
 
 # --- degeneracy-safe exponential helpers --------------------------------------
@@ -234,23 +209,11 @@ def _populations_closed(t: np.ndarray, rates: DecayRates, init: np.ndarray) -> n
     return out
 
 
-def populations_closed_form(t_grid, rates: DecayRates, init: PopulationVector) -> np.ndarray:
-    """Analytic populations on a time grid; rows ordered (g, e, f, h)."""
+def populations_closed_form(t_grid, rates: DecayRates, init) -> np.ndarray:
+    """Analytic populations on a time grid from the (4,) row ``init``;
+    rows ordered (g, e, f, h)."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    return _populations_closed(t_grid, rates, init.as_array()[None])[0]
-
-
-def ground_population_closed_form(t: float, rates: DecayRates, prep: str) -> float:
-    """Ground-state population at time t after preparing 'e', 'f' or 'h'.
-
-    One formula for every cascade: P_g = 1 - P_e - P_f - P_h of the closed
-    form, clipped to [0, 1].
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    ResetDataset.check_labels([prep])
-    p_g = populations_closed_form(t, rates, PopulationVector.pure(prep))[0, 0]
-    return min(max(float(p_g), 0.0), 1.0)
+    return _populations_closed(t_grid, rates, np.asarray(init, dtype=float)[None])[0]
 
 
 # Dormand-Prince 4(5) tableau, FSAL form.
@@ -406,7 +369,7 @@ def fit_decay_rates(data: ResetDataset, fit_floor: bool = False) -> DecayRatesFi
     ``apply_thermal_floor``.  FitDiverged is raised only when the fit runs
     out of evaluations or returns a point outside the box.
     """
-    preps = sorted(data.curves, key=lambda s: _PREP_INDEX[s])
+    preps = sorted(data.curves, key=_PREP_INDEX.get)
     if len(preps) < 2:
         raise ValueError("need at least 2 preparations")
     for prep in preps:
@@ -419,14 +382,14 @@ def fit_decay_rates(data: ResetDataset, fit_floor: bool = False) -> DecayRatesFi
     # one take of these rows costs a tenth of a 2-D fancy index.
     kernel_row = np.repeat(np.arange(len(preps)) * t_all.size,
                            [t.size for t in t_grids]) + time_index
-    inits = np.array([PopulationVector.pure(p).as_array() for p in preps])
+    levels = data.check_labels(preps)
+    inits = np.eye(4)[levels]
 
     first = data.curves[preps[0]]
     g0 = _seed_gamma(first.times, first.populations[:, 0])
     theta0 = [g0, 1.7 * g0, 2.5 * g0]
     # A prepared level k empties at its own rate gamma_{k-1,k} alone.
-    for prep in preps:
-        k = _PREP_INDEX[prep]
+    for prep, k in zip(preps, levels):
         curve = data.curves[prep]
         theta0[k - 1] = _seed_gamma(curve.times, -curve.populations[:, k])
     if fit_floor:

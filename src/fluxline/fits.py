@@ -358,8 +358,8 @@ def interleaved_fidelity(p_ref: float, p_int: float) -> float:
     Values slightly above one are reported as-is; they arise from
     statistical fluctuations when p_int > p_ref.
     """
-    if p_ref == 0:
-        raise ValueError("p_ref must be nonzero")
+    if not 0.0 < p_ref <= 1.0:
+        raise ValueError("p_ref must lie in (0, 1]")
     return 1.0 - 0.5 * (1.0 - p_int / p_ref)
 
 

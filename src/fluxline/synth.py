@@ -4,8 +4,12 @@ benchmarking decays.
 These generators are the independent oracles for every estimator in the
 repository: thermal shots exercise the classification and thermometry
 pipeline, multinomially sampled reset trajectories exercise the rate fits,
-and binomial benchmarking decays exercise the survival fit.  Every
-generator is a pure function of (configuration, seed); per-window
+and binomial benchmarking decays exercise the survival fit.  Thermal
+levels are drawn from ``thermometry.boltzmann_populations`` over the
+extended manifold.  A reset trajectory starts from the (4,) population row
+of its preparation, ``np.eye(4)[level]`` with the level (1, 2 or 3) that
+``dynamics.ResetDataset.check_labels`` maps the label 'e', 'f' or 'h' to.
+Every generator is a pure function of (configuration, seed); per-window
 substreams are split from the base seed with a counter key so that window
 parallelism cannot change the output.
 """
@@ -17,15 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import LABEL_ORDER, GmmModel
-from .dynamics import (
-    DecayRates,
-    PopulationVector,
-    ResetCurve,
-    ResetDataset,
-    apply_thermal_floor,
-    populations_ode,
-)
-from .thermometry import LevelLadder, boltzmann_array
+from .dynamics import DecayRates, ResetCurve, ResetDataset, apply_thermal_floor, populations_ode
+from .thermometry import LevelLadder, boltzmann_populations
 
 
 @dataclass(frozen=True)
@@ -54,13 +51,6 @@ def window_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def thermal_level_probabilities(cfg: ShotGenConfig, temperature: float) -> np.ndarray:
-    """Boltzmann occupation over the extended n-level manifold."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    return boltzmann_array(np.array([temperature]), cfg.ladder, cfg.n_model_levels)[0]
-
-
 def _thermal_shot_sampler(cfg: ShotGenConfig, temperature: float):
     """``draw(n, rng)``, the (n, 2) thermal IQ shots of one window at ``temperature``.
 
@@ -70,7 +60,7 @@ def _thermal_shot_sampler(cfg: ShotGenConfig, temperature: float):
     each component's Cholesky factor, is done once per sampler, not once
     per window.
     """
-    probs = thermal_level_probabilities(cfg, temperature)
+    probs = boltzmann_populations(temperature, cfg.ladder, cfg.n_model_levels)
     model = cfg.cluster_model
     factors = {LABEL_ORDER.index(lab): (mean, chol) for lab, mean, chol
                in zip(model.labels, model.means, np.linalg.cholesky(model.covs))
@@ -124,11 +114,10 @@ def gen_reset_curves(rates: DecayRates, preps, t_grid, n_shots_per_point: int,
     """
     if n_shots_per_point < 1:
         raise ValueError("n_shots_per_point must be >= 1")
-    ResetDataset.check_labels(preps)  # before any integration
+    levels = ResetDataset.check_labels(preps)  # before any integration
     t_grid = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    inits = np.array([PopulationVector.pure(prep).as_array() for prep in preps])
-    p = populations_ode(t_grid, [rates] * len(preps), inits)
+    p = populations_ode(t_grid, [rates] * len(preps), np.eye(4)[levels])
     if floor_p_inf is not None:
         p = apply_thermal_floor(p, floor_p_inf)
     fractions = rng.multinomial(n_shots_per_point, p) / n_shots_per_point

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PopulationVector
 from .errors import BoundMismatch, InvalidPopulations, TooFewWindows
 
 #: Rounded conversion constant used throughout the device analysis (GHz/K).
@@ -70,18 +69,12 @@ def level_energies(ladder: LevelLadder, n_levels: int) -> np.ndarray:
     return np.cumsum([0.0, *transitions])
 
 
-def boltzmann_populations(temperature: float, ladder: LevelLadder) -> PopulationVector:
-    """Thermal populations of the truncated four-level manifold."""
-    if temperature <= 0:
+def boltzmann_populations(temperature: float, ladder: LevelLadder, n_levels: int) -> np.ndarray:
+    """Thermal populations of the lowest ``n_levels`` levels at one temperature."""
+    # A positive test, so that a NaN temperature fails it.
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
-    p = boltzmann_array(np.array([temperature]), ladder, 4)[0]
-    return PopulationVector.from_array(p)
-
-
-def boltzmann_array(temps: np.ndarray, ladder: LevelLadder, n_levels: int) -> np.ndarray:
-    """Thermal populations of the lowest ``n_levels`` levels for an array of
-    temperatures, shape (len(temps), n_levels)."""
-    return _boltzmann(temps, ladder, level_energies(ladder, n_levels))
+    return _boltzmann(np.array([temperature]), ladder, level_energies(ladder, n_levels))[0]
 
 
 def _boltzmann(temps: np.ndarray, ladder: LevelLadder, energies: np.ndarray) -> np.ndarray:
@@ -183,7 +176,7 @@ def qcrb_bound(temperature: float, ladder: LevelLadder, n_levels: int) -> float:
     energy-variance moments of the truncated Boltzmann distribution; the
     two routes must agree to 1e-10 relative.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     if n_levels not in (2, 3, 4):
         raise ValueError("n_levels must be 2, 3 or 4")
@@ -244,6 +237,6 @@ def window_statistics(temps) -> tuple[float, float, float]:
 
 def net(sigma_t: float, t_meas: float) -> float:
     """Noise-equivalent temperature sigma_T * sqrt(t_meas), in K/sqrt(Hz)."""
-    if t_meas <= 0:
+    if not t_meas > 0:
         raise ValueError("t_meas must be positive")
     return sigma_t * math.sqrt(t_meas)

@@ -411,6 +411,19 @@ class TestRbPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "p_ref" in err
 
+    @pytest.mark.parametrize("p_ref", [-0.5, 7.0])
+    def test_reference_outside_unit_interval_exit_1(self, tmp_path, capsys, p_ref):
+        gen_cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "rb", "p_true": 0.99, "m_grid": list(range(0, 400, 10)),
+            "shots_per_point": 10000, "seed": 3})
+        curve = tmp_path / "rb.csv"
+        assert main(["generate", "--config", gen_cfg, "--out", str(curve)]) == 0
+        cfg = write_cfg(tmp_path, "fit.json", {"curve_csv": str(curve), "p_ref": p_ref})
+        out = tmp_path / "x.json"
+        assert main(["fit-rb", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: p_ref must lie in (0, 1]\n"
+        assert not out.exists()
+
     def test_non_converging_fit_exit_2(self, tmp_path, capsys):
         # The seed-106 curve of the scipy reference sweep in test_fits, on
         # which scipy's least_squares does not converge either.

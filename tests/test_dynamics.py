@@ -32,8 +32,13 @@ def _deadline(seconds):
 
 
 def ode_one(t, rates, init):
-    """The (len(t), 4) ODE populations of one system."""
-    return dyn.populations_ode(t, [rates], init.as_array())[0]
+    """The (len(t), 4) ODE populations of one system from the (4,) row ``init``."""
+    return dyn.populations_ode(t, [rates], init)[0]
+
+
+def pure(prep):
+    """The (4,) population row of preparation 'e', 'f' or 'h'."""
+    return np.eye(4)[dyn.ResetDataset.check_labels([prep])[0]]
 
 
 def rate_triple():
@@ -43,12 +48,18 @@ def rate_triple():
 
 class TestTypes:
     def test_population_vector_validation(self):
-        with pytest.raises(ValueError):
-            dyn.PopulationVector(0.5, 0.5, 0.1, -0.1)
-        with pytest.raises(ValueError):
-            dyn.PopulationVector(0.5, 0.5, 0.1, 0.1)
-        pv = dyn.PopulationVector.pure("f")
-        assert pv.p_f == 1.0 and pv.p_g == 0.0
+        # The initial rows are the pure states of the levels check_labels yields.
+        levels = dyn.ResetDataset.check_labels(["f", "e", "h"])
+        assert levels == [2, 1, 3]
+        rows = np.eye(4)[levels]
+        assert rows.dtype == np.float64 and rows.shape == (3, 4)
+        assert np.array_equal(rows, [[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                     [0.0, 0.0, 0.0, 1.0]])
+        assert np.all(rows >= 0.0) and np.all(rows.sum(axis=1) == 1.0)
+        assert dyn.ResetDataset.check_labels([]) == []
+        for labels in (["g"], ["e", "x"], ["h", "h"]):
+            with pytest.raises(ValueError):
+                dyn.ResetDataset.check_labels(labels)
 
     def test_rates_validation_and_shorthands(self):
         with pytest.raises(ValueError):
@@ -72,36 +83,40 @@ class TestTypes:
                                                   np.zeros((2, 4)))})
 
 
+def ground_population(t, rates, prep):
+    """P_g of the closed form at the times ``t`` after preparing ``prep``."""
+    return dyn.populations_closed_form(t, rates, pure(prep))[:, 0]
+
+
 class TestClosedForm:
     def test_initial_condition(self, reset_rates):
         for prep in ("e", "f", "h"):
-            assert dyn.ground_population_closed_form(0.0, reset_rates, prep) == 0.0
+            assert ground_population(0.0, reset_rates, prep)[0] == 0.0
 
     def test_unknown_preparation_uses_the_dataset_message(self, reset_rates):
         with pytest.raises(ValueError, match="^unknown preparation label 'x'$"):
-            dyn.ground_population_closed_form(1e-7, reset_rates, "x")
+            synth.gen_reset_curves(reset_rates, ("e", "x"), [1e-7, 2e-7], 100)
 
     def test_single_exponential_from_e(self, reset_rates):
         t1 = 1.0 / reset_rates.gamma_ge
-        value = dyn.ground_population_closed_form(t1, reset_rates, "e")
+        value = ground_population(t1, reset_rates, "e")[0]
         assert value == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_five_lifetimes_residual(self, reset_rates):
-        value = dyn.ground_population_closed_form(
-            5.0 / reset_rates.gamma_ge, reset_rates, "e")
+        value = ground_population(5.0 / reset_rates.gamma_ge, reset_rates, "e")[0]
         assert 1.0 - value == pytest.approx(math.exp(-5.0), rel=1e-12)
         assert 1.0 - value < 0.007
 
     def test_monotone_in_time(self, reset_rates):
         for prep in ("e", "f", "h"):
-            vals = [dyn.ground_population_closed_form(t, reset_rates, prep)
-                    for t in np.linspace(0, 3e-6, 200)]
+            vals = ground_population(np.linspace(0, 3e-6, 200), reset_rates, prep)
+            assert vals.shape == (200,)
             assert np.all(np.diff(vals) >= -1e-12)
 
     def test_degenerate_rates_finite(self):
         r = dyn.DecayRates(2e6, 2e6, 2e6)
         for t in (1e-9, 5e-7, 1e-5):
-            v = dyn.ground_population_closed_form(t, r, "h")
+            v = ground_population(t, r, "h")[0]
             # Erlang-3 cascade: P_g = 1 - e^{-Gt}(1 + Gt + (Gt)^2/2)
             gt = 2e6 * t
             exact = 1.0 - math.exp(-gt) * (1 + gt + gt**2 / 2)
@@ -117,10 +132,10 @@ class TestClosedForm:
             if i % 2:
                 g = g[0] * (1.0 + 10 ** rng.uniform(-6, -3) * rng.permutation(3))
             rates = dyn.DecayRates(*g)
-            init = dyn.PopulationVector.pure("h")
+            init = pure("h")
             closed = dyn.populations_closed_form(t_grid, rates, init)
             m = rates.rate_matrix()
-            brute = np.array([expm(m * t) @ init.as_array() for t in t_grid])
+            brute = np.array([expm(m * t) @ init for t in t_grid])
             assert np.abs(closed - brute).max() < 1e-9
 
 
@@ -191,8 +206,8 @@ BASE = 3.7e6
 def _kernel_vs_reference(rates):
     worst = 0.0
     for prep in ("e", "f", "h"):
-        init = dyn.PopulationVector.pure(prep)
-        ref = np.array([_ref_closed(float(t), rates, init.as_array()) for t in T_CUTS])
+        init = pure(prep)
+        ref = np.array([_ref_closed(float(t), rates, init) for t in T_CUTS])
         got = dyn.populations_closed_form(T_CUTS, rates, init)
         worst = max(worst, float(np.abs(got - ref).max()))
     return worst
@@ -316,26 +331,26 @@ class TestPsiBranches:
 class TestOde:
     def test_no_dynamics(self):
         r = dyn.DecayRates(0.0, 0.0, 0.0)
-        init = dyn.PopulationVector(0.1, 0.2, 0.3, 0.4)
+        init = np.array([0.1, 0.2, 0.3, 0.4])
         out = ode_one(np.array([1e-9, 1e-6, 1e-3]), r, init)
-        assert np.allclose(out, init.as_array(), atol=1e-12)
+        assert np.allclose(out, init, atol=1e-12)
 
     def test_normalization_and_conservation(self, reset_rates):
         t = np.geomspace(1e-9, 1e-4, 50)
-        out = ode_one(t, reset_rates, dyn.PopulationVector.pure("h"))
+        out = ode_one(t, reset_rates, pure("h"))
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-10
         assert out.min() >= 0.0
 
     def test_downward_only(self, reset_rates):
         t = np.linspace(1e-9, 3e-6, 80)
-        out = ode_one(t, reset_rates, dyn.PopulationVector.pure("h"))
+        out = ode_one(t, reset_rates, pure("h"))
         assert np.all(np.diff(out[:, 3]) <= 1e-12)   # P_h non-increasing
         assert np.all(np.diff(out[:, 0]) >= -1e-12)  # P_g non-decreasing
 
     def test_agrees_with_closed_form(self, reset_rates):
         t = np.geomspace(1e-9, 1e-4, 100)
         for prep in ("e", "f", "h"):
-            init = dyn.PopulationVector.pure(prep)
+            init = pure(prep)
             ode = ode_one(t, reset_rates, init)
             closed = dyn.populations_closed_form(t, reset_rates, init)
             assert np.abs(ode - closed).max() < 1e-9
@@ -346,8 +361,8 @@ class TestOde:
     def test_oracle_equivalence_random_rates(self, gammas):
         rates = dyn.DecayRates(*gammas)
         t = np.geomspace(1e-9, 1e-4, 30)
-        ode = ode_one(t, rates, dyn.PopulationVector.pure("h"))
-        closed = dyn.populations_closed_form(t, rates, dyn.PopulationVector.pure("h"))
+        ode = ode_one(t, rates, pure("h"))
+        closed = dyn.populations_closed_form(t, rates, pure("h"))
         assert np.abs(ode - closed).max() < 1e-9
 
     def test_near_degenerate_rates(self):
@@ -355,15 +370,14 @@ class TestOde:
         for eps in (1e-6, 1e-9, 1e-13, 0.0):
             rates = dyn.DecayRates(base, base * (1 + eps), base * (1 + 2 * eps))
             t = np.geomspace(1e-9, 1e-4, 40)
-            ode = ode_one(t, rates, dyn.PopulationVector.pure("h"))
-            closed = dyn.populations_closed_form(t, rates,
-                                                 dyn.PopulationVector.pure("h"))
+            ode = ode_one(t, rates, pure("h"))
+            closed = dyn.populations_closed_form(t, rates, pure("h"))
             assert np.abs(ode - closed).max() < 1e-9
 
     @pytest.mark.parametrize("t_grid", [[math.nan, 1e-7], [1e-8, math.nan], [1e-8, math.inf],
                                         [-math.inf, 1e-7], [1e-8, 1e-8], [-1e-9, 1e-7]])
     def test_bad_grid_raises_instead_of_hanging(self, reset_rates, t_grid):
-        init = dyn.PopulationVector.pure("h")
+        init = pure("h")
         with _deadline(10), pytest.raises(ValueError, match="t_grid"):
             ode_one(np.array(t_grid), reset_rates, init)
         with _deadline(10), pytest.raises(ValueError, match="t_grid"):
@@ -374,14 +388,13 @@ class TestOde:
         rng = np.random.default_rng(2)
         rates_list = [dyn.DecayRates(*(10 ** rng.uniform(5, 7.5, 3)))
                       for _ in range(10)]
-        h = dyn.PopulationVector.pure("h")
-        batch = dyn.populations_ode(t, rates_list, h.as_array())
+        h = pure("h")
+        batch = dyn.populations_ode(t, rates_list, h)
         for i, r in enumerate(rates_list):
             assert np.abs(batch[i] - ode_one(t, r, h)).max() < 1e-10
         # Per-system initial states: one rate triple from the e, f and h inits.
-        inits = [dyn.PopulationVector.pure(prep) for prep in "efh"]
-        joint = dyn.populations_ode(t, [reset_rates] * 3,
-                                    np.array([i.as_array() for i in inits]))
+        inits = np.eye(4)[1:]
+        joint = dyn.populations_ode(t, [reset_rates] * 3, inits)
         for row, init in zip(joint, inits):
             assert np.abs(row - ode_one(t, reset_rates, init)).max() < 1e-10
 
@@ -389,7 +402,7 @@ class TestOde:
 class TestThermalFloor:
     def test_endpoints(self, reset_rates):
         t = np.array([0.0, 1e-8, 1e-4])
-        p = dyn.populations_closed_form(t, reset_rates, dyn.PopulationVector.pure("e"))
+        p = dyn.populations_closed_form(t, reset_rates, pure("e"))
         floored = dyn.apply_thermal_floor(p, 0.985)
         assert floored[0, 0] == 0.0  # prepared state untouched at t = 0
         assert floored[-1, 0] == pytest.approx(0.985, abs=1e-6)
@@ -406,7 +419,7 @@ class TestFitDecayRates:
         t = np.linspace(20e-9, 2e-6, 40)
         curves = {
             prep: dyn.ResetCurve(
-                t, ode_one(t, reset_rates, dyn.PopulationVector.pure(prep)))
+                t, ode_one(t, reset_rates, pure(prep)))
             for prep in ("e", "f", "h")
         }
         fit = dyn.fit_decay_rates(dyn.ResetDataset(curves))
@@ -429,7 +442,7 @@ class TestFitDecayRates:
         t = np.linspace(20e-9, 2e-6, 40)
         truth = {n: getattr(reset_rates, n)
                  for n in ("gamma_ge", "gamma_ef", "gamma_fh")}
-        clean = {prep: ode_one(t, reset_rates, dyn.PopulationVector.pure(prep))
+        clean = {prep: ode_one(t, reset_rates, pure(prep))
                  for prep in ("e", "f", "h")}
         rng = np.random.default_rng(123)
         hits = {n: 0 for n in truth}
@@ -539,7 +552,7 @@ class TestFitDecayRates:
 
     def test_requires_enough_data(self, reset_rates):
         t = np.linspace(1e-8, 1e-6, 5)
-        p = ode_one(t, reset_rates, dyn.PopulationVector.pure("e"))
+        p = ode_one(t, reset_rates, pure("e"))
         with pytest.raises(ValueError):
             dyn.fit_decay_rates(dyn.ResetDataset({"e": dyn.ResetCurve(t, p)}))
 
@@ -565,7 +578,7 @@ def _reference_fit(data, fit_floor):
             return np.full(measured.size, 1e3)
         rates = dyn.DecayRates(*theta[:3])
         model = np.concatenate([dyn.populations_closed_form(
-            data.curves[p].times, rates, dyn.PopulationVector.pure(p)) for p in preps])
+            data.curves[p].times, rates, pure(p)) for p in preps])
         if fit_floor:
             model = dyn.apply_thermal_floor(model, theta[3])
         return model.ravel() - measured
@@ -595,7 +608,7 @@ def _backward_sandwich_sigmas(data, x):
     def residuals(theta):
         rates = dyn.DecayRates(*theta[:3])
         model = np.concatenate([dyn.populations_closed_form(
-            data.curves[p].times, rates, dyn.PopulationVector.pure(p)) for p in preps])
+            data.curves[p].times, rates, pure(p)) for p in preps])
         return dyn.apply_thermal_floor(model, theta[3]).ravel() - measured
 
     fun = residuals(x)
@@ -643,12 +656,11 @@ class TestSolverMatchesScipyReference:
 
     def test_init_matrix_kernel_matches_per_init_calls(self):
         t = np.concatenate([[0.0], np.geomspace(1e-12, 1e-4, 200)])
-        inits = [dyn.PopulationVector.pure(p) for p in "gefh"]
-        inits.append(dyn.PopulationVector(0.1, 0.2, 0.3, 0.4))
+        inits = np.vstack([np.eye(4), [0.1, 0.2, 0.3, 0.4]])
         for rates in (dyn.DecayRates(4.2e6, 7.3e6, 7.8e6),
                       dyn.DecayRates(BASE, BASE, BASE * (1 + 1e-9)),
                       dyn.DecayRates(1e8, 1e6, 1e4)):
-            got = dyn._populations_closed(t, rates, np.array([v.as_array() for v in inits]))
+            got = dyn._populations_closed(t, rates, inits)
             assert got.shape == (len(inits), t.size, 4)
             for k, init in enumerate(inits):
                 assert np.abs(got[k] - dyn.populations_closed_form(t, rates, init)).max() <= 1e-15

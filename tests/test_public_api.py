@@ -8,7 +8,7 @@ name that only its own unit tests call is dead weight: delete it, or
 reach it from a command, a script or an acceptance criterion.  Every
 private module-level name must be read in ``src/`` itself, so a kernel
 cannot outlive its last caller behind a test.  The count of settable
-values in ``src/`` is pinned as well.
+values in ``src/`` and the package's import graph are pinned as well.
 """
 
 import ast
@@ -122,3 +122,39 @@ def settable_values() -> int:
 
 def test_settable_value_count_is_pinned():
     assert settable_values() == SETTABLE_VALUES
+
+
+# Which package modules each module of src/ imports.  Thermometry and
+# classification need no reset dynamics: the population row they share is
+# a plain (4,) array.  A new edge shows here, to be justified by the code
+# that needs it.
+IMPORT_GRAPH = {
+    "__init__": {"classify", "dynamics", "errors", "fits", "network", "synth", "thermometry"},
+    "classify": {"errors"},
+    "cli": {"classify", "dynamics", "errors", "fits", "io", "network", "synth", "thermometry"},
+    "dynamics": {"errors", "fits"},
+    "errors": set(),
+    "fits": {"errors"},
+    "io": {"classify", "dynamics", "network", "thermometry"},
+    "network": {"errors"},
+    "synth": {"classify", "dynamics", "thermometry"},
+    "thermometry": {"errors"},
+}
+
+
+def package_imports(path: Path) -> set:
+    """The package modules that the ``from . import x`` and ``from .x import y``
+    statements of ``path`` name, wherever in the file they stand."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                imported.update(alias.name for alias in node.names)
+            else:
+                imported.add(node.module.split(".")[0])
+    return imported
+
+
+def test_import_graph_is_pinned():
+    graph = {path.stem: package_imports(path) for path in SOURCES}
+    assert graph == IMPORT_GRAPH

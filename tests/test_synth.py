@@ -50,7 +50,7 @@ class TestLadderExtension:
         assert peak < 1e6
 
     def test_probabilities_normalized(self, gen_config):
-        p = synth.thermal_level_probabilities(gen_config, 0.3)
+        p = th.boltzmann_populations(0.3, gen_config.ladder, 6)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(p) < 0)
 
@@ -89,7 +89,7 @@ class TestThermalShots:
         xy = synth.gen_thermal_shots(gen_config, 0.25, n)
         model = gen_config.cluster_model
         indices = cl.assign_indices(model, xy)
-        probs = synth.thermal_level_probabilities(gen_config, 0.25)
+        probs = th.boltzmann_populations(0.25, gen_config.ladder, gen_config.n_model_levels)
         expected = np.concatenate([probs[:4], [probs[4:].sum()]])
         for k, lab in enumerate(("g", "e", "f", "h", "k+")):
             observed = np.count_nonzero(indices == model.labels.index(lab)) / n
@@ -114,7 +114,8 @@ def reference_draw(cfg, temperature, n, rng):
     by a sort; also returns the shots drawn per component.
     """
     levels = rng.choice(cfg.n_model_levels, size=n,
-                        p=synth.thermal_level_probabilities(cfg, temperature))
+                        p=th.boltzmann_populations(temperature, cfg.ladder,
+                                                   cfg.n_model_levels))
     z = rng.standard_normal((n, 2))
     xy = np.empty((n, 2))
     comp_idx = np.minimum(levels, 4)
@@ -240,7 +241,8 @@ class TestIterWindows:
         # window sizes of 1000 and up keep the estimator in its asymptotic
         # regime, and 300 windows keep the sigma estimates to ~4 percent
         sizes = (1000, 2000, 4000, 8000)
-        probs = synth.thermal_level_probabilities(gen_config, 0.181072)
+        probs = th.boltzmann_populations(0.181072, gen_config.ladder,
+                                         gen_config.n_model_levels)
         sigmas = []
         for j, n_shot in enumerate(sizes):
             counts = np.array([synth.window_rng(100 + j, w).multinomial(n_shot, probs)[:4]

@@ -26,19 +26,19 @@ def brute_force_boltzmann(temperature, ladder):
 
 class TestBoltzmannPopulations:
     def test_equipartition_limit(self, ladder_a):
-        p = th.boltzmann_populations(1e6, ladder_a).as_array()
+        p = th.boltzmann_populations(1e6, ladder_a, 4)
         assert np.allclose(p, 0.25, atol=1e-6)
 
     def test_thermal_floor_regime(self, ladder_b):
         # 45 mK on the second reference ladder sits in the 98.4 percent
         # ground-occupation regime
-        p = th.boltzmann_populations(0.045, ladder_b).as_array()
+        p = th.boltzmann_populations(0.045, ladder_b, 4)
         assert 0.982 <= p[0] <= 0.987
         assert p[0] == pytest.approx(brute_force_boltzmann(0.045, ladder_b)[0],
                                      rel=1e-12)
 
     def test_reference_point_first_ladder(self, ladder_a):
-        p = th.boltzmann_populations(0.181072, ladder_a).as_array()
+        p = th.boltzmann_populations(0.181072, ladder_a, 4)
         assert np.allclose(p, brute_force_boltzmann(0.181072, ladder_a), rtol=1e-12)
         assert np.allclose(p, [0.655, 0.230, 0.084, 0.032], atol=5e-4)
 
@@ -46,7 +46,7 @@ class TestBoltzmannPopulations:
     @settings(max_examples=80)
     def test_normalized_and_decreasing(self, t):
         ladder = th.LevelLadder(**LADDER_A)
-        p = th.boltzmann_populations(t, ladder).as_array()
+        p = th.boltzmann_populations(t, ladder, 4)
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(np.diff(p) < 0)
 
@@ -56,8 +56,8 @@ class TestBoltzmannPopulations:
         # below ~20 mK the change in P_g falls under double-precision
         # resolution, so strict monotonicity is only testable above it
         ladder = th.LevelLadder(**LADDER_A)
-        p_lo = th.boltzmann_populations(t, ladder).as_array()
-        p_hi = th.boltzmann_populations(t * 1.01, ladder).as_array()
+        p_lo = th.boltzmann_populations(t, ladder, 4)
+        p_hi = th.boltzmann_populations(t * 1.01, ladder, 4)
         assert p_hi[0] < p_lo[0]
         for i in (1, 2, 3):
             assert p_hi[i] / p_hi[0] > p_lo[i] / p_lo[0]
@@ -65,8 +65,13 @@ class TestBoltzmannPopulations:
     def test_codata_switch_changes_result(self):
         pap = th.LevelLadder(**LADDER_A)
         cod = th.LevelLadder(**LADDER_A, kb_over_h_ghz_per_k=th.KB_OVER_H_CODATA)
-        assert (th.boltzmann_populations(0.1, pap).p_g
-                != th.boltzmann_populations(0.1, cod).p_g)
+        assert (th.boltzmann_populations(0.1, pap, 4)[0]
+                != th.boltzmann_populations(0.1, cod, 4)[0])
+
+    @pytest.mark.parametrize("t", [math.nan, 0.0, -1.0])
+    def test_rejects_nan_or_nonpositive_temperature(self, ladder_a, t):
+        with pytest.raises(ValueError, match="^temperature must be positive$"):
+            th.boltzmann_populations(t, ladder_a, 4)
 
 
 def fit_one(p, ladder, **kwargs):
@@ -79,7 +84,7 @@ class TestFitTemperature:
     def test_round_trip_exact(self, ladder_a):
         for t in np.geomspace(0.01, 5.0, 60):
             t_eff, r2, at_boundary = fit_one(
-                th.boltzmann_populations(t, ladder_a).as_array(), ladder_a)
+                th.boltzmann_populations(t, ladder_a, 4), ladder_a)
             assert abs(t_eff - t) / t < 1e-8
             assert r2 > 1.0 - 1e-12
             assert not at_boundary
@@ -94,7 +99,7 @@ class TestFitTemperature:
             fit_one([0.4, 0.3, 0.1, 0.1], ladder_a)  # sums to 0.9
 
     def test_custom_bounds_flag_lower(self, ladder_a):
-        p = th.boltzmann_populations(0.010, ladder_a).as_array()
+        p = th.boltzmann_populations(0.010, ladder_a, 4)
         t_eff, _, at_boundary = fit_one(p, ladder_a, bounds=(0.05, 1.0))
         assert at_boundary
         assert t_eff == pytest.approx(0.05, rel=1e-5)
@@ -137,7 +142,7 @@ def scalar_fit_reference(p, ladder, bounds=(1e-3, 20.0)):
             fd = cost(d)
     t_eff = min(max(float(np.exp(0.5 * (a + b))), t_min), t_max)
     at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) or (t_eff >= t_max * (1.0 - 1e-6))
-    p_fit = th.boltzmann_array(np.array([t_eff]), ladder, 4)[0]
+    p_fit = th.boltzmann_populations(t_eff, ladder, 4)
     chi2_min = float(th._chi2(p, np.array([t_eff]), ladder, energies)[0])
     ss_res = float(((p - p_fit) ** 2).sum())
     ss_tot = float(((p - p.mean()) ** 2).sum())
@@ -154,7 +159,7 @@ class TestFitTemperatureBatch:
         rng = np.random.default_rng(5)
         rows = []
         for t in np.geomspace(0.02, 2.0, 100):
-            p4 = th.boltzmann_populations(t, ladder_a).as_array()
+            p4 = th.boltzmann_populations(t, ladder_a, 4)
             for n_shot in (50, 1000, 20000):
                 counts = rng.multinomial(n_shot, p4)
                 rows.append(counts / counts.sum())
@@ -172,7 +177,7 @@ class TestFitTemperatureBatch:
         assert np.array_equal(fit.r_squared, r_squared)
 
     def test_rejects_bad_row(self, ladder_a):
-        pops = np.tile(th.boltzmann_populations(0.2, ladder_a).as_array(), (3, 1))
+        pops = np.tile(th.boltzmann_populations(0.2, ladder_a, 4), (3, 1))
         pops[1, 0] -= 0.1
         with pytest.raises(InvalidPopulations, match="row 1"):
             th.fit_temperature_batch(pops, ladder_a)
@@ -186,7 +191,7 @@ class TestFitTemperatureBatch:
     def sampled_windows(ladder, n_win, seed):
         rng = np.random.default_rng(seed)
         temps = rng.uniform(0.05, 0.5, n_win)
-        counts = np.array([rng.multinomial(1000, th.boltzmann_populations(t, ladder).as_array())
+        counts = np.array([rng.multinomial(1000, th.boltzmann_populations(t, ladder, 4))
                            for t in temps])
         return counts / 1000.0
 
@@ -260,6 +265,10 @@ class TestQcrb:
         with pytest.raises(ValueError):
             th.qcrb_bound(0.1, ladder_a, 5)
 
+    def test_rejects_nan_temperature(self, ladder_a):
+        with pytest.raises(ValueError, match="^temperature must be positive$"):
+            th.qcrb_bound(math.nan, ladder_a, 4)
+
     def test_disagreeing_routes_raise_bound_mismatch(self, ladder_a, monkeypatch):
         real = th._explicit_bound_sq
         monkeypatch.setattr(th, "_explicit_bound_sq", lambda x: real(x) * (1.0 + 1e-8))
@@ -307,6 +316,10 @@ class TestNet:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             th.net(1e-3, 0.0)
+
+    def test_rejects_nan_time(self):
+        with pytest.raises(ValueError, match="^t_meas must be positive$"):
+            th.net(1e-3, math.nan)
 
     def test_constant_for_white_noise(self):
         # white-noise series: sigma ~ t^-1/2, so NET is flat across a decade
