@@ -44,8 +44,8 @@ bound4 = th.qcrb_bound(T_TRUE, ladder, 4)
 for n_shot, n_win in ((1000, 400), (2000, 400), (5000, 300), (10000, 200)):
     xy = np.vstack(list(synth.iter_window_series(cfg, T_TRUE, n_win, n_shot)))
     model = cfg.cluster_model
-    counts = cl.window_counts(cl.assign_indices(model, xy), len(model.labels), n_shot)
-    fit = th.fit_temperature_batch(cl.level_populations(counts, model.labels), ladder)
+    fit = th.fit_temperature_batch(
+        cl.level_populations(cl.assign_indices(model, xy), model.labels, n_shot), ladder)
     mu, sigma, sigma_mu = th.window_statistics(fit.t_eff)
     net = th.net(sigma, n_shot * T_SHOT)
     precision = sigma / mu * math.sqrt(n_shot)

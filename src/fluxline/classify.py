@@ -11,8 +11,10 @@ whose Bayes-optimal pairwise misclassification for equal priors and equal
 covariance is Phi(-delta/2).  A separation of 6 keeps that error near
 1e-3, small against the shot noise of typical window sizes.
 
+The levels g, e, f, h are the first four rows of a canonical model.
 Levels above h are aggregated in an overflow component labeled ``k+``;
-``level_populations`` drops it before temperature fitting.
+``level_populations`` counts only the four levels, so it drops the
+overflow before temperature fitting.
 
 Labels are integer codes here: a prep label indexes a table of distinct
 labels, as ``io.read_shots_csv`` returns it, and an assigned state indexes
@@ -189,17 +191,6 @@ def assign_indices(model: GmmModel, xy: np.ndarray) -> np.ndarray:
     return index
 
 
-def window_counts(indices: np.ndarray, n_labels: int, window: int) -> np.ndarray:
-    """(W, n_labels) counts of each label index in consecutive windows.
-
-    W = len(indices) // window; trailing shots that fill no window are
-    ignored.
-    """
-    n_win = indices.shape[0] // window
-    windows = indices[:n_win * window].reshape(n_win, window)
-    return np.stack([np.count_nonzero(windows == j, axis=1) for j in range(n_labels)], axis=1)
-
-
 def pairwise_separation(model: GmmModel, label_i: str, label_j: str) -> float:
     """Symmetric Mahalanobis separation between two components."""
     i, j = model.labels.index(label_i), model.labels.index(label_j)
@@ -221,7 +212,7 @@ def min_pairwise_separation(model: GmmModel) -> float:
 
 def bayes_error(delta: float) -> float:
     """Bayes-optimal misclassification Phi(-delta/2) of two equal Gaussians."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be >= 0")
     return 0.5 * math.erfc(delta / (2.0 * math.sqrt(2.0)))
 
@@ -279,21 +270,21 @@ def synthetic_confusion(model: GmmModel, n_per_state: int, seed: int) -> Assignm
     return assignment_matrix(model, *sample_from_model(model, n_per_state, seed), model.labels)
 
 
-def level_populations(counts: np.ndarray, labels) -> np.ndarray:
-    """(W, 4) g, e, f, h populations from (W, k) counts, overflow dropped.
+def level_populations(indices: np.ndarray, labels, window: int) -> np.ndarray:
+    """(W, 4) g, e, f, h populations of consecutive windows of shot indices.
 
-    Columns of ``counts`` follow ``labels``; labels other than the four
-    levels (the ``k+`` overflow cluster) are excluded and each row is
-    renormalized over the rest.
+    ``indices`` index ``labels``, the canonical labels of a model, whose
+    first four are the levels.  W = len(indices) // window; trailing shots
+    that fill no window are ignored.  Shots of any other component (the
+    ``k+`` overflow cluster) are dropped and each window is renormalized
+    over the four levels.
     """
-    missing = [lab for lab in LEVELS if lab not in labels]
-    if missing:
-        raise ValueError(f"counts missing labels {missing}")
-    four = np.asarray(counts, dtype=float)[:, [labels.index(lab) for lab in LEVELS]]
-    if np.any(four < 0):
-        raise ValueError("counts must be >= 0")
+    if tuple(labels[:4]) != LEVELS:
+        raise ValueError(f"model labels {list(labels)} must begin with g, e, f, h")
+    n_win = indices.shape[0] // window
+    windows = indices[:n_win * window].reshape(n_win, window)
+    four = np.stack([np.count_nonzero(windows == j, axis=1) for j in range(4)], axis=1)
     total = four.sum(axis=1, keepdims=True)
-    if np.any(total == 0):
-        window = int(np.flatnonzero(total[:, 0] == 0)[0])
-        raise AllOverflow(f"all shots of window {window} fell in the overflow cluster")
+    if not total.all():
+        raise AllOverflow(f"all shots of window {np.argmin(total)} fell in the overflow cluster")
     return four / total

@@ -157,8 +157,7 @@ def cmd_fit_temp(cfg: dict, out: str, seed) -> int:
     if n_win < 1:
         raise ValueError(f"fewer shots ({indices.size}) than one window ({window})")
 
-    counts = cl.window_counts(indices, len(model.labels), window)
-    fit = th.fit_temperature_batch(cl.level_populations(counts, model.labels),
+    fit = th.fit_temperature_batch(cl.level_populations(indices, model.labels, window),
                                    th.LevelLadder(*cfg["ladder"].values()),
                                    bounds=(cfg["t_min_mk"], cfg["t_max_mk"]))
     per_window = [{"t_eff_K": t, "r2": r2, "chi2": chi2, "at_boundary": at_bound}

@@ -53,8 +53,10 @@ class DecayRates:
 
     def __post_init__(self):
         for name in ("gamma_ge", "gamma_ef", "gamma_fh"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            # A positive test, so that NaN fails it; from_t1 of a lifetime
+            # whose reciprocal overflows gives an infinite rate.
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
     def rate_matrix(self) -> np.ndarray:
         """Generator M of dP/dt = M P in (g, e, f, h) ordering."""
@@ -231,6 +233,10 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 # Step-controller tolerances of the oracle, relative and absolute.
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
+# Steps an integration may take beyond one per output time.  The test suite
+# takes at most 4914 and a 1000-point reset curve about 1200; a lifetime of
+# 1e-18 s over a 2 us grid would take about 1e12.
+_ODE_MAX_STEPS = 50_000
 
 
 def populations_ode(t_grid, rates_list, init) -> np.ndarray:
@@ -244,7 +250,8 @@ def populations_ode(t_grid, rates_list, init) -> np.ndarray:
     requested times, so no interpolation enters the oracle.  Integration
     noise that pushes a fully decayed level marginally negative is set to
     0 and each row is renormalised.  Returns shape (len(rates_list),
-    len(t_grid), 4).  Raises StepFailure if the step size collapses.
+    len(t_grid), 4).  Raises StepFailure if the step size collapses or the
+    steps exceed ``len(t_grid)`` + ``_ODE_MAX_STEPS``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     # Positive tests, so that NaN times fail them; a NaN or infinite grid
@@ -268,7 +275,12 @@ def populations_ode(t_grid, rates_list, init) -> np.ndarray:
     h = min(0.01 / max_rate if max_rate > 0 else t_grid[-1], t_grid[-1])
     k = np.empty((7, n_sys, 4))
     k[0] = np.einsum("sij,sj->si", mats, y)
+    n_steps = 0
     while k_idx < t_grid.size:
+        if n_steps == t_grid.size + _ODE_MAX_STEPS:
+            raise StepFailure(f"cascade too stiff: {n_steps} steps reached only "
+                              f"t = {t:.3e} s of {t_grid[-1]:.3e} s")
+        n_steps += 1
         h = min(h, t_grid[k_idx] - t)
         on_grid = h >= t_grid[k_idx] - t
         for stage in range(1, 6):

@@ -291,7 +291,7 @@ def stretched_exponential_jacobian(params, t):
 
 
 def rb_fit(m, p_g) -> FitResult:
-    """Fit ground-state survival P_g(m) = A p^m + B over sequence lengths.
+    """Fit ground-state survival P_g(m) = A p^m + B over sequence lengths m >= 0.
 
     Seeded by a linearized log fit of (P_g - B_hat); flat traces return
     p = 1 with the amplitude split flagged rank_deficient.
@@ -300,6 +300,8 @@ def rb_fit(m, p_g) -> FitResult:
     p_g = np.asarray(p_g, dtype=float)
     if m.shape != p_g.shape or m.ndim != 1:
         raise ValueError("m and p_g must be 1-D arrays of equal length")
+    if not (m >= 0).all():
+        raise ValueError("sequence lengths must be >= 0")
     order = np.argsort(m)
     m, p_g = m[order], p_g[order]
     # Distinct lengths counted on the sorted grid: np.unique imports numpy.ma.
@@ -347,7 +349,7 @@ def clifford_fidelity(p_ref: float, k: float) -> float:
     """
     if not 0.0 <= p_ref <= 1.0:
         raise ValueError("p_ref must lie in [0, 1]")
-    if k <= 0:
+    if not k > 0:
         raise ValueError("k must be positive")
     return 1.0 - (1.0 - p_ref) / (2.0 * k)
 

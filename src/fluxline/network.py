@@ -79,11 +79,12 @@ class SquidArray:
     clamp_epsilon: float = 1e-3
 
     def __post_init__(self):
-        if self.n_squids < 1:
+        # Positive tests, so that NaN fails them.
+        if not self.n_squids >= 1:
             raise ValueError("n_squids must be >= 1")
-        if self.ic_junction <= 0:
+        if not self.ic_junction > 0:
             raise ValueError("ic_junction must be positive")
-        if self.l_fixed_per_squid < 0:
+        if not self.l_fixed_per_squid >= 0:
             raise ValueError("l_fixed_per_squid must be >= 0")
         if not 0.0 < self.clamp_epsilon < 0.1:
             raise ValueError("clamp_epsilon must lie in (0, 0.1)")
@@ -102,14 +103,19 @@ class FilterGeometry:
     z_source: float = 50.0
 
     def __post_init__(self):
-        if min(self.z0, self.v_p, self.l_f) <= 0:
+        # Positive tests, so that NaN fails them.
+        if not (self.z0 > 0 and self.v_p > 0 and self.l_f > 0):
             raise ValueError("z0, v_p and l_f must be positive")
         if not 0.0 <= self.x_s <= self.l_f:
             raise ValueError("x_s must lie in [0, l_f]")
-        if self.c_g < 0 or self.c_d < 0:
+        if not (self.c_g >= 0 and self.c_d >= 0):
             raise ValueError("c_g and c_d must be >= 0")
-        if self.z_source <= 0:
+        if not self.z_source > 0:
             raise ValueError("z_source must be positive")
+        # The root scan spans [0.3 f0, 1.2 f0]; an infinite f0 leaves it
+        # NaN brackets that regula falsi never closes.
+        if not 0.0 < self.f0 < math.inf:
+            raise ValueError(f"v_p / (4 l_f) must be positive and finite, got {self.f0!r} Hz")
 
     @property
     def f0(self) -> float:
@@ -132,9 +138,10 @@ class QubitLoad:
     t1_internal: float | None = None
 
     def __post_init__(self):
-        if self.c_q <= 0 or self.f_q <= 0:
+        # Positive tests, so that NaN fails them.
+        if not (self.c_q > 0 and self.f_q > 0):
             raise ValueError("c_q and f_q must be positive")
-        if self.t1_internal is not None and self.t1_internal <= 0:
+        if self.t1_internal is not None and not self.t1_internal > 0:
             raise ValueError("t1_internal must be positive when present")
 
 
@@ -217,9 +224,9 @@ def _input_reactances(geom: FilterGeometry, l_s, omega: float):
 
 def filter_frequency_first_order(f0: float, l_s: float, z0: float) -> float:
     """First-order pulled filter frequency f0 / (1 + 4 f0 l_s / z0)."""
-    if f0 <= 0 or z0 <= 0:
+    if not (f0 > 0 and z0 > 0):
         raise ValueError("f0 and z0 must be positive")
-    if l_s < 0:
+    if not l_s >= 0:
         raise ValueError("l_s must be >= 0")
     return f0 / (1.0 + 4.0 * f0 * l_s / z0)
 

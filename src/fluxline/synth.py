@@ -132,6 +132,8 @@ def gen_rb_decay(p_true: float, a: float, b: float, m_grid, shots_per_point: int
     if shots_per_point < 1:
         raise ValueError("shots_per_point must be >= 1")
     m_grid = np.asarray(m_grid, dtype=float)
+    if not (m_grid >= 0).all():
+        raise ValueError("sequence lengths must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     prob = np.clip(a * p_true**m_grid + b, 0.0, 1.0)
     survived = rng.binomial(shots_per_point, prob)

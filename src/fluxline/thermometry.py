@@ -47,9 +47,10 @@ class LevelLadder:
     kb_over_h_ghz_per_k: float = KB_OVER_H_ROUNDED
 
     def __post_init__(self):
-        if min(self.f_ge_ghz, self.f_ef_ghz, self.f_fh_ghz) <= 0:
+        # Positive tests, so that NaN fails them.
+        if not all(f > 0 for f in (self.f_ge_ghz, self.f_ef_ghz, self.f_fh_ghz)):
             raise ValueError("transition frequencies must be positive")
-        if self.kb_over_h_ghz_per_k <= 0:
+        if not self.kb_over_h_ghz_per_k > 0:
             raise ValueError("kb_over_h_ghz_per_k must be positive")
 
 
@@ -84,9 +85,8 @@ def _boltzmann(temps: np.ndarray, ladder: LevelLadder, energies: np.ndarray) -> 
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _chi2(meas: np.ndarray, temps: np.ndarray, ladder: LevelLadder,
-          energies: np.ndarray) -> np.ndarray:
-    p_th = _boltzmann(temps, ladder, energies)
+def _chi2(meas: np.ndarray, p_th: np.ndarray) -> np.ndarray:
+    """Chi-square-like cost of each row of ``meas`` against the thermal rows ``p_th``."""
     return (((meas - p_th) ** 2) / np.maximum(p_th, _P_TH_FLOOR)).sum(axis=1)
 
 
@@ -143,7 +143,7 @@ def fit_temperature_batch(
 
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = _chi2(p, np.exp(c), ladder, energies), _chi2(p, np.exp(d), ladder, energies)
+    fc, fd = (_chi2(p, _boltzmann(np.exp(v), ladder, energies)) for v in (c, d))
     while (active := b - a > 1e-10).any():
         left = active & (fc < fd)  # the minimum lies in [a, d]
         right = active & ~left
@@ -151,14 +151,15 @@ def fit_temperature_batch(
         d, c = np.where(left, c, d), np.where(right, d, c)
         fd, fc = np.where(left, fc, fd), np.where(right, fd, fc)
         probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        f_probe = _chi2(p, np.exp(probe), ladder, energies)
+        f_probe = _chi2(p, _boltzmann(np.exp(probe), ladder, energies))
         c, fc = np.where(left, probe, c), np.where(left, f_probe, fc)
         d, fd = np.where(right, probe, d), np.where(right, f_probe, fd)
     t_eff = np.clip(np.exp(0.5 * (a + b)), t_min, t_max)
 
     at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) | (t_eff >= t_max * (1.0 - 1e-6))
-    chi2_min = _chi2(p, t_eff, ladder, energies)
-    ss_res = ((p - _boltzmann(t_eff, ladder, energies)) ** 2).sum(axis=1)
+    p_th = _boltzmann(t_eff, ladder, energies)
+    chi2_min = _chi2(p, p_th)
+    ss_res = ((p - p_th) ** 2).sum(axis=1)
     ss_tot = ((p - p.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r_squared = np.where(ss_tot > 0.0, 1.0 - ss_res / ss_tot,
@@ -171,25 +172,23 @@ def qcrb_bound(temperature: float, ladder: LevelLadder, n_levels: int) -> float:
 
     For a thermal state diagonal in energy, the quantum Fisher information
     is Var(E) / (k_B T^2)^2, so (dT/T)_SM >= k_B T / sqrt(Var_T(E)).  The
-    bound is evaluated both from the explicit n-level expressions (written
-    with decaying exponentials so they cannot overflow) and from the
-    energy-variance moments of the truncated Boltzmann distribution; the
-    two routes must agree to 1e-10 relative.
+    bound is evaluated both from an explicit pairwise sum over the levels
+    (written with decaying exponentials so it cannot overflow) and from the
+    energy-variance moments of the same Boltzmann weights; the two routes
+    must agree to 1e-10 relative.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     if n_levels not in (2, 3, 4):
         raise ValueError("n_levels must be 2, 3 or 4")
-    x = level_energies(ladder, 4)[1:n_levels] / (
-        ladder.kb_over_h_ghz_per_k * temperature)
+    energies = level_energies(ladder, 4)[:n_levels]
+    x = energies / (ladder.kb_over_h_ghz_per_k * temperature)
 
     explicit = math.sqrt(_explicit_bound_sq(x))
 
     # Generic route: energy variance of the truncated thermal state.
-    levels = np.concatenate([[0.0], x])
-    w = np.exp(-levels)
-    prob = w / w.sum()
-    var = float((prob * levels**2).sum() - ((prob * levels).sum()) ** 2)
+    prob = _boltzmann(np.array([temperature]), ladder, energies)[0]
+    var = float((prob * x**2).sum() - ((prob * x).sum()) ** 2)
     generic = 1.0 / math.sqrt(var)
 
     if abs(explicit - generic) > 1e-10 * generic:
@@ -201,25 +200,15 @@ def qcrb_bound(temperature: float, ladder: LevelLadder, n_levels: int) -> float:
 
 
 def _explicit_bound_sq(x: np.ndarray) -> float:
-    """Explicit truncated-ladder bounds on (dT/T)^2 for n = 2, 3, 4."""
-    if x.size == 1:
-        x1 = x[0]
-        e1 = math.exp(-x1)
-        return (1.0 + e1) ** 2 / (x1**2 * e1)
-    if x.size == 2:
-        x1, x2 = x
-        e1, e2 = math.exp(-x1), math.exp(-x2)
-        num = (1.0 + e1 + e2) ** 2
-        den = x1**2 * e1 + x2**2 * e2 + (x1 - x2) ** 2 * e1 * e2
-        return num / den
-    x1, x2, x3 = x
-    e1, e2, e3 = math.exp(-x1), math.exp(-x2), math.exp(-x3)
-    num = (1.0 + e1 + e2 + e3) ** 2
-    den = (x1**2 * e1 + x2**2 * e2 + x3**2 * e3
-           + (x1 - x2) ** 2 * e1 * e2
-           + (x1 - x3) ** 2 * e1 * e3
-           + (x2 - x3) ** 2 * e2 * e3)
-    return num / den
+    """Explicit truncated-ladder bound on (dT/T)^2 from the reduced level
+    energies x (x_0 = 0): (sum_i e_i)^2 / sum_{i<j} (x_i - x_j)^2 e_i e_j
+    with e_i = exp(-x_i), pairs summed in the order (0, 1), (0, 2), ...
+    """
+    x = x.tolist()
+    e = [math.exp(-v) for v in x]
+    n = len(x)
+    den = sum((x[i] - x[j]) ** 2 * e[i] * e[j] for i in range(n) for j in range(i + 1, n))
+    return sum(e) ** 2 / den
 
 
 def window_statistics(temps) -> tuple[float, float, float]:

@@ -124,30 +124,37 @@ class TestIndexPath:
     def test_window_counts_match_label_comparison(self, n_shots, window):
         labels = ["g", "e", "f", "h", "k+"]
         idx = np.random.default_rng(n_shots).integers(0, len(labels), n_shots)
+        idx[::window] %= 4  # every window holds a level shot
         named = np.array(labels, dtype=object)[idx]
-        counts = cl.window_counts(idx, len(labels), window)
-        assert counts.shape == (n_shots // window, len(labels))
-        for w in range(counts.shape[0]):
+        pops = cl.level_populations(idx, labels, window)
+        assert pops.shape == (n_shots // window, 4)
+        for w in range(pops.shape[0]):
             sel = named[w * window:(w + 1) * window]
-            assert counts[w].tolist() == [int(np.count_nonzero(sel == lab))
-                                          for lab in labels]
+            four = np.array([np.count_nonzero(sel == lab) for lab in labels[:4]], dtype=float)
+            assert pops[w].tolist() == (four / four.sum()).tolist()
 
     def test_level_populations_renormalize_each_row(self):
-        labels = ["k+", "h", "g", "f", "e"]
-        counts = np.random.default_rng(3).integers(0, 50, (20, len(labels)))
-        pops = cl.level_populations(counts, labels)
-        for w, row in enumerate(counts):
-            four = np.array([row[2], row[4], row[3], row[1]], dtype=float)
-            assert np.array_equal(pops[w], four / four.sum())
+        rng = np.random.default_rng(3)
+        four = rng.integers(0, 15, (20, 4))
+        counts = np.column_stack([four, 60 - four.sum(axis=1)])  # the rest is k+
+        idx = np.concatenate([rng.permutation(np.repeat(np.arange(5), row)) for row in counts])
+        pops = cl.level_populations(idx, cl.LABEL_ORDER, 60)
+        for w, row in enumerate(four):
+            assert np.array_equal(pops[w], row / row.sum())
 
     def test_level_populations_need_no_overflow_column(self):
-        pops = cl.level_populations(np.array([[3, 1, 0, 0]]), ["g", "e", "f", "h"])
+        pops = cl.level_populations(np.array([0, 0, 1, 0]), ["g", "e", "f", "h"], 4)
         assert pops.tolist() == [[0.75, 0.25, 0.0, 0.0]]
 
+    @pytest.mark.parametrize("labels", [["g", "e", "f"], ["g", "e", "h", "k+"]])
+    def test_level_populations_need_the_four_levels(self, labels):
+        with pytest.raises(ValueError, match="must begin with g, e, f, h"):
+            cl.level_populations(np.zeros(4, dtype=np.uint8), labels, 2)
+
     def test_level_populations_names_all_overflow_window(self):
-        counts = np.array([[5, 1, 0, 0, 0], [0, 0, 0, 0, 7]])
+        idx = np.array([0, 0, 1, 0, 0, 0] + [4] * 6)
         with pytest.raises(AllOverflow, match="window 1"):
-            cl.level_populations(counts, ["g", "e", "f", "h", "k+"])
+            cl.level_populations(idx, ["g", "e", "f", "h", "k+"], 6)
 
 
 class TestSeparation:
@@ -193,6 +200,10 @@ class TestBayesError:
     def test_domain(self):
         with pytest.raises(ValueError, match="delta must be >= 0"):
             cl.bayes_error(-1e-12)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            cl.bayes_error(math.nan)
 
 
 class TestAssignmentMatrix:

@@ -50,6 +50,17 @@ def model_dict():
     return fio.model_to_dict(make_ring_model())
 
 
+def run_cli(command, config, out):
+    """The finished ``fluxline COMMAND`` process, run apart so that its stderr
+    holds numpy's warnings too, and a hang fails at the timeout."""
+    src = str(Path(fluxline.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "fluxline.cli", command,
+                           "--config", config, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_unknown_command_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", SWEEP_CFG)
     with pytest.raises(SystemExit) as exc:
@@ -153,12 +164,7 @@ class TestFilterSweep:
         cfg = dict(SWEEP_CFG, geometry=dict(SWEEP_CFG["geometry"], x_s_mm=5.525),
                    squid_array={"n_squids": 5, "ic_junction_uA": 1e-312}, flux_points=5)
         path, out = write_cfg(tmp_path, "cfg.json", cfg), tmp_path / "sweep.csv"
-        src = str(Path(fluxline.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-m", "fluxline.cli", "filter-sweep",
-                               "--config", path, "--out", str(out)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli("filter-sweep", path, out)
         assert proc.returncode == 0
         assert proc.stderr == "5/5 flux points carry error markers\n"
         with open(out, newline="") as fh:
@@ -202,6 +208,33 @@ class TestFilterSweep:
         cfg = write_cfg(tmp_path, "cfg.json", {"geometry": {}})
         assert main(["filter-sweep", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+
+class TestEveryInputEnds:
+    # Each of these ran without end, printed warnings before its error line,
+    # or wrote a curve clipped at a negative length.
+    RATES = {"t1_ef_ns": 136.80, "t1_fh_ns": 128.84}
+
+    @pytest.mark.parametrize("command, cfg, code, err", [
+        ("generate", {"generator": "reset", "rates": {"t1_ge_ns": 1e-9, **RATES}}, 2,
+         "solver error: StepFailure: cascade too stiff: 50040 steps reached only t = "),
+        ("generate", {"generator": "reset", "rates": {"t1_ge_ns": 1e-300, **RATES}}, 1,
+         "error: gamma_ge must be finite and >= 0, got inf\n"),
+        ("filter-sweep", dict(SWEEP_CFG, geometry=dict(SWEEP_CFG["geometry"], l_f_mm=1e-300,
+                                                       x_s_mm=0.0)), 1,
+         "error: v_p / (4 l_f) must be positive and finite, got inf Hz\n"),
+        ("filter-sweep", dict(SWEEP_CFG, geometry=dict(SWEEP_CFG["geometry"],
+                                                       v_p_m_per_s=1e308)), 1,
+         "error: v_p / (4 l_f) must be positive and finite, got inf Hz\n"),
+        ("generate", {"generator": "rb", "p_true": 0.99, "m_grid": [-10, 0, 10]}, 1,
+         "error: sequence lengths must be >= 0\n"),
+    ], ids=["stiff-reset", "infinite-rate", "short-filter", "fast-line", "negative-length"])
+    def test_exits_with_one_line(self, tmp_path, command, cfg, code, err):
+        out = tmp_path / "out"
+        proc = run_cli(command, write_cfg(tmp_path, "cfg.json", cfg), out)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1
+        assert not out.exists()
 
 
 class TestDeeplyNestedJson:

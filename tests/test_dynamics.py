@@ -13,7 +13,7 @@ from scipy.optimize import least_squares
 
 from fluxline import dynamics as dyn
 from fluxline import synth
-from fluxline.errors import FitDiverged, RankDeficient
+from fluxline.errors import FitDiverged, RankDeficient, StepFailure
 
 
 @contextlib.contextmanager
@@ -67,6 +67,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="gamma_fh"):
             dyn.DecayRates(1.0, 1.0, -1.0)
         assert dyn.DecayRates.from_t1(1e-6, 5e-7, 2e-7) == dyn.DecayRates(1e6, 2e6, 5e6)
+        # A lifetime whose reciprocal overflows would be an infinite rate.
+        with pytest.raises(ValueError, match="^gamma_ge must be finite and >= 0, got inf$"):
+            dyn.DecayRates.from_t1(1e-309, 1e-6, 1e-6)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["gamma_ge", "gamma_ef", "gamma_fh"])
+    def test_rates_must_be_finite(self, field, value):
+        rates = {"gamma_ge": 1e6, "gamma_ef": 2e6, "gamma_fh": 3e6, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+            dyn.DecayRates(**rates)
 
     def test_rate_matrix_columns_sum_to_zero(self):
         r = dyn.DecayRates(1e6, 2e6, 3e6)
@@ -382,6 +392,16 @@ class TestOde:
             ode_one(np.array(t_grid), reset_rates, init)
         with _deadline(10), pytest.raises(ValueError, match="t_grid"):
             synth.gen_reset_curves(reset_rates, ("h",), t_grid, 100)
+
+    def test_step_budget_raises_step_failure(self, monkeypatch):
+        # The budget counts steps beyond one per output time: zero rates
+        # land on every time in one step each and need none of it.
+        monkeypatch.setattr(dyn, "_ODE_MAX_STEPS", 0)
+        t = np.linspace(1e-9, 1e-6, 1000)
+        assert (ode_one(t, dyn.DecayRates(0.0, 0.0, 0.0), pure("h"))[:, 3] == 1.0).all()
+        monkeypatch.setattr(dyn, "_ODE_MAX_STEPS", 200)
+        with _deadline(10), pytest.raises(StepFailure, match="^cascade too stiff: 201 steps"):
+            ode_one(np.array([2e-6]), dyn.DecayRates(1e18, 1e6, 1e6), pure("e"))
 
     def test_batch_matches_scalar_solver(self, reset_rates):
         t = np.geomspace(1e-9, 1e-5, 25)

@@ -174,6 +174,11 @@ class TestRbFit:
         with pytest.raises(ValueError):
             fits.rb_fit(np.array([0, 1, 2, 3.0]), np.array([1, 0.9, 0.8, 0.7]))
 
+    def test_negative_lengths_rejected(self):
+        m = np.arange(-10.0, 100.0, 10.0)
+        with pytest.raises(ValueError, match="^sequence lengths must be >= 0$"):
+            fits.rb_fit(m, 0.5 * 0.99 ** np.abs(m) + 0.5)
+
     def test_jacobian_against_central_differences(self):
         m = np.arange(0, 200, 10, dtype=float)
         params = (0.5, 0.995, 0.5)
@@ -204,6 +209,10 @@ class TestFidelities:
         mid = 0.5 * (p + hi)
         ends = fits.clifford_fidelity(p, K_STD) + fits.clifford_fidelity(hi, K_STD)
         assert fits.clifford_fidelity(mid, K_STD) == pytest.approx(0.5 * ends, rel=1e-12)
+
+    def test_clifford_rejects_nan_pulse_count(self):
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            fits.clifford_fidelity(0.99, math.nan)
 
     def test_interleaved_identities(self):
         assert fits.interleaved_fidelity(0.9952, 0.9952) == 1.0

@@ -83,9 +83,41 @@ class TestSquidArray:
         with pytest.raises(ValueError):
             nw.SquidArray(n_squids=0, ic_junction=10e-6)
         with pytest.raises(ValueError):
+            nw.SquidArray(n_squids=5, ic_junction=math.nan)
+        with pytest.raises(ValueError):
+            nw.SquidArray(n_squids=5, ic_junction=10e-6, l_fixed_per_squid=math.nan)
+        with pytest.raises(ValueError):
             nw.SquidArray(n_squids=5, ic_junction=-1e-6)
         with pytest.raises(ValueError):
             nw.SquidArray(n_squids=5, ic_junction=10e-6, clamp_epsilon=0.5)
+
+
+class TestNanAndOverflowRejected:
+    GEOM = dict(z0=50.0, v_p=1.17e8, l_f=6.5e-3, x_s=2.0e-3, c_g=0.0, c_d=4.4e-15, z_source=50.0)
+    QUBIT = dict(f_q=3.9e9, c_q=143e-15, t1_internal=2e-4)
+
+    @pytest.mark.parametrize("field", ["z0", "v_p", "l_f", "c_g", "c_d", "z_source"])
+    def test_geometry(self, field):
+        with pytest.raises(ValueError):
+            nw.FilterGeometry(**{**self.GEOM, field: math.nan})
+
+    @pytest.mark.parametrize("field", ["f_q", "c_q", "t1_internal"])
+    def test_qubit(self, field):
+        with pytest.raises(ValueError):
+            nw.QubitLoad(**{**self.QUBIT, field: math.nan})
+
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    def test_first_order_pull(self, arg):
+        args = [4.5e9, 8.2e-11, 50.0]
+        args[arg] = math.nan
+        with pytest.raises(ValueError):
+            nw.filter_frequency_first_order(*args)
+
+    @pytest.mark.parametrize("change", [dict(l_f=1e-303, x_s=0.0), dict(v_p=1e308)])
+    def test_infinite_quarter_wave_frequency(self, change):
+        # The root scan over [0.3 f0, 1.2 f0] would hold only NaN brackets.
+        with pytest.raises(ValueError, match=r"^v_p / \(4 l_f\) must be positive and finite"):
+            nw.FilterGeometry(**{**self.GEOM, **change})
 
 
 def input_reactance(geom, l_s, omega):

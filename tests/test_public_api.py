@@ -7,7 +7,8 @@ types an argument, a return or a field is built by nothing.  A public
 name that only its own unit tests call is dead weight: delete it, or
 reach it from a command, a script or an acceptance criterion.  Every
 private module-level name must be read in ``src/`` itself, so a kernel
-cannot outlive its last caller behind a test.  The count of settable
+cannot outlive its last caller behind a test, and every dataclass field
+must be read outside its own ``__post_init__``.  The count of settable
 values in ``src/`` and the package's import graph are pinned as well.
 """
 
@@ -99,6 +100,11 @@ def test_every_private_name_is_read_in_src():
     assert not unread, f"private names that nothing in src/ reads: {unread}"
 
 
+def is_dataclass(node: ast.AST) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        "dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
 # Settable values: the defaulted parameters of every function and lambda in
 # src/ plus the defaulted fields of its dataclasses.  Each is an option a
 # caller may set; an added one shows here as a changed number, to be
@@ -113,8 +119,7 @@ def settable_values() -> int:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults)
                 count += sum(d is not None for d in node.args.kw_defaults)
-            elif isinstance(node, ast.ClassDef) and any(
-                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            elif is_dataclass(node):
                 count += sum(isinstance(st, ast.AnnAssign) and st.value is not None
                              for st in node.body)
     return count
@@ -122,6 +127,30 @@ def settable_values() -> int:
 
 def test_settable_value_count_is_pinned():
     assert settable_values() == SETTABLE_VALUES
+
+
+# QubitLoad.f_q is checked and never read; it goes together with the
+# qubit.f_q_GHz key of the benchmark's filter-sweep config.
+UNREAD_FIELDS = {"network.QubitLoad.f_q"}
+
+
+def test_every_dataclass_field_is_read():
+    # A read counts unless it stands in the __post_init__ of the field's own class.
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    reads = set()
+    for tree in trees.values():
+        owner = {id(node): cls.name for cls in filter(is_dataclass, ast.walk(tree))
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                 and fn.name == "__post_init__" for node in ast.walk(fn)}
+        reads.update((node.attr, owner.get(id(node))) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    fields = [(f"{stem}.{cls.name}.{st.target.id}", cls.name, st.target.id)
+              for stem, tree in trees.items() for cls in filter(is_dataclass, ast.walk(tree))
+              for st in cls.body if isinstance(st, ast.AnnAssign)]
+    assert len(fields) > 30  # the walk finds the fields at all
+    unread = {qualname for qualname, cls, name in fields
+              if not any(attr == name and where != cls for attr, where in reads)}
+    assert unread == UNREAD_FIELDS
 
 
 # Which package modules each module of src/ imports.  Thermometry and

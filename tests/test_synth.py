@@ -19,9 +19,9 @@ def gen_config(ladder_a, ring_model):
 
 def _window_temperatures(model, windows, ladder):
     """Fitted temperature of each window of shots: classify, count, fit."""
-    counts = cl.window_counts(cl.assign_indices(model, np.concatenate(windows)),
-                              len(model.labels), windows[0].shape[0])
-    return th.fit_temperature_batch(cl.level_populations(counts, model.labels), ladder).t_eff
+    pops = cl.level_populations(cl.assign_indices(model, np.concatenate(windows)),
+                                model.labels, windows[0].shape[0])
+    return th.fit_temperature_batch(pops, ladder).t_eff
 
 
 class TestLadderExtension:

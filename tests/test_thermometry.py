@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fluxline import thermometry as th
 from fluxline.errors import BoundMismatch, FluxlineError, InvalidPopulations, TooFewWindows
 
-from conftest import LADDER_A
+from conftest import LADDER_A, LADDER_B
 
 
 def brute_force_boltzmann(temperature, ladder):
@@ -73,6 +73,11 @@ class TestBoltzmannPopulations:
         with pytest.raises(ValueError, match="^temperature must be positive$"):
             th.boltzmann_populations(t, ladder_a, 4)
 
+    @pytest.mark.parametrize("field", ["f_ge_ghz", "f_ef_ghz", "f_fh_ghz", "kb_over_h_ghz_per_k"])
+    def test_ladder_rejects_nan(self, field):
+        with pytest.raises(ValueError, match="must be positive"):
+            th.LevelLadder(**{**LADDER_A, field: math.nan})
+
 
 def fit_one(p, ladder, **kwargs):
     """(t_eff, r_squared, at_boundary) of a one-row ``fit_temperature_batch`` call."""
@@ -119,12 +124,12 @@ def scalar_fit_reference(p, ladder, bounds=(1e-3, 20.0)):
     t_min, t_max = bounds
     energies = th.level_energies(ladder, 4)
     grid = np.geomspace(t_min, t_max, 256)
-    best = int(np.argmin(th._chi2(p, grid, ladder, energies)))
+    best = int(np.argmin(th._chi2(p, th._boltzmann(grid, ladder, energies))))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
 
     def cost(log_t):
-        return float(th._chi2(p, np.array([np.exp(log_t)]), ladder, energies)[0])
+        return float(th._chi2(p, th._boltzmann(np.array([np.exp(log_t)]), ladder, energies))[0])
 
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(np.log(lo)), float(np.log(hi))
@@ -143,7 +148,7 @@ def scalar_fit_reference(p, ladder, bounds=(1e-3, 20.0)):
     t_eff = min(max(float(np.exp(0.5 * (a + b))), t_min), t_max)
     at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) or (t_eff >= t_max * (1.0 - 1e-6))
     p_fit = th.boltzmann_populations(t_eff, ladder, 4)
-    chi2_min = float(th._chi2(p, np.array([t_eff]), ladder, energies)[0])
+    chi2_min = float(th._chi2(p, p_fit[None])[0])
     ss_res = float(((p - p_fit) ** 2).sum())
     ss_tot = float(((p - p.mean()) ** 2).sum())
     if ss_tot > 0.0:
@@ -249,6 +254,21 @@ class TestQcrb:
         b3 = th.qcrb_bound(0.2, ladder_a, 3)
         b4 = th.qcrb_bound(0.2, ladder_a, 4)
         assert b4 < b3 < b2
+
+    @pytest.mark.parametrize("ladder, t, reprs", [
+        (LADDER_A, 0.05, ("1.7957707752875536", "1.7133972736303005", "1.7084635794263319")),
+        (LADDER_A, 0.3, ("3.323772773248371", "2.1523889750588676", "1.6795025503570788")),
+        (LADDER_A, 1.5, ("15.85385182696083", "9.884088110047607", "7.356771973946116")),
+        (LADDER_B, 0.05, ("1.7771986738823093", "1.6919277882409356", "1.6865804890480018")),
+        (LADDER_B, 0.3, ("3.3631379880838193", "2.1760119754730414", "1.696082704051986")),
+        (LADDER_B, 1.5, ("16.060738725660052", "10.015080489290662", "7.455962203870749")),
+    ])
+    def test_bound_is_pinned_bit_for_bit(self, ladder, t, reprs):
+        # The reprs of the three per-n explicit formulas the pairwise sum
+        # replaced; at these temperatures summing the pairs in reverse order
+        # changes five of the eighteen.
+        ladder = th.LevelLadder(**ladder)
+        assert tuple(repr(th.qcrb_bound(t, ladder, n)) for n in (2, 3, 4)) == reprs
 
     @given(t=st.floats(0.01, 5.0),
            f1=st.floats(2.0, 6.0), d1=st.floats(0.05, 0.3), d2=st.floats(0.05, 0.3))
