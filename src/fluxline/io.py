@@ -5,6 +5,8 @@ units their keys are annotated with (GHz, ns, us, fF, nH, mm, uA, mK).
 ``read_config`` checks every JSON config against a key table (the command
 tables are in ``fluxline.cli``) and converts units exactly once.  Numeric
 output uses shortest-roundtrip formatting so seeded runs are byte-stable.
+CSV tables are read in blocks of whole lines, and a labelled table's labels
+are coded once per file, against one table of the file's distinct labels.
 
 Formats:
 
@@ -99,8 +101,9 @@ _KINDS = {
     "number": (_finite, "a finite number", float),
     "positive": (lambda v: _finite(v) and v > 0, "a positive finite number", float),
     "number or null": (lambda v: v is None or _finite(v), "a finite number or null", float),
-    "count": (lambda v: type(v) is int and v >= 1, "an integer >= 1", int),
-    "integer": (lambda v: type(v) is int, "an integer", int),
+    # Integers stop at int64's range, past which numpy and float() overflow.
+    "count": (lambda v: type(v) is int and 1 <= v < 2**63, "an integer >= 1", int),
+    "integer": (lambda v: type(v) is int and -2**63 <= v < 2**63, "an integer", int),
     "bool": (lambda v: type(v) is bool, "true or false", bool),
     "string": (lambda v: type(v) is str, "a string", str),
     "strings": (lambda v: _list_of(_KINDS["string"][0], v), "a non-empty list of strings", list),
@@ -211,9 +214,10 @@ def read_shot_blocks(path):
     """Iterator over the (n_i, 2) IQ points of a shot CSV, one block at a time.
 
     The blocks join to ``read_shots_csv(path)[0]``, checked as it checks
-    them; prep labels are checked, then dropped.
+    them; prep labels are checked and coded against the file's one label
+    table, then dropped.
     """
-    return (values for values, _, _ in _read_blocks(path, "shot", (SHOT_HEADER,), True))
+    return (values for values, _ in _read_blocks(path, "shot", (SHOT_HEADER,), True, {}))
 
 
 def write_curve_csv(path, x, y) -> None:
@@ -230,30 +234,26 @@ def _read_table(path, kind: str, headers: tuple[str, ...], labelled: bool):
     """(n, k) numeric columns of a CSV table under one of ``headers``, and its labels.
 
     The merge of ``_read_blocks``: labels come as (n,) integer codes and the
-    list of distinct labels in order of first appearance in the file, which
-    the codes index; both are None when there are no labels or all are empty.
+    list of distinct labels in order of first appearance in the file, the
+    file's one label table, which the codes index; both are None when there
+    are no labels or all are empty.
     """
-    values, codes, table = [], [], {}
-    for block_values, block_codes, block_labels in _read_blocks(path, kind, headers, labelled):
-        values.append(block_values)
-        if labelled:
-            # Each block's codes index its own first-appearance list.
-            remap = np.array([table.setdefault(label, len(table))
-                              for label in block_labels or [""]])
-            codes.append(remap[block_codes] if block_codes is not None
-                         else np.full(len(block_values), remap[0]))
-    values = np.concatenate(values)
-    if not labelled or list(table) == [""]:
+    table = {}
+    blocks = list(_read_blocks(path, kind, headers, labelled, table))
+    values = np.concatenate([block_values for block_values, _ in blocks])
+    if not table.keys() - {b""}:  # unlabelled, or every label empty
         return values, None, None
-    return values, np.concatenate(codes), list(table)
+    return (values, np.concatenate([codes for _, codes in blocks]),
+            [key.decode() for key in table])
 
 
-def _read_blocks(path, kind: str, headers: tuple[str, ...], labelled: bool):
+def _read_blocks(path, kind: str, headers: tuple[str, ...], labelled: bool, table: dict):
     """Iterator over ``_parse_block`` of each block of whole lines of a CSV table.
 
     The header must be one of ``headers``.  Blocks hold about
     ``_READ_BLOCK_BYTES``; the first bad row and a table with no data rows
-    are ``ValueError``s.
+    are ``ValueError``s.  Every block codes its labels against ``table``,
+    one per file.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode().rstrip("\r\n")
@@ -271,7 +271,7 @@ def _read_blocks(path, kind: str, headers: tuple[str, ...], labelled: bool):
             if blank:
                 raise ValueError(_bad_row(blank[0], kind, header, labelled, blank[1],
                                           f"{kind} CSV: blank line"))
-            parsed = _parse_block(block, kind, header, labelled, first_line)
+            parsed = _parse_block(block, kind, header, labelled, first_line, table)
             rows += len(parsed[0])
             yield parsed
     if not rows:
@@ -297,19 +297,21 @@ def _line_blocks(fh):
         yield rest, line_no
 
 
-def _parse_block(body: bytes, kind: str, header: str, labelled: bool, first_line: int):
-    """(n, k) numeric columns of the rows in ``body``, and their labels.
+def _parse_block(body: bytes, kind: str, header: str, labelled: bool, first_line: int,
+                 table: dict):
+    """(n, k) numeric columns of the rows in ``body``, and their label codes.
 
     ``body`` holds whole lines of a table under ``header``, from line
     ``first_line`` of its file on.  It is parsed in one ``np.loadtxt`` call.
     Every row must hold the header's fields, all finite numbers but the
     leading label when ``labelled``; the ``ValueError`` names the first row
-    that does not.  The labels come as (n,) integer codes and the list of
-    distinct labels in order of first appearance, which the codes index;
-    both are None when there are no labels or all are empty (counted on the
-    bytes).
+    that does not.  The labels (the bytes before each row's first comma)
+    come as (n,) codes into ``table``, the file's label bytes in order of
+    first appearance, to which this block's new labels are added; codes are
+    None when not ``labelled``.
     """
     n_fields = header.count(",") + 1
+    malformed = f"{kind} CSV: malformed rows"
     try:
         values = np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2, comments=None,
                             usecols=tuple(range(labelled, n_fields)))
@@ -319,43 +321,28 @@ def _parse_block(body: bytes, kind: str, header: str, labelled: bool, first_line
     raw = np.frombuffer(body, dtype=np.uint8)
     # loadtxt rejects rows with too few fields and ignores extra ones, so
     # with it passing, n_fields - 1 commas per row means exactly n_fields.
-    if (np.count_nonzero(raw == ord(",")) != (n_fields - 1) * values.shape[0]
+    if (np.count_nonzero(raw == ord(",")) != (n_fields - 1) * len(values)
             or not np.isfinite(values).all()):
-        raise ValueError(_bad_row(body, kind, header, labelled, first_line,
-                                  f"{kind} CSV: malformed rows"))
+        raise ValueError(_bad_row(body, kind, header, labelled, first_line, malformed))
     if not labelled:
-        return values, None, None
+        return values, None
+    # Every label empty, counted on the bytes without a pass over the lines.
     line_ends = raw[:-1] == ord("\n")
-    empty_labels = (raw[0] == ord(",")) + np.count_nonzero(line_ends & (raw[1:] == ord(",")))
-    if empty_labels == values.shape[0]:
-        return values, None, None
-    # A row's label runs from its line start to its first comma, which is
-    # every (n_fields - 1)-th comma of the body.
-    line_starts = np.concatenate([[0], np.flatnonzero(line_ends) + 1])
-    ends = np.flatnonzero(raw == ord(","))[::n_fields - 1]
-    starts = line_starts[np.searchsorted(line_starts, ends, side="right") - 1]
-    # Distinct labels as distinct byte strings, each with its comma so that
-    # none is empty.  Rows are compared among those of one label length, so
-    # a long label pads no other row's key.
-    sizes = ends - starts + 1
-    group, first = np.empty(ends.size, dtype=np.intp), []
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        rows = np.flatnonzero(sizes == size)
-        keys = raw[starts[rows, None] + np.arange(size)].view(np.dtype((np.void, size)))
-        _, first_rows, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        group[rows] = len(first) + inverse
-        first.extend(rows[first_rows].tolist())
-    order = np.argsort(first)
-    codes = np.empty_like(order)
-    codes[order] = np.arange(order.size)
-    labels = []
-    for row in sorted(first):
-        try:
-            labels.append(body[starts[row]:ends[row]].decode())
-        except UnicodeDecodeError:
-            line_no = first_line + np.searchsorted(line_starts, starts[row])
-            raise ValueError(f"{kind} CSV line {line_no}: label is not UTF-8") from None
-    return values, codes[group], labels
+    if (raw[0] == ord(",")) + np.count_nonzero(line_ends & (raw[1:] == ord(","))) == len(values):
+        return values, np.full(len(values), table.setdefault(b"", len(table)))
+    keys = [line.partition(b",")[0] for line in filter(None, body.splitlines())]
+    if len(keys) != len(values):
+        raise ValueError(_bad_row(body, kind, header, labelled, first_line, malformed))
+    for key in dict.fromkeys(keys):
+        if key not in table:
+            try:
+                key.decode()
+            except UnicodeDecodeError:
+                line_no = first_line + [line.partition(b",")[0]
+                                        for line in body.split(b"\n")].index(key)
+                raise ValueError(f"{kind} CSV line {line_no}: label is not UTF-8") from None
+            table[key] = len(table)
+    return values, np.fromiter(map(table.__getitem__, keys), np.intp, len(keys))
 
 
 def _bad_row(body: bytes, kind: str, header: str, labelled: bool, first_line: int,

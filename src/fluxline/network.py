@@ -184,9 +184,11 @@ def _line_terms(geom: FilterGeometry, omega):
 def _end_cap(geom: FilterGeometry, omega, s_r, c_r):
     """Numerator and denominator of the end-capped reactance past the
     inductor, X2 = z0 (u s_r - c_r) / (u c_r + s_r) with u = z0 w c_g
-    (-z0 cot(b l_r) for the ideal open end)."""
-    u = geom.z0 * omega * geom.c_g
-    return geom.z0 * (u * s_r - c_r), u * c_r + s_r
+    (-z0 cot(b l_r) for the ideal open end).  A huge z0 overflows u to inf
+    (nan at c_g = 0) quietly; the points it spoils carry error markers."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = geom.z0 * omega * geom.c_g
+        return geom.z0 * (u * s_r - c_r), u * c_r + s_r
 
 
 def _condition_terms(geom: FilterGeometry, omega):

@@ -172,6 +172,16 @@ class TestFilterSweep:
         assert all(float(row["l_j_arr_H"]) > 1e302 for row in rows)
         assert all(math.isfinite(float(row["f_f_Hz"])) for row in rows)
 
+    def test_overflowing_end_cap_writes_only_the_marker_line(self, tmp_path):
+        # z0 w c_g overflows to inf, and to nan at c_g = 0: every point is
+        # marked, and numpy's RuntimeWarnings stay out of stderr.
+        cfg = dict(SWEEP_CFG, geometry=dict(SWEEP_CFG["geometry"], z0_ohm=1e308),
+                   flux_points=5)
+        proc = run_cli("filter-sweep", write_cfg(tmp_path, "cfg.json", cfg),
+                       tmp_path / "sweep.csv")
+        assert proc.returncode == 0
+        assert proc.stderr == "5/5 flux points carry error markers\n"
+
     @pytest.mark.parametrize("change", [
         {"drive_freq_GHz": math.nan},
         {"drive_freq_GHz": math.inf},
@@ -234,6 +244,29 @@ class TestEveryInputEnds:
         proc = run_cli(command, write_cfg(tmp_path, "cfg.json", cfg), out)
         assert proc.returncode == code
         assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    SHOTS = {"ladder": LADDER_CFG, "cluster_model": model_dict(), "temperature_mk": 181.072}
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("filter-sweep", dict(SWEEP_CFG, squid_array={"n_squids": 10**400,
+                                                      "ic_junction_uA": 10.0}),
+         "squid_array.n_squids"),
+        ("generate", {"generator": "thermal", **SHOTS, "n_shots": 10**30}, "n_shots"),
+        ("generate", {"generator": "windows", **SHOTS, "n_win": 2, "n_shot": 10**30},
+         "n_shot"),
+        ("generate", {"generator": "reset", "rates": {"t1_ge_ns": 238.22, **RATES},
+                      "n_shots_per_point": 10**30}, "n_shots_per_point"),
+        ("generate", {"generator": "rb", "p_true": 0.99, "shots_per_point": 10**30},
+         "shots_per_point"),
+    ], ids=["n_squids", "n_shots", "n_shot", "n_shots_per_point", "shots_per_point"])
+    def test_integer_beyond_int64_exits_1(self, tmp_path, capsys, command, cfg, key):
+        # Each ended in an OverflowError traceback where numpy or a float met it.
+        out = tmp_path / "out"
+        assert exit_code([command, "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                          "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be an integer") and err.count("\n") == 1
         assert not out.exists()
 
 

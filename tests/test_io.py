@@ -201,7 +201,7 @@ class TestBlockReader:
         assert sigma.tolist() == [0.125, -0.0, 4.0]
 
     @given(rows=st.lists(st.tuples(
-               st.sampled_from(["", "g", "e", "k+", "État"]),
+               st.sampled_from(["", "g", "e", "k+", "État", "ee", " e", "e "]),
                st.floats(allow_nan=False, allow_infinity=False),
                st.floats(allow_nan=False, allow_infinity=False),
                st.sampled_from(["", "", "", "\n", "\r\n", " \n", ",nan,1\n", ",1\n"])),
@@ -359,15 +359,17 @@ def write_json(path, doc) -> str:
 @pytest.mark.parametrize("command", ["classify", "fit-temp"])
 def test_label_not_utf8_in_a_later_block_exit_1(tmp_path, monkeypatch, capsys, command):
     data = tmp_path / "shots.csv"
-    data.write_bytes(b"prep,i,q\ng,0.5,1.5\ne,1,2\n\n\xe9t\xe9,0.5,1.5\ng,3,4\n")
     model = write_json(tmp_path / "model.json", fio.model_to_dict(make_ring_model()))
     cfg = {"shots_csv": str(data), "model_json": model}
     if command == "fit-temp":
         cfg.update(ladder=LADDER_A, window=1, t_shot_us=34.2)
     monkeypatch.setattr(fio, "_READ_BLOCK_BYTES", 8)
-    assert main([command, "--config", write_json(tmp_path / "cfg.json", cfg),
-                 "--out", str(tmp_path / "out.json")]) == 1
-    assert capsys.readouterr().err == "error: shot CSV line 5: label is not UTF-8\n"
+    for body, line in [(b"g,0.5,1.5\ne,1,2\n\n\xe9t\xe9,0.5,1.5\ng,3,4\n", 5),
+                       (b"g,0.5,1.5\r\n\r\ne,1,2\r\n\r\n\xe9t\xe9,0.5,1.5\r\ng,3,4\r\n", 6)]:
+        data.write_bytes(b"prep,i,q\n" + body)
+        assert main([command, "--config", write_json(tmp_path / "cfg.json", cfg),
+                     "--out", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().err == f"error: shot CSV line {line}: label is not UTF-8\n"
 
 
 def test_fit_temp_ignores_a_trailing_partial_window(tmp_path, monkeypatch):
