@@ -1,9 +1,10 @@
-"""The least-squares solver and the curve fits built on it.
+"""The solvers, and the curve fits built on them.
 
 ``levenberg_marquardt`` is fluxline's one nonlinear least-squares solver:
 the scale-invariant damped Gauss-Newton step of Marquardt 1963 (see Moré
 1978), with an optional analytic Jacobian and an optional box.  The reset
-fit in ``dynamics`` and the curve fits here run on it.  Models:
+fit in ``dynamics`` and the curve fits here run on it; the filter root in
+``network`` and the temperature fit run on ``bracketed_roots``.  Models:
 
 * exponential decay        y = A exp(-t / tau) + B
 * decaying cosine          y = A cos(2 pi f t + phi) exp(-t / tau) + B
@@ -121,6 +122,39 @@ def levenberg_marquardt(fun, x0, jac=None, lo=-np.inf, hi=np.inf):
             if J is None:
                 J = _fd_jacobian(fun, x, f, lo, hi) if jac is None else jac(x)
             return x, f, J
+
+
+def bracketed_roots(fun, a, b, fa, fb, rtol):
+    """One root in each bracket a < b, all at once: fluxline's one root finder.
+
+    ``fa``, ``fb`` are ``fun`` at the ends, of opposite sign, or one is zero and
+    its end is the root; ``fun(x, live)`` evaluates the brackets ``live``.
+    Illinois regula falsi (Dowell & Jarratt 1971): two steps in a row that
+    move one end halve ``fun`` at the other; a step keeps half the stop width
+    from either end (Dekker) and is the midpoint where fa - fb overflows.  A
+    bracket returns where ``fun`` is zero, or its midpoint at b - a <= rtol |b|.
+    """
+    roots = np.where(fa == 0.0, a, b)
+    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    a, b, fa, fb = a[live], b[live], fa[live], fb[live]
+    side = np.zeros(live.size)  # +1 after a step that moved a, -1 after one that moved b
+    while live.size:
+        with np.errstate(invalid="ignore", over="ignore"):
+            gap = fa - fb
+            x = a + (b - a) * np.where(np.isfinite(gap), fa / gap, 0.5)
+        half_tol = 0.5 * rtol * np.abs(b)
+        x = np.clip(x, a + half_tol, b - half_tol)
+        fx = fun(x, live)
+        move_a = (fx > 0) == (fa > 0)
+        a, b = np.where(move_a, x, a), np.where(move_a, b, x)
+        fa = np.where(move_a, fx, np.where(side < 0, 0.5 * fa, fa))
+        fb = np.where(move_a, np.where(side > 0, 0.5 * fb, fb), fx)
+        side = np.where(move_a, 1.0, -1.0)
+        done = (fx == 0.0) | (b - a <= rtol * np.abs(b))
+        if done.any():
+            roots[live[done]] = np.where(fx == 0.0, x, 0.5 * (a + b))[done]
+            live, a, b, fa, fb, side = (v[~done] for v in (live, a, b, fa, fb, side))
+    return roots
 
 
 def _finish(x, fun, jac, names, n_points, at_bound=False) -> FitResult:

@@ -338,24 +338,32 @@ def _parse_block(body: bytes, kind: str, header: str, labelled: bool, first_line
             try:
                 key.decode()
             except UnicodeDecodeError:
-                line_no = first_line + [line.partition(b",")[0]
-                                        for line in body.split(b"\n")].index(key)
-                raise ValueError(f"{kind} CSV line {line_no}: label is not UTF-8") from None
+                raise ValueError(_bad_row(body, kind, header, labelled, first_line,
+                                          malformed)) from None
             table[key] = len(table)
     return values, np.fromiter(map(table.__getitem__, keys), np.intp, len(keys))
 
 
 def _bad_row(body: bytes, kind: str, header: str, labelled: bool, first_line: int,
              fallback: str) -> str:
-    """Message naming the first malformed line of ``body``, line ``first_line`` of its file."""
+    """Message naming the first malformed line of ``body``, line ``first_line`` of its file.
+
+    Lines are taken as bytes, so a label that is not UTF-8 is named as the
+    fault of its own line, not of the block.
+    """
     n_fields = header.count(",") + 1
-    for line_no, line in enumerate(body.decode().split("\n"), start=first_line):
-        if line in ("", "\r"):
+    for line_no, line in enumerate(body.split(b"\n"), start=first_line):
+        if line in (b"", b"\r"):
             continue
-        fields = line.split(",")
+        fields = line.split(b",")
         where = f"{kind} CSV line {line_no}"
         if len(fields) != n_fields:
             return f"{where}: expected {n_fields} fields ({header}), got {len(fields)}"
+        try:
+            fields[0].decode()
+        except UnicodeDecodeError:
+            if labelled:
+                return f"{where}: label is not UTF-8"
         try:
             values = [float(v) for v in fields[labelled:]]
         except ValueError:

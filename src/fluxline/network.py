@@ -20,7 +20,7 @@ Impedance chain, referenced at the node::
 with ``b = w / v_p`` and ``l_r = l_f - x_s``.  The filter frequency is the
 lowest root in [0.3 f0, 1.2 f0] of the shunt-short condition
 ``Z_1 + i z0 tan(b x_s) = 0``, bracketed on a pole-free form of it with
-Foster's reactance theorem and narrowed by Illinois regula falsi to a
+Foster's reactance theorem and narrowed by ``fits.bracketed_roots`` to a
 relative width of 1e-12 (see ``_filter_frequencies``).
 
 Phasor convention is ``exp(+i w t)``: an inductor has impedance ``i w L``
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HalfFluxDivergence, NoRootFound, TangentPole
+from .fits import bracketed_roots
 
 #: Magnetic flux quantum (Wb).
 PHI0 = 2.067833848e-15
@@ -244,7 +245,7 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
     so one ``searchsorted`` per run of constant sign finds the interval that
     brackets every entry.  An interval across a zero of A (a pole of F) is
     tested on G directly.  Each entry's lowest bracket is narrowed on G by
-    Illinois regula falsi to ``b - a <= _ROOT_RTOL |b|`` and its midpoint
+    ``fits.bracketed_roots`` to ``b - a <= _ROOT_RTOL |b|`` and its midpoint
     returned, or the point where G == 0.
     """
     l_s = np.asarray(l_s, dtype=float)
@@ -268,40 +269,13 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
         inside = (k > 0) & (k <= stop - start)  # nan and +-inf fall outside
         first = np.where(inside, np.minimum(first, start + k - 1), first)
 
-    # Illinois regula falsi (Dowell & Jarratt 1971) on every bracket at once:
-    # two steps in a row that move the same end halve G at the other, so both
-    # ends close in.  Each step keeps half the stop width from either end
-    # (Dekker's minimum step), so one landing nearer the root closes the
-    # bracket; where G(a) - G(b) overflows, it is the midpoint.
     found = np.flatnonzero(first < none)
-    cols, l_live = first[found], rows[found]
-    a, b = freqs[cols], freqs[cols + 1]
-    fa = _condition(slope[cols], offset[cols], l_live)
-    fb = _condition(slope[cols + 1], offset[cols + 1], l_live)
-    roots = np.where(fa == 0.0, a, b)
-    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
-    a, b, fa, fb, l_live = a[live], b[live], fa[live], fb[live], l_live[live]
-    side = np.zeros(live.size)  # +1 after a step that moved a, -1 after one that moved b
-    while live.size:
-        with np.errstate(invalid="ignore", over="ignore"):
-            gap = fa - fb
-            x = a + (b - a) * np.where(np.isfinite(gap), fa / gap, 0.5)
-        half_tol = 0.5 * _ROOT_RTOL * np.abs(b)
-        x = np.clip(x, a + half_tol, b - half_tol)
-        fx = _condition(*_condition_terms(geom, 2.0 * math.pi * x), l_live)
-        move_a = (fx > 0) == (fa > 0)
-        a, b = np.where(move_a, x, a), np.where(move_a, b, x)
-        fa = np.where(move_a, fx, np.where(side < 0, 0.5 * fa, fa))
-        fb = np.where(move_a, np.where(side > 0, 0.5 * fb, fb), fx)
-        side = np.where(move_a, 1.0, -1.0)
-        done = (fx == 0.0) | (b - a <= _ROOT_RTOL * np.abs(b))
-        if done.any():
-            roots[live[done]] = np.where(fx == 0.0, x, 0.5 * (a + b))[done]
-            live, a, b, fa, fb, l_live, side = (
-                v[~done] for v in (live, a, b, fa, fb, l_live, side))
-
+    cols, l_found = first[found], rows[found]
     f_f = np.full(rows.size, math.nan)
-    f_f[found] = roots
+    f_f[found] = bracketed_roots(
+        lambda x, live: _condition(*_condition_terms(geom, 2.0 * math.pi * x), l_found[live]),
+        freqs[cols], freqs[cols + 1], _condition(slope[cols], offset[cols], l_found),
+        _condition(slope[cols + 1], offset[cols + 1], l_found), _ROOT_RTOL)
     return f_f if rows is l_s else np.where(np.isfinite(l_s), f_f, math.nan)
 
 
@@ -309,7 +283,7 @@ def filter_frequency_exact(geom: FilterGeometry, l_s: float) -> float:
     """Filter frequency from the transcendental shunt-short condition (Hz).
 
     The lowest root in [0.3 f0, 1.2 f0], bracketed on a 4096-point scan and
-    narrowed by regula falsi to a relative width of 1e-12 (see
+    narrowed by ``fits.bracketed_roots`` to a relative width of 1e-12 (see
     ``_filter_frequencies``); raises NoRootFound when the window holds none.
     """
     f_f = _filter_frequencies(geom, np.array([l_s], dtype=float))[0]

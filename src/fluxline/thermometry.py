@@ -8,11 +8,11 @@ shot generator's extended manifold.  The working value of k_B / h is the
 rounded 20.84 GHz/K carried by the device analysis; construct a ladder
 with ``kb_over_h_ghz_per_k=KB_OVER_H_CODATA`` for the CODATA constant.
 
-The temperature estimate minimizes a chi-square-like cost between the
-measured and thermal populations over a bounded interval, and the module
-also provides the quantum Cramer-Rao lower bound on the normalized
-single-measurement precision, and windowed precision statistics (mean,
-standard deviation, noise-equivalent temperature).
+The temperature estimate minimizes a chi-square-like cost between measured
+and thermal populations within bounds, at the one root of its rising slope
+in 1/T (``fits.bracketed_roots``).  The module also provides the quantum
+Cramer-Rao lower bound on the normalized single-measurement precision, and
+windowed statistics (mean, standard deviation, noise-equivalent temperature).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundMismatch, InvalidPopulations, TooFewWindows
+from .fits import bracketed_roots
 
 #: Rounded conversion constant used throughout the device analysis (GHz/K).
 KB_OVER_H_ROUNDED = 20.84
@@ -31,10 +32,6 @@ KB_OVER_H_CODATA = 1.380649e-23 / 6.62607015e-34 / 1e9
 
 # Thermal probabilities are floored here in the chi-square denominator.
 _P_TH_FLOOR = 1e-12
-# Rows seeded on the temperature grid at a time: the seed's cost matrix
-# holds this many rows, about 2 MB, however many windows are fitted.
-_SEED_ROWS = 1024
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,12 @@ def boltzmann_populations(temperature: float, ladder: LevelLadder, n_levels: int
 def _boltzmann(temps: np.ndarray, ladder: LevelLadder, energies: np.ndarray) -> np.ndarray:
     """(len(temps), len(energies)) thermal populations of levels at ``energies`` (GHz)."""
     beta = 1.0 / (ladder.kb_over_h_ghz_per_k * np.asarray(temps, dtype=float))
-    w = np.exp(-np.outer(beta, energies))
+    return _normalized(-np.outer(beta, energies))
+
+
+def _normalized(log_w: np.ndarray) -> np.ndarray:
+    """Rows of weights exp(log_w), each scaled to sum 1 (a max-shifted softmax)."""
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -107,12 +109,16 @@ def fit_temperature_batch(
 ) -> TemperatureFits:
     """Effective temperature of each row of (W, 4) g, e, f, h populations.
 
-    Each row's temperature minimizes the chi-square-like population cost.
-    The minimum is seeded on a 256-point log grid over ``bounds`` and
-    refined by golden-section search (Kiefer 1953) in log T to a width of
-    1e-10, all rows at once; an optimum within 1e-6 (relative) of either
-    bound is flagged ``at_boundary``.  Fitting exact thermal populations
-    returns the generating temperature to better than 1e-8 relative.
+    Each row's T in ``bounds`` minimizes sum_j (p^_j - p_j)^2 / p_j, which
+    for a row summing to s is sum_j p^_j^2 e^(beta E_j) sum_j e^(-beta E_j)
+    - 2 s + 1 with beta = 1/(k_B T): a sum off by up to 1e-6 only shifts it.
+    Sums of exponentials are log-convex, so the product's log slope (the
+    mean energy under weights p^_j^2 e^(beta E_j) minus the thermal one)
+    rises in beta, and its one root is the minimum.  A slope >= 0 at t_max
+    or <= 0 at t_min puts the row at that bound; ``fits.bracketed_roots``
+    finds the other roots to 1e-12 in beta.  An optimum within 1e-6
+    (relative) of a bound is flagged ``at_boundary``.  Exact thermal rows
+    return their temperature to better than 1e-11 relative.
     """
     t_min, t_max = bounds
     if not 0 < t_min < t_max:
@@ -125,36 +131,22 @@ def fit_temperature_batch(
         row = int(np.argmin(valid))
         raise InvalidPopulations(f"populations of row {row} invalid: {p[row]}")
 
-    # The four level energies, built once for every cost of the fit.
+    # The four level energies, built once for every slope of the fit.
     energies = level_energies(ladder, 4)
-    # Seed: cost on the grid accumulated level by level, _SEED_ROWS rows at
-    # a time; the bracket is the best grid point's neighbours.
-    grid = np.geomspace(t_min, t_max, 256)
-    p_grid = _boltzmann(grid, ladder, energies)
-    den = np.maximum(p_grid, _P_TH_FLOOR)
-    best = np.empty(p.shape[0], dtype=np.intp)
-    for start in range(0, p.shape[0], _SEED_ROWS):
-        cost = 0.0
-        for j in range(4):
-            cost = cost + (p[start:start + _SEED_ROWS, j, None] - p_grid[:, j]) ** 2 / den[:, j]
-        best[start:start + _SEED_ROWS] = np.argmin(cost, axis=1)
-    a = np.log(grid[np.maximum(best - 1, 0)])
-    b = np.log(grid[np.minimum(best + 1, grid.size - 1)])
+    log_sq = 2.0 * np.log(p, out=np.full_like(p, -np.inf), where=p > 0)  # -inf if empty
 
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = (_chi2(p, _boltzmann(np.exp(v), ladder, energies)) for v in (c, d))
-    while (active := b - a > 1e-10).any():
-        left = active & (fc < fd)  # the minimum lies in [a, d]
-        right = active & ~left
-        b, a = np.where(left, d, b), np.where(right, c, a)
-        d, c = np.where(left, c, d), np.where(right, d, c)
-        fd, fc = np.where(left, fc, fd), np.where(right, fd, fc)
-        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        f_probe = _chi2(p, _boltzmann(np.exp(probe), ladder, energies))
-        c, fc = np.where(left, probe, c), np.where(left, f_probe, fc)
-        d, fd = np.where(right, probe, d), np.where(right, f_probe, fd)
-    t_eff = np.clip(np.exp(0.5 * (a + b)), t_min, t_max)
+    def slope(beta, rows):
+        tilt = np.outer(beta, energies)
+        return (_normalized(log_sq[rows] + tilt) - _normalized(-tilt)) @ energies
+
+    kb = ladder.kb_over_h_ghz_per_k
+    beta_lo, beta_hi = (np.full(p.shape[0], 1.0 / (kb * t)) for t in (t_max, t_min))
+    f_lo, f_hi = slope(beta_lo, slice(None)), slope(beta_hi, slice(None))
+    inside = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
+    beta = bracketed_roots(lambda x, live: slope(x, inside[live]), beta_lo[inside],
+                           beta_hi[inside], f_lo[inside], f_hi[inside], 1e-12)
+    t_eff = np.where(f_hi <= 0.0, t_min, t_max)
+    t_eff[inside] = np.clip(1.0 / (kb * beta), t_min, t_max)
 
     at_boundary = (t_eff <= t_min * (1.0 + 1e-6)) | (t_eff >= t_max * (1.0 - 1e-6))
     p_th = _boltzmann(t_eff, ladder, energies)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 from fluxline import fits, synth
 from fluxline.errors import FitDiverged, NoOscillation
@@ -313,6 +313,70 @@ class TestLevenbergMarquardt:
         x, _, jac = fits.levenberg_marquardt(fun, [1.0 - 1e-10, 0.3], lo=lo, hi=hi)
         assert np.isfinite(jac).all()
         assert 1.0 - 1e-9 < x[0] <= 1.0
+
+
+class TestBracketedRoots:
+    @staticmethod
+    def solve(fun, a, b, rtol):
+        """``bracketed_roots`` on ``fun(x, live)``, and the sizes of ``live`` per call."""
+        sizes = []
+
+        def counted(x, live):
+            sizes.append(live.size)
+            return fun(x, live)
+
+        every = np.arange(a.size)
+        roots = fits.bracketed_roots(counted, a, b, fun(a, every), fun(b, every), rtol)
+        return roots, sizes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_brentq_on_rising_and_falling_functions(self, seed):
+        # sign * (x exp(k x) - c) on [0.1, 3]: rising for sign +1, falling for
+        # -1, and from nearly linear (k small) to steep (k = 4).
+        rng = np.random.default_rng(seed)
+        n, rtol = 40, 1e-12
+        k, sign = rng.uniform(0.01, 4.0, n), rng.choice([-1.0, 1.0], n)
+        a, b = np.full(n, 0.1), np.full(n, 3.0)
+        c = rng.uniform(a * np.exp(k * a), b * np.exp(k * b))
+
+        def fun(x, live):
+            return sign[live] * (x * np.exp(k[live] * x) - c[live])
+
+        roots, sizes = self.solve(fun, a, b, rtol)
+        ref = np.array([brentq(lambda x, i=i: fun(np.array([x]), np.array([i]))[0],
+                               a[i], b[i], xtol=1e-300, rtol=4 * np.finfo(float).eps)
+                        for i in range(n)])
+        assert np.all(np.abs(roots - ref) <= rtol * ref)
+        # Brackets finish on different iterations, and each finished one
+        # leaves the live set.
+        assert sizes[0] == n and len(set(sizes)) > 2
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_zero_at_an_end_is_the_root(self):
+        # fa == 0 returns a and fb == 0 returns b, with no evaluation; the
+        # third bracket is solved alone.
+        a, b = np.array([1.0, 1.0, 1.0]), np.array([2.0, 3.0, 4.0])
+        targets = np.array([1.0, 3.0, 2.5])
+        roots, sizes = self.solve(lambda x, live: x - targets[live], a, b, 1e-12)
+        assert roots[0] == 1.0 and roots[1] == 3.0
+        assert abs(roots[2] - 2.5) <= 1e-12 * 2.5
+        assert set(sizes) == {1}
+
+    def test_overflowing_gap_takes_the_midpoint(self):
+        # fa - fb overflows to -inf, so the first step is the midpoint 2,
+        # not the secant point; the root at 1.25 is still found.
+        points = []
+
+        def fun(x, live):
+            points.append(float(x[0]))
+            return 1e308 * np.tanh(x - 1.25)
+
+        a, b = np.array([0.0]), np.array([4.0])
+        fa, fb = fun(a, None), fun(b, None)
+        assert float(fa[0]) - float(fb[0]) == -math.inf
+        roots = fits.bracketed_roots(fun, a, b, fa, fb, 1e-12)
+        assert points[2] == 2.0
+        assert abs(roots[0] - 1.25) <= 1e-12 * 1.25
 
 
 # --- scipy reference fits ----------------------------------------------------

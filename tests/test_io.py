@@ -200,6 +200,22 @@ class TestBlockReader:
         x, y, sigma = fio.read_curve_csv(tmp_path / "t.csv")
         assert sigma.tolist() == [0.125, -0.0, 4.0]
 
+    @pytest.mark.parametrize("body, table, message", [
+        (b"\xe9t\xe9,1,2\ng,nan,3\n", SHOT, "shot CSV line 2: label is not UTF-8"),
+        (b"g,nan,3\n\xe9t\xe9,1,2\n", SHOT, "shot CSV line 2: values must be finite"),
+        (b"0,1\n1,\xe92\n2,nan\n", CURVE, "curve CSV line 3: values are not numbers"),
+    ])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, monkeypatch, body, table,
+                                                     message):
+        """Not UTF-8 with a bad row in the same block once ended with the codec's message."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(table[1][0].encode() + b"\n" + body)
+        for size in range(1, len(body) + 2):
+            monkeypatch.setattr(fio, "_READ_BLOCK_BYTES", size)
+            with pytest.raises(ValueError) as info:
+                fio._read_table(path, *table)
+            assert str(info.value) == message, size
+
     @given(rows=st.lists(st.tuples(
                st.sampled_from(["", "g", "e", "k+", "État", "ee", " e", "e "]),
                st.floats(allow_nan=False, allow_infinity=False),

@@ -72,7 +72,7 @@ SHA256 = {
     "fit-reset floor": "6516f99c2f24464f816c08a6b8e12cb4d44423107302d2a18c409a6b1b381697",
     "fit-rb": "47b051328d1da57cc87cd7f8c06fbdd654c2c530c3535eacd17214ef07ef3de6",
     "fit-curve exponential": "a2dbb699372f5a0c08cfb1329162a27345181c2571486d734851b35c921e3e8d",
-    "fit-temp": "8f1351ace494a52587165e8de942c69f5db6307dc16670a66047da451695b977",
+    "fit-temp": "37911964c1151398d88e845613441fc8d65cbc8aa1d3c66a5ad510c0ada24972",
 }
 
 
