@@ -22,7 +22,7 @@ t_grid = np.linspace(20e-9, 2.0e-6, 40)
 
 print(f"{N_SHOTS} shots per point, 40 points, preparations e/f/h")
 for floor in (None, 0.985):
-    data = synth.gen_reset_curves(truth, ("e", "f", "h"), t_grid, N_SHOTS,
+    data = synth.gen_reset_curves(truth, (1, 2, 3), t_grid, N_SHOTS,
                                   floor_p_inf=floor, seed=3)
     fit = dyn.fit_decay_rates(data, fit_floor=floor is not None)
     label = "no floor" if floor is None else f"floor {floor}"

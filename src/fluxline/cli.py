@@ -222,8 +222,8 @@ def cmd_generate(cfg: dict, out: str, seed) -> int:
     elif kind == "reset":
         t_grid = np.linspace(cfg["t_start_ns"], cfg["t_stop_ns"], cfg["t_points"])
         data = synth.gen_reset_curves(
-            dyn.DecayRates.from_t1(*cfg["rates"].values()), cfg["preps"], t_grid,
-            cfg["n_shots_per_point"], floor_p_inf=cfg["floor_p_inf"], seed=seed)
+            dyn.DecayRates.from_t1(*cfg["rates"].values()), fio.prep_levels(cfg["preps"]),
+            t_grid, cfg["n_shots_per_point"], floor_p_inf=cfg["floor_p_inf"], seed=seed)
         fio.write_reset_csv(out, data)
     else:
         m, y = synth.gen_rb_decay(cfg["p_true"], cfg["a"], cfg["b"], cfg["m_grid"],

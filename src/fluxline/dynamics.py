@@ -14,9 +14,9 @@ with removable 1/(Gamma_i - Gamma_j) poles at rate degeneracies; those are
 evaluated through divided-difference helpers that switch to series limits
 instead of relying on cancellation.
 
-A state is a (4,) numpy row of these populations.  A preparation 'e',
-'f' or 'h' starts in level 1, 2 or 3; ``ResetDataset.check_labels`` maps
-the labels to those levels, whose initial rows are ``np.eye(4)[levels]``.
+A state is a (4,) numpy row of these populations.  Reset curves are keyed
+by the prepared level k (1, 2 or 3) and start from ``np.eye(4)[k]``; only
+``io.prep_levels`` maps the preparation labels e, f and h to these levels.
 
 The closed forms are cross-checked against an in-house adaptive
 Dormand-Prince 4(5) integrator, ``populations_ode``, which steps many
@@ -36,8 +36,6 @@ import numpy as np
 
 from .errors import DegenerateUnhandled, FitDiverged, RankDeficient, StepFailure
 from .fits import levenberg_marquardt
-
-_PREP_INDEX = {"e": 1, "f": 2, "h": 3}
 
 # |delta| * t below this switches divided differences to series limits.
 _SERIES_CUT = 1e-6
@@ -96,23 +94,13 @@ class ResetCurve:
 
 @dataclass(frozen=True)
 class ResetDataset:
-    """Reset curves keyed by preparation label ('e', 'f' or 'h')."""
+    """Reset curves keyed by prepared level: 1, 2 or 3."""
 
-    curves: dict[str, ResetCurve]
+    curves: dict[int, ResetCurve]
 
     def __post_init__(self):
-        self.check_labels(list(self.curves))
-
-    @staticmethod
-    def check_labels(labels) -> list[int]:
-        """Level (1, 2 or 3) of each preparation label; an unknown or a
-        repeated label raises ValueError."""
-        for j, label in enumerate(labels):
-            if label not in _PREP_INDEX:
-                raise ValueError(f"unknown preparation label {label!r}")
-            if label in labels[:j]:
-                raise ValueError(f"duplicate preparation label {label!r}")
-        return [_PREP_INDEX[label] for label in labels]
+        if not self.curves.keys() <= {1, 2, 3}:
+            raise ValueError(f"curves are keyed by level 1, 2 or 3, got {list(self.curves)}")
 
 
 # --- degeneracy-safe exponential helpers --------------------------------------
@@ -368,10 +356,10 @@ def fit_decay_rates(data: ResetDataset, fit_floor: bool = False) -> DecayRatesFi
     Jacobian within the box of rates > 0 and a floor in (0, 1], stopping
     when the scaled step or the relative cost decrease falls to 1e-14,
     within 200 (p + 1) residual evaluations for p parameters.  Each
-    prepared level seeds its own rate (prep e gamma_ge, f gamma_ef, h
-    gamma_fh) from the log-linear decay of its population towards the last
-    value; a level not prepared keeps the guess (g0, 1.7 g0, 2.5 g0), g0
-    from the ground-population rise of the first preparation.
+    prepared level k seeds its own rate gamma_{k-1,k} from the log-linear
+    decay of its population towards the last value; a level not prepared
+    keeps the guess (g0, 1.7 g0, 2.5 g0), g0 from the ground-population
+    rise of the lowest prepared level.
     Uncertainties come from the cluster-robust (sandwich) covariance
     (J^T J)^-1 (sum_b s_b s_b^T) (J^T J)^-1 * B / (B - p), with J the
     difference Jacobian at the optimum, taken backward where a forward step
@@ -381,31 +369,28 @@ def fit_decay_rates(data: ResetDataset, fit_floor: bool = False) -> DecayRatesFi
     ``apply_thermal_floor``.  FitDiverged is raised only when the fit runs
     out of evaluations or returns a point outside the box.
     """
-    preps = sorted(data.curves, key=_PREP_INDEX.get)
-    if len(preps) < 2:
+    levels = sorted(data.curves)
+    curves = [data.curves[k] for k in levels]
+    if len(curves) < 2:
         raise ValueError("need at least 2 preparations")
-    for prep in preps:
-        if data.curves[prep].times.size < 5:
-            raise ValueError("need at least 5 time points per preparation")
-    t_grids = [data.curves[p].times for p in preps]
-    measured = np.concatenate([data.curves[p].populations.ravel() for p in preps])
+    if min(c.times.size for c in curves) < 5:
+        raise ValueError("need at least 5 time points per preparation")
+    t_grids = [c.times for c in curves]
+    measured = np.concatenate([c.populations.ravel() for c in curves])
     t_all, time_index = np.unique(np.concatenate(t_grids), return_inverse=True)
     # Row of each data point in the kernel output seen as (preps * times, 4);
     # one take of these rows costs a tenth of a 2-D fancy index.
-    kernel_row = np.repeat(np.arange(len(preps)) * t_all.size,
+    kernel_row = np.repeat(np.arange(len(curves)) * t_all.size,
                            [t.size for t in t_grids]) + time_index
-    levels = data.check_labels(preps)
     inits = np.eye(4)[levels]
 
-    first = data.curves[preps[0]]
-    g0 = _seed_gamma(first.times, first.populations[:, 0])
+    g0 = _seed_gamma(curves[0].times, curves[0].populations[:, 0])
     theta0 = [g0, 1.7 * g0, 2.5 * g0]
     # A prepared level k empties at its own rate gamma_{k-1,k} alone.
-    for prep, k in zip(preps, levels):
-        curve = data.curves[prep]
+    for k, curve in zip(levels, curves):
         theta0[k - 1] = _seed_gamma(curve.times, -curve.populations[:, k])
     if fit_floor:
-        p_late = max(data.curves[p].populations[-1, 0] for p in preps)
+        p_late = max(c.populations[-1, 0] for c in curves)
         theta0 = theta0 + [min(max(p_late, 0.5), 1.0)]
 
     names = ["gamma_ge", "gamma_ef", "gamma_fh"] + (["p_inf"] if fit_floor else [])

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import AssignmentMatrix, GmmModel
+from .classify import LABEL_ORDER, AssignmentMatrix, GmmModel
 from .dynamics import ResetCurve, ResetDataset
 from .network import SWEEP_FIELDS
 from .thermometry import KB_OVER_H_CODATA, KB_OVER_H_ROUNDED
@@ -161,17 +161,29 @@ def write_flux_sweep_csv(path, sweep: np.recarray) -> None:
     _write_table(path, SWEEP_HEADER, [(table, None)], labelled=False)
 
 
+def prep_levels(labels) -> list[int]:
+    """Level (1, 2 or 3) of each reset preparation label, the one map from labels
+    to the levels that key a ``dynamics.ResetDataset``; an unknown or a
+    repeated label raises ValueError."""
+    for j, label in enumerate(labels):
+        if label not in LABEL_ORDER[1:4]:
+            raise ValueError(f"unknown preparation label {label!r}")
+        if label in labels[:j]:
+            raise ValueError(f"duplicate preparation label {label!r}")
+    return [LABEL_ORDER.index(label) for label in labels]
+
+
 def write_reset_csv(path, data: ResetDataset) -> None:
-    curves = [(prep, data.curves[prep]) for prep in sorted(data.curves)]
+    curves = sorted(data.curves.items())
     table = np.vstack([np.empty((0, 5))]
                       + [np.column_stack([c.times, c.populations]) for _, c in curves])
-    preps = np.repeat(np.array([prep for prep, _ in curves], dtype=object),
+    preps = np.repeat(np.array([LABEL_ORDER[k] for k, _ in curves], dtype=object),
                       [c.times.size for _, c in curves])
     _write_table(path, RESET_HEADER, [(table, preps)], labelled=True)
 
 
 def read_reset_csv(path) -> ResetDataset:
-    """Reset curves, in order of each prep's first row and sorted by time.
+    """Reset curves keyed by ``prep_levels``, in order of first row and by time.
 
     Rows are checked as in ``_parse_block``.  Populations are not
     range-checked, since readout-corrected data can be slightly negative.
@@ -182,8 +194,8 @@ def read_reset_csv(path) -> ResetDataset:
     # Rows grouped by prep code, each group stably sorted by time.
     table = table[np.lexsort((table[:, 0], codes))]
     groups = np.split(table, np.cumsum(np.bincount(codes))[:-1])
-    return ResetDataset({prep: ResetCurve(rows[:, 0], rows[:, 1:])
-                         for prep, rows in zip(preps, groups)})
+    return ResetDataset({level: ResetCurve(rows[:, 0], rows[:, 1:])
+                         for level, rows in zip(prep_levels(preps), groups)})
 
 
 def write_shots_csv(path, xy, codes=None, labels=None) -> None:

@@ -160,14 +160,15 @@ def _inductances(arr: SquidArray, flux, mode: str):
     return arr.n_squids * (arr.l_fixed_per_squid + PHI0 / (2.0 * math.pi * ic_sq)), ic_sq, below
 
 
-def squid_array_inductance(arr: SquidArray, flux_ratio: float, mode: str = "strict") -> float:
+def squid_array_inductance(arr: SquidArray, flux_ratio: float) -> float:
     """Series inductance of the SQUID array at a given flux bias (H).
 
     The linear part N (L_fixed + Phi0 / (2 pi Ic_sq)) alone: the drive is
     kept small, and the sweep reports how small in its ``margin`` field.
+    Within clamp_epsilon of half flux it raises HalfFluxDivergence.
     """
-    l_arr, ic_sq, below = _inductances(arr, flux_ratio, mode)
-    if below and mode == "strict":
+    l_arr, ic_sq, below = _inductances(arr, flux_ratio, "strict")
+    if below:
         raise HalfFluxDivergence(
             f"|cos(pi*flux)| = {ic_sq / (2.0 * arr.ic_junction):.3e} < clamp_epsilon = "
             f"{arr.clamp_epsilon:.3e} at flux_ratio = {flux_ratio}")

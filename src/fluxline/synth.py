@@ -7,8 +7,7 @@ pipeline, multinomially sampled reset trajectories exercise the rate fits,
 and binomial benchmarking decays exercise the survival fit.  Thermal
 levels are drawn from ``thermometry.boltzmann_populations`` over the
 extended manifold.  A reset trajectory starts from the (4,) population row
-of its preparation, ``np.eye(4)[level]`` with the level (1, 2 or 3) that
-``dynamics.ResetDataset.check_labels`` maps the label 'e', 'f' or 'h' to.
+``np.eye(4)[level]`` of its prepared level, 1, 2 or 3.
 Every generator is a pure function of (configuration, seed); per-window
 substreams are split from the base seed with a counter key so that window
 parallelism cannot change the output.
@@ -100,7 +99,7 @@ def gen_thermal_shots(cfg: ShotGenConfig, temperature: float, n: int) -> np.ndar
     return _thermal_shot_sampler(cfg, temperature)(n, rng)
 
 
-def gen_reset_curves(rates: DecayRates, preps, t_grid, n_shots_per_point: int,
+def gen_reset_curves(rates: DecayRates, levels, t_grid, n_shots_per_point: int,
                      floor_p_inf: float | None = None, seed: int = 0) -> ResetDataset:
     """Multinomial samples around the integrated reset trajectories.
 
@@ -109,19 +108,21 @@ def gen_reset_curves(rates: DecayRates, preps, t_grid, n_shots_per_point: int,
     against the closed forms), so the round trip through
     ``fit_decay_rates`` exercises both solution paths.  Its rows are
     non-negative and sum to 1, ``apply_thermal_floor`` keeps both, and all
-    rows are sampled unchanged in one multinomial draw, preparation by
-    preparation in the order given.
+    rows are sampled unchanged in one multinomial draw, prepared level by
+    prepared level (each 1, 2 or 3, none twice) in the order given.
     """
     if n_shots_per_point < 1:
         raise ValueError("n_shots_per_point must be >= 1")
-    levels = ResetDataset.check_labels(preps)  # before any integration
+    levels = list(levels)  # checked before any integration; a dict merges a repeat
+    if len(set(levels)) != len(levels) or not set(levels) <= {1, 2, 3}:
+        raise ValueError(f"prepared levels must be distinct, each 1, 2 or 3, got {levels}")
     t_grid = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    p = populations_ode(t_grid, [rates] * len(preps), np.eye(4)[levels])
+    p = populations_ode(t_grid, [rates] * len(levels), np.eye(4)[levels])
     if floor_p_inf is not None:
         p = apply_thermal_floor(p, floor_p_inf)
     fractions = rng.multinomial(n_shots_per_point, p) / n_shots_per_point
-    return ResetDataset({prep: ResetCurve(t_grid, f) for prep, f in zip(preps, fractions)})
+    return ResetDataset({k: ResetCurve(t_grid, f) for k, f in zip(levels, fractions)})
 
 
 def gen_rb_decay(p_true: float, a: float, b: float, m_grid, shots_per_point: int,

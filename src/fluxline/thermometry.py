@@ -32,6 +32,9 @@ KB_OVER_H_CODATA = 1.380649e-23 / 6.62607015e-34 / 1e9
 
 # Thermal probabilities are floored here in the chi-square denominator.
 _P_TH_FLOOR = 1e-12
+# Most levels ``level_energies`` builds; a ladder whose transitions do not
+# fall past h would otherwise grow with any n_levels asked for.
+_MAX_LEVELS = 100
 
 
 @dataclass(frozen=True)
@@ -56,11 +59,15 @@ def level_energies(ladder: LevelLadder, n_levels: int) -> np.ndarray:
 
     Past h the transition frequencies keep falling by the constant
     anharmonicity step f_ef - f_fh; the first that is not positive raises
-    ValueError before any further level is built.
+    ValueError before any further level is built, and so does a level past
+    the ``_MAX_LEVELS``-th.
     """
     transitions = [ladder.f_ge_ghz, ladder.f_ef_ghz, ladder.f_fh_ghz]
     step = ladder.f_ef_ghz - ladder.f_fh_ghz
     while len(transitions) < n_levels - 1:
+        if len(transitions) == _MAX_LEVELS - 1:
+            raise ValueError(f"ladder extension reached {_MAX_LEVELS} levels"
+                             f" with positive transition frequencies; {n_levels} asked for")
         transitions.append(transitions[-1] - step)
         if transitions[-1] <= 0:
             raise ValueError("ladder extension produced non-positive transition frequency")

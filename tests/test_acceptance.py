@@ -137,7 +137,7 @@ def test_criterion_04_multilevel_oracle_equivalence():
 def test_criterion_05_reset_round_trip():
     rates = dyn.DecayRates.from_t1(*RESET_T1)
     t_grid = np.linspace(20e-9, 2.0e-6, 40)
-    data = synth.gen_reset_curves(rates, ("e", "f", "h"), t_grid, 100000, seed=3)
+    data = synth.gen_reset_curves(rates, (1, 2, 3), t_grid, 100000, seed=3)
     fit = dyn.fit_decay_rates(data)
     zs = {}
     for name in ("gamma_ge", "gamma_ef", "gamma_fh"):
@@ -146,7 +146,7 @@ def test_criterion_05_reset_round_trip():
     within_sigma = all(z <= 1.0 for z in zs.values())
 
     t_late = np.linspace(0.2e-6, 8e-6, 25)
-    floored = synth.gen_reset_curves(rates, ("e", "f", "h"), t_late, 100000,
+    floored = synth.gen_reset_curves(rates, (1, 2, 3), t_late, 100000,
                                      floor_p_inf=0.985, seed=3)
     late = np.concatenate([c.populations[c.times > 4e-6, 0]
                            for c in floored.curves.values()])

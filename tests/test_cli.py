@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import repeat
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from fluxline.cli import main
 from fluxline.errors import RankDeficient
 
 from conftest import LADDER_A, make_ring_model
+from test_dynamics import _deadline
 from test_io import same_bytes
 
 LADDER_CFG = LADDER_A
@@ -327,6 +329,25 @@ class TestGenerateAndFitReset:
         assert main(["generate", "--config", gen_cfg, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fit_reset_independent_of_the_order_of_rows(self, tmp_path):
+        # The curves are fitted level by level, whichever prep comes first.
+        gen_cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "reset",
+            "rates": {"t1_ge_ns": 238.22, "t1_ef_ns": 136.80, "t1_fh_ns": 128.84},
+            "t_points": 20, "n_shots_per_point": 5000, "floor_p_inf": 0.985, "seed": 7})
+        e_first, h_first = tmp_path / "e_first.csv", tmp_path / "h_first.csv"
+        assert main(["generate", "--config", gen_cfg, "--out", str(e_first)]) == 0
+        header, *rows = e_first.read_text().splitlines(keepends=True)
+        assert rows[0].startswith("e,") and rows[-1].startswith("h,")
+        h_first.write_text(header + "".join(sorted(rows, key=lambda row: "hfe".index(row[0]))))
+        outs = []
+        for csv_path in (e_first, h_first):
+            fit_cfg = write_cfg(tmp_path, "fit.json", {"reset_csv": str(csv_path),
+                                                       "fit_floor": True})
+            outs.append(tmp_path / f"{csv_path.stem}.json")
+            assert main(["fit-reset", "--config", fit_cfg, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_seed_flag_overrides(self, tmp_path):
         gen_cfg = write_cfg(tmp_path, "gen.json", {
             "generator": "reset",
@@ -446,7 +467,7 @@ class TestResetCsvBoundary:
         reset_csv = tmp_path / "reset.csv"
         reset_csv.write_text(self.GOOD + "e,2e-7,1.002,-0.002,0.0,0.0\n")
         data = fio.read_reset_csv(reset_csv)
-        assert data.curves["e"].populations[-1, 1] == -0.002
+        assert data.curves[1].populations[-1, 1] == -0.002
 
 
 class TestRbPipeline:
@@ -674,6 +695,30 @@ class TestThermometryPipeline:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_generate_caps_a_ladder_that_does_not_fall(self, tmp_path, capsys):
+        # With f_ef and f_fh swapped the transitions past h rise and never
+        # turn non-positive; the extension stops at its level cap, in
+        # bounded time and memory, before the file is opened.
+        ladder = {**LADDER_CFG, "f_ef_ghz": LADDER_CFG["f_fh_ghz"],
+                  "f_fh_ghz": LADDER_CFG["f_ef_ghz"]}
+        gen_cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "thermal", "ladder": ladder, "cluster_model": model_dict(),
+            "temperature_mk": 50.0, "n_shots": 100, "n_model_levels": 10**12})
+        out = tmp_path / "shots.csv"
+        tracemalloc.start()
+        try:
+            with _deadline(5):
+                code = main(["generate", "--config", gen_cfg, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ladder extension reached 100 levels")
+        assert err.count("\n") == 1
+        assert peak < 1e6
+        assert not out.exists()
+
 
 def fit_temp_cfg(tmp_path, shots_csv, window=2):
     (tmp_path / "model.json").write_text(json.dumps(model_dict()))
@@ -869,10 +914,10 @@ class TestRoundTripFormats:
     def test_reset_csv_round_trip(self, tmp_path, reset_rates):
         from fluxline import synth
         t = np.linspace(1e-8, 1e-6, 12)
-        data = synth.gen_reset_curves(reset_rates, ("e", "h"), t, 1000, seed=0)
+        data = synth.gen_reset_curves(reset_rates, (1, 3), t, 1000, seed=0)
         fio.write_reset_csv(tmp_path / "r.csv", data)
         back = fio.read_reset_csv(tmp_path / "r.csv")
-        for prep in ("e", "h"):
+        for prep in (1, 3):
             assert np.array_equal(back.curves[prep].times, data.curves[prep].times)
             assert np.array_equal(back.curves[prep].populations,
                                   data.curves[prep].populations)
@@ -929,15 +974,15 @@ class TestRoundTripFormats:
         assert np.array_equal(y, [float(r["y"]) for r in rows])
         assert np.array_equal(x, xy[:, 0]) and np.array_equal(y, xy[:, 1]) and sigma is None
 
-        # Reset: a curve per drawn prep, each on its own increasing times.
+        # Reset: a curve per drawn prepared level, each on its own increasing times.
         finite = st.floats(allow_nan=False, allow_infinity=False)
         curves = {}
-        for prep in data.draw(st.lists(st.sampled_from(["e", "f", "h"]),
-                                       min_size=1, max_size=3, unique=True)):
+        for level in data.draw(st.lists(st.sampled_from([1, 2, 3]),
+                                        min_size=1, max_size=3, unique=True)):
             times = sorted(data.draw(st.lists(finite, min_size=1, max_size=10, unique=True)))
             pops = data.draw(st.lists(st.tuples(finite, finite, finite, finite),
                                       min_size=len(times), max_size=len(times)))
-            curves[prep] = dyn.ResetCurve(np.array(times), np.array(pops, dtype=float))
+            curves[level] = dyn.ResetCurve(np.array(times), np.array(pops, dtype=float))
         fio.write_reset_csv(path, dyn.ResetDataset(curves))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -945,13 +990,13 @@ class TestRoundTripFormats:
         ref = {}
         for r in rows:
             ref.setdefault(r["prep"], []).append([float(r[k]) for k in rows[0] if k != "prep"])
-        assert list(back.curves) == list(ref) == sorted(curves)
-        for prep, table in ref.items():
+        assert list(back.curves) == fio.prep_levels(list(ref)) == sorted(curves)
+        for level, table in zip(back.curves, ref.values()):
             table = np.array(table)
-            assert np.array_equal(back.curves[prep].times, table[:, 0])
-            assert np.array_equal(back.curves[prep].populations, table[:, 1:])
-            assert np.array_equal(back.curves[prep].times, curves[prep].times)
-            assert np.array_equal(back.curves[prep].populations, curves[prep].populations)
+            assert np.array_equal(back.curves[level].times, table[:, 0])
+            assert np.array_equal(back.curves[level].populations, table[:, 1:])
+            assert np.array_equal(back.curves[level].times, curves[level].times)
+            assert np.array_equal(back.curves[level].populations, curves[level].populations)
 
     def test_curve_csv_reads_sigma_column(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -965,10 +1010,10 @@ class TestRoundTripFormats:
         path.write_text("prep,time_s,p_g,p_e,p_f,p_h\n"
                         "h,2.0,0,0,0,1\ne,3.0,0,1,0,0\nh,1.0,1,0,0,0\ne,0.5,0,0,1,0\n")
         back = fio.read_reset_csv(path)
-        assert list(back.curves) == ["h", "e"]
-        assert back.curves["h"].times.tolist() == [1.0, 2.0]
-        assert back.curves["h"].populations[:, 0].tolist() == [1.0, 0.0]
-        assert back.curves["e"].times.tolist() == [0.5, 3.0]
+        assert list(back.curves) == [3, 1]
+        assert back.curves[3].times.tolist() == [1.0, 2.0]
+        assert back.curves[3].populations[:, 0].tolist() == [1.0, 0.0]
+        assert back.curves[1].times.tolist() == [0.5, 3.0]
 
     def test_reset_rows_without_prep_exit_1(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -1037,8 +1082,8 @@ class TestWritersMatchPerRowReference:
     def check_reset(tmp_path, data):
         same_bytes(tmp_path, lambda p: fio.write_reset_csv(p, data), [
             (np.column_stack([curve.times, curve.populations]).T,
-             repeat(prep, curve.times.size))
-            for prep, curve in sorted(data.curves.items())], fio.RESET_HEADER)
+             repeat(cl.LABEL_ORDER[level], curve.times.size))
+            for level, curve in sorted(data.curves.items())], fio.RESET_HEADER)
 
     @pytest.mark.parametrize("n", ROWS)
     def test_reset(self, tmp_path, n):
@@ -1048,8 +1093,8 @@ class TestWritersMatchPerRowReference:
         times = np.concatenate([[-math.inf, -0.0, 5e-324, 1e-5],
                                 np.linspace(1e-4, 1e16, n)])[:n]
         self.check_reset(tmp_path, dyn.ResetDataset({
-            "h": dyn.ResetCurve(times[:n - split], pops[:n - split]),
-            "e": dyn.ResetCurve(times[:split], pops[n - split:]),
+            3: dyn.ResetCurve(times[:n - split], pops[:n - split]),
+            1: dyn.ResetCurve(times[:split], pops[n - split:]),
         }))
 
     def test_reset_without_curves(self, tmp_path):

@@ -106,7 +106,7 @@ def write_inputs(work: Path) -> dict:
     rates = dyn.DecayRates.from_t1(238.22e-9, 136.80e-9, 128.84e-9)
     t_grid = [k * 1e-7 for k in range(1, 21)]
     fio.write_reset_csv(files["reset"], synth.gen_reset_curves(
-        rates, ("e", "f", "h"), t_grid, 5000, floor_p_inf=0.985, seed=2))
+        rates, (1, 2, 3), t_grid, 5000, floor_p_inf=0.985, seed=2))
     fio.write_curve_csv(files["curve"], *synth.gen_rb_decay(
         0.995, 0.5, 0.5, [float(m) for m in range(0, 400, 20)], 2000, seed=4))
     return files

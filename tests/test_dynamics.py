@@ -12,6 +12,7 @@ from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from fluxline import dynamics as dyn
+from fluxline import io as fio
 from fluxline import synth
 from fluxline.errors import FitDiverged, RankDeficient, StepFailure
 
@@ -36,9 +37,9 @@ def ode_one(t, rates, init):
     return dyn.populations_ode(t, [rates], init)[0]
 
 
-def pure(prep):
-    """The (4,) population row of preparation 'e', 'f' or 'h'."""
-    return np.eye(4)[dyn.ResetDataset.check_labels([prep])[0]]
+def pure(level):
+    """The (4,) population row of prepared level 1, 2 or 3."""
+    return np.eye(4)[level]
 
 
 def rate_triple():
@@ -48,18 +49,18 @@ def rate_triple():
 
 class TestTypes:
     def test_population_vector_validation(self):
-        # The initial rows are the pure states of the levels check_labels yields.
-        levels = dyn.ResetDataset.check_labels(["f", "e", "h"])
+        # The initial rows are the pure states of the levels prep_levels yields.
+        levels = fio.prep_levels(["f", "e", "h"])
         assert levels == [2, 1, 3]
         rows = np.eye(4)[levels]
         assert rows.dtype == np.float64 and rows.shape == (3, 4)
         assert np.array_equal(rows, [[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                                      [0.0, 0.0, 0.0, 1.0]])
         assert np.all(rows >= 0.0) and np.all(rows.sum(axis=1) == 1.0)
-        assert dyn.ResetDataset.check_labels([]) == []
+        assert fio.prep_levels([]) == []
         for labels in (["g"], ["e", "x"], ["h", "h"]):
             with pytest.raises(ValueError):
-                dyn.ResetDataset.check_labels(labels)
+                fio.prep_levels(labels)
 
     def test_rates_validation_and_shorthands(self):
         with pytest.raises(ValueError):
@@ -91,34 +92,37 @@ class TestTypes:
         with pytest.raises(ValueError):
             dyn.ResetDataset({"x": dyn.ResetCurve(np.array([1e-6, 2e-6]),
                                                   np.zeros((2, 4)))})
+        # Curves are keyed by prepared level; a label key is named.
+        with pytest.raises(ValueError, match=r"level 1, 2 or 3, got \['e'\]$"):
+            dyn.ResetDataset({"e": dyn.ResetCurve(np.array([1e-6]), np.zeros((1, 4)))})
 
 
-def ground_population(t, rates, prep):
-    """P_g of the closed form at the times ``t`` after preparing ``prep``."""
-    return dyn.populations_closed_form(t, rates, pure(prep))[:, 0]
+def ground_population(t, rates, level):
+    """P_g of the closed form at the times ``t`` after preparing ``level``."""
+    return dyn.populations_closed_form(t, rates, pure(level))[:, 0]
 
 
 class TestClosedForm:
     def test_initial_condition(self, reset_rates):
-        for prep in ("e", "f", "h"):
+        for prep in (1, 2, 3):
             assert ground_population(0.0, reset_rates, prep)[0] == 0.0
 
     def test_unknown_preparation_uses_the_dataset_message(self, reset_rates):
         with pytest.raises(ValueError, match="^unknown preparation label 'x'$"):
-            synth.gen_reset_curves(reset_rates, ("e", "x"), [1e-7, 2e-7], 100)
+            fio.prep_levels(("e", "x"))
 
     def test_single_exponential_from_e(self, reset_rates):
         t1 = 1.0 / reset_rates.gamma_ge
-        value = ground_population(t1, reset_rates, "e")[0]
+        value = ground_population(t1, reset_rates, 1)[0]
         assert value == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_five_lifetimes_residual(self, reset_rates):
-        value = ground_population(5.0 / reset_rates.gamma_ge, reset_rates, "e")[0]
+        value = ground_population(5.0 / reset_rates.gamma_ge, reset_rates, 1)[0]
         assert 1.0 - value == pytest.approx(math.exp(-5.0), rel=1e-12)
         assert 1.0 - value < 0.007
 
     def test_monotone_in_time(self, reset_rates):
-        for prep in ("e", "f", "h"):
+        for prep in (1, 2, 3):
             vals = ground_population(np.linspace(0, 3e-6, 200), reset_rates, prep)
             assert vals.shape == (200,)
             assert np.all(np.diff(vals) >= -1e-12)
@@ -126,7 +130,7 @@ class TestClosedForm:
     def test_degenerate_rates_finite(self):
         r = dyn.DecayRates(2e6, 2e6, 2e6)
         for t in (1e-9, 5e-7, 1e-5):
-            v = ground_population(t, r, "h")[0]
+            v = ground_population(t, r, 3)[0]
             # Erlang-3 cascade: P_g = 1 - e^{-Gt}(1 + Gt + (Gt)^2/2)
             gt = 2e6 * t
             exact = 1.0 - math.exp(-gt) * (1 + gt + gt**2 / 2)
@@ -142,7 +146,7 @@ class TestClosedForm:
             if i % 2:
                 g = g[0] * (1.0 + 10 ** rng.uniform(-6, -3) * rng.permutation(3))
             rates = dyn.DecayRates(*g)
-            init = pure("h")
+            init = pure(3)
             closed = dyn.populations_closed_form(t_grid, rates, init)
             m = rates.rate_matrix()
             brute = np.array([expm(m * t) @ init for t in t_grid])
@@ -215,7 +219,7 @@ BASE = 3.7e6
 
 def _kernel_vs_reference(rates):
     worst = 0.0
-    for prep in ("e", "f", "h"):
+    for prep in (1, 2, 3):
         init = pure(prep)
         ref = np.array([_ref_closed(float(t), rates, init) for t in T_CUTS])
         got = dyn.populations_closed_form(T_CUTS, rates, init)
@@ -347,19 +351,19 @@ class TestOde:
 
     def test_normalization_and_conservation(self, reset_rates):
         t = np.geomspace(1e-9, 1e-4, 50)
-        out = ode_one(t, reset_rates, pure("h"))
+        out = ode_one(t, reset_rates, pure(3))
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-10
         assert out.min() >= 0.0
 
     def test_downward_only(self, reset_rates):
         t = np.linspace(1e-9, 3e-6, 80)
-        out = ode_one(t, reset_rates, pure("h"))
+        out = ode_one(t, reset_rates, pure(3))
         assert np.all(np.diff(out[:, 3]) <= 1e-12)   # P_h non-increasing
         assert np.all(np.diff(out[:, 0]) >= -1e-12)  # P_g non-decreasing
 
     def test_agrees_with_closed_form(self, reset_rates):
         t = np.geomspace(1e-9, 1e-4, 100)
-        for prep in ("e", "f", "h"):
+        for prep in (1, 2, 3):
             init = pure(prep)
             ode = ode_one(t, reset_rates, init)
             closed = dyn.populations_closed_form(t, reset_rates, init)
@@ -371,8 +375,8 @@ class TestOde:
     def test_oracle_equivalence_random_rates(self, gammas):
         rates = dyn.DecayRates(*gammas)
         t = np.geomspace(1e-9, 1e-4, 30)
-        ode = ode_one(t, rates, pure("h"))
-        closed = dyn.populations_closed_form(t, rates, pure("h"))
+        ode = ode_one(t, rates, pure(3))
+        closed = dyn.populations_closed_form(t, rates, pure(3))
         assert np.abs(ode - closed).max() < 1e-9
 
     def test_near_degenerate_rates(self):
@@ -380,35 +384,35 @@ class TestOde:
         for eps in (1e-6, 1e-9, 1e-13, 0.0):
             rates = dyn.DecayRates(base, base * (1 + eps), base * (1 + 2 * eps))
             t = np.geomspace(1e-9, 1e-4, 40)
-            ode = ode_one(t, rates, pure("h"))
-            closed = dyn.populations_closed_form(t, rates, pure("h"))
+            ode = ode_one(t, rates, pure(3))
+            closed = dyn.populations_closed_form(t, rates, pure(3))
             assert np.abs(ode - closed).max() < 1e-9
 
     @pytest.mark.parametrize("t_grid", [[math.nan, 1e-7], [1e-8, math.nan], [1e-8, math.inf],
                                         [-math.inf, 1e-7], [1e-8, 1e-8], [-1e-9, 1e-7]])
     def test_bad_grid_raises_instead_of_hanging(self, reset_rates, t_grid):
-        init = pure("h")
+        init = pure(3)
         with _deadline(10), pytest.raises(ValueError, match="t_grid"):
             ode_one(np.array(t_grid), reset_rates, init)
         with _deadline(10), pytest.raises(ValueError, match="t_grid"):
-            synth.gen_reset_curves(reset_rates, ("h",), t_grid, 100)
+            synth.gen_reset_curves(reset_rates, (3,), t_grid, 100)
 
     def test_step_budget_raises_step_failure(self, monkeypatch):
         # The budget counts steps beyond one per output time: zero rates
         # land on every time in one step each and need none of it.
         monkeypatch.setattr(dyn, "_ODE_MAX_STEPS", 0)
         t = np.linspace(1e-9, 1e-6, 1000)
-        assert (ode_one(t, dyn.DecayRates(0.0, 0.0, 0.0), pure("h"))[:, 3] == 1.0).all()
+        assert (ode_one(t, dyn.DecayRates(0.0, 0.0, 0.0), pure(3))[:, 3] == 1.0).all()
         monkeypatch.setattr(dyn, "_ODE_MAX_STEPS", 200)
         with _deadline(10), pytest.raises(StepFailure, match="^cascade too stiff: 201 steps"):
-            ode_one(np.array([2e-6]), dyn.DecayRates(1e18, 1e6, 1e6), pure("e"))
+            ode_one(np.array([2e-6]), dyn.DecayRates(1e18, 1e6, 1e6), pure(1))
 
     def test_batch_matches_scalar_solver(self, reset_rates):
         t = np.geomspace(1e-9, 1e-5, 25)
         rng = np.random.default_rng(2)
         rates_list = [dyn.DecayRates(*(10 ** rng.uniform(5, 7.5, 3)))
                       for _ in range(10)]
-        h = pure("h")
+        h = pure(3)
         batch = dyn.populations_ode(t, rates_list, h)
         for i, r in enumerate(rates_list):
             assert np.abs(batch[i] - ode_one(t, r, h)).max() < 1e-10
@@ -422,7 +426,7 @@ class TestOde:
 class TestThermalFloor:
     def test_endpoints(self, reset_rates):
         t = np.array([0.0, 1e-8, 1e-4])
-        p = dyn.populations_closed_form(t, reset_rates, pure("e"))
+        p = dyn.populations_closed_form(t, reset_rates, pure(1))
         floored = dyn.apply_thermal_floor(p, 0.985)
         assert floored[0, 0] == 0.0  # prepared state untouched at t = 0
         assert floored[-1, 0] == pytest.approx(0.985, abs=1e-6)
@@ -440,7 +444,7 @@ class TestFitDecayRates:
         curves = {
             prep: dyn.ResetCurve(
                 t, ode_one(t, reset_rates, pure(prep)))
-            for prep in ("e", "f", "h")
+            for prep in (1, 2, 3)
         }
         fit = dyn.fit_decay_rates(dyn.ResetDataset(curves))
         for name in ("gamma_ge", "gamma_ef", "gamma_fh"):
@@ -452,7 +456,7 @@ class TestFitDecayRates:
     def test_hierarchy_preserved(self):
         truth = dyn.DecayRates(2e6, 4e6, 9e6)  # gamma_ge < gamma_ef < gamma_fh
         t = np.linspace(10e-9, 3e-6, 35)
-        data = synth.gen_reset_curves(truth, ("e", "f", "h"), t, 50000, seed=14)
+        data = synth.gen_reset_curves(truth, (1, 2, 3), t, 50000, seed=14)
         fit = dyn.fit_decay_rates(data)
         assert fit.rates.gamma_ge < fit.rates.gamma_ef < fit.rates.gamma_fh
 
@@ -463,7 +467,7 @@ class TestFitDecayRates:
         truth = {n: getattr(reset_rates, n)
                  for n in ("gamma_ge", "gamma_ef", "gamma_fh")}
         clean = {prep: ode_one(t, reset_rates, pure(prep))
-                 for prep in ("e", "f", "h")}
+                 for prep in (1, 2, 3)}
         rng = np.random.default_rng(123)
         hits = {n: 0 for n in truth}
         n_rep = 50
@@ -480,7 +484,7 @@ class TestFitDecayRates:
 
     def test_floor_fit_matches_generator(self, reset_rates):
         t = np.linspace(20e-9, 6e-6, 45)
-        data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 100000,
+        data = synth.gen_reset_curves(reset_rates, (1, 2, 3), t, 100000,
                                       floor_p_inf=0.985, seed=4)
         fit = dyn.fit_decay_rates(data, fit_floor=True)
         assert fit.floor == pytest.approx(0.985, abs=2e-3)
@@ -490,7 +494,7 @@ class TestFitDecayRates:
         # The generate-reset defaults with no floor: the fitted floor sits at
         # its bound 1, where a forward difference of p_inf would leave the box.
         t = np.linspace(10e-9, 2000e-9, 40)
-        data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 10000, seed=seed)
+        data = synth.gen_reset_curves(reset_rates, (1, 2, 3), t, 10000, seed=seed)
         fit = dyn.fit_decay_rates(data, fit_floor=True)
         x = np.array([fit.rates.gamma_ge, fit.rates.gamma_ef, fit.rates.gamma_fh, fit.floor])
         assert fit.sigmas["p_inf"] > 1e-6
@@ -511,14 +515,14 @@ class TestFitDecayRates:
 
         monkeypatch.setattr(dyn, "levenberg_marquardt", stopped_outside)
         t = np.linspace(20e-9, 2e-6, 20)
-        data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 10000,
+        data = synth.gen_reset_curves(reset_rates, (1, 2, 3), t, 10000,
                                       floor_p_inf=0.985, seed=1)
         with pytest.raises(FitDiverged, match="physical region"):
             dyn.fit_decay_rates(data, fit_floor=True)
 
     def test_no_rate_triple_evaluated_twice(self, monkeypatch, reset_rates):
         t = np.linspace(10e-9, 2e-6, 200)
-        data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 10000,
+        data = synth.gen_reset_curves(reset_rates, (1, 2, 3), t, 10000,
                                       floor_p_inf=0.985, seed=2)
         real = dyn._populations_closed
         triples = []
@@ -550,13 +554,13 @@ class TestFitDecayRates:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_per_level_seeds_near_truth(self, monkeypatch, reset_rates, floor, seed):
         t = np.linspace(10e-9, 2e-6, 1000)
-        data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 10000,
+        data = synth.gen_reset_curves(reset_rates, (1, 2, 3), t, 10000,
                                       floor_p_inf=floor, seed=seed)
         start = self._start_point(monkeypatch, data, floor is not None)
         truth = [reset_rates.gamma_ge, reset_rates.gamma_ef, reset_rates.gamma_fh]
         assert _rel(start, truth).max() < 0.05
 
-    @pytest.mark.parametrize("preps, missing", [(("e", "h"), 1), (("f", "h"), 0)])
+    @pytest.mark.parametrize("preps, missing", [((1, 3), 1), ((2, 3), 0)])
     def test_missing_level_keeps_cascade_guess(self, monkeypatch, reset_rates,
                                                preps, missing):
         t = np.linspace(10e-9, 2e-6, 200)
@@ -565,16 +569,15 @@ class TestFitDecayRates:
         g0 = dyn._seed_gamma(first.times, first.populations[:, 0])
         start = self._start_point(monkeypatch, data, False)
         assert start[missing] == [g0, 1.7 * g0, 2.5 * g0][missing]
-        for prep in preps:
-            k = "efh".index(prep) + 1
-            curve = data.curves[prep]
+        for k in preps:
+            curve = data.curves[k]
             assert start[k - 1] == dyn._seed_gamma(curve.times, -curve.populations[:, k])
 
     def test_requires_enough_data(self, reset_rates):
         t = np.linspace(1e-8, 1e-6, 5)
-        p = ode_one(t, reset_rates, pure("e"))
+        p = ode_one(t, reset_rates, pure(1))
         with pytest.raises(ValueError):
-            dyn.fit_decay_rates(dyn.ResetDataset({"e": dyn.ResetCurve(t, p)}))
+            dyn.fit_decay_rates(dyn.ResetDataset({1: dyn.ResetCurve(t, p)}))
 
 
 # --- scipy reference fit -----------------------------------------------------
@@ -586,7 +589,7 @@ class TestFitDecayRates:
 # must reproduce.
 
 def _reference_fit(data, fit_floor):
-    preps = sorted(data.curves, key="efh".index)
+    preps = sorted(data.curves)
     measured = np.concatenate([data.curves[p].populations.ravel() for p in preps])
     g0 = dyn._seed_gamma(data.curves[preps[0]].times, data.curves[preps[0]].populations[:, 0])
     theta0 = [g0, 1.7 * g0, 2.5 * g0]
@@ -622,7 +625,7 @@ def _backward_sandwich_sigmas(data, x):
     """Sandwich sigmas of the floor fit at ``x`` from per-preparation closed
     forms and a backward-difference Jacobian, step 1e-6 max(1, |x|), which
     never steps past the floor's bound 1."""
-    preps = sorted(data.curves, key="efh".index)
+    preps = sorted(data.curves)
     measured = np.concatenate([data.curves[p].populations.ravel() for p in preps])
 
     def residuals(theta):
@@ -646,7 +649,7 @@ def _backward_sandwich_sigmas(data, x):
 
 
 class TestSolverMatchesScipyReference:
-    @pytest.mark.parametrize("preps", [("e", "f", "h"), ("e", "h"), ("f", "h")])
+    @pytest.mark.parametrize("preps", [(1, 2, 3), (1, 3), (2, 3)])
     @pytest.mark.parametrize("floor", [None, 0.985])
     def test_fit_agrees(self, reset_rates, preps, floor):
         t = np.linspace(20e-9, 3e-6, 40)
@@ -656,8 +659,8 @@ class TestSolverMatchesScipyReference:
 
     @pytest.mark.parametrize("floor", [None, 0.985])
     def test_fit_agrees_on_different_grids(self, reset_rates, floor):
-        grids = {"e": np.linspace(10e-9, 3e-6, 40), "f": np.geomspace(5e-9, 4e-6, 31),
-                 "h": np.linspace(20e-9, 2e-6, 25)}
+        grids = {1: np.linspace(10e-9, 3e-6, 40), 2: np.geomspace(5e-9, 4e-6, 31),
+                 3: np.linspace(20e-9, 2e-6, 25)}
         curves = {prep: synth.gen_reset_curves(reset_rates, (prep,), t, 10000,
                                                floor_p_inf=floor, seed=k).curves[prep]
                   for k, (prep, t) in enumerate(grids.items())}
@@ -688,6 +691,6 @@ class TestSolverMatchesScipyReference:
     def test_unconstrained_rate_raises_rank_deficient(self, reset_rates):
         # Without an h preparation gamma_fh leaves every residual unchanged.
         t = np.linspace(20e-9, 3e-6, 40)
-        data = synth.gen_reset_curves(reset_rates, ("e", "f"), t, 10000, seed=1)
+        data = synth.gen_reset_curves(reset_rates, (1, 2), t, 10000, seed=1)
         with pytest.raises(RankDeficient):
             dyn.fit_decay_rates(data)

@@ -310,12 +310,12 @@ class TestWriterMatchesPerValueReference:
                    [(w.T, repeat("", len(w))) for w in windows], fio.SHOT_HEADER)
 
         curves = {}
-        for prep in data.draw(st.lists(st.sampled_from(["e", "f", "h"]), unique=True)):
+        for level in data.draw(st.lists(st.sampled_from([1, 2, 3]), unique=True)):
             times = sorted(data.draw(st.lists(st.floats(allow_nan=False), min_size=1,
                                               max_size=6, unique=True)))
-            curves[prep] = dyn.ResetCurve(np.array(times), table_of(data, len(times), 4))
+            curves[level] = dyn.ResetCurve(np.array(times), table_of(data, len(times), 4))
         reset = dyn.ResetDataset(curves)
-        ordered = [(prep, curves[prep]) for prep in sorted(curves)]
+        ordered = [(cl.LABEL_ORDER[level], curves[level]) for level in sorted(curves)]
         same_bytes(tmp_path, lambda p: fio.write_reset_csv(p, reset), [(
             np.vstack([np.empty((0, 5))] + [np.column_stack([c.times, c.populations])
                                             for _, c in ordered]).T,

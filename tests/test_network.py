@@ -57,10 +57,10 @@ class TestSquidArray:
 
     def test_half_flux_strict_raises(self, squid_array):
         with pytest.raises(HalfFluxDivergence):
-            nw.squid_array_inductance(squid_array, 0.5, mode="strict")
+            nw.squid_array_inductance(squid_array, 0.5)
 
     def test_half_flux_clamped(self, squid_array):
-        l_arr = nw.squid_array_inductance(squid_array, 0.5, mode="clamped")
+        l_arr = float(nw._inductances(squid_array, 0.5, "clamped")[0])
         ic_clamped = squid_array.clamp_epsilon * 2 * squid_array.ic_junction
         expected = 5 * nw.PHI0 / (2 * math.pi * ic_clamped)
         assert l_arr == pytest.approx(expected, rel=1e-12)
@@ -469,7 +469,7 @@ class TestFluxSweep:
         with pytest.raises(ValueError):
             nw.flux_sweep(geometry, squid_array, qubit, [0.1, math.inf], 4.2e9)
         with pytest.raises(ValueError):
-            nw.squid_array_inductance(squid_array, -math.inf, mode="clamped")
+            nw._inductances(squid_array, -math.inf, "clamped")
         with pytest.raises(ValueError):
             nw.qubit_admittance(geometry, 0.1e-9, math.inf)
         # A nan drive is no drive frequency either.
@@ -481,7 +481,7 @@ class TestFluxSweep:
         with pytest.raises(ValueError, match="mode"):
             nw.flux_sweep(geometry, squid_array, qubit, [0.1], 4.2e9, mode="loose")
         with pytest.raises(ValueError, match="mode"):
-            nw.squid_array_inductance(squid_array, 0.5, mode="loose")
+            nw._inductances(squid_array, 0.5, "loose")
 
 
 # --- Reference: the per-point sweep with scalar math.* kernels -----------------
@@ -741,7 +741,7 @@ class TestSweepMatchesScalarReference:
 
     @pytest.mark.parametrize("geom, l_s", [
         (_GEOM, 1e-6),
-        (_GEOM, nw.squid_array_inductance(_ARR, 0.5, mode="clamped")),
+        (_GEOM, float(nw._inductances(_ARR, 0.5, "clamped")[0])),
     ])
     def test_no_root_diagnostics_match_reference(self, geom, l_s):
         with pytest.raises(NoRootFound) as got:

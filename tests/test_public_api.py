@@ -109,7 +109,7 @@ def is_dataclass(node: ast.AST) -> bool:
 # src/ plus the defaulted fields of its dataclasses.  Each is an option a
 # caller may set; an added one shows here as a changed number, to be
 # justified by a caller that needs a second value.
-SETTABLE_VALUES = 28
+SETTABLE_VALUES = 27
 
 
 def settable_values() -> int:
@@ -188,3 +188,18 @@ def package_imports(path: Path) -> set:
 def test_import_graph_is_pinned():
     graph = {path.stem: package_imports(path) for path in SOURCES}
     assert graph == IMPORT_GRAPH
+
+
+# Level labels meet level indices at the I/O boundary alone: ``io.prep_levels``
+# maps reset preparation labels to levels, and ``classify.LABEL_ORDER`` names
+# them.  The reset dynamics and the generators work on the level indices.
+LABEL_FREE = ("dynamics", "synth")
+
+
+def test_no_level_label_in_the_label_free_modules():
+    from fluxline.classify import LABEL_ORDER
+
+    found = [f"{stem}:{node.lineno}: {node.value!r}" for stem in LABEL_FREE
+             for node in ast.walk(ast.parse((PACKAGE / f"{stem}.py").read_text()))
+             if isinstance(node, ast.Constant) and node.value in LABEL_ORDER]
+    assert not found, f"level labels outside the I/O boundary: {found}"

@@ -157,14 +157,14 @@ class TestDrawMatchesMaskedReference:
 
 class TestResetCurves:
     def test_time_zero_is_pure_preparation(self, reset_rates):
-        data = synth.gen_reset_curves(reset_rates, ("e", "f"), np.array([0.0, 1e-7]),
+        data = synth.gen_reset_curves(reset_rates, (1, 2), np.array([0.0, 1e-7]),
                                       5000, seed=1)
-        assert data.curves["e"].populations[0, 1] == 1.0
-        assert data.curves["f"].populations[0, 2] == 1.0
+        assert data.curves[1].populations[0, 1] == 1.0
+        assert data.curves[2].populations[0, 2] == 1.0
 
     def test_large_n_round_trip_within_one_sigma(self, reset_rates):
         t = np.linspace(20e-9, 2e-6, 40)
-        data = synth.gen_reset_curves(reset_rates, ("e", "f", "h"), t, 1_000_000,
+        data = synth.gen_reset_curves(reset_rates, (1, 2, 3), t, 1_000_000,
                                       seed=3)
         fit = dyn.fit_decay_rates(data)
         for name in ("gamma_ge", "gamma_ef", "gamma_fh"):
@@ -173,17 +173,17 @@ class TestResetCurves:
 
     def test_floor_saturation_regime(self, reset_rates):
         t = np.array([1.2e-6])
-        data = synth.gen_reset_curves(reset_rates, ("e",), t, 200000,
+        data = synth.gen_reset_curves(reset_rates, (1,), t, 200000,
                                       floor_p_inf=0.985, seed=6)
-        p_g = data.curves["e"].populations[0, 0]
+        p_g = data.curves[1].populations[0, 0]
         # five lifetimes with a 98.5 percent ceiling put P_g near 0.98
         assert 0.96 < p_g < 0.99
 
     def test_determinism(self, reset_rates):
         t = np.linspace(1e-8, 1e-6, 10)
-        a = synth.gen_reset_curves(reset_rates, ("e",), t, 1000, seed=5)
-        b = synth.gen_reset_curves(reset_rates, ("e",), t, 1000, seed=5)
-        assert np.array_equal(a.curves["e"].populations, b.curves["e"].populations)
+        a = synth.gen_reset_curves(reset_rates, (1,), t, 1000, seed=5)
+        b = synth.gen_reset_curves(reset_rates, (1,), t, 1000, seed=5)
+        assert np.array_equal(a.curves[1].populations, b.curves[1].populations)
 
     def test_one_integration_for_every_preparation(self, reset_rates, monkeypatch):
         calls = []
@@ -194,12 +194,23 @@ class TestResetCurves:
 
         monkeypatch.setattr(synth, "populations_ode", integrate)
         t = np.linspace(1e-8, 1e-6, 10)
-        data = synth.gen_reset_curves(reset_rates, ("h", "e", "f"), t, 1000, seed=5)
+        data = synth.gen_reset_curves(reset_rates, (3, 1, 2), t, 1000, seed=5)
         assert len(calls) == 1
         rates_list, inits = calls[0]
         assert rates_list == [reset_rates] * 3
         assert np.array_equal(inits, np.eye(4)[[3, 1, 2]])
-        assert list(data.curves) == ["h", "e", "f"]
+        assert list(data.curves) == [3, 1, 2]
+
+    @pytest.mark.parametrize("levels", [(1, 1), (0,)])
+    def test_bad_levels_raise_before_integrating(self, reset_rates, monkeypatch, levels):
+        # A repeated level would be merged by the dataset's dict; level 0
+        # is the ground state, no preparation.
+        def integrated(*args, **kwargs):
+            raise AssertionError("integrated before checking the levels")
+
+        monkeypatch.setattr(synth, "populations_ode", integrated)
+        with pytest.raises(ValueError, match="^prepared levels must be distinct"):
+            synth.gen_reset_curves(reset_rates, levels, [1e-7, 2e-7], 100)
 
 
 class TestRbDecay:
