@@ -2,9 +2,10 @@
 
 Every command reads a JSON config (--config), writes its result to
 --out, and is deterministic given (config, seed).  Exit codes: 0 success,
-1 configuration or input error, 2 solver or fit failure.  ``main`` checks
-the config once against the command's key table below (documented in the
-README), so each ``cmd_*`` takes checked values, in SI, under their keys.
+1 configuration or input error (an input too large to allocate included),
+2 solver or fit failure.  ``main`` checks the config once against the
+command's key table below (documented in the README), so each ``cmd_*``
+takes checked values, in SI, under their keys.
 """
 
 from __future__ import annotations
@@ -307,8 +308,9 @@ def main(argv=None) -> int:
     try:
         cfg = fio.read_config(cfg, config_schema(command, cfg))
         return _COMMANDS[command](cfg, out, seed)
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, ValueError, OSError, MemoryError) as exc:
+        # MemoryError: a count too large to allocate, named by numpy's message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except FluxlineError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -182,7 +182,10 @@ def _validate_xy(t, y, n_min):
         raise ValueError("t and y must be 1-D arrays of equal length")
     if t.size < n_min:
         raise ValueError(f"need at least {n_min} points, got {t.size}")
-    if np.any(np.diff(t) <= 0):
+    # Positive tests, so that NaN fails them.
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise ValueError("t and y must be finite")
+    if not (np.diff(t) > 0).all():
         raise ValueError("t must be strictly increasing")
     return t, y
 
@@ -334,6 +337,8 @@ def rb_fit(m, p_g) -> FitResult:
     p_g = np.asarray(p_g, dtype=float)
     if m.shape != p_g.shape or m.ndim != 1:
         raise ValueError("m and p_g must be 1-D arrays of equal length")
+    if not (np.isfinite(m).all() and np.isfinite(p_g).all()):
+        raise ValueError("m and p_g must be finite")
     if not (m >= 0).all():
         raise ValueError("sequence lengths must be >= 0")
     order = np.argsort(m)
@@ -409,6 +414,8 @@ def fit_quadratic_minimum(x, y) -> FitResult:
     y = np.asarray(y, dtype=float)
     if x.size < 3:
         raise ValueError("need at least 3 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     coeffs, res_info = np.polyfit(x, y, 2, full=True)[:2]
     a, b, c = coeffs
     if a <= 0:

@@ -5,8 +5,8 @@ units their keys are annotated with (GHz, ns, us, fF, nH, mm, uA, mK).
 ``read_config`` checks every JSON config against a key table (the command
 tables are in ``fluxline.cli``) and converts units exactly once.  Numeric
 output uses shortest-roundtrip formatting so seeded runs are byte-stable.
-CSV tables are read in blocks of whole lines, and a labelled table's labels
-are coded once per file, against one table of the file's distinct labels.
+CSV tables are read a block at a time, each a read finished to its line end;
+a labelled table's labels are coded once per file, against one label table.
 
 Formats:
 
@@ -52,7 +52,7 @@ SWEEP_HEADER = ("flux_ratio,l_j_arr_H,f_f_Hz,gamma_qf_per_s,t1_ext_s,"
                 "t1_total_s,rabi_rel,i_peak_A,margin")
 # Rows formatted per write; the text of a whole table is never built.
 _WRITE_BLOCK_ROWS = 8192
-# Bytes of a CSV table read, checked and parsed at a time (whole lines).
+# Bytes of a CSV table read at a time, each read then finished to its line end.
 _READ_BLOCK_BYTES = 1 << 20
 
 
@@ -260,19 +260,21 @@ def _read_table(path, kind: str, headers: tuple[str, ...], labelled: bool):
 
 
 def _read_blocks(path, kind: str, headers: tuple[str, ...], labelled: bool, table: dict):
-    """Iterator over ``_parse_block`` of each block of whole lines of a CSV table.
+    """Iterator over ``_parse_block`` of each block of a CSV table.
 
-    The header must be one of ``headers``.  Blocks hold about
-    ``_READ_BLOCK_BYTES``; the first bad row and a table with no data rows
-    are ``ValueError``s.  Every block codes its labels against ``table``,
-    one per file.
+    The header must be one of ``headers``.  A block is a read of
+    ``_READ_BLOCK_BYTES`` finished to its line end, so it holds whole lines;
+    the first bad row and a table with no data rows are ``ValueError``s.
+    Every block codes its labels against ``table``, one per file.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode().rstrip("\r\n")
         if header not in headers:
             raise ValueError(f"unexpected {kind} CSV header: {header!r}")
-        rows, blank = 0, None
-        for block, first_line in _line_blocks(fh):
+        rows, blank, next_line = 0, None, 2
+        while block := fh.read(_READ_BLOCK_BYTES) + fh.readline():
+            first_line = next_line
+            next_line += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
             if block.isspace():
                 # Line ends hold no rows.  A line of other blanks is a bad
                 # row, unless every line of the table is blank.
@@ -288,25 +290,6 @@ def _read_blocks(path, kind: str, headers: tuple[str, ...], labelled: bool, tabl
             yield parsed
     if not rows:
         raise ValueError(f"{kind} CSV holds no data rows")
-
-
-def _line_blocks(fh):
-    """(block, number of its first line) for the rest of ``fh``, from line 2 on.
-
-    Each block holds the whole lines of about ``_READ_BLOCK_BYTES``; the
-    last may lack its line end.
-    """
-    line_no, rest = 2, b""
-    while chunk := fh.read(_READ_BLOCK_BYTES):
-        cut = chunk.rfind(b"\n") + 1
-        if not cut:
-            rest += chunk
-            continue
-        block, rest = rest + chunk[:cut], chunk[cut:]
-        yield block, line_no
-        line_no += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
-    if rest:
-        yield rest, line_no
 
 
 def _parse_block(body: bytes, kind: str, header: str, labelled: bool, first_line: int,

@@ -127,7 +127,8 @@ def gen_reset_curves(rates: DecayRates, levels, t_grid, n_shots_per_point: int,
 
 def gen_rb_decay(p_true: float, a: float, b: float, m_grid, shots_per_point: int,
                  seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Binomial samples of the survival curve A p^m + B."""
+    """Binomial samples of the survival curve A p^m + B, which must lie in [0, 1]
+    on ``m_grid``; a value outside raises ValueError naming it and its m."""
     if not 0.0 < p_true <= 1.0:
         raise ValueError("p_true must lie in (0, 1]")
     if shots_per_point < 1:
@@ -135,8 +136,13 @@ def gen_rb_decay(p_true: float, a: float, b: float, m_grid, shots_per_point: int
     m_grid = np.asarray(m_grid, dtype=float)
     if not (m_grid >= 0).all():
         raise ValueError("sequence lengths must be >= 0")
+    prob = a * p_true**m_grid + b
+    outside = np.flatnonzero(~((prob >= 0.0) & (prob <= 1.0)))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(f"survival A p^m + B must lie in [0, 1], got {float(prob[k])!r}"
+                         f" at m = {float(m_grid[k])}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    prob = np.clip(a * p_true**m_grid + b, 0.0, 1.0)
     survived = rng.binomial(shots_per_point, prob)
     return m_grid, survived / shots_per_point
 

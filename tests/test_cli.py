@@ -224,7 +224,7 @@ class TestFilterSweep:
 
 class TestEveryInputEnds:
     # Each of these ran without end, printed warnings before its error line,
-    # or wrote a curve clipped at a negative length.
+    # or wrote a curve clipped at a negative length or to [0, 1].
     RATES = {"t1_ef_ns": 136.80, "t1_fh_ns": 128.84}
 
     @pytest.mark.parametrize("command, cfg, code, err", [
@@ -240,7 +240,13 @@ class TestEveryInputEnds:
          "error: v_p / (4 l_f) must be positive and finite, got inf Hz\n"),
         ("generate", {"generator": "rb", "p_true": 0.99, "m_grid": [-10, 0, 10]}, 1,
          "error: sequence lengths must be >= 0\n"),
-    ], ids=["stiff-reset", "infinite-rate", "short-filter", "fast-line", "negative-length"])
+        ("generate", {"generator": "rb", "p_true": 0.995, "a": 0.9, "b": 0.5}, 1,
+         "error: survival A p^m + B must lie in [0, 1], got 1.4 at m = 0.0\n"),
+        ("generate", {"generator": "rb", "p_true": 0.99, "b": -0.2}, 1,
+         "error: survival A p^m + B must lie in [0, 1], got -0.01698382936338544"
+         " at m = 100.0\n"),
+    ], ids=["stiff-reset", "infinite-rate", "short-filter", "fast-line", "negative-length",
+            "survival-above-1", "survival-below-0"])
     def test_exits_with_one_line(self, tmp_path, command, cfg, code, err):
         out = tmp_path / "out"
         proc = run_cli(command, write_cfg(tmp_path, "cfg.json", cfg), out)
@@ -269,6 +275,29 @@ class TestEveryInputEnds:
                           "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be an integer") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg, module, kernel, exc, err", [
+        ("filter-sweep", SWEEP_CFG, nw, "flux_sweep",
+         MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+                     " and data type float64"),
+         "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+         " and data type float64\n"),
+        ("generate", {"generator": "thermal", **SHOTS, "n_shots": 10**12}, synth,
+         "gen_thermal_shots", MemoryError(), "error: MemoryError\n"),
+    ], ids=["flux_sweep", "gen_thermal_shots"])
+    def test_count_too_large_to_allocate_exits_1(self, tmp_path, capsys, monkeypatch, command,
+                                                 cfg, module, kernel, exc, err):
+        # Each ended in numpy's _ArrayMemoryError traceback; the kernel is
+        # made to raise it here, so that nothing is allocated.
+        def out_of_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(module, kernel, out_of_memory)
+        out = tmp_path / "out"
+        assert exit_code([command, "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                          "--out", str(out)]) == 1
+        assert capsys.readouterr().err == err
         assert not out.exists()
 
 

@@ -6,6 +6,8 @@ examples must pass their command's table, and every key must be named in
 the README.
 """
 
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -315,3 +317,75 @@ def test_sections_fill_their_classes_field_by_field():
                              config_schema("fit-temp", {})["ladder"][0], "ladder")
     assert th.LevelLadder(*ladder.values()) == th.LevelLadder(
         f_ge_ghz=3.9514, f_ef_ghz=3.8167, f_fh_ghz=3.6730, kb_over_h_ghz_per_k=21.0)
+
+
+
+# Each section the CLI builds a class from positionally: (base config, section, builder).
+SECTION_BUILDERS = [
+    ("filter-sweep", "geometry", nw.FilterGeometry),
+    ("filter-sweep", "squid_array", nw.SquidArray),
+    ("filter-sweep", "qubit", nw.QubitLoad),
+    ("fit-temp", "ladder", th.LevelLadder),
+    ("generate reset", "rates", dyn.DecayRates.from_t1),
+]
+# Each command default that restates a library default:
+# (base config, its keys, function or class, parameter filled from the keys).
+COMMAND_DEFAULTS = [
+    ("filter-sweep", ("mode",), nw.flux_sweep, "mode"),
+    ("filter-sweep", ("i_node_uA",), nw.flux_sweep, "i_node"),
+    ("filter-sweep", ("reference_flux",), nw.flux_sweep, "reference_flux"),
+    ("fit-temp", ("t_min_mk", "t_max_mk"), th.fit_temperature_batch, "bounds"),
+    ("fit-reset", ("fit_floor",), dyn.fit_decay_rates, "fit_floor"),
+    ("generate reset", ("floor_p_inf",), synth.gen_reset_curves, "floor_p_inf"),
+    ("generate reset", ("seed",), synth.gen_reset_curves, "seed"),
+    ("generate rb", ("seed",), synth.gen_rb_decay, "seed"),
+    ("generate thermal", ("n_model_levels",), synth.ShotGenConfig, "n_model_levels"),
+    ("generate thermal", ("seed",), synth.ShotGenConfig, "seed"),
+]
+
+# Input paths for configs that are checked, never run.
+UNREAD_FILES = dict.fromkeys(["reset", "shots", "model", "labelled", "curve"], "")
+
+
+def required_only(cfg: dict, schema: dict) -> dict:
+    """``cfg`` with only the keys its table requires, sections pruned in turn."""
+    return {key: required_only(cfg[key], kind) if type(kind) is dict else cfg[key]
+            for key, (kind, default, *_) in schema.items() if default is ...}
+
+
+def same(a, b) -> bool:
+    """Equal, floats to within 1e-15 relative (a lab unit times 1e-15 may miss by 1 ulp)."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b or (type(a) is float and math.isclose(a, b, rel_tol=1e-15))
+
+
+@pytest.mark.parametrize("base, section, build", SECTION_BUILDERS,
+                         ids=[section for _, section, _ in SECTION_BUILDERS])
+def test_section_keys_name_the_fields_they_fill_in_order(base, section, build):
+    # The CLI passes a section's values positionally, so a reordered key
+    # would silently swap two inputs; the i-th key names the i-th field.
+    cfg = base_configs(UNREAD_FILES)
+    keys = list(config_schema(command_of(base), cfg[base])[section][0])
+    params = list(inspect.signature(build).parameters)
+    assert len(keys) == len(params)
+    for key, param in zip(keys, params):
+        short, long = sorted((key, param), key=len)
+        assert long == short or long.startswith(short + "_"), (key, param)
+
+
+@pytest.mark.parametrize("base", sorted({case[0] for case in SECTION_BUILDERS + COMMAND_DEFAULTS}))
+def test_required_keys_alone_give_the_library_defaults(base):
+    cfg = base_configs(UNREAD_FILES)
+    schema = config_schema(command_of(base), cfg[base])
+    given = required_only(cfg[base], schema)
+    values = fio.read_config(given, schema)
+    for _, section, build in filter(lambda case: case[0] == base, SECTION_BUILDERS):
+        # The library's own defaults fill every key the config left out.
+        library = build(*(values[section][key] for key in given[section]))
+        built = build(*values[section].values())
+        assert same(dataclasses.astuple(built), dataclasses.astuple(library)), section
+    for _, keys, function, param in filter(lambda case: case[0] == base, COMMAND_DEFAULTS):
+        got = tuple(values[key] for key in keys)
+        default = inspect.signature(function).parameters[param].default
+        assert same(got if len(keys) > 1 else got[0], default), keys

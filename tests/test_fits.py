@@ -248,6 +248,27 @@ class TestQuadraticMinimum:
         assert not res.converged
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("column", ["x", "y"])
+@pytest.mark.parametrize("fit", [fits.fit_exponential, fits.fit_decaying_cosine,
+                                 fits.fit_stretched_exponential, fits.rb_fit,
+                                 fits.fit_quadratic_minimum], ids=lambda fit: fit.__name__)
+def test_non_finite_data_raise_before_any_fit(monkeypatch, capfd, fit, column, value):
+    # A NaN in t passed the order check: LAPACK printed to stderr, or the
+    # fit spent its whole budget, before an error that did not name it.
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran on non-finite data")
+
+    monkeypatch.setattr(fits, "levenberg_marquardt", no_fit)
+    monkeypatch.setattr(np, "polyfit", no_fit)
+    x = np.arange(10.0)
+    y = np.exp(-x / 5.0)
+    (x if column == "x" else y)[3] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        fit(x, y)
+    assert capfd.readouterr().err == ""
+
+
 class TestDeterminism:
     def test_identical_inputs_identical_outputs(self):
         t = np.linspace(0, 500e-6, 50)
