@@ -32,10 +32,6 @@ class DegenerateUnhandled(FluxlineError):
     """Closed-form evaluation overflowed even through the series fallback."""
 
 
-class StepFailure(FluxlineError):
-    """The adaptive ODE integrator could not meet its tolerance."""
-
-
 class FitDiverged(FluxlineError):
     """A nonlinear least-squares fit failed to converge."""
 

@@ -412,6 +412,8 @@ def fit_quadratic_minimum(x, y) -> FitResult:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("x and y must be 1-D arrays of equal length")
     if x.size < 3:
         raise ValueError("need at least 3 points")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):

@@ -102,8 +102,10 @@ _KINDS = {
     "positive": (lambda v: _finite(v) and v > 0, "a positive finite number", float),
     "number or null": (lambda v: v is None or _finite(v), "a finite number or null", float),
     # Integers stop at int64's range, past which numpy and float() overflow.
-    "count": (lambda v: type(v) is int and 1 <= v < 2**63, "an integer >= 1", int),
-    "integer": (lambda v: type(v) is int and -2**63 <= v < 2**63, "an integer", int),
+    "count": (lambda v: type(v) is int and 1 <= v < 2**63,
+              "an integer from 1 to 2**63 - 1", int),
+    "integer": (lambda v: type(v) is int and -2**63 <= v < 2**63,
+                "an integer from -2**63 to 2**63 - 1", int),
     "bool": (lambda v: type(v) is bool, "true or false", bool),
     "string": (lambda v: type(v) is str, "a string", str),
     "strings": (lambda v: _list_of(_KINDS["string"][0], v), "a non-empty list of strings", list),

@@ -7,7 +7,13 @@ pipeline, multinomially sampled reset trajectories exercise the rate fits,
 and binomial benchmarking decays exercise the survival fit.  Thermal
 levels are drawn from ``thermometry.boltzmann_populations`` over the
 extended manifold.  A reset trajectory starts from the (4,) population row
-``np.eye(4)[level]`` of its prepared level, 1, 2 or 3.
+``np.eye(4)[level]`` of its prepared level, 1, 2 or 3.  Its truth is the
+closed form that the rate fit uses too, so the reset round trip checks
+the fit and the sampling, not a second solution path.  Acceptance
+criterion 4 holds that closed form to an independent integrator within
+1e-9 over 1000 rate triples; at the reference lifetimes, from 10 ns to 2 us,
+the two differ by 7.2e-14, ten orders of magnitude below the round trip's
+multinomial noise (about 1e-3 at 1e5 shots per point).
 Every generator is a pure function of (configuration, seed); per-window
 substreams are split from the base seed with a counter key so that window
 parallelism cannot change the output.
@@ -20,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import LABEL_ORDER, GmmModel
-from .dynamics import DecayRates, ResetCurve, ResetDataset, apply_thermal_floor, populations_ode
+from .dynamics import (DecayRates, ResetCurve, ResetDataset, apply_thermal_floor,
+                       populations_closed_form)
 from .thermometry import LevelLadder, boltzmann_populations
 
 
@@ -101,24 +108,31 @@ def gen_thermal_shots(cfg: ShotGenConfig, temperature: float, n: int) -> np.ndar
 
 def gen_reset_curves(rates: DecayRates, levels, t_grid, n_shots_per_point: int,
                      floor_p_inf: float | None = None, seed: int = 0) -> ResetDataset:
-    """Multinomial samples around the integrated reset trajectories.
+    """Multinomial samples around the closed-form reset trajectories.
 
-    The underlying truth comes from one ``populations_ode`` call that
-    integrates every preparation at once (the integrator is itself verified
-    against the closed forms), so the round trip through
-    ``fit_decay_rates`` exercises both solution paths.  Its rows are
-    non-negative and sum to 1, ``apply_thermal_floor`` keeps both, and all
-    rows are sampled unchanged in one multinomial draw, prepared level by
-    prepared level (each 1, 2 or 3, none twice) in the order given.
+    The underlying truth is one ``populations_closed_form`` evaluation for
+    every preparation at once.  Entries in (-1e-9, 0), the rounding of a
+    fully decayed level, are set to 0 and each row is renormalised, so the
+    rows are non-negative and sum to 1; ``apply_thermal_floor`` keeps both,
+    and all rows are sampled unchanged in one multinomial draw, prepared
+    level by prepared level (each 1, 2 or 3, none twice) in the order given.
     """
     if n_shots_per_point < 1:
         raise ValueError("n_shots_per_point must be >= 1")
-    levels = list(levels)  # checked before any integration; a dict merges a repeat
+    levels = list(levels)  # checked before any evaluation; a dict merges a repeat
     if len(set(levels)) != len(levels) or not set(levels) <= {1, 2, 3}:
         raise ValueError(f"prepared levels must be distinct, each 1, 2 or 3, got {levels}")
     t_grid = np.asarray(t_grid, dtype=float)
+    # Positive tests, so that NaN times fail them.
+    if (t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all()
+            or not (np.diff(t_grid) > 0).all()):
+        raise ValueError("t_grid must be non-empty, finite and strictly increasing")
+    if not t_grid[0] >= 0:
+        raise ValueError("t_grid must be non-negative")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    p = populations_ode(t_grid, [rates] * len(levels), np.eye(4)[levels])
+    p = populations_closed_form(t_grid, rates, np.eye(4)[levels])
+    p[(p < 0.0) & (p > -1e-9)] = 0.0
+    p /= p.sum(axis=2, keepdims=True)
     if floor_p_inf is not None:
         p = apply_thermal_floor(p, floor_p_inf)
     fractions = rng.multinomial(n_shots_per_point, p) / n_shots_per_point

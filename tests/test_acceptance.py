@@ -22,6 +22,7 @@ from fluxline import thermometry as th
 from fluxline.cli import main as cli_main
 
 from conftest import LADDER_A, REF_ARRAY, REF_GEOMETRY, RESET_T1, make_ring_model
+from oracle import populations_ode
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -117,14 +118,14 @@ def test_criterion_04_multilevel_oracle_equivalence():
             g[2] = g[0]                # fully degenerate cascade
         rates_list.append(dyn.DecayRates(*g))
     init = np.array([0.0, 0.0, 0.0, 1.0])  # prepared in h
-    ode = dyn.populations_ode(t_grid, rates_list, init)
+    ode = populations_ode(t_grid, rates_list, init)
     worst = 0.0
     for i, rates in enumerate(rates_list):
         closed = dyn.populations_closed_form(t_grid, rates, init)
         worst = max(worst, np.abs(ode[i] - closed).max())
     # cross-validate the batched integrator against its one-system calls
     for rates in rates_list[::101]:
-        single = dyn.populations_ode(t_grid, [rates], init)[0]
+        single = populations_ode(t_grid, [rates], init)[0]
         closed = dyn.populations_closed_form(t_grid, rates, init)
         worst = max(worst, np.abs(single - closed).max())
     elapsed = time.perf_counter() - start

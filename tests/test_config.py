@@ -120,13 +120,13 @@ NAMED_CASES = [
     ("fit-reset", ("fit_floor",), "false", "fit_floor must be true or false, got 'false'"),
     ("fit-reset", ("fit_flor",), True, "config has unknown key 'fit_flor'"),
     ("fit-reset", ("reset_csv",), 0, "reset_csv must be a string, got 0"),
-    ("fit-temp", ("window",), 2000.9, "window must be an integer >= 1, got 2000.9"),
-    ("fit-temp", ("window",), True, "window must be an integer >= 1, got True"),
+    ("fit-temp", ("window",), 2000.9, "window must be an integer from 1 to 2**63 - 1, got 2000.9"),
+    ("fit-temp", ("window",), True, "window must be an integer from 1 to 2**63 - 1, got True"),
     ("fit-temp", ("shots_csv",), True, "shots_csv must be a string, got True"),
     ("fit-temp", ("t_min_mK",), 1.0, "config has unknown key 't_min_mK'"),
     ("classify", ("init",), "random", "config has unknown key 'init'"),
     ("filter-sweep", ("squid_array", "n_squids"), 2.5,
-     "squid_array.n_squids must be an integer, got 2.5"),
+     "squid_array.n_squids must be an integer from -2**63 to 2**63 - 1, got 2.5"),
     ("filter-sweep", ("geometry", "z0_ohm"), None,
      "geometry.z0_ohm must be a finite number, got None"),
     ("filter-sweep", ("geometry", "z0_ohm"), DELETE,

@@ -248,6 +248,19 @@ class TestQuadraticMinimum:
         assert not res.converged
 
 
+@pytest.mark.parametrize("shape", ["unequal", "2-D"])
+@pytest.mark.parametrize("fit", [fits.fit_exponential, fits.fit_decaying_cosine,
+                                 fits.fit_stretched_exponential, fits.rb_fit,
+                                 fits.fit_quadratic_minimum], ids=lambda fit: fit.__name__)
+def test_bad_shapes_raise_value_error(fit, shape):
+    # fit_quadratic_minimum gave numpy's TypeError from inside polyfit.
+    x = np.arange(12.0)
+    y = np.exp(-x / 5.0)
+    x, y = (x, y[:-1]) if shape == "unequal" else (x.reshape(2, 6), y.reshape(2, 6))
+    with pytest.raises(ValueError, match="1-D arrays of equal length"):
+        fit(x, y)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("column", ["x", "y"])
 @pytest.mark.parametrize("fit", [fits.fit_exponential, fits.fit_decaying_cosine,

@@ -188,16 +188,16 @@ class TestResetCurves:
     def test_one_integration_for_every_preparation(self, reset_rates, monkeypatch):
         calls = []
 
-        def integrate(t_grid, rates_list, init):
-            calls.append((list(rates_list), np.array(init)))
-            return dyn.populations_ode(t_grid, rates_list, init)
+        def evaluate(t_grid, rates, init):
+            calls.append((rates, np.array(init)))
+            return dyn.populations_closed_form(t_grid, rates, init)
 
-        monkeypatch.setattr(synth, "populations_ode", integrate)
+        monkeypatch.setattr(synth, "populations_closed_form", evaluate)
         t = np.linspace(1e-8, 1e-6, 10)
         data = synth.gen_reset_curves(reset_rates, (3, 1, 2), t, 1000, seed=5)
         assert len(calls) == 1
-        rates_list, inits = calls[0]
-        assert rates_list == [reset_rates] * 3
+        rates, inits = calls[0]
+        assert rates == reset_rates
         assert np.array_equal(inits, np.eye(4)[[3, 1, 2]])
         assert list(data.curves) == [3, 1, 2]
 
@@ -208,9 +208,18 @@ class TestResetCurves:
         def integrated(*args, **kwargs):
             raise AssertionError("integrated before checking the levels")
 
-        monkeypatch.setattr(synth, "populations_ode", integrated)
+        monkeypatch.setattr(synth, "populations_closed_form", integrated)
         with pytest.raises(ValueError, match="^prepared levels must be distinct"):
             synth.gen_reset_curves(reset_rates, levels, [1e-7, 2e-7], 100)
+
+    def test_rounding_below_zero_is_clamped_before_the_draw(self, reset_rates):
+        # From h the bare closed form reads P_g = -1.1e-16 at 8 of these
+        # points, which rng.multinomial rejects with "pvals < 0".
+        t = np.geomspace(1e-15, 1e-5, 200)
+        p = dyn.populations_closed_form(t, reset_rates, np.eye(4)[3])
+        assert (p < 0.0).any()
+        data = synth.gen_reset_curves(reset_rates, (3,), t, 100)
+        assert data.curves[3].populations.min() >= 0.0
 
 
 class TestRbDecay:
