@@ -130,7 +130,7 @@ def _fit_result_doc(res) -> dict:
 
 
 def cmd_fit_rb(cfg: dict, out: str, seed) -> int:
-    x, y, _ = fio.read_curve_csv(cfg["curve_csv"])
+    x, y = fio.read_curve_csv(cfg["curve_csv"])
     res = fits.rb_fit(x, y)
     k = cfg["pulses_per_clifford"]
     doc = _fit_result_doc(res)
@@ -143,7 +143,7 @@ def cmd_fit_rb(cfg: dict, out: str, seed) -> int:
 
 
 def cmd_fit_curve(cfg: dict, out: str, seed) -> int:
-    x, y, _ = fio.read_curve_csv(cfg["curve_csv"])
+    x, y = fio.read_curve_csv(cfg["curve_csv"])
     fio.dump_json(_fit_result_doc(_FIT_MODELS[cfg["model"]](x, y)), out)
     return 0
 

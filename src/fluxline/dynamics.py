@@ -18,11 +18,11 @@ A state is a (4,) numpy row of these populations.  Reset curves are keyed
 by the prepared level k (1, 2 or 3) and start from ``np.eye(4)[k]``; only
 ``io.prep_levels`` maps the preparation labels e, f and h to these levels.
 
-The closed form is the one solution of the cascade in fluxline: the
-reset fit and the synthetic reset curves of ``synth`` both evaluate it,
-and ``tests/oracle.py`` cross-checks it with an independent adaptive
-Dormand-Prince 4(5) integrator.  Measured reset curves are fitted to it by
-``fits.levenberg_marquardt``, fluxline's one least-squares solver.
+The closed form is fluxline's one solution of the cascade, one call for
+any (..., 4) stack of initial rows: the reset fit and ``synth``'s reset
+curves both evaluate it, and ``tests/oracle.py`` cross-checks it with an
+independent adaptive Dormand-Prince 4(5) integrator.  Reset curves are
+fitted to it by ``fits.levenberg_marquardt``, the one least-squares solver.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class ResetDataset:
 # scalars and t is an array.  _psi evaluates each of its branches only on
 # the time points that take it; the series helpers _m1 and _m3 still
 # evaluate both of theirs and pick per point, so the one not taken may
-# divide by zero (the kernel silences those warnings).
+# divide by zero (the closed form silences those warnings).
 
 def _phi(x: float, t: np.ndarray) -> np.ndarray:
     """(1 - exp(-x t)) / x for x >= 0, the integral of exp(-x s) on [0, t]."""
@@ -162,17 +162,19 @@ def _dd2(x: float, y: float, z: float, t: np.ndarray) -> np.ndarray:
     return np.exp(-x0 * t) * _psi(x1 - x0, x2 - x0, t)
 
 
-def _populations_closed(t: np.ndarray, rates: DecayRates, init: np.ndarray) -> np.ndarray:
-    """Analytic solution on the 1-D grid t for each row of the (m, 4) init
-    matrix, shape (m, n, 4).
+def populations_closed_form(t_grid, rates: DecayRates, init) -> np.ndarray:
+    """Analytic populations on a time grid from each (4,) row of the
+    (..., 4) ``init``, shape (..., len(t_grid), 4); rows ordered (g, e, f, h).
 
     The exponentials and divided differences depend on the rates and t
-    alone, so they are computed once and shared by every initial state.
+    alone, so they are computed once and broadcast over every initial row.
     """
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    init = np.asarray(init, dtype=float)
     g, ef, fh = rates.gamma_ge, rates.gamma_ef, rates.gamma_fh
-    e0, f0, h0 = (init[:, k, None] for k in (1, 2, 3))
+    e0, f0, h0 = (init[..., k, None] for k in (1, 2, 3))
 
-    out = np.empty((init.shape[0], t.size, 4))
+    out = np.empty(init.shape[:-1] + (t.size, 4))
     with np.errstate(divide="ignore", invalid="ignore"):
         out[..., 3] = p_h = h0 * np.exp(-fh * t)
         out[..., 2] = p_f = f0 * np.exp(-ef * t) + h0 * fh * _dd1(ef, fh, t)
@@ -185,15 +187,6 @@ def _populations_closed(t: np.ndarray, rates: DecayRates, init: np.ndarray) -> n
     if not np.isfinite(out).all():
         raise DegenerateUnhandled("closed-form evaluation produced non-finite values")
     return out
-
-
-def populations_closed_form(t_grid, rates: DecayRates, init) -> np.ndarray:
-    """Analytic populations on a time grid from each (4,) row of the
-    (..., 4) ``init``, shape (..., len(t_grid), 4); rows ordered (g, e, f, h)."""
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    init = np.asarray(init, dtype=float)
-    out = _populations_closed(t_grid, rates, init.reshape(-1, 4))
-    return out.reshape(init.shape[:-1] + out.shape[1:])
 
 
 def apply_thermal_floor(populations: np.ndarray, p_inf: float) -> np.ndarray:
@@ -299,7 +292,7 @@ def fit_decay_rates(data: ResetDataset, fit_floor: bool = False) -> DecayRatesFi
     # Every caller shares a cached model, so it is read-only.
     @functools.lru_cache(maxsize=4)
     def floorless(g, ef, fh):
-        model = _populations_closed(t_all, DecayRates(g, ef, fh), inits).reshape(-1, 4)
+        model = populations_closed_form(t_all, DecayRates(g, ef, fh), inits).reshape(-1, 4)
         model = model.take(kernel_row, axis=0)
         model.flags.writeable = False
         return model

@@ -310,7 +310,7 @@ def fit_stretched_exponential(t, y) -> FitResult:
         lambda th: np.exp(-((t / th[0]) ** th[1])) - y, [t2_0, alpha0],
         jac=lambda th: stretched_exponential_jacobian(th, t),
         lo=[1e-300, _ALPHA_BOUNDS[0]], hi=[np.inf, _ALPHA_BOUNDS[1]])
-    at_bound = min(abs(x[1] - b) for b in _ALPHA_BOUNDS) < 1e-9
+    at_bound = bool(min(abs(x[1] - b) for b in _ALPHA_BOUNDS) < 1e-9)
     return _finish(x, fun, jac, names, t.size, at_bound=at_bound)
 
 

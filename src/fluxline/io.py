@@ -74,8 +74,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, np.generic):
+        return _jsonable(obj.item())
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
@@ -238,10 +238,10 @@ def write_curve_csv(path, x, y) -> None:
     _write_table(path, "x,y", [(np.column_stack((x, y)), None)], labelled=False)
 
 
-def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """x, y and sigma (None under an ``x,y`` header) from a curve CSV."""
+def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """x and y from a curve CSV; a ``sigma`` column is checked, not returned."""
     table, _, _ = _read_table(path, "curve", ("x,y", "x,y,sigma"), labelled=False)
-    return table[:, 0], table[:, 1], (table[:, 2] if table.shape[1] == 3 else None)
+    return table[:, 0], table[:, 1]
 
 
 def _read_table(path, kind: str, headers: tuple[str, ...], labelled: bool):

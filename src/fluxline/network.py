@@ -184,13 +184,13 @@ def _line_terms(geom: FilterGeometry, omega):
 
 
 def _end_cap(geom: FilterGeometry, omega, s_r, c_r):
-    """Numerator and denominator of the end-capped reactance past the
-    inductor, X2 = z0 (u s_r - c_r) / (u c_r + s_r) with u = z0 w c_g
-    (-z0 cot(b l_r) for the ideal open end).  A huge z0 overflows u to inf
-    (nan at c_g = 0) quietly; the points it spoils carry error markers."""
+    """Numerator and denominator of X2 / z0 = (u s_r - c_r) / (u c_r + s_r),
+    X2 the end-capped reactance past the inductor and u = z0 w c_g (u = 0:
+    X2 = -z0 cot(b l_r), the open end).  A huge z0 overflows u to inf (nan
+    at c_g = 0) quietly; the points it spoils carry error markers."""
     with np.errstate(over="ignore", invalid="ignore"):
         u = geom.z0 * omega * geom.c_g
-        return geom.z0 * (u * s_r - c_r), u * c_r + s_r
+        return u * s_r - c_r, u * c_r + s_r
 
 
 def _condition_terms(geom: FilterGeometry, omega):
@@ -202,7 +202,7 @@ def _condition_terms(geom: FilterGeometry, omega):
     """
     s_l, c_l, s_r, c_r = _line_terms(geom, omega)
     num, den = _end_cap(geom, omega, s_r, c_r)
-    return omega * c_l * den, c_l * num + geom.z0 * s_l * den
+    return omega * c_l * den, c_l * (geom.z0 * num) + geom.z0 * s_l * den
 
 
 def _condition(slope, offset, l_s):
@@ -216,6 +216,7 @@ def _input_reactances(geom: FilterGeometry, l_s, omega: float):
     s_l, c_l, s_r, c_r = _line_terms(geom, omega)
     num, den = _end_cap(geom, omega, s_r, c_r)
     z0 = geom.z0
+    num = z0 * num
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x2, open_end = num / den, np.abs(num) > _POLE_TAN * z0 * np.abs(den)
         t_l = s_l / c_l
@@ -299,13 +300,14 @@ def filter_frequency_exact(geom: FilterGeometry, l_s: float) -> float:
 
 
 def _inductor_current_factor(geom: FilterGeometry, l_s, omega: float):
-    """I_s / I(0) (inductor current per unit node current) over an ``l_s``
-    array, from the ideal-open standing wave (c_g neglected), and its pole
-    mask: cot(b l_r) at a pole, or the drive point on a current node."""
+    """Inductor current per unit node current, I_s / I(0) = 1 / (cos(b x_s)
+    - X1 sin(b x_s) / z0) with X1 = w l_s + X2 and X2 from ``_end_cap``, over
+    an ``l_s`` array; and its pole mask: X2 at a pole, or a current node at x = 0."""
     s_l, c_l, s_r, c_r = _line_terms(geom, omega)
+    num, den = _end_cap(geom, omega, s_r, c_r)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = c_l + (c_r / s_r - omega * np.asarray(l_s, dtype=float) / geom.z0) * s_l
-        return 1.0 / d, (np.abs(c_r) > _POLE_TAN * np.abs(s_r)) | (d == 0.0) | ~np.isfinite(d)
+        d = c_l - (omega * np.asarray(l_s, dtype=float) / geom.z0 + num / den) * s_l
+        return 1.0 / d, (np.abs(num) > _POLE_TAN * np.abs(den)) | (d == 0.0) | ~np.isfinite(d)
 
 
 def _admittances(geom: FilterGeometry, l_s, omega: float):

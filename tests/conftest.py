@@ -24,6 +24,27 @@ LADDER_B = dict(f_ge_ghz=3.9003, f_ef_ghz=3.7654, f_fh_ghz=3.6211)
 # Reset-configuration lifetimes of the reference device (s).
 RESET_T1 = (238.22e-9, 136.80e-9, 128.84e-9)
 
+# A noise-free curve of each fit-curve model: its x grid, true parameters
+# and model function.
+_MODEL_CURVES = {
+    "exponential": (np.linspace(0.0, 5e-4, 50), {"A": 0.7, "tau": 1e-4, "B": 0.2},
+                    lambda t, p: p["A"] * np.exp(-t / p["tau"]) + p["B"]),
+    "decaying_cosine": (
+        np.linspace(0.0, 2e-6, 64), {"A": 0.4, "f": 5e6, "phi": 0.3, "tau": 1e-6, "B": 0.5},
+        lambda t, p: (p["A"] * np.cos(2 * math.pi * p["f"] * t + p["phi"])
+                      * np.exp(-t / p["tau"]) + p["B"])),
+    "stretched_exponential": (np.linspace(0.0, 4e-6, 30), {"T2DD": 1.5e-6, "alpha": 1.7},
+                              lambda t, p: np.exp(-(t / p["T2DD"]) ** p["alpha"])),
+    "quadratic_minimum": (np.linspace(-1.0, 1.0, 21), {"x0": 0.2, "y0": 0.3, "curvature": 5.0},
+                          lambda x, p: p["y0"] + 0.5 * p["curvature"] * (x - p["x0"]) ** 2),
+}
+
+
+def model_curve(model: str):
+    """x, y and true parameters of a noise-free curve of a fit-curve model."""
+    x, params, function = _MODEL_CURVES[model]
+    return x, function(x, params), params
+
 
 @pytest.fixture
 def geometry() -> nw.FilterGeometry:

@@ -22,10 +22,10 @@ from fluxline import fits
 from fluxline import io as fio
 from fluxline import network as nw
 from fluxline import synth
-from fluxline.cli import main
+from fluxline.cli import _FIT_MODELS, main
 from fluxline.errors import RankDeficient
 
-from conftest import LADDER_A, make_ring_model
+from conftest import LADDER_A, make_ring_model, model_curve
 from test_dynamics import _deadline
 from test_io import same_bytes
 
@@ -574,6 +574,20 @@ class TestFitCurve:
         doc = json.loads(out.read_text())
         assert doc["params"]["tau"] == pytest.approx(1e-4, rel=1e-6)
 
+    @pytest.mark.parametrize("model", list(_FIT_MODELS))
+    def test_noise_free_curve_gives_its_parameters(self, tmp_path, capsys, model):
+        x, y, truth = model_curve(model)
+        fio.write_curve_csv(tmp_path / "c.csv", x, y)
+        cfg = write_cfg(tmp_path, "cfg.json", {"curve_csv": str(tmp_path / "c.csv"),
+                                               "model": model})
+        out = tmp_path / "fit.json"
+        assert main(["fit-curve", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        params = json.loads(out.read_text())["params"]
+        assert params.keys() == truth.keys()
+        for name, value in truth.items():
+            assert params[name] == pytest.approx(value, rel=1e-9, abs=0.0), name
+
     def test_constant_trace_decaying_cosine_exit_2(self, tmp_path, capsys):
         fio.write_curve_csv(tmp_path / "c.csv", np.linspace(0, 4e-7, 64), np.full(64, 0.5))
         cfg = write_cfg(tmp_path, "cfg.json", {"curve_csv": str(tmp_path / "c.csv"),
@@ -1006,10 +1020,10 @@ class TestRoundTripFormats:
         fio.write_curve_csv(path, xy[:, 0], xy[:, 1])
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        x, y, sigma = fio.read_curve_csv(path)
+        x, y = fio.read_curve_csv(path)
         assert np.array_equal(x, [float(r["x"]) for r in rows])
         assert np.array_equal(y, [float(r["y"]) for r in rows])
-        assert np.array_equal(x, xy[:, 0]) and np.array_equal(y, xy[:, 1]) and sigma is None
+        assert np.array_equal(x, xy[:, 0]) and np.array_equal(y, xy[:, 1])
 
         # Reset: a curve per drawn prepared level, each on its own increasing times.
         finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -1038,9 +1052,12 @@ class TestRoundTripFormats:
     def test_curve_csv_reads_sigma_column(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("x,y,sigma\n0.0,1.0,0.125\n1e-05,0.5,-0.0\n")
-        x, y, sigma = fio.read_curve_csv(path)
+        x, y = fio.read_curve_csv(path)
         assert x.tolist() == [0.0, 1e-05] and y.tolist() == [1.0, 0.5]
-        assert sigma.tolist() == [0.125, -0.0]
+        # The column is checked though no fit reads it.
+        path.write_text("x,y,sigma\n0.0,1.0,nan\n")
+        with pytest.raises(ValueError, match="curve CSV line 2: values must be finite"):
+            fio.read_curve_csv(path)
 
     def test_reset_rows_grouped_by_first_appearance_then_time(self, tmp_path):
         path = tmp_path / "r.csv"

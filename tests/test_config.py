@@ -26,7 +26,7 @@ from fluxline import synth
 from fluxline import thermometry as th
 from fluxline.cli import _COMMANDS, _GENERATORS, _SCHEMAS, config_schema, main
 
-from conftest import LADDER_A, make_ring_model
+from conftest import LADDER_A, make_ring_model, model_curve
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,6 +38,8 @@ LADDER = dict(LADDER_A, kb_over_h="rounded")
 MODEL = fio.model_to_dict(make_ring_model())
 SHOT_GENERATOR = {"seed": 3, "ladder": LADDER, "cluster_model": MODEL,
                   "temperature_mk": 181.072, "n_model_levels": 6}
+# fit-curve models beyond the exponential, each with a base on a curve of its shape.
+CURVE_MODELS = ("decaying_cosine", "stretched_exponential", "quadratic_minimum")
 
 
 def base_configs(files: dict) -> dict:
@@ -59,6 +61,8 @@ def base_configs(files: dict) -> dict:
         "fit-rb": {"curve_csv": files["curve"], "pulses_per_clifford": 1.875,
                    "p_ref": 0.995},
         "fit-curve": {"curve_csv": files["curve"], "model": "exponential"},
+        **{f"fit-curve {model}": {"curve_csv": files[model], "model": model}
+           for model in CURVE_MODELS},
         "classify": {"shots_csv": files["labelled"], "model_json": files["model"],
                      "save_model_json": "saved-model.json"},
         "generate thermal": dict(SHOT_GENERATOR, generator="thermal", n_shots=200),
@@ -100,6 +104,7 @@ def write_inputs(work: Path) -> dict:
     files = {k: str(work / name) for k, name in (
         ("model", "model.json"), ("shots", "shots.csv"), ("labelled", "labelled.csv"),
         ("reset", "reset.csv"), ("curve", "curve.csv"))}
+    files.update({model: str(work / f"{model}.csv") for model in CURVE_MODELS})
     fio.dump_json(MODEL, files["model"])
     gen_cfg = synth.ShotGenConfig(ladder=th.LevelLadder(**LADDER_A), cluster_model=model)
     fio.write_shots_csv(files["shots"], synth.gen_thermal_shots(gen_cfg, 0.181072, 400))
@@ -111,6 +116,8 @@ def write_inputs(work: Path) -> dict:
         rates, (1, 2, 3), t_grid, 5000, floor_p_inf=0.985, seed=2))
     fio.write_curve_csv(files["curve"], *synth.gen_rb_decay(
         0.995, 0.5, 0.5, [float(m) for m in range(0, 400, 20)], 2000, seed=4))
+    for model in CURVE_MODELS:
+        fio.write_curve_csv(files[model], *model_curve(model)[:2])
     return files
 
 
@@ -185,11 +192,13 @@ def run_cases(work: Path, cases: dict, src: str) -> dict:
 
 
 def all_cases(work: Path) -> dict:
-    """Single-leaf mutations of every base config and of the model JSON, and NAMED_CASES."""
+    """Every base config, its single-leaf mutations and those of the model JSON,
+    and NAMED_CASES."""
     files = write_inputs(work)
     bases = base_configs(files)
     cases = {}
     for base, cfg in bases.items():
+        cases[(base, "", "base")] = (base, cfg)
         for path in leaves(cfg):
             for name, value in MUTATIONS.items():
                 cases[(base, ".".join(path), name)] = (base, mutated(cfg, path, value))
@@ -221,10 +230,17 @@ def results(tmp_path_factory):
     return run_cases(work, all_cases(work), src)
 
 
-@pytest.mark.parametrize("base", ["filter-sweep", "fit-reset", "fit-temp", "fit-rb",
-                                  "fit-curve", "classify", "generate thermal",
-                                  "generate windows", "generate reset", "generate rb",
-                                  "model_json"])
+BASES = ["filter-sweep", "fit-reset", "fit-temp", "fit-rb", "fit-curve",
+         *(f"fit-curve {m}" for m in CURVE_MODELS), "classify", "generate thermal",
+         "generate windows", "generate reset", "generate rb"]
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_every_base_config_exits_0_quietly(results, base):
+    assert results[(base, "", "base")] == (0, "")
+
+
+@pytest.mark.parametrize("base", BASES + ["model_json"])
 def test_every_single_leaf_mutation_exits_0_or_1_with_one_line(results, base):
     ran = {case: got for case, got in results.items()
            if case[0] == base and case[2] in MUTATIONS}
@@ -344,7 +360,7 @@ COMMAND_DEFAULTS = [
 ]
 
 # Input paths for configs that are checked, never run.
-UNREAD_FILES = dict.fromkeys(["reset", "shots", "model", "labelled", "curve"], "")
+UNREAD_FILES = dict.fromkeys(["reset", "shots", "model", "labelled", "curve", *CURVE_MODELS], "")
 
 
 def required_only(cfg: dict, schema: dict) -> dict:

@@ -536,14 +536,14 @@ class TestFitDecayRates:
         t = np.linspace(10e-9, 2e-6, 200)
         data = synth.gen_reset_curves(reset_rates, (1, 2, 3), t, 10000,
                                       floor_p_inf=0.985, seed=2)
-        real = dyn._populations_closed
+        real = dyn.populations_closed_form
         triples = []
 
         def counting(t, rates, init):
             triples.append((rates.gamma_ge, rates.gamma_ef, rates.gamma_fh))
             return real(t, rates, init)
 
-        monkeypatch.setattr(dyn, "_populations_closed", counting)
+        monkeypatch.setattr(dyn, "populations_closed_form", counting)
         dyn.fit_decay_rates(data, fit_floor=True)
         assert len(triples) > 5
         assert len(set(triples)) == len(triples)
@@ -695,7 +695,7 @@ class TestSolverMatchesScipyReference:
         for rates in (dyn.DecayRates(4.2e6, 7.3e6, 7.8e6),
                       dyn.DecayRates(BASE, BASE, BASE * (1 + 1e-9)),
                       dyn.DecayRates(1e8, 1e6, 1e4)):
-            got = dyn._populations_closed(t, rates, inits)
+            got = dyn.populations_closed_form(t, rates, inits)
             assert got.shape == (len(inits), t.size, 4)
             for k, init in enumerate(inits):
                 assert np.abs(got[k] - dyn.populations_closed_form(t, rates, init)).max() <= 1e-15

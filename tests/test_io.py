@@ -197,8 +197,8 @@ class TestBlockReader:
         curve = b"0.0,1.0,0.125\n1e-05,0.5,-0.0\r\n2,3,4"
         got = check_every_block_size(tmp_path, monkeypatch, curve, CURVE, b"x,y,sigma")
         assert got[0] == (3, 3) and got[2:] == (None, None)
-        x, y, sigma = fio.read_curve_csv(tmp_path / "t.csv")
-        assert sigma.tolist() == [0.125, -0.0, 4.0]
+        x, y = fio.read_curve_csv(tmp_path / "t.csv")
+        assert x.tolist() == [0.0, 1e-05, 2.0] and y.tolist() == [1.0, 0.5, 3.0]
 
     @pytest.mark.parametrize("body, table, message", [
         (b"\xe9t\xe9,1,2\ng,nan,3\n", SHOT, "shot CSV line 2: label is not UTF-8"),
@@ -363,6 +363,16 @@ class TestWriterMatchesPerValueReference:
         with pytest.raises(ValueError, match="written unlabelled"):
             fio.write_shots_csv(tmp_path / "s.csv", blocks, [0] * 5, ["g"])
         assert not (tmp_path / "s.csv").exists()
+
+
+def test_numpy_scalars_dump_as_their_python_values(tmp_path):
+    # A numpy scalar takes the rule of the Python value it holds: non-finite
+    # floats are written as strings, as Python's are.
+    doc = {"flag": np.bool_(True), "n": np.int64(3), "x": np.float64(0.5),
+           "inf": np.float64(math.inf), "nan": np.float32(math.nan), "py": -math.inf}
+    fio.dump_json(doc, tmp_path / "d.json")
+    assert json.loads((tmp_path / "d.json").read_text()) == {
+        "flag": True, "n": 3, "x": 0.5, "inf": "inf", "nan": "nan", "py": "-inf"}
 
 
 # --- the commands that read through it ------------------------------------------

@@ -331,6 +331,23 @@ class TestCurrentProfile:
         right = factor * math.sin(beta * l_r) / math.sin(beta * l_r)
         assert left == pytest.approx(right, rel=1e-12)
 
+    @pytest.mark.parametrize("c_g", [2e-15, 20e-15])
+    def test_transfer_through_the_end_cap(self, geometry, squid_array, qubit, c_g):
+        # On the line from the node, I(x_s) = I(0) (cos(b x_s) + X_in sin(b x_s) / z0),
+        # X_in the input reactance of the same end-capped line.
+        geom = replace(geometry, c_g=c_g)
+        for f in (3.7e9, 4.2e9, 5.1e9):
+            omega = 2 * math.pi * f
+            beta = omega / geom.v_p
+            sweep = nw.flux_sweep(geom, squid_array, qubit, np.linspace(0.0, 0.45, 46), f)
+            ok = np.array([e is None for e in sweep.error])
+            assert ok.sum() > 30
+            x_in, pole = nw._input_reactances(geom, sweep.l_j_arr[ok], omega)
+            assert not pole.any()
+            transfer = np.abs(math.cos(beta * geom.x_s)
+                              + x_in * math.sin(beta * geom.x_s) / geom.z0)
+            np.testing.assert_allclose(sweep.i_peak[ok] / 2e-7, transfer, rtol=1e-12, atol=0.0)
+
 
 class TestNonlinearityMargin:
     def test_values(self, geometry, squid_array, qubit):
@@ -627,10 +644,18 @@ def _ref_current_factor(geom, l_s, omega):
     beta = omega / geom.v_p
     l_r = geom.l_f - geom.x_s
     s_r, c_r = math.sin(beta * l_r), math.cos(beta * l_r)
-    if abs(c_r) > nw._POLE_TAN * abs(s_r):
-        raise TangentPole("cot pole")
-    d = (math.cos(beta * geom.x_s)
-         + (c_r / s_r - omega * l_s / geom.z0) * math.sin(beta * geom.x_s))
+    z0 = geom.z0
+    if geom.c_g == 0.0:
+        if abs(c_r) > nw._POLE_TAN * abs(s_r):
+            raise TangentPole("cot pole")
+        x2 = -z0 * c_r / s_r
+    else:
+        x_e = -1.0 / (omega * geom.c_g)
+        den = z0 * c_r - x_e * s_r
+        if den == 0.0:
+            raise TangentPole("end-cap pole")
+        x2 = z0 * (x_e * c_r + z0 * s_r) / den
+    d = math.cos(beta * geom.x_s) - (omega * l_s + x2) * math.sin(beta * geom.x_s) / z0
     if d == 0.0 or not math.isfinite(d):
         raise TangentPole("current node")
     return 1.0 / d
