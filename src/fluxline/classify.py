@@ -60,6 +60,8 @@ class GmmModel:
     def __post_init__(self):
         order = sorted(range(len(self.labels)), key=lambda j: _label_sort_key(self.labels[j]))
         labels, k = tuple(self.labels[j] for j in order), len(order)
+        if k < 2:  # every separation and Bayes error compares two components
+            raise ValueError(f"a mixture model needs at least 2 components, got {k}")
         for a, b in zip(labels, labels[1:]):
             if a == b:
                 raise ValueError(f"duplicate component label {a!r}")

@@ -12,10 +12,8 @@ class HalfFluxDivergence(FluxlineError):
 
 
 class TangentPole(FluxlineError):
-    """A line-section tangent was evaluated too close to one of its poles.
-
-    The caller should perturb the evaluation frequency.
-    """
+    """X_in is infinite at the node, so the inductor current per unit node
+    current is too; also raised for a qubit admittance that is not finite."""
 
 
 class NoRootFound(FluxlineError):

@@ -17,20 +17,22 @@ Impedance chain, referenced at the node::
     Z_1   = i w l_s + Z_2                     series SQUID-array inductance
     Z_in  = z0 (Z_1 + i z0 tan(b x_s)) / (z0 + i Z_1 tan(b x_s))
 
-with ``b = w / v_p`` and ``l_r = l_f - x_s``.  The filter frequency is the
-lowest root in [0.3 f0, 1.2 f0] of the shunt-short condition
-``Z_1 + i z0 tan(b x_s) = 0``, bracketed on a pole-free form of it with
-Foster's reactance theorem and narrowed by ``fits.bracketed_roots`` to a
-relative width of 1e-12 (see ``_filter_frequencies``).
+with ``b = w / v_p`` and ``l_r = l_f - x_s``.  ``_line_terms`` writes X_in
+as a ratio of two pole-free terms linear in ``l_s``, from which the filter
+condition, the qubit admittance and the inductor current all follow.  The
+filter frequency is the lowest root in [0.3 f0, 1.2 f0] of the shunt-short
+condition ``Z_1 + i z0 tan(b x_s) = 0``, bracketed on a pole-free form of
+it with Foster's reactance theorem and narrowed by ``fits.bracketed_roots``
+to a relative width of 1e-12 (see ``_filter_frequencies``).
 
 Phasor convention is ``exp(+i w t)``: an inductor has impedance ``i w L``
 and a capacitor ``1/(i w C)``.  All quantities are strict SI; unit
 conversion belongs at the I/O boundary.
 
 The private kernels work on arrays of flux points (or of ``l_s``) at one
-drive frequency and return pole masks instead of raising; ``flux_sweep``
-runs them over the whole grid in one pass.  The scalar
-``squid_array_inductance``, ``filter_frequency_exact`` and
+drive frequency and return masks of the points they fail instead of
+raising; ``flux_sweep`` runs them over the whole grid in one pass.  The
+scalar ``squid_array_inductance``, ``filter_frequency_exact`` and
 ``qubit_admittance`` are one-row calls of them that raise on a mask.
 """
 
@@ -47,8 +49,6 @@ from .fits import bracketed_roots
 #: Magnetic flux quantum (Wb).
 PHI0 = 2.067833848e-15
 
-# |tan| beyond this counts as sitting on a pole of the line tangent.
-_POLE_TAN = 1e9
 # The filter root is bracketed on this many scan points over [0.3 f0, 1.2 f0]
 # and narrowed by regula falsi to this relative width.
 _N_SCAN = 4096
@@ -176,55 +176,38 @@ def squid_array_inductance(arr: SquidArray, flux_ratio: float) -> float:
 
 
 def _line_terms(geom: FilterGeometry, omega):
-    """sin and cos of b x_s and of b l_r."""
-    beta = omega / geom.v_p
-    l_r = geom.l_f - geom.x_s
-    return (np.sin(beta * geom.x_s), np.cos(beta * geom.x_s),
-            np.sin(beta * l_r), np.cos(beta * l_r))
+    """The line seen from the node as a bilinear map in l_s: (A, B, C, E, den).
 
+    Past the inductor X2 / z0 = num / den, num = u s_r - c_r, den = u c_r +
+    s_r, u = z0 w c_g (u = 0: the open end, X2 = -z0 cot(b l_r)), and X1 =
+    w l_s + X2; s_l, c_l, t_l are sin, cos, tan of b x_s.  Then
 
-def _end_cap(geom: FilterGeometry, omega, s_r, c_r):
-    """Numerator and denominator of X2 / z0 = (u s_r - c_r) / (u c_r + s_r),
-    X2 the end-capped reactance past the inductor and u = z0 w c_g (u = 0:
-    X2 = -z0 cot(b l_r), the open end).  A huge z0 overflows u to inf (nan
-    at c_g = 0) quietly; the points it spoils carry error markers."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = geom.z0 * omega * geom.c_g
-        return u * s_r - c_r, u * c_r + s_r
+        G = den c_l (X1 + z0 t_l) = A l_s + B,  A = w c_l den,  B = z0 (c_l num + s_l den)
+        H = den c_l (z0 - X1 t_l) = C l_s + E,  C = -w s_l den, E = z0 (c_l den - s_l num)
 
-
-def _condition_terms(geom: FilterGeometry, omega):
-    """Slope A and offset B of the pole-free filter condition G = A l_s + B.
-
-    G is the shunt-short condition F = w l_s + X2 + z0 tan(b x_s) times
-    cos(b x_s) and the denominator of X2: the same roots in ohms, and no
-    poles.  For x_s = l_f with c_g = 0, A is identically zero.
+    give X_in = z0 G / H and the inductor current per unit node current
+    I_s / I(0) = 1 / (c_l - X1 s_l / z0) = z0 den / H.  (G, H) is (w l_s den
+    + z0 num, z0 den) turned by b x_s, and num^2 + den^2 = 1 + u^2, so G and
+    H never vanish together.  G = 0 is the filter condition; A is zero for
+    x_s = l_f, c_g = 0.  A huge z0 overflows u to inf (nan at c_g = 0)
+    quietly; the points it spoils carry error markers.
     """
-    s_l, c_l, s_r, c_r = _line_terms(geom, omega)
-    num, den = _end_cap(geom, omega, s_r, c_r)
-    return omega * c_l * den, c_l * (geom.z0 * num) + geom.z0 * s_l * den
+    beta = omega / geom.v_p
+    s_l, c_l = np.sin(beta * geom.x_s), np.cos(beta * geom.x_s)
+    s_r, c_r = np.sin(beta * (geom.l_f - geom.x_s)), np.cos(beta * (geom.l_f - geom.x_s))
+    z0 = geom.z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = z0 * omega * geom.c_g
+        num, den = u * s_r - c_r, u * c_r + s_r
+        return (omega * c_l * den, c_l * (z0 * num) + z0 * s_l * den,
+                -omega * s_l * den, z0 * (c_l * den - s_l * num), den)
 
 
 def _condition(slope, offset, l_s):
-    """G = A l_s + B; A l_s may overflow to +-inf, whose sign is still G's."""
+    """slope l_s + offset, G or H; slope l_s may overflow to +-inf, whose sign
+    is still the sum's."""
     with np.errstate(over="ignore"):
         return slope * l_s + offset
-
-
-def _input_reactances(geom: FilterGeometry, l_s, omega: float):
-    """Input reactance X_in over an ``l_s`` array, and its pole mask."""
-    s_l, c_l, s_r, c_r = _line_terms(geom, omega)
-    num, den = _end_cap(geom, omega, s_r, c_r)
-    z0 = geom.z0
-    num = z0 * num
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x2, open_end = num / den, np.abs(num) > _POLE_TAN * z0 * np.abs(den)
-        t_l = s_l / c_l
-        x1 = omega * np.asarray(l_s, dtype=float) + x2
-        # An open series branch leaves the left section alone.
-        x_in = np.where(open_end, -z0 / t_l, z0 * (x1 + z0 * t_l) / (z0 - x1 * t_l))
-    # A zero denominator in either transform leaves X_in non-finite.
-    return x_in, (np.abs(s_l) > _POLE_TAN * np.abs(c_l)) | ~np.isfinite(x_in)
 
 
 def filter_frequency_first_order(f0: float, l_s: float, z0: float) -> float:
@@ -240,7 +223,7 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
     """Lowest filter frequency (Hz) in [0.3 f0, 1.2 f0] per entry of an
     ``l_s`` array, nan where there is none.
 
-    The pole-free condition G = A l_s + B (``_condition_terms``) is scanned
+    The pole-free condition G = A l_s + B (``_line_terms``) is scanned
     at ``_N_SCAN`` points and changes sign exactly at the roots of F.  Where A
     keeps its sign, G = A (l_s - L) with L = -B/A, and Foster's reactance
     theorem (dX/dw >= |X|/w for a lossless X) makes L = -X/w fall strictly,
@@ -252,7 +235,7 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
     """
     l_s = np.asarray(l_s, dtype=float)
     freqs = np.linspace(0.3 * geom.f0, 1.2 * geom.f0, _N_SCAN)
-    slope, offset = _condition_terms(geom, 2.0 * math.pi * freqs)
+    slope, offset = _line_terms(geom, 2.0 * math.pi * freqs)[:2]
     # With A == 0 (x_s = l_f, c_g = 0) G = B brackets the same root for every l_s.
     rows = l_s if slope.any() else np.zeros(min(l_s.size, 1))
     none = _N_SCAN - 1  # no interval has this index
@@ -275,7 +258,7 @@ def _filter_frequencies(geom: FilterGeometry, l_s):
     cols, l_found = first[found], rows[found]
     f_f = np.full(rows.size, math.nan)
     f_f[found] = bracketed_roots(
-        lambda x, live: _condition(*_condition_terms(geom, 2.0 * math.pi * x), l_found[live]),
+        lambda x, live: _condition(*_line_terms(geom, 2.0 * math.pi * x)[:2], l_found[live]),
         freqs[cols], freqs[cols + 1], _condition(slope[cols], offset[cols], l_found),
         _condition(slope[cols + 1], offset[cols + 1], l_found), _ROOT_RTOL)
     return f_f if rows is l_s else np.where(np.isfinite(l_s), f_f, math.nan)
@@ -299,26 +282,22 @@ def filter_frequency_exact(geom: FilterGeometry, l_s: float) -> float:
     return float(f_f)
 
 
-def _inductor_current_factor(geom: FilterGeometry, l_s, omega: float):
-    """Inductor current per unit node current, I_s / I(0) = 1 / (cos(b x_s)
-    - X1 sin(b x_s) / z0) with X1 = w l_s + X2 and X2 from ``_end_cap``, over
-    an ``l_s`` array; and its pole mask: X2 at a pole, or a current node at x = 0."""
-    s_l, c_l, s_r, c_r = _line_terms(geom, omega)
-    num, den = _end_cap(geom, omega, s_r, c_r)
+def _drive_response(geom: FilterGeometry, l_s, omega: float):
+    """Qubit admittance Y_q and inductor current factor I_s / I(0) over an
+    ``l_s`` array, and a non-finite mask of each.
+
+    Y_q = i w c_d / (1 + i w c_d Z_node), with Z_node = z_s || i X_in =
+    z_s i z0 G / (z_s H + i z0 G) from ``_line_terms``: finite wherever the
+    terms are, since G and H never vanish together.  I_s / I(0) = z0 den / H
+    is infinite only at H == 0, where X_in is: an open at the node.
+    """
+    slope, offset, c, e, den = _line_terms(geom, omega)
+    y_d = 1j * omega * geom.c_d
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = c_l - (omega * np.asarray(l_s, dtype=float) / geom.z0 + num / den) * s_l
-        return 1.0 / d, (np.abs(num) > _POLE_TAN * np.abs(den)) | (d == 0.0) | ~np.isfinite(d)
-
-
-def _admittances(geom: FilterGeometry, l_s, omega: float):
-    """Qubit admittance Y_q over an ``l_s`` array, and the input-impedance pole mask."""
-    if geom.c_d == 0.0:
-        return np.zeros(np.shape(l_s), dtype=complex), np.zeros(np.shape(l_s), dtype=bool)
-    x_in, pole = _input_reactances(geom, l_s, omega)
-    zs = geom.z_source
-    with np.errstate(invalid="ignore"):
-        z_node = zs * (1j * x_in) / (zs + 1j * x_in)
-        return 1j * omega * geom.c_d / (1.0 + 1j * omega * geom.c_d * z_node), pole
+        g, h = 1j * geom.z0 * _condition(slope, offset, l_s), _condition(c, e, l_s)
+        y = y_d / (1.0 + y_d * geom.z_source * g / (geom.z_source * h + g))
+        factor = geom.z0 * den / h
+    return y, factor, ~np.isfinite(y), ~np.isfinite(factor)
 
 
 def qubit_admittance(geom: FilterGeometry, l_s: float, omega: float) -> complex:
@@ -330,9 +309,9 @@ def qubit_admittance(geom: FilterGeometry, l_s: float, omega: float) -> complex:
     """
     if omega <= 0 or omega == math.inf:
         raise ValueError("omega must be positive and finite")
-    y, pole = _admittances(geom, l_s, omega)
-    if pole:
-        raise TangentPole(f"input impedance at a pole for omega = {omega:.6e}")
+    y, _, bad, _ = _drive_response(geom, l_s, omega)
+    if bad:
+        raise TangentPole(f"qubit admittance not finite for omega = {omega:.6e}")
     return complex(y)
 
 
@@ -397,16 +376,16 @@ def flux_sweep(
         raise ValueError("drive_freq must be positive and finite")
 
     # The reference flux rides as one more row through the inductance and
-    # admittance kernels; a half-flux or pole reference leaves y_ref nan.
+    # drive kernels; a half-flux or non-finite reference leaves y_ref nan.
     l_all, ic_all, half_all = _inductances(arr, np.append(flux, reference_flux), mode)
     half_all &= mode == "strict"
-    y_all, pole_all = _admittances(geom, l_all, omega)
-    y_ref = complex(math.nan, 0.0) if half_all[-1] or pole_all[-1] else complex(y_all[-1])
-    l_j, ic_sq, half, y, y_pole = (v[:-1] for v in (l_all, ic_all, half_all, y_all, pole_all))
+    y_all, factor_all, y_bad_all, i_bad_all = _drive_response(geom, l_all, omega)
+    y_ref = complex(math.nan, 0.0) if half_all[-1] or y_bad_all[-1] else complex(y_all[-1])
+    l_j, ic_sq, half, y, factor, y_bad, i_bad = (
+        v[:-1] for v in (l_all, ic_all, half_all, y_all, factor_all, y_bad_all, i_bad_all))
     f_f = _filter_frequencies(geom, l_j)
-    factor, i_pole = _inductor_current_factor(geom, l_j, omega)
     i_peak = np.abs(i_node * factor)
-    stage = np.select([half, np.isnan(f_f), y_pole, i_pole], [1, 2, 3, 4], 5)
+    stage = np.select([half, np.isnan(f_f), y_bad, i_bad], [1, 2, 3, 4], 5)
 
     def kept(values, after):
         return np.where(stage > after, values, math.nan)

@@ -348,7 +348,7 @@ class TestRunningArgmax:
     @settings(max_examples=60, deadline=None)
     def test_any_shots_and_model_match_the_reference(self, shots, seed):
         rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 7))
+        k = int(rng.integers(2, 7))  # a model has at least two components
         weights = rng.dirichlet(np.ones(k)) * (rng.random(k) > 0.2)
         weights = weights / weights.sum() if weights.sum() > 0 else np.full(k, 1.0 / k)
         means, covs = [], []

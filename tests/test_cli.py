@@ -563,17 +563,6 @@ class TestRbPipeline:
 
 
 class TestFitCurve:
-    def test_exponential_model(self, tmp_path):
-        t = np.linspace(0, 5e-4, 50)
-        y = 0.7 * np.exp(-t / 1e-4) + 0.2
-        fio.write_curve_csv(tmp_path / "c.csv", t, y)
-        cfg = write_cfg(tmp_path, "cfg.json", {"curve_csv": str(tmp_path / "c.csv"),
-                                               "model": "exponential"})
-        out = tmp_path / "fit.json"
-        assert main(["fit-curve", "--config", cfg, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["params"]["tau"] == pytest.approx(1e-4, rel=1e-6)
-
     @pytest.mark.parametrize("model", list(_FIT_MODELS))
     def test_noise_free_curve_gives_its_parameters(self, tmp_path, capsys, model):
         x, y, truth = model_curve(model)
@@ -868,6 +857,25 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("solver error: NotConverged: EM did not meet tol=1e-09 in 500")
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_one_component_model_exit_1_before_writing(self, tmp_path, capsys, with_model):
+        # 50 shots all labelled g fit one component; a loaded model may hold one too.
+        xy = np.random.default_rng(0).normal(size=(50, 2))
+        fio.write_shots_csv(tmp_path / "cal.csv", xy, np.zeros(50, dtype=int), ["g"])
+        cfg = {"shots_csv": str(tmp_path / "cal.csv"),
+               "save_model_json": str(tmp_path / "model.json")}
+        if with_model:
+            one = {"components": {"g": model_dict()["components"]["g"]}}
+            one["components"]["g"]["weight"] = 1.0
+            (tmp_path / "one.json").write_text(json.dumps(one))
+            cfg["model_json"] = str(tmp_path / "one.json")
+        out = tmp_path / "matrix.json"
+        assert main(["classify", "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: a mixture model needs at least 2 components, got 1\n")
+        assert not out.exists() and not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("with_model", [False, True])
     def test_partly_empty_prep_labels_exit_1(self, tmp_path, capsys, with_model):

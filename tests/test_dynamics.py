@@ -131,13 +131,19 @@ class TestClosedForm:
             assert np.all(np.diff(vals) >= -1e-12)
 
     def test_stacked_initial_rows_match_one_row_calls(self, reset_rates):
-        t = np.geomspace(1e-9, 1e-5, 30)
-        inits = np.eye(4)[[[1, 2, 3], [3, 2, 1]]]
-        out = dyn.populations_closed_form(t, reset_rates, inits)
-        assert out.shape == (2, 3, 30, 4)
-        for idx in np.ndindex(2, 3):
-            assert np.array_equal(out[idx], dyn.populations_closed_form(t, reset_rates,
-                                                                        inits[idx]))
+        # Every level, a mixed row and the levels again, over spread, nearly
+        # degenerate and widely separated rates, from t = 0.
+        t = np.concatenate([[0.0], np.geomspace(1e-12, 1e-4, 200)])
+        inits = np.vstack([np.eye(4), [[0.1, 0.2, 0.3, 0.4]], np.eye(4)[[3, 2, 1]]])
+        inits = inits.reshape(2, 4, 4)
+        for rates in (reset_rates, dyn.DecayRates(4.2e6, 7.3e6, 7.8e6),
+                      dyn.DecayRates(BASE, BASE, BASE * (1 + 1e-9)),
+                      dyn.DecayRates(1e8, 1e6, 1e4)):
+            out = dyn.populations_closed_form(t, rates, inits)
+            assert out.shape == (2, 4, t.size, 4)
+            for idx in np.ndindex(2, 4):
+                assert np.array_equal(out[idx], dyn.populations_closed_form(t, rates,
+                                                                            inits[idx]))
 
     def test_degenerate_rates_finite(self):
         r = dyn.DecayRates(2e6, 2e6, 2e6)
@@ -688,17 +694,6 @@ class TestSolverMatchesScipyReference:
             x.append(fit.floor)
         assert _rel(x, x_ref).max() < 1e-8
         assert _rel([fit.sigmas[n] for n in names], sig_ref).max() < 1e-6
-
-    def test_init_matrix_kernel_matches_per_init_calls(self):
-        t = np.concatenate([[0.0], np.geomspace(1e-12, 1e-4, 200)])
-        inits = np.vstack([np.eye(4), [0.1, 0.2, 0.3, 0.4]])
-        for rates in (dyn.DecayRates(4.2e6, 7.3e6, 7.8e6),
-                      dyn.DecayRates(BASE, BASE, BASE * (1 + 1e-9)),
-                      dyn.DecayRates(1e8, 1e6, 1e4)):
-            got = dyn.populations_closed_form(t, rates, inits)
-            assert got.shape == (len(inits), t.size, 4)
-            for k, init in enumerate(inits):
-                assert np.abs(got[k] - dyn.populations_closed_form(t, rates, init)).max() <= 1e-15
 
     def test_unconstrained_rate_raises_rank_deficient(self, reset_rates):
         # Without an h preparation gamma_fh leaves every residual unchanged.

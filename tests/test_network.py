@@ -1,5 +1,6 @@
 """Tests of the quarter-wave filter network model."""
 
+import cmath
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -121,11 +122,10 @@ class TestNanAndOverflowRejected:
 
 
 def input_reactance(geom, l_s, omega):
-    """X_in of the stub at one l_s, from the kernel behind the sweep's
-    admittance column; the point must be off every pole."""
-    x_in, pole = nw._input_reactances(geom, np.array([l_s]), omega)
-    assert not pole[0]
-    return float(x_in[0])
+    """X_in = z0 G / H of the stub at l_s (a number or an array), from the
+    line terms behind the sweep's drive columns."""
+    slope, offset, c, e, _ = nw._line_terms(geom, omega)
+    return geom.z0 * (slope * l_s + offset) / (c * l_s + e)
 
 
 class TestInputImpedance:
@@ -151,10 +151,10 @@ class TestInputImpedance:
         assert x_in == pytest.approx(-geometry.z0, rel=1e-12)
 
     def test_purely_imaginary(self, geometry):
-        # The kernel returns a real reactance: no resistive part to carry.
+        # The line terms give a real reactance: no resistive part to carry.
         for f in (2.1e9, 3.7e9, 5.2e9):
-            x_in, pole = nw._input_reactances(geometry, np.array([0.075e-9]), 2 * math.pi * f)
-            assert x_in.dtype == np.float64 and np.isfinite(x_in).all() and not pole.any()
+            x_in = input_reactance(geometry, np.array([0.075e-9]), 2 * math.pi * f)
+            assert x_in.dtype == np.float64 and np.isfinite(x_in).all()
 
     def test_sign_change_across_root(self, geometry):
         l_s = 0.075e-9
@@ -163,14 +163,20 @@ class TestInputImpedance:
         above = input_reactance(geometry, l_s, 2 * math.pi * f_root * (1 + 1e-6))
         assert below * above < 0
 
-    def test_tangent_pole_raises(self, geometry):
-        # beta * x_s = pi/2 puts tan at its pole: the kernel masks the point,
-        # and the admittance through c_d > 0 raises on that mask.
+    def test_quarter_wave_section_inverts_the_branch(self, geometry):
+        # At beta * x_s = pi/2 the section to the node is a quarter-wave
+        # transformer, X_in = -z0^2 / X1, with X1 = w l_s - z0 cot(b l_r) the
+        # series branch past it; the admittance through c_d there is finite
+        # and passive.
         omega = math.pi * geometry.v_p / (2 * geometry.x_s)
-        assert nw._input_reactances(geometry, np.zeros(1), omega)[1][0]
+        beta = omega / geometry.v_p
         assert geometry.c_d > 0
-        with pytest.raises(TangentPole):
-            nw.qubit_admittance(geometry, 0.0, omega)
+        for l_s in (0.0, 0.075e-9, 0.3e-9):
+            x1 = omega * l_s - geometry.z0 / math.tan(beta * (geometry.l_f - geometry.x_s))
+            assert input_reactance(geometry, l_s, omega) == pytest.approx(
+                -geometry.z0**2 / x1, rel=1e-12)
+            y = nw.qubit_admittance(geometry, l_s, omega)
+            assert math.isfinite(abs(y)) and y.real >= 0
 
     def test_end_cap_shifts_down(self, geometry):
         with_cap = replace(geometry, c_g=5e-15)
@@ -296,15 +302,15 @@ class TestPerturbativePull:
 
 
 class TestCurrentProfile:
-    # _inductor_current_factor is I_s / I(0), the sweep's i_peak per unit
-    # node current.
+    # _drive_response's current factor is I_s / I(0), the sweep's i_peak per
+    # unit node current.
     def test_open_end_node_and_normalization(self, geometry):
         # With the inductor at the node it carries the node current itself.
         geom = replace(geometry, x_s=0.0)
         for l_s in (0.0, 0.3e-9):
             for f in (geometry.f0, 3.7e9):
-                factor, pole = nw._inductor_current_factor(geom, np.array([l_s]),
-                                                           2 * math.pi * f)
+                _, factor, _, pole = nw._drive_response(geom, np.array([l_s]),
+                                                        2 * math.pi * f)
                 assert factor[0] == 1.0 and not pole[0]
 
     def test_quarter_wave_profile_shape(self, geometry):
@@ -313,7 +319,7 @@ class TestCurrentProfile:
         l_r = geometry.l_f - geometry.x_s
         for f in (geometry.f0, 3.7e9, 5.2e9):
             beta = 2 * math.pi * f / geometry.v_p
-            factor, pole = nw._inductor_current_factor(geometry, np.zeros(1), 2 * math.pi * f)
+            _, factor, _, pole = nw._drive_response(geometry, np.zeros(1), 2 * math.pi * f)
             assert not pole[0]
             assert factor[0] == pytest.approx(
                 math.sin(beta * l_r) / math.sin(beta * geometry.l_f), rel=1e-12)
@@ -323,7 +329,7 @@ class TestCurrentProfile:
         l_s = 0.3e-9
         omega = 2 * math.pi * 4.0e9
         beta = omega / geometry.v_p
-        factor = float(nw._inductor_current_factor(geometry, l_s, omega)[0])
+        factor = float(nw._drive_response(geometry, l_s, omega)[1])
         l_r = geometry.l_f - geometry.x_s
         cot_r = math.cos(beta * l_r) / math.sin(beta * l_r)
         coeff = cot_r - omega * l_s / geometry.z0
@@ -342,8 +348,7 @@ class TestCurrentProfile:
             sweep = nw.flux_sweep(geom, squid_array, qubit, np.linspace(0.0, 0.45, 46), f)
             ok = np.array([e is None for e in sweep.error])
             assert ok.sum() > 30
-            x_in, pole = nw._input_reactances(geom, sweep.l_j_arr[ok], omega)
-            assert not pole.any()
+            x_in = input_reactance(geom, sweep.l_j_arr[ok], omega)
             transfer = np.abs(math.cos(beta * geom.x_s)
                               + x_in * math.sin(beta * geom.x_s) / geom.z0)
             np.testing.assert_allclose(sweep.i_peak[ok] / 2e-7, transfer, rtol=1e-12, atol=0.0)
@@ -502,9 +507,10 @@ class TestFluxSweep:
 
 
 # --- Reference: the per-point sweep with scalar math.* kernels -----------------
-# The sweep, bisection, impedance and current code as they were before the
-# network layer became array kernels.  The array sweep must reproduce it row
-# by row: same error markers, bit-equal l_j_arr, f_f within the 1e-12
+# The sweep and bisection code as they were before the network layer became
+# array kernels, with the admittance and inductor current from chain matrices
+# instead of the kernels' bilinear terms.  The array sweep must reproduce it
+# row by row: same error markers, bit-equal l_j_arr, f_f within the 1e-12
 # relative root tolerance (the two solvers stop at different points of the
 # same bracket), and the other columns within the benchmark's sweep tolerance.
 
@@ -602,72 +608,32 @@ def _assert_dense_scan_root(geom, l_s, f_f):
     assert f[cells[0]] - tol <= f_f <= f[cells[0] + 1] + tol
 
 
-def _ref_input_reactance(geom, l_s, omega):
-    beta = omega / geom.v_p
-    l_r = geom.l_f - geom.x_s
-    s_l, c_l = math.sin(beta * geom.x_s), math.cos(beta * geom.x_s)
-    s_r, c_r = math.sin(beta * l_r), math.cos(beta * l_r)
-    z0 = geom.z0
-    if abs(s_l) > nw._POLE_TAN * abs(c_l):
-        raise TangentPole("tan pole")
-    if geom.c_g == 0.0:
-        x2 = math.inf if abs(c_r) > nw._POLE_TAN * abs(s_r) else -z0 * c_r / s_r
-    else:
-        x_e = -1.0 / (omega * geom.c_g)
-        den = z0 * c_r - x_e * s_r
-        x2 = math.inf if den == 0.0 else z0 * (x_e * c_r + z0 * s_r) / den
-    t_l = s_l / c_l
-    if math.isinf(x2):
-        if t_l == 0.0:
-            raise TangentPole("open series branch")
-        x_in = -z0 / t_l
-    else:
-        x1 = omega * l_s + x2
-        den_in = z0 - x1 * t_l
-        if den_in == 0.0:
-            raise TangentPole("transform pole")
-        x_in = z0 * (x1 + z0 * t_l) / den_in
-    if not math.isfinite(x_in):
-        raise TangentPole("non-finite reactance")
-    return x_in
+def _ref_chain(geom, l_s, omega):
+    """Qubit admittance Y_q and I_s / I(0) at one l_s, from complex 2x2 chain
+    (ABCD) matrices.  A line section of length x is [[cos bx, i z0 sin bx],
+    [i sin bx / z0, cos bx]] and the series inductor [[1, i w l_s], [0, 1]];
+    [V; I] at the node is their product applied to [1; i w c_g] at the end,
+    so Z_in = V0 / I0 is A / C for an open end and (A Z_L + B) / (C Z_L + D)
+    with the cap.  The factor is inf where I0 == 0, an open at the node."""
+    def section(x):
+        bx = omega / geom.v_p * x
+        return np.array([[math.cos(bx), 1j * geom.z0 * math.sin(bx)],
+                         [1j * math.sin(bx) / geom.z0, math.cos(bx)]])
 
-
-def _ref_admittance(geom, l_s, omega):
-    if geom.c_d == 0.0:
-        return 0j
-    z_in = complex(0.0, _ref_input_reactance(geom, l_s, omega))
-    z_node = geom.z_source * z_in / (geom.z_source + z_in)
-    return 1j * omega * geom.c_d / (1.0 + 1j * omega * geom.c_d * z_node)
-
-
-def _ref_current_factor(geom, l_s, omega):
-    beta = omega / geom.v_p
-    l_r = geom.l_f - geom.x_s
-    s_r, c_r = math.sin(beta * l_r), math.cos(beta * l_r)
-    z0 = geom.z0
-    if geom.c_g == 0.0:
-        if abs(c_r) > nw._POLE_TAN * abs(s_r):
-            raise TangentPole("cot pole")
-        x2 = -z0 * c_r / s_r
-    else:
-        x_e = -1.0 / (omega * geom.c_g)
-        den = z0 * c_r - x_e * s_r
-        if den == 0.0:
-            raise TangentPole("end-cap pole")
-        x2 = z0 * (x_e * c_r + z0 * s_r) / den
-    d = math.cos(beta * geom.x_s) - (omega * l_s + x2) * math.sin(beta * geom.x_s) / z0
-    if d == 0.0 or not math.isfinite(d):
-        raise TangentPole("current node")
-    return 1.0 / d
+    v_s, i_s = section(geom.l_f - geom.x_s) @ np.array([1.0, 1j * omega * geom.c_g])
+    v0, i0 = section(geom.x_s) @ np.array([[1.0, 1j * omega * l_s], [0.0, 1.0]]) @ [v_s, i_s]
+    z_node = geom.z_source * v0 / (geom.z_source * i0 + v0)  # z_source || Z_in
+    y = 1j * omega * geom.c_d / (1.0 + 1j * omega * geom.c_d * z_node)
+    return complex(y), complex(i_s / i0) if i0 != 0.0 else math.inf
 
 
 def _ref_flux_sweep(geom, arr, qubit, flux_grid, drive_freq, mode="clamped",
                     i_node=2e-7, reference_flux=0.0):
     omega = 2.0 * math.pi * drive_freq
     try:
-        l_ref = _ref_inductance(arr, reference_flux, mode)
-        gamma_ref = _ref_admittance(geom, l_ref, omega).real / qubit.c_q
-    except (HalfFluxDivergence, TangentPole):
+        y_ref = _ref_chain(geom, _ref_inductance(arr, reference_flux, mode), omega)[0]
+        gamma_ref = y_ref.real / qubit.c_q if cmath.isfinite(y_ref) else math.nan
+    except HalfFluxDivergence:
         gamma_ref = math.nan
     rows = []
     for flux in flux_grid:
@@ -677,7 +643,10 @@ def _ref_flux_sweep(geom, arr, qubit, flux_grid, drive_freq, mode="clamped",
             fields["l_j_arr"] = l_j = _ref_inductance(arr, flux, mode)
             ic_sq = _ref_ic_sq(arr, flux, mode)
             fields["f_f"] = _ref_filter_frequency(geom, l_j)
-            gamma = max(_ref_admittance(geom, l_j, omega).real / qubit.c_q, 0.0)
+            y, factor = _ref_chain(geom, l_j, omega)
+            if not cmath.isfinite(y):
+                raise TangentPole("non-finite admittance")
+            gamma = max(y.real / qubit.c_q, 0.0)
             fields["gamma_qf"] = gamma
             t1_ext = math.inf if gamma == 0.0 else 1.0 / gamma
             fields["t1_ext"] = t1_ext
@@ -689,7 +658,9 @@ def _ref_flux_sweep(geom, arr, qubit, flux_grid, drive_freq, mode="clamped",
                 fields["t1_total"] = 1.0 / (1.0 / t1_ext + 1.0 / qubit.t1_internal)
             fields["rabi_rel"] = (math.sqrt(gamma / gamma_ref)
                                   if gamma_ref > 0.0 else math.nan)
-            i_peak = abs(i_node * _ref_current_factor(geom, l_j, omega))
+            if not cmath.isfinite(factor):
+                raise TangentPole("open at the node")
+            i_peak = abs(i_node * factor)
             fields["i_peak"] = i_peak
             fields["margin"] = 5.0 * i_peak / ic_sq
         except (HalfFluxDivergence, NoRootFound, TangentPole) as exc:
@@ -752,7 +723,9 @@ class TestSweepMatchesScalarReference:
 
     def test_cases_reach_every_marker(self):
         # The parametrised cases above are only a check of row semantics if
-        # every stage fails somewhere among them.
+        # every stage fails somewhere among them.  The current factor fails
+        # only at an open node, H == 0, which no sweep grid above hits; the
+        # kernel reaches it at l_s = -E/C, where Z_node is z_source itself.
         seen = set()
         for geom, grid, drive, mode in (
                 (_GEOM, _BENCH_GRID, 4.2e9, "clamped"),
@@ -762,7 +735,17 @@ class TestSweepMatchesScalarReference:
                  "clamped")):
             seen.update(r.error for r in nw.flux_sweep(geom, _ARR, _QUBIT, grid, drive,
                                                        mode=mode))
-        assert seen == {None, "HalfFluxDivergence", "NoRootFound", "TangentPole"}
+        assert seen == {None, "HalfFluxDivergence", "NoRootFound"}
+        opens = 0
+        for omega in 2 * math.pi * np.linspace(3e9, 6e9, 50):
+            _, _, c, e, _ = nw._line_terms(_GEOM, omega)
+            y, _, y_bad, i_bad = nw._drive_response(_GEOM, np.array([-e / c]), omega)
+            y_d = 1j * omega * _GEOM.c_d
+            assert not y_bad[0]
+            if i_bad[0]:
+                opens += 1
+                assert y[0] == pytest.approx(y_d / (1.0 + y_d * _GEOM.z_source), rel=1e-12)
+        assert opens >= 40
 
     @pytest.mark.parametrize("geom, l_s", [
         (_GEOM, 1e-6),
@@ -814,13 +797,13 @@ class TestSweepMatchesScalarReference:
     def test_sweep_evaluates_condition_few_times(self, geom, monkeypatch):
         # The scan plus a handful of regula-falsi steps solve the benchmark
         # grid: a solver that needs more shows here before the benchmark.
-        calls, condition_terms = [], nw._condition_terms
+        calls, line_terms = [], nw._line_terms
 
         def counted(*args):
             calls.append(1)
-            return condition_terms(*args)
+            return line_terms(*args)
 
-        monkeypatch.setattr(nw, "_condition_terms", counted)
+        monkeypatch.setattr(nw, "_line_terms", counted)
         nw.flux_sweep(geom, _ARR, _QUBIT, _BENCH_GRID, 4.2e9)
         assert len(calls) <= 10
 
@@ -867,7 +850,7 @@ class TestFosterBracketing:
         # Foster: L = -B/A = -X/w does not increase between poles of X.
         geom = _random_geometry(z0, v_p, l_f, log_gap, c_g * end_cap)
         omega = 2.0 * math.pi * np.linspace(0.3 * geom.f0, 1.2 * geom.f0, 4096)
-        slope, offset = nw._condition_terms(geom, omega)
+        slope, offset = nw._line_terms(geom, omega)[:2]
         sign = np.sign(slope)
         in_run = (sign[:-1] == sign[1:]) & (sign[1:] != 0)
         assert np.all(np.diff(-offset / slope)[in_run] <= 0.0)

@@ -67,7 +67,7 @@ SHA256 = {
     "generate thermal": "2beccf9471a0f398c63fad358db84cc8171a5578bae4d0cf079444304a658fea",
     "generate reset": "cdb56a3bf3c3c3d34e48eadcc63f9f686f730a55b9b05d6003145e5c3502b776",
     "generate rb": "9715e4cf6cf0709730e6a1319089b702375b5e68ded2224c90e05cf257749f32",
-    "filter-sweep": "23779d582952e71531ba2efa48cc8aaf292c3ab17a90eaa8726a1cb520e92378",
+    "filter-sweep": "04903e1c98ef816f12d53af4e6934a9ecf41fcd7cb8a8d87f338ba2b02c562c3",
     "fit-reset": "482d6909fda874fa268b0d6bd09af1a83591473f29d0376a0596e7312381cf2a",
     "fit-reset floor": "6516f99c2f24464f816c08a6b8e12cb4d44423107302d2a18c409a6b1b381697",
     "fit-rb": "47b051328d1da57cc87cd7f8c06fbdd654c2c530c3535eacd17214ef07ef3de6",
