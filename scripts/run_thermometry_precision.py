@@ -21,6 +21,7 @@ from fluxline import thermometry as th
 
 T_TRUE = (float(sys.argv[1]) if len(sys.argv) > 1 else 181.072) * 1e-3
 T_SHOT = 34.2e-6
+N_LEVELS, SEED = 6, 42  # levels in the thermal distribution; seed of the windows
 
 ladder = th.LevelLadder(f_ge_ghz=3.9514, f_ef_ghz=3.8167, f_fh_ghz=3.6730)
 
@@ -33,8 +34,7 @@ def separated_clusters(separation=6.0):
                        [np.eye(2)] * len(labels), [1.0 / len(labels)] * len(labels))
 
 
-cfg = synth.ShotGenConfig(ladder=ladder, cluster_model=separated_clusters(),
-                          seed=42)
+model = separated_clusters()
 
 print(f"target temperature {T_TRUE * 1e3:.3f} mK, shot time {T_SHOT * 1e6:.1f} us")
 print(f"{'N_shot':>7} {'N_win':>6} {'mu_T (mK)':>10} {'sigma_T (mK)':>13} "
@@ -42,8 +42,8 @@ print(f"{'N_shot':>7} {'N_win':>6} {'mu_T (mK)':>10} {'sigma_T (mK)':>13} "
 
 bound4 = th.qcrb_bound(T_TRUE, ladder, 4)
 for n_shot, n_win in ((1000, 400), (2000, 400), (5000, 300), (10000, 200)):
-    xy = np.vstack(list(synth.iter_window_series(cfg, T_TRUE, n_win, n_shot)))
-    model = cfg.cluster_model
+    xy = np.vstack(list(synth.iter_window_series(ladder, model, N_LEVELS, T_TRUE,
+                                                  n_win, n_shot, SEED)))
     fit = th.fit_temperature_batch(
         cl.level_populations(cl.assign_indices(model, xy), model.labels, n_shot), ladder)
     mu, sigma, sigma_mu = th.window_statistics(fit.t_eff)

@@ -42,8 +42,8 @@ _RATES = {"t1_ge_ns": ("positive", ..., fio.NS), "t1_ef_ns": ("positive", ..., f
 _SHOT_GENERATOR = {"ladder": (_LADDER, ...), "cluster_model": ("object", ...),
                    "temperature_mk": ("number", ..., fio.MK), "n_model_levels": ("integer", 6)}
 _GENERATORS = {
-    "thermal": {**_SHOT_GENERATOR, "n_shots": ("integer", ...)},
-    "windows": {**_SHOT_GENERATOR, "n_win": ("integer", ...), "n_shot": ("integer", ...)},
+    "thermal": {**_SHOT_GENERATOR, "n_shots": ("count", ...)},
+    "windows": {**_SHOT_GENERATOR, "n_win": ("integer", ...), "n_shot": ("count", ...)},
     "reset": {"rates": (_RATES, ...), "t_start_ns": ("number", 10.0, fio.NS),
               "t_stop_ns": ("number", 2000.0, fio.NS), "t_points": ("count", 40),
               "preps": ("strings", ["e", "f", "h"]), "n_shots_per_point": ("integer", 10000),
@@ -209,16 +209,16 @@ def cmd_classify(cfg: dict, out: str, seed) -> int:
 def cmd_generate(cfg: dict, out: str, seed) -> int:
     kind = cfg["generator"]
     seed = cfg["seed"] if seed is None else seed
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if kind == "thermal" or kind == "windows":
-        gen_cfg = synth.ShotGenConfig(
-            ladder=th.LevelLadder(*cfg["ladder"].values()),
-            cluster_model=fio.model_from_dict(cfg["cluster_model"], "cluster_model"),
-            n_model_levels=cfg["n_model_levels"], seed=seed)
+        inputs = (th.LevelLadder(*cfg["ladder"].values()),
+                  fio.model_from_dict(cfg["cluster_model"], "cluster_model"),
+                  cfg["n_model_levels"], cfg["temperature_mk"])
         if kind == "thermal":
-            xy = synth.gen_thermal_shots(gen_cfg, cfg["temperature_mk"], cfg["n_shots"])
+            xy = synth.gen_thermal_shots(*inputs, cfg["n_shots"], seed)
         else:
-            xy = synth.iter_window_series(
-                gen_cfg, cfg["temperature_mk"], cfg["n_win"], cfg["n_shot"])
+            xy = synth.iter_window_series(*inputs, cfg["n_win"], cfg["n_shot"], seed)
         fio.write_shots_csv(out, xy)
     elif kind == "reset":
         t_grid = np.linspace(cfg["t_start_ns"], cfg["t_stop_ns"], cfg["t_points"])

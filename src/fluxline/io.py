@@ -378,16 +378,16 @@ def _write_table(path, header: str, blocks, labelled: bool) -> None:
     leading text column holds ``labels`` (n strings), or is empty in each
     row when they are None.  Each ``_WRITE_BLOCK_ROWS`` rows are formatted
     with one ``%`` of a repeated row template.  Blocks may be made as they
-    are written; if making or writing one fails, a file this call created is
-    removed.
+    are written; if making or writing one fails, a regular file at ``path``
+    is removed, new or not; a device or a symlink there is kept.
     """
     n_values = header.count(",") + 1 - labelled
     # The template's only constant text is commas, so nothing needs a %% escape.
     values = ",".join(["%r"] * n_values) + "\n"
     unlabelled_row, labelled_row = "," * labelled + values, "%s," + values
-    created = not Path(path).exists()
+    fh = open(path, "w")
     try:
-        with open(path, "w") as fh:
+        with fh:
             fh.write(header + "\n")
             for table, labels in blocks:
                 table = np.asarray(table, dtype=float)
@@ -405,7 +405,7 @@ def _write_table(path, header: str, blocks, labelled: bool) -> None:
                         block = fields
                     fh.write(row * len(block) % tuple(block.ravel().tolist()))
     except BaseException:
-        if created:
+        if Path(path).is_file() and not Path(path).is_symlink():
             Path(path).unlink(missing_ok=True)
         raise
 

@@ -6,22 +6,21 @@ repository: thermal shots exercise the classification and thermometry
 pipeline, multinomially sampled reset trajectories exercise the rate fits,
 and binomial benchmarking decays exercise the survival fit.  Thermal
 levels are drawn from ``thermometry.boltzmann_populations`` over the
-extended manifold.  A reset trajectory starts from the (4,) population row
-``np.eye(4)[level]`` of its prepared level, 1, 2 or 3.  Its truth is the
-closed form that the rate fit uses too, so the reset round trip checks
-the fit and the sampling, not a second solution path.  Acceptance
-criterion 4 holds that closed form to an independent integrator within
-1e-9 over 1000 rate triples; at the reference lifetimes, from 10 ns to 2 us,
-the two differ by 7.2e-14, ten orders of magnitude below the round trip's
-multinomial noise (about 1e-3 at 1e5 shots per point).
-Every generator is a pure function of (configuration, seed); per-window
-substreams are split from the base seed with a counter key so that window
-parallelism cannot change the output.
+lowest ``n_levels`` >= 4 levels of the extended manifold.  A reset
+trajectory starts from the (4,) population row ``np.eye(4)[level]`` of
+its prepared level, 1, 2 or 3.  Its truth is the closed form that the
+rate fit uses too, so the reset round trip checks the fit and the
+sampling, not a second solution path.  Acceptance criterion 4 holds that
+closed form to an independent integrator within 1e-9 over 1000 rate
+triples; at the reference lifetimes, from 10 ns to 2 us, the two differ
+by 7.2e-14, ten orders of magnitude below the round trip's multinomial
+noise (about 1e-3 at 1e5 shots per point).
+Every generator is a pure function of its inputs and its last parameter,
+``seed``; per-window substreams are split from the base seed with a
+counter key so that window parallelism cannot change the output.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,43 +30,22 @@ from .dynamics import (DecayRates, ResetCurve, ResetDataset, apply_thermal_floor
 from .thermometry import LevelLadder, boltzmann_populations
 
 
-@dataclass(frozen=True)
-class ShotGenConfig:
-    """Configuration for thermal single-shot generation.
-
-    ``n_model_levels`` extends the Boltzmann distribution past h along
-    ``thermometry.level_energies``; any occupation above h is emitted from
-    the overflow cluster.  Each shot is emitted from the cluster of the level
-    it was drawn in, so the estimators see no in-window relaxation.
-    ``seed`` seeds every generator that takes the configuration.
-    """
-
-    ladder: LevelLadder
-    cluster_model: GmmModel
-    n_model_levels: int = 6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_model_levels < 4:
-            raise ValueError("n_model_levels must be >= 4")
-
-
 def window_rng(seed: int, index: int) -> np.random.Generator:
     """Independent substream for one window, split by a counter key."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _thermal_shot_sampler(cfg: ShotGenConfig, temperature: float):
+def _thermal_shot_sampler(ladder: LevelLadder, model: GmmModel, n_levels: int,
+                          temperature: float):
     """``draw(n, rng)``, the (n, 2) thermal IQ shots of one window at ``temperature``.
 
-    Levels are sampled from the extended Boltzmann distribution, then
-    emitted from the matching cluster Gaussian (levels >= 4 from the
-    overflow component).  The per-run setup, the level probabilities and
-    each component's Cholesky factor, is done once per sampler, not once
-    per window.
+    Levels are drawn from the Boltzmann distribution over ``n_levels``
+    levels, each emitted from its cluster Gaussian of ``model`` (levels >= 4
+    from the overflow component): no in-window relaxation.  The level
+    probabilities and each component's Cholesky factor are set up once per
+    sampler, not once per window.
     """
-    probs = boltzmann_populations(temperature, cfg.ladder, cfg.n_model_levels)
-    model = cfg.cluster_model
+    probs = boltzmann_populations(temperature, ladder, n_levels)
     factors = {LABEL_ORDER.index(lab): (mean, chol) for lab, mean, chol
                in zip(model.labels, model.means, np.linalg.cholesky(model.covs))
                if lab in LABEL_ORDER}
@@ -75,7 +53,7 @@ def _thermal_shot_sampler(cfg: ShotGenConfig, temperature: float):
     def draw(n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be >= 1")
-        levels = rng.choice(cfg.n_model_levels, size=n, p=probs)
+        levels = rng.choice(n_levels, size=n, p=probs)
         z = rng.standard_normal((n, 2))
         comp_idx = np.minimum(levels, 4)
         # Shots grouped by component; the stable sort keeps each group's rows
@@ -100,10 +78,11 @@ def _thermal_shot_sampler(cfg: ShotGenConfig, temperature: float):
     return draw
 
 
-def gen_thermal_shots(cfg: ShotGenConfig, temperature: float, n: int) -> np.ndarray:
+def gen_thermal_shots(ladder: LevelLadder, model: GmmModel, n_levels: int, temperature: float,
+                      n: int, seed: int) -> np.ndarray:
     """Draw n thermal IQ shots; returns an (n, 2) array (see ``_thermal_shot_sampler``)."""
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    return _thermal_shot_sampler(cfg, temperature)(n, rng)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return _thermal_shot_sampler(ladder, model, n_levels, temperature)(n, rng)
 
 
 def gen_reset_curves(rates: DecayRates, levels, t_grid, n_shots_per_point: int,
@@ -161,14 +140,16 @@ def gen_rb_decay(p_true: float, a: float, b: float, m_grid, shots_per_point: int
     return m_grid, survived / shots_per_point
 
 
-def iter_window_series(cfg: ShotGenConfig, temperature: float, n_win: int, n_shot: int):
+def iter_window_series(ladder: LevelLadder, model: GmmModel, n_levels: int, temperature: float,
+                       n_win: int, n_shot: int, seed: int):
     """Iterator drawing the raw shot sets of n_win windows at one temperature.
 
-    Window w is drawn from its own substream ``window_rng(cfg.seed, w)``, so
+    Window w is drawn from its own substream ``window_rng(seed, w)``, so
     each window is reproducible alone and parallel generation cannot
-    reorder the aggregate output.
+    reorder the aggregate output.  The inputs are checked, and the sampler
+    built, before the iterator is returned.
     """
     if n_win < 2:
         raise ValueError("n_win must be >= 2")
-    draw = _thermal_shot_sampler(cfg, temperature)
-    return (draw(n_shot, window_rng(cfg.seed, w)) for w in range(n_win))
+    draw = _thermal_shot_sampler(ladder, model, n_levels, temperature)
+    return (draw(n_shot, window_rng(seed, w)) for w in range(n_win))

@@ -55,13 +55,16 @@ class LevelLadder:
 
 
 def level_energies(ladder: LevelLadder, n_levels: int) -> np.ndarray:
-    """Energies (GHz) of the lowest ``n_levels`` >= 4 levels above the ground state.
+    """Energies (GHz) of the lowest ``n_levels`` levels above the ground state.
 
-    Past h the transition frequencies keep falling by the constant
-    anharmonicity step f_ef - f_fh; the first that is not positive raises
-    ValueError before any further level is built, and so does a level past
-    the ``_MAX_LEVELS``-th.
+    The level model holds at least g, e, f and h, so ``n_levels`` < 4
+    raises ValueError.  Past h the transition frequencies keep falling by
+    the constant anharmonicity step f_ef - f_fh; the first that is not
+    positive raises ValueError before any further level is built, and so
+    does a level past the ``_MAX_LEVELS``-th.
     """
+    if n_levels < 4:
+        raise ValueError(f"the level model needs at least 4 levels (g, e, f, h), got {n_levels}")
     transitions = [ladder.f_ge_ghz, ladder.f_ef_ghz, ladder.f_fh_ghz]
     step = ladder.f_ef_ghz - ladder.f_fh_ghz
     while len(transitions) < n_levels - 1:

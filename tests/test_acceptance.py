@@ -195,9 +195,7 @@ def test_criterion_07_thermometry_round_trip_and_precision():
     # the six-level thermal distribution, overflow excluded and renormalized
     t_true = 0.181072
     n_shot, n_win = 5000, 1000
-    cfg = synth.ShotGenConfig(ladder=ladder, cluster_model=make_ring_model(),
-                              seed=21)
-    probs = th.boltzmann_populations(t_true, cfg.ladder, cfg.n_model_levels)
+    probs = th.boltzmann_populations(t_true, ladder, 6)
     temps = th.fit_temperature_batch(
         multinomial_windows(21, n_win, n_shot, probs), ladder).t_eff
     mu, sigma, sigma_mu = th.window_statistics(temps)

@@ -285,6 +285,40 @@ class TestEveryInputEnds:
         assert err.startswith(f"error: {key} must be an integer") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg, err", [
+        ({"generator": "thermal", **SHOTS, "n_shots": 0},
+         "n_shots must be an integer from 1 to 2**63 - 1, got 0"),
+        ({"generator": "windows", **SHOTS, "n_win": 2, "n_shot": 0},
+         "n_shot must be an integer from 1 to 2**63 - 1, got 0"),
+        ({"generator": "thermal", **SHOTS, "n_shots": 10, "n_model_levels": 3},
+         "the level model needs at least 4 levels (g, e, f, h), got 3"),
+        ({"generator": "windows", **SHOTS, "n_win": 2, "n_shot": 10, "n_model_levels": 3},
+         "the level model needs at least 4 levels (g, e, f, h), got 3"),
+    ], ids=["n_shots", "n_shot", "thermal-levels", "windows-levels"])
+    def test_shot_generator_input_is_named(self, tmp_path, capsys, cfg, err):
+        # A zero shot count was once named by the sampler's parameter n.
+        out = tmp_path / "out"
+        assert main(["generate", "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generator", ["thermal", "windows", "reset", "rb"])
+    @pytest.mark.parametrize("channel", ["config", "flag"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, generator, channel):
+        # numpy's "expected non-negative integer" once named neither input.
+        cfg = {"thermal": {**self.SHOTS, "n_shots": 10},
+               "windows": {**self.SHOTS, "n_win": 2, "n_shot": 10},
+               "reset": {"rates": {"t1_ge_ns": 238.22, **self.RATES}},
+               "rb": {"p_true": 0.99}}[generator]
+        cfg = {"generator": generator, **cfg, **({"seed": -1} if channel == "config" else {})}
+        out = tmp_path / "out"
+        flag = ["--seed", "-1"] if channel == "flag" else []
+        assert main(["generate", "--config", write_cfg(tmp_path, "cfg.json", cfg),
+                     "--out", str(out), *flag]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, cfg, module, kernel, exc, err", [
         ("filter-sweep", SWEEP_CFG, nw, "flux_sweep",
          MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
@@ -733,6 +767,19 @@ class TestThermometryPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: cluster_model has no 'k+' component, which level")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_generate_windows_removes_an_out_file_that_existed(self, tmp_path, capsys):
+        # The file was once removed only if this run had created it; one that
+        # existed kept the 400 shots written before the error.
+        model = fio.model_to_dict(make_ring_model(labels=("g", "e", "f", "h")))
+        gen_cfg = write_cfg(tmp_path, "gen.json", {
+            "generator": "windows", "ladder": LADDER_CFG, "cluster_model": model,
+            "temperature_mk": 90.0, "n_win": 400, "n_shot": 100, "seed": 1})
+        out = tmp_path / "pre.csv"
+        fio.write_shots_csv(out, np.zeros((2, 2)))
+        assert main(["generate", "--config", gen_cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
     def test_generate_caps_a_ladder_that_does_not_fall(self, tmp_path, capsys):

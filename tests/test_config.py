@@ -106,8 +106,8 @@ def write_inputs(work: Path) -> dict:
         ("reset", "reset.csv"), ("curve", "curve.csv"))}
     files.update({model: str(work / f"{model}.csv") for model in CURVE_MODELS})
     fio.dump_json(MODEL, files["model"])
-    gen_cfg = synth.ShotGenConfig(ladder=th.LevelLadder(**LADDER_A), cluster_model=model)
-    fio.write_shots_csv(files["shots"], synth.gen_thermal_shots(gen_cfg, 0.181072, 400))
+    fio.write_shots_csv(files["shots"], synth.gen_thermal_shots(
+        th.LevelLadder(**LADDER_A), model, 6, 0.181072, 400, 0))
     fio.write_shots_csv(files["labelled"], *cl.sample_from_model(model, 40, seed=1),
                         model.labels)
     rates = dyn.DecayRates.from_t1(238.22e-9, 136.80e-9, 128.84e-9)
@@ -355,8 +355,6 @@ COMMAND_DEFAULTS = [
     ("generate reset", ("floor_p_inf",), synth.gen_reset_curves, "floor_p_inf"),
     ("generate reset", ("seed",), synth.gen_reset_curves, "seed"),
     ("generate rb", ("seed",), synth.gen_rb_decay, "seed"),
-    ("generate thermal", ("n_model_levels",), synth.ShotGenConfig, "n_model_levels"),
-    ("generate thermal", ("seed",), synth.ShotGenConfig, "seed"),
 ]
 
 # Input paths for configs that are checked, never run.

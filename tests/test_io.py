@@ -365,6 +365,36 @@ class TestWriterMatchesPerValueReference:
         assert not (tmp_path / "s.csv").exists()
 
 
+def failing_blocks():
+    """One block of shots, then the error of a draw that fails."""
+    yield np.zeros((3, 2))
+    raise ValueError("draw failed")
+
+
+class TestFailedWrite:
+    def test_removes_a_file_that_existed(self, tmp_path):
+        """A file at the path before the write once kept the rows written before the error."""
+        path = tmp_path / "s.csv"
+        fio.write_shots_csv(path, np.ones((4, 2)))
+        with pytest.raises(ValueError, match="^draw failed$"):
+            fio.write_shots_csv(path, failing_blocks())
+        assert not path.exists()
+
+    def test_keeps_a_symlink(self, tmp_path):
+        # As /dev/stdout is one: removing the link would not remove the rows written.
+        link = tmp_path / "out.csv"
+        link.symlink_to(tmp_path / "target.csv")
+        with pytest.raises(ValueError, match="^draw failed$"):
+            fio.write_shots_csv(link, failing_blocks())
+        assert link.is_symlink()
+
+    def test_a_failed_open_touches_nothing(self, tmp_path):
+        (tmp_path / "dir.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            fio.write_shots_csv(tmp_path / "dir.csv", failing_blocks())
+        assert (tmp_path / "dir.csv").is_dir()
+
+
 def test_numpy_scalars_dump_as_their_python_values(tmp_path):
     # A numpy scalar takes the rule of the Python value it holds: non-finite
     # floats are written as strings, as Python's are.

@@ -109,7 +109,7 @@ def is_dataclass(node: ast.AST) -> bool:
 # src/ plus the defaulted fields of its dataclasses.  Each is an option a
 # caller may set; an added one shows here as a changed number, to be
 # justified by a caller that needs a second value.
-SETTABLE_VALUES = 27
+SETTABLE_VALUES = 25
 
 
 def settable_values() -> int:
@@ -203,3 +203,17 @@ def test_no_level_label_in_the_label_free_modules():
              for node in ast.walk(ast.parse((PACKAGE / f"{stem}.py").read_text()))
              if isinstance(node, ast.Constant) and node.value in LABEL_ORDER]
     assert not found, f"level labels outside the I/O boundary: {found}"
+
+
+# A generator takes its inputs and, last, its seed, as ``classify.sample_from_model``
+# does: no configuration object bundles a generator's inputs.
+def test_generators_take_their_inputs_and_a_seed_last():
+    from fluxline import synth
+
+    tree = ast.parse((PACKAGE / "synth.py").read_text())
+    assert not [node.name for node in ast.walk(tree) if is_dataclass(node)]
+    generators = {name: fn for name, fn in vars(synth).items()
+                  if name.startswith(("gen_", "iter_")) and inspect.isfunction(fn)}
+    assert len(generators) >= 4  # the walk finds the generators at all
+    last = {name: list(inspect.signature(fn).parameters)[-1] for name, fn in generators.items()}
+    assert last == dict.fromkeys(generators, "seed")

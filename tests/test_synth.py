@@ -13,8 +13,12 @@ from fluxline import thermometry as th
 
 
 @pytest.fixture
-def gen_config(ladder_a, ring_model):
-    return synth.ShotGenConfig(ladder=ladder_a, cluster_model=ring_model, seed=11)
+def shot_inputs(ladder_a, ring_model):
+    """(ladder, cluster model, level count) of the thermal shot generators."""
+    return ladder_a, ring_model, 6
+
+
+SEED = 11
 
 
 def _window_temperatures(model, windows, ladder):
@@ -49,47 +53,54 @@ class TestLadderExtension:
             tracemalloc.stop()
         assert peak < 1e6
 
-    def test_probabilities_normalized(self, gen_config):
-        p = th.boltzmann_populations(0.3, gen_config.ladder, 6)
+    @pytest.mark.parametrize("n_levels", [0, 2, 3])
+    def test_fewer_than_four_levels_raise(self, ladder_a, n_levels):
+        # Four energies were once returned for any n_levels below 4.
+        match = rf"^the level model needs at least 4 levels \(g, e, f, h\), got {n_levels}$"
+        with pytest.raises(ValueError, match=match):
+            th.level_energies(ladder_a, n_levels)
+        with pytest.raises(ValueError, match=match):
+            th.boltzmann_populations(0.1, ladder_a, n_levels)
+
+    def test_probabilities_normalized(self, ladder_a):
+        p = th.boltzmann_populations(0.3, ladder_a, 6)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(p) < 0)
 
 
 class TestThermalShots:
-    def test_cold_limit_all_ground(self, gen_config):
+    def test_cold_limit_all_ground(self, shot_inputs):
         # every shot must come from the ground cluster; check positions,
         # since even perfect emission leaves the classifier its Bayes error
-        xy = synth.gen_thermal_shots(gen_config, 1e-3, 500)
-        model = gen_config.cluster_model
+        xy = synth.gen_thermal_shots(*shot_inputs, 1e-3, 500, SEED)
+        model = shot_inputs[1]
         g_mean = model.means[model.labels.index("g")]
         assert np.linalg.norm(xy - g_mean, axis=1).max() < 6.0
 
-    def test_determinism(self, gen_config):
-        a = synth.gen_thermal_shots(gen_config, 0.18, 400)
-        b = synth.gen_thermal_shots(gen_config, 0.18, 400)
+    def test_determinism(self, shot_inputs):
+        a = synth.gen_thermal_shots(*shot_inputs, 0.18, 400, SEED)
+        b = synth.gen_thermal_shots(*shot_inputs, 0.18, 400, SEED)
         assert np.array_equal(a, b)
 
-    def test_missing_component_named_with_its_level(self, gen_config):
-        full = gen_config.cluster_model
+    def test_missing_component_named_with_its_level(self, shot_inputs):
+        ladder, full, n_levels = shot_inputs
         k_plus = full.labels.index("k+")
         kept = cl.GmmModel(full.labels[:k_plus], full.means[:k_plus], full.covs[:k_plus],
                            full.weights[:k_plus] / (1.0 - full.weights[k_plus]))
-        cfg = synth.ShotGenConfig(ladder=gen_config.ladder, seed=gen_config.seed,
-                                  cluster_model=kept)
         # Cold enough that no level above h is drawn: the overflow cluster
         # is never needed and the shots equal those of the full model.
-        assert np.array_equal(synth.gen_thermal_shots(cfg, 0.05, 2000),
-                              synth.gen_thermal_shots(gen_config, 0.05, 2000))
+        assert np.array_equal(synth.gen_thermal_shots(ladder, kept, n_levels, 0.05, 2000, SEED),
+                              synth.gen_thermal_shots(*shot_inputs, 0.05, 2000, SEED))
         with pytest.raises(ValueError,
                            match=r"^cluster_model has no 'k\+' component, which level 4 needs$"):
-            synth.gen_thermal_shots(cfg, 0.3, 2000)
+            synth.gen_thermal_shots(ladder, kept, n_levels, 0.3, 2000, SEED)
 
-    def test_level_frequencies_match_boltzmann(self, gen_config):
+    def test_level_frequencies_match_boltzmann(self, shot_inputs):
         n = 1_000_000
-        xy = synth.gen_thermal_shots(gen_config, 0.25, n)
-        model = gen_config.cluster_model
+        ladder, model, n_levels = shot_inputs
+        xy = synth.gen_thermal_shots(ladder, model, n_levels, 0.25, n, SEED)
         indices = cl.assign_indices(model, xy)
-        probs = th.boltzmann_populations(0.25, gen_config.ladder, gen_config.n_model_levels)
+        probs = th.boltzmann_populations(0.25, ladder, n_levels)
         expected = np.concatenate([probs[:4], [probs[4:].sum()]])
         for k, lab in enumerate(("g", "e", "f", "h", "k+")):
             observed = np.count_nonzero(indices == model.labels.index(lab)) / n
@@ -98,32 +109,30 @@ class TestThermalShots:
             # multinomial band
             assert abs(observed - expected[k]) < tol
 
-    def test_window_pipeline_matches_target_temperature(self, gen_config, ladder_a):
-        windows = list(synth.iter_window_series(gen_config, 0.181072, 120, 5000))
-        temps = _window_temperatures(gen_config.cluster_model, windows, ladder_a)
+    def test_window_pipeline_matches_target_temperature(self, shot_inputs, ladder_a):
+        windows = list(synth.iter_window_series(*shot_inputs, 0.181072, 120, 5000, SEED))
+        temps = _window_temperatures(shot_inputs[1], windows, ladder_a)
         mu, sigma, sigma_mu = th.window_statistics(temps)
         # classification cross-talk at separation 6 biases mu by about +0.4 mK
         assert abs(mu - 0.181072) < 1e-3
         assert 2e-3 < sigma < 5e-3
 
 
-def reference_draw(cfg, temperature, n, rng):
+def reference_draw(ladder, model, n_levels, temperature, n, rng):
     """One window of thermal shots, each component emitted through a boolean mask.
 
     The draw as it was before ``_thermal_shot_sampler`` grouped the shots
     by a sort; also returns the shots drawn per component.
     """
-    levels = rng.choice(cfg.n_model_levels, size=n,
-                        p=th.boltzmann_populations(temperature, cfg.ladder,
-                                                   cfg.n_model_levels))
+    levels = rng.choice(n_levels, size=n,
+                        p=th.boltzmann_populations(temperature, ladder, n_levels))
     z = rng.standard_normal((n, 2))
     xy = np.empty((n, 2))
     comp_idx = np.minimum(levels, 4)
     for k in np.flatnonzero(np.bincount(comp_idx)).tolist():
         sel = comp_idx == k
-        j = cfg.cluster_model.labels.index(cl.LABEL_ORDER[k])
-        xy[sel] = (cfg.cluster_model.means[j]
-                   + z[sel] @ np.linalg.cholesky(cfg.cluster_model.covs[j]).T)
+        j = model.labels.index(cl.LABEL_ORDER[k])
+        xy[sel] = model.means[j] + z[sel] @ np.linalg.cholesky(model.covs[j]).T
     return xy, np.bincount(comp_idx, minlength=5)
 
 
@@ -142,12 +151,12 @@ class TestDrawMatchesMaskedReference:
     def test_random_covariances_bit_for_bit(self, ladder_a):
         counts = []
         for seed in range(20):
-            cfg = synth.ShotGenConfig(ladder=ladder_a, cluster_model=random_cluster_model(seed),
-                                      seed=seed)
+            inputs = (ladder_a, random_cluster_model(seed), 6)
             for w, temperature in enumerate((0.05, 0.181072, 0.4, 1.5)):
-                want, per_component = reference_draw(cfg, temperature, 300,
+                want, per_component = reference_draw(*inputs, temperature, 300,
                                                      synth.window_rng(seed, w))
-                got = synth._thermal_shot_sampler(cfg, temperature)(300, synth.window_rng(seed, w))
+                got = synth._thermal_shot_sampler(*inputs, temperature)(
+                    300, synth.window_rng(seed, w))
                 assert got.tobytes() == want.tobytes(), (seed, temperature)
                 counts.append(per_component)
         counts = np.array(counts)
@@ -243,26 +252,25 @@ class TestRbDecay:
 
 
 class TestIterWindows:
-    def test_minimal_series(self, gen_config):
-        windows = list(synth.iter_window_series(gen_config, 0.2, 2, 50))
+    def test_minimal_series(self, shot_inputs):
+        windows = list(synth.iter_window_series(*shot_inputs, 0.2, 2, 50, SEED))
         assert len(windows) == 2
         assert windows[0].shape == (50, 2)
 
-    def test_step_profile_tracked(self, gen_config, ladder_a):
+    def test_step_profile_tracked(self, shot_inputs, ladder_a):
         # A step between two runs, each at one temperature.
-        windows = [*synth.iter_window_series(gen_config, 0.12, 5, 4000),
-                   *synth.iter_window_series(gen_config, 0.30, 5, 4000)]
-        temps = _window_temperatures(gen_config.cluster_model, windows, ladder_a)
+        windows = [*synth.iter_window_series(*shot_inputs, 0.12, 5, 4000, SEED),
+                   *synth.iter_window_series(*shot_inputs, 0.30, 5, 4000, SEED)]
+        temps = _window_temperatures(shot_inputs[1], windows, ladder_a)
         assert np.all(temps[:5] < 0.2)
         assert np.all(temps[5:] > 0.2)
 
-    def test_sigma_scaling_with_window_size(self, gen_config, ladder_a):
+    def test_sigma_scaling_with_window_size(self, ladder_a):
         # white-noise scaling: log-log slope of sigma versus t_meas is -1/2;
         # window sizes of 1000 and up keep the estimator in its asymptotic
         # regime, and 300 windows keep the sigma estimates to ~4 percent
         sizes = (1000, 2000, 4000, 8000)
-        probs = th.boltzmann_populations(0.181072, gen_config.ladder,
-                                         gen_config.n_model_levels)
+        probs = th.boltzmann_populations(0.181072, ladder_a, 6)
         sigmas = []
         for j, n_shot in enumerate(sizes):
             counts = np.array([synth.window_rng(100 + j, w).multinomial(n_shot, probs)[:4]
@@ -273,9 +281,8 @@ class TestIterWindows:
         slope = np.polyfit(np.log(sizes), np.log(sigmas), 1)[0]
         assert abs(slope + 0.5) < 0.05
 
-    def test_substreams_independent_of_other_windows(self, gen_config):
-        full = list(synth.iter_window_series(gen_config, 0.2, 6, 40))
+    def test_substreams_independent_of_other_windows(self, shot_inputs):
+        full = list(synth.iter_window_series(*shot_inputs, 0.2, 6, 40, SEED))
         # regenerating window 4 alone must reproduce the same shots
-        alone = synth._thermal_shot_sampler(gen_config, 0.2)(
-            40, synth.window_rng(gen_config.seed, 4))
+        alone = synth._thermal_shot_sampler(*shot_inputs, 0.2)(40, synth.window_rng(SEED, 4))
         assert np.array_equal(full[4], alone)
